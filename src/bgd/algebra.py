@@ -4,7 +4,7 @@ balanced-tensor quotient machinery used throughout.
 
 import numpy as np
 
-from .linalg import Quotient, kron_vec
+from .linalg import Quotient, kron_vec, unit_vector
 from .report import Report
 
 __all__ = [
@@ -43,9 +43,7 @@ class AlgebraPresentation:
         return cls(field, mul, field.array(unit), labels)
 
     def basis(self, i):
-        v = self.field.zeros(self.dim)
-        v[i] = self.field.one
-        return v
+        return unit_vector(self.field, self.dim, i)
 
     def mult(self, x, y):
         t = np.tensordot(np.asarray(x), self.mul, axes=(0, 0))

@@ -18,7 +18,7 @@ balanced-tensor quotient:
 import numpy as np
 
 from .algebra import TripleQuotient, balanced_tensor, check_action, sum_action
-from .linalg import apply_leg1, apply_leg2, kernel_basis, kron_vec
+from .linalg import apply_leg1, apply_leg2, kernel_basis, kron_vec, unit_vector
 from .report import Report
 
 __all__ = [
@@ -41,6 +41,11 @@ def sparse_pairs(vec, d1, d2, field):
         if c != field.zero:
             out.append((idx // d2, idx % d2, c))
     return out
+
+
+# Cache entries a bialgebroid shares with its co-opposite, keyed by the
+# name each one has there.
+_COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1"}
 
 
 class LeftBialgebroid:
@@ -98,12 +103,20 @@ class LeftBialgebroid:
 
     # -- action matrices per A-basis index ----------------------------------
 
-    def _mults(self, key, mat, mk):
+    def _cached(self, key, build):
+        """``self._cache[key]``, built on first use and handed to the
+        co-opposite under its twin key (see ``coop``)."""
         if key not in self._cache:
-            self._cache[key] = [
-                mk(self.field.mod(mat[:, i])) for i in range(self.A.dim)
-            ]
+            self._cache[key] = build()
+            twin = self._cache.get("coop")
+            if key in _COOP_TWIN and twin is not None:
+                twin._cache[_COOP_TWIN[key]] = self._cache[key]
         return self._cache[key]
+
+    def _mults(self, key, mat, mk):
+        return self._cached(
+            key, lambda: [mk(self.field.mod(mat[:, i])) for i in range(self.A.dim)]
+        )
 
     @property
     def Ls(self):
@@ -125,24 +138,24 @@ class LeftBialgebroid:
 
     @property
     def T0(self):
-        if "T0" not in self._cache:
-            d = self.U.dim
-            self._cache["T0"] = balanced_tensor(self.field, d, self.Lt, d, self.Ls)
-        return self._cache["T0"]
+        d = self.U.dim
+        return self._cached(
+            "T0", lambda: balanced_tensor(self.field, d, self.Lt, d, self.Ls)
+        )
 
     @property
     def T1(self):
-        if "T1" not in self._cache:
-            d = self.U.dim
-            self._cache["T1"] = balanced_tensor(self.field, d, self.Rt, d, self.Lt)
-        return self._cache["T1"]
+        d = self.U.dim
+        return self._cached(
+            "T1", lambda: balanced_tensor(self.field, d, self.Rt, d, self.Lt)
+        )
 
     @property
     def T2(self):
-        if "T2" not in self._cache:
-            d = self.U.dim
-            self._cache["T2"] = balanced_tensor(self.field, d, self.Rs, d, self.Ls)
-        return self._cache["T2"]
+        d = self.U.dim
+        return self._cached(
+            "T2", lambda: balanced_tensor(self.field, d, self.Rs, d, self.Ls)
+        )
 
     def tensor_mult(self, x, y):
         """Product of two lifts in U (x) U (factorwise)."""
@@ -159,15 +172,30 @@ class LeftBialgebroid:
     # -- derived presentations ----------------------------------------------
 
     def coop(self):
-        """The co-opposite left bialgebroid over A^op."""
-        d = self.U.dim
-        flip = (
-            self.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
-        )
-        return LeftBialgebroid(
-            self.A.opposite(), self.U, self.t_map, self.s_map, flip,
-            self.counit, name=self.name + "_coop",
-        )
+        """The co-opposite left bialgebroid (U, A^op, t, s, flip o delta, eps).
+
+        It is built once: ``b.coop().coop() is b``.  Source and target swap
+        roles, so it shares ``b``'s action lists (Ls <-> Lt, Rs <-> Rt) and
+        balanced squares (T1 <-> T2); only its T0 is new.  The right-hand
+        translation maps, their identity suite and the right-comodule
+        suites of ``bgd.hopf`` are the left-hand ones computed on it.
+        """
+        if "coop" not in self._cache:
+            d = self.U.dim
+
+            def flipped():
+                return self.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
+
+            twin = LeftBialgebroid(
+                self.A.opposite(), self.U, self.t_map, self.s_map, flipped,
+                self.counit, name=self.name + "_coop",
+            )
+            for key, val in self._cache.items():
+                if key in _COOP_TWIN:
+                    twin._cache[_COOP_TWIN[key]] = val
+            twin._cache["coop"] = self
+            self._cache["coop"] = twin
+        return self._cache["coop"]
 
     def opposite(self):
         """The opposite right bialgebroid on U^op."""
@@ -361,7 +389,9 @@ class ComodulePresentation:
     (relations t(a)u (x) m - u (x) a.m).
 
     Right comodule: a right A-action written on the left, and a coaction
-    lift M -> M (x) |>U (relations m.a (x) u - m (x) s(a)u).
+    lift M -> M (x) |>U (relations m.a (x) u - m (x) s(a)u).  It is the
+    left comodule ``as_left()`` over ``b.coop()``, through which its checks,
+    Hopf-Galois map and translation map are computed.
     """
 
     def __init__(self, b, side, action, coaction, name="M"):
@@ -373,6 +403,21 @@ class ComodulePresentation:
         self.dim = self.action[0].shape[0]
         self.name = name
         self._cache = {}
+
+    def as_left(self):
+        """This comodule as a left comodule: itself if it is one; a right
+        comodule over b is a left comodule over b.coop() (a right A-action
+        is a left A^op-action) once its coaction legs are swapped."""
+        if self.side == "left":
+            return self
+        if "left" not in self._cache:
+            dm, du = self.dim, self.b.U.dim
+            swapped = self.coaction.reshape(dm, du, dm).swapaxes(0, 1)
+            self._cache["left"] = ComodulePresentation(
+                self.b.coop(), "left", self.action, swapped.reshape(du * dm, dm),
+                name=self.name,
+            )
+        return self._cache["left"]
 
     @property
     def quotient(self):
@@ -394,8 +439,11 @@ class ComodulePresentation:
         """The induced action on the other side.
 
         For a left comodule: m.a = eps(m_(-1) s(a)) . m_0, a right action.
-        For a right comodule: a.m = m_0 . eps(m_1 t(a)), a left action.
+        For a right comodule: a.m = m_0 . eps(m_1 t(a)), a left action,
+        which is the induced action of ``as_left()``.
         """
+        if self.side == "right":
+            return self.as_left().induced_action
         if "ind" not in self._cache:
             b, f, d = self.b, self.field, self.dim
             du = b.U.dim
@@ -405,14 +453,9 @@ class ComodulePresentation:
                 for j in range(d):
                     col = f.zeros(d)
                     lift = f.mod(self.coaction[:, j])
-                    if self.side == "left":
-                        for k, i, c in sparse_pairs(lift, du, d, f):
-                            coeff = b.eps(b.U.mult(b.U.basis(k), b.s_of(b.A.basis(a))))
-                            col = col + c * sum_action(f, self.action, coeff)[:, i]
-                    else:
-                        for i, k, c in sparse_pairs(lift, d, du, f):
-                            coeff = b.eps(b.U.mult(b.U.basis(k), b.t_of(b.A.basis(a))))
-                            col = col + c * sum_action(f, self.action, coeff)[:, i]
+                    for k, i, c in sparse_pairs(lift, du, d, f):
+                        coeff = b.eps(b.U.mult(b.U.basis(k), b.s_of(b.A.basis(a))))
+                        col = col + c * sum_action(f, self.action, coeff)[:, i]
                     m[:, j] = f.mod(col)
                 mats.append(m)
             self._cache["ind"] = mats
@@ -424,29 +467,26 @@ class ComodulePresentation:
 
 def check_comodule(com, name=None):
     """Counitality, coassociativity, A-linearity and the image condition
-    for a comodule presentation."""
-    b = com.b
-    f = com.field
+    for a comodule presentation (a right comodule through ``as_left()``)."""
     rep = Report(name or f"{com.name} ({com.side} comodule)")
-    d, du = com.dim, b.U.dim
-
     contra = com.side == "right"
-    rep.extend(check_action(b.A, com.action, contravariant=contra, name="a"))
+    rep.extend(check_action(com.b.A, com.action, contravariant=contra, name="a"))
     for item in rep.items[-2:]:
         item.check_id = "comodule." + item.check_id
 
+    base_a = com.b.A
+    com = com.as_left()
+    b = com.b
+    f = com.field
+    d, du = com.dim, b.U.dim
     q = com.quotient
 
     ok = True
     for a in range(b.A.dim):
         for j in range(d):
-            m = f.zeros(d)
-            m[j] = f.one
+            m = unit_vector(f, d, j)
             lhs = com.coact(f.matmul(com.action[a], m))
-            if com.side == "left":
-                rhs = apply_leg1(f, b.Ls[a], com.coact(m), du, d)
-            else:
-                rhs = apply_leg2(f, b.Lt[a], com.coact(m), d, du)
+            rhs = apply_leg1(f, b.Ls[a], com.coact(m), du, d)
             if not np.array_equal(q.project(lhs), q.project(rhs)):
                 ok = False
     rep.add("comodule.coaction.linear", ok)
@@ -455,52 +495,31 @@ def check_comodule(com, name=None):
     for j in range(d):
         lift = f.mod(com.coaction[:, j])
         out = f.zeros(d)
-        if com.side == "left":
-            for k, i, c in sparse_pairs(lift, du, d, f):
-                out = out + c * sum_action(f, com.action, b.eps(b.U.basis(k)))[:, i]
-        else:
-            for i, k, c in sparse_pairs(lift, d, du, f):
-                out = out + c * sum_action(f, com.action, b.eps(b.U.basis(k)))[:, i]
-        m = f.zeros(d)
-        m[j] = f.one
-        ok &= f.equal(f.mod(out), m)
+        for k, i, c in sparse_pairs(lift, du, d, f):
+            out = out + c * sum_action(f, com.action, b.eps(b.U.basis(k)))[:, i]
+        ok &= f.equal(f.mod(out), unit_vector(f, d, j))
     rep.add("comodule.counit", ok)
 
-    if com.side == "left":
-        trip = TripleQuotient(
-            f,
-            (du, du, d),
-            [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-            [(b.Lt[a], com.action[a]) for a in range(b.A.dim)],
-        )
-    else:
-        trip = TripleQuotient(
-            f,
-            (d, du, du),
-            [(com.action[a], b.Ls[a]) for a in range(b.A.dim)],
-            [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-        )
+    trip = TripleQuotient(
+        f,
+        (du, du, d),
+        [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
+        [(b.Lt[a], com.action[a]) for a in range(b.A.dim)],
+    )
     ok = True
     for j in range(d):
         lift = f.mod(com.coaction[:, j])
-        lhs = f.zeros(du * du * d) if com.side == "left" else f.zeros(d * du * du)
+        lhs = f.zeros(du * du * d)
         rhs = lhs.copy()
-        if com.side == "left":
-            for k, i, c in sparse_pairs(lift, du, d, f):
-                lhs = lhs + c * kron_vec(f, b.delta_of(b.U.basis(k)), _unitvec(f, d, i))
-                rhs = rhs + c * kron_vec(f, _unitvec(f, du, k), f.mod(com.coaction[:, i]))
-        else:
-            for i, k, c in sparse_pairs(lift, d, du, f):
-                lhs = lhs + c * kron_vec(f, f.mod(com.coaction[:, i]), _unitvec(f, du, k))
-                rhs = rhs + c * kron_vec(f, _unitvec(f, d, i), b.delta_of(b.U.basis(k)))
+        for k, i, c in sparse_pairs(lift, du, d, f):
+            lhs = lhs + c * kron_vec(f, b.delta_of(b.U.basis(k)), unit_vector(f, d, i))
+            rhs = rhs + c * kron_vec(f, unit_vector(f, du, k), f.mod(com.coaction[:, i]))
         if not np.array_equal(trip.project(f.mod(lhs)), trip.project(f.mod(rhs))):
             ok = False
     rep.add("comodule.coassociative", ok)
 
     ind = com.induced_action
-    rep.extend(
-        check_action(b.A, ind, contravariant=not contra, name="a")
-    )
+    rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"))
     for item in rep.items[-2:]:
         item.check_id = "comodule.induced_" + item.check_id
 
@@ -508,32 +527,20 @@ def check_comodule(com, name=None):
     for a in range(b.A.dim):
         for j in range(d):
             lift = f.mod(com.coaction[:, j])
-            if com.side == "left":
-                v1 = apply_leg1(f, b.Rt[a], lift, du, d)
-                v2 = apply_leg2(f, ind[a], lift, du, d)
-            else:
-                v1 = apply_leg2(f, b.Rs[a], lift, d, du)
-                v2 = apply_leg1(f, ind[a], lift, d, du)
+            v1 = apply_leg1(f, b.Rt[a], lift, du, d)
+            v2 = apply_leg2(f, ind[a], lift, du, d)
             if not f.is_zero(q.project(f.mod(v1 - v2))):
                 ok = False
     rep.add("comodule.image", ok)
     return rep
 
 
-def _unitvec(f, n, i):
-    v = f.zeros(n)
-    v[i] = f.one
-    return v
-
-
 def coinvariants(com):
-    """Basis of the coinvariant subspace {m : coaction(m) = unit (x) m}."""
+    """Basis of the coinvariant subspace {m : coaction(m) = unit (x) m}
+    (for a right comodule, m (x) unit, computed through ``as_left()``)."""
+    com = com.as_left()
     b, f, d = com.b, com.field, com.dim
     du = b.U.dim
-    if com.side == "left":
-        triv = np.kron(b.U.unit.reshape(du, 1), f.eye(d))
-    else:
-        triv = np.kron(f.eye(d), b.U.unit.reshape(du, 1))
+    triv = np.kron(b.U.unit.reshape(du, 1), f.eye(d))
     diff = f.mod(com.coaction - triv)
-    q = com.quotient
-    return kernel_basis(f, f.matmul(q.project_mat, diff))
+    return kernel_basis(f, f.matmul(com.quotient.project_mat, diff))

@@ -16,7 +16,7 @@ as dA x dU matrices.  Structure maps:
 import numpy as np
 
 from .algebra import AlgebraPresentation
-from .bialgebroid import LeftBialgebroid, RightBialgebroid
+from .bialgebroid import LeftBialgebroid, RightBialgebroid, sparse_pairs
 from .hopf import translate_left_mat, translate_right_mat
 from .linalg import invert, kernel_basis, rank, rref, solve_affine
 from .report import Report
@@ -239,7 +239,7 @@ def s_upper_star(b):
         g = f.zeros((b.A.dim, du))
         for u in range(du):
             acc = f.zeros(b.A.dim)
-            for x, y, c in _pairs(f, tl[:, u], du):
+            for x, y, c in sparse_pairs(tl[:, u], du, du, f):
                 val = f.matmul(hi.funcs[m], b.U.basis(y))
                 acc = acc + c * b.eps(b.U.mult(b.U.basis(x), b.t_of(val)))
             g[:, u] = f.mod(acc)
@@ -261,18 +261,11 @@ def s_lower_star(b):
         g = f.zeros((b.A.dim, du))
         for u in range(du):
             acc = f.zeros(b.A.dim)
-            for x, y, c in _pairs(f, tr[:, u], du):
+            for x, y, c in sparse_pairs(tr[:, u], du, du, f):
                 val = f.matmul(lo.funcs[m], b.U.basis(y))
                 acc = acc + c * b.eps(b.U.mult(b.U.basis(x), b.s_of(val)))
             g[:, u] = f.mod(acc)
         out[:, m] = hi.coords_of(g)
-    return out
-
-
-def _pairs(f, vec, d):
-    out = []
-    for idx in np.nonzero(np.asarray(vec))[0]:
-        out.append((idx // d, idx % d, f.canon(vec[idx])))
     return out
 
 
@@ -296,7 +289,7 @@ def dual_action(b, dual, kind):
         return mats
     tmat = translate_left_mat(b) if dual.which == "right" else translate_right_mat(b)
     for u in range(du):
-        pairs = _pairs(f, tmat[:, u], du)
+        pairs = sparse_pairs(tmat[:, u], du, du, f)
         cols = []
         for m in range(dual.dim):
             g = f.zeros((b.A.dim, du))
@@ -321,7 +314,6 @@ def comodule_to_dual_module(b, com):
     composition is contravariant).
     """
     from .algebra import sum_action
-    from .bialgebroid import sparse_pairs
 
     f = b.field
     du = b.U.dim
@@ -372,12 +364,10 @@ def biduality_report(b):
             got = f.zeros(d * b.A.dim)
             for m in range(d):
                 acc = f.zeros(b.A.dim)
-                for i, j, c in _pairs(f, dl[:, m], d):
+                for i, j, c in sparse_pairs(dl[:, m], d, d, f):
                     val = f.matmul(lo.funcs[i], b.U.basis(v))
-                    w = lo.U.mult(
-                        lo.U.basis(j), _lincomb(f, lo.t_map, val)
-                    )
-                    pairing = f.matmul(_func_of(f, lo, w), b.U.basis(u))
+                    w = lo.U.mult(lo.U.basis(j), f.matmul(lo.t_map, val))
+                    pairing = f.matmul(lo.functional(w), b.U.basis(u))
                     acc = acc + c * pairing
                 got[m * b.A.dim : (m + 1) * b.A.dim] = f.mod(acc)
             if not f.equal(got, target):
@@ -392,11 +382,3 @@ def _phi_vec(b, lo, uvec):
     for m in range(lo.dim):
         out[m * b.A.dim : (m + 1) * b.A.dim] = f.matmul(lo.funcs[m], uvec)
     return out
-
-
-def _lincomb(f, mat, coeffs):
-    return f.matmul(mat, coeffs)
-
-
-def _func_of(f, lo, coords):
-    return lo.functional(coords)

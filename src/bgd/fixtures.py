@@ -173,8 +173,6 @@ def crossed_rank2_lr():
     X1^[2] = 0 and X2^[2] = X2."""
     a, ddt = truncated_polynomials(2)
     f = a.field
-    zero = [[0, 0], [0, 0]]
-    g_bracket = [[zero[0], zero[0]], [zero[0], zero[0]]]
     g_bracket = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     g_pops = [[0, 0], [0, 1]]
     sigma = [ddt, f.zeros((2, 2))]

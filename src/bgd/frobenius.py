@@ -5,7 +5,8 @@ import numpy as np
 from .algebra import sum_action
 from .duals import left_dual, right_dual
 from .integrals import left_integrals, right_integrals
-from .linalg import rank, solve_affine
+from .bialgebroid import sparse_pairs
+from .linalg import rank, solve_affine, unit_vector
 from .report import Report
 
 
@@ -149,28 +150,19 @@ def _iso_from_integral_functional(b, dual, psi0):
 def _iso_from_integral_element(b, dual, t0):
     """Matrix of psi -> (side map)(<psi, t0_leg>) t0_other in U coordinates."""
     f, d = b.field, b.U.dim
-    pairs = []
-    dt = b.delta_of(t0)
-    for idx in np.nonzero(np.asarray(dt))[0]:
-        pairs.append((idx // d, idx % d, f.canon(dt[idx])))
+    pairs = sparse_pairs(b.delta_of(t0), d, d, f)
     cols = []
     for k in range(dual.dim):
         v = f.zeros(d)
         for i, j, c in pairs:
             if dual.which == "left":
-                a = f.matmul(dual.funcs[k], _unitv(f, d, j))
+                a = f.matmul(dual.funcs[k], unit_vector(f, d, j))
                 v = v + c * sum_action(f, b.Lt, a)[:, i]
             else:
-                a = f.matmul(dual.funcs[k], _unitv(f, d, i))
+                a = f.matmul(dual.funcs[k], unit_vector(f, d, i))
                 v = v + c * sum_action(f, b.Ls, a)[:, j]
         cols.append(f.mod(v))
     return np.stack(cols, axis=1)
-
-
-def _unitv(f, n, i):
-    v = f.zeros(n)
-    v[i] = f.one
-    return v
 
 
 def _exists_iso(f, d, space, build):

@@ -9,13 +9,18 @@ U is a left (right) Hopf algebroid when alpha_l (alpha_r) is bijective; the
 inverses applied to u (x) 1 and 1 (x) u give the translation maps
 u_+ (x) u_-  and  u_[+] (x) u_[-].  Everything is computed on k-linear
 lifts and compared inside the explicit balanced quotients.
+
+Only the left-hand side is written out.  alpha_r of U is alpha_l of the
+co-opposite ``b.coop()`` up to the flip of T0, so u_[+] (x) u_[-] is u_+ (x) u_-
+there and tch1..tch9 are its sch1..sch9; a right comodule is handled as the
+left comodule ``as_left()`` over ``b.coop()``.
 """
 
 import numpy as np
 
 from .algebra import TripleQuotient, balanced_tensor, sum_action
 from .bialgebroid import sparse_pairs
-from .linalg import apply_leg1, apply_leg2, invert, kron_vec, rank
+from .linalg import apply_leg1, apply_leg2, invert, kron_vec, rank, unit_vector
 from .report import Report
 
 __all__ = [
@@ -35,58 +40,33 @@ __all__ = [
 ]
 
 
-def _unit(f, n, i):
-    v = f.zeros(n)
-    v[i] = f.one
-    return v
-
-
-def _alpha_ambient(b):
-    if "alpha_amb" not in b._cache:
-        f = b.field
-        d = b.U.dim
-        al = f.zeros((d * d, d * d))
-        ar = f.zeros((d * d, d * d))
-        for i in range(d):
-            for k, l, c in b.delta_sparse[i]:
-                for j in range(d):
-                    col = i * d + j
-                    al[k * d : (k + 1) * d, col] += c * b.U.mul[l, j]
-                    ar[l::d, col] += c * b.U.mul[k, j]
-        b._cache["alpha_amb"] = (f.mod(al), f.mod(ar))
-    return b._cache["alpha_amb"]
-
-
 def alpha_left(b):
     """Matrix of alpha_l between quotient coordinates (T1 -> T0)."""
     if "alpha_l" not in b._cache:
         f = b.field
-        al, _ = _alpha_ambient(b)
-        _check_descent(b, al, b.T1, b.T0, "alpha_l")
+        d = b.U.dim
+        amb = f.zeros((d * d, d * d))
+        for i in range(d):
+            for k, l, c in b.delta_sparse[i]:
+                for j in range(d):
+                    amb[k * d : (k + 1) * d, i * d + j] += c * b.U.mul[l, j]
+        amb = f.mod(amb)
+        rows = b.T1.rel.rows
+        for r in range(rows.shape[0]):
+            if not b.T0.rel.contains(f.matmul(amb, rows[r])):
+                raise ValueError(
+                    f"alpha_l of {b.name} is not well defined on the quotient"
+                )
         b._cache["alpha_l"] = f.matmul(
-            f.matmul(b.T0.project_mat, al), b.T1.section_mat
+            f.matmul(b.T0.project_mat, amb), b.T1.section_mat
         )
     return b._cache["alpha_l"]
 
 
 def alpha_right(b):
-    """Matrix of alpha_r between quotient coordinates (T2 -> T0)."""
-    if "alpha_r" not in b._cache:
-        f = b.field
-        _, ar = _alpha_ambient(b)
-        _check_descent(b, ar, b.T2, b.T0, "alpha_r")
-        b._cache["alpha_r"] = f.matmul(
-            f.matmul(b.T0.project_mat, ar), b.T2.section_mat
-        )
-    return b._cache["alpha_r"]
-
-
-def _check_descent(b, amb, src, dst, name):
-    rows = src.rel.rows
-    for i in range(rows.shape[0]):
-        img = b.field.matmul(amb, rows[i])
-        if not dst.rel.contains(img):
-            raise ValueError(f"{name} is not well defined on the quotient")
+    """Matrix of alpha_r, computed as alpha_l of the co-opposite: from
+    T2 = T1(b.coop()) to T0(b.coop()), the flip of T0."""
+    return alpha_left(b.coop())
 
 
 def is_left_hopf(b):
@@ -95,15 +75,14 @@ def is_left_hopf(b):
 
 
 def is_right_hopf(b):
-    m = alpha_right(b)
-    return b.T2.dim == b.T0.dim and rank(b.field, m) == b.T0.dim
+    return is_left_hopf(b.coop())
 
 
 def translate_left_mat(b):
     """Lift matrix U -> U (x) U of u |-> u_+ (x) u_- (canonical lift)."""
     if "tl_mat" not in b._cache:
         if not is_left_hopf(b):
-            raise ValueError("alpha_l is not bijective")
+            raise ValueError(f"alpha_l of {b.name} is not bijective")
         f = b.field
         d = b.U.dim
         emb = f.zeros((d * d, d))  # u |-> u (x) 1
@@ -115,18 +94,9 @@ def translate_left_mat(b):
 
 
 def translate_right_mat(b):
-    """Lift matrix U -> U (x) U of u |-> u_[+] (x) u_[-]."""
-    if "tr_mat" not in b._cache:
-        if not is_right_hopf(b):
-            raise ValueError("alpha_r is not bijective")
-        f = b.field
-        d = b.U.dim
-        emb = f.zeros((d * d, d))  # u |-> 1 (x) u
-        for i in range(d):
-            emb[i::d, i] = b.U.unit
-        back = f.matmul(invert(f, alpha_right(b)), f.matmul(b.T0.project_mat, emb))
-        b._cache["tr_mat"] = f.matmul(b.T2.section_mat, back)
-    return b._cache["tr_mat"]
+    """Lift matrix U -> U (x) U of u |-> u_[+] (x) u_[-]: the left
+    translation map of the co-opposite, with no leg flip."""
+    return translate_left_mat(b.coop())
 
 
 def translate_left(b, u):
@@ -137,31 +107,25 @@ def translate_right(b, u):
     return b.field.matmul(translate_right_mat(b), u)
 
 
-def _sp(b, vec):
-    d = b.U.dim
-    return sparse_pairs(vec, d, d, b.field)
-
-
 def translation_report(b, side=None):
     """Verify the full translation-map identity suite on all basis
-    elements (pairs for the multiplicativity items)."""
+    elements (pairs for the multiplicativity items).  The right-hand
+    items tch1..tch9 are sch1..sch9 of the co-opposite."""
     rep = Report(f"{b.name} translation identities")
     if side in (None, "left"):
-        if is_left_hopf(b):
-            _sch_suite(b, rep)
-        else:
-            for i in range(1, 10):
-                rep.skip(f"sch{i}", "not left Hopf")
+        _sch_suite(b, rep, "sch", "not left Hopf")
     if side in (None, "right"):
-        if is_right_hopf(b):
-            _tch_suite(b, rep)
-        else:
-            for i in range(1, 10):
-                rep.skip(f"tch{i}", "not right Hopf")
+        _sch_suite(b.coop(), rep, "tch", "not right Hopf")
     return rep
 
 
-def _sch_suite(b, rep):
+def _sch_suite(b, rep, tag, reason):
+    """Items tag1..tag9: the left translation identities of b, or skips
+    with ``reason`` when b is not left Hopf."""
+    if not is_left_hopf(b):
+        for i in range(1, 10):
+            rep.skip(f"{tag}{i}", reason)
+        return
     f = b.field
     d = b.U.dim
     tl = translate_left_mat(b)
@@ -176,29 +140,29 @@ def _sch_suite(b, rep):
                 apply_leg1(f, b.Lt[a], lift, d, d) - apply_leg2(f, b.Rt[a], lift, d, d)
             )
             ok &= f.is_zero(t1.project(dv))
-    rep.add("sch1", ok)
+    rep.add(f"{tag}1", ok)
 
     ok = True
     for i, lift in enumerate(lifts):
         out = f.zeros(d * d)
-        for x, y, c in _sp(b, lift):
+        for x, y, c in sparse_pairs(lift, d, d, f):
             for k, l, c2 in b.delta_sparse[x]:
                 out[k * d : (k + 1) * d] += f.mul(c, c2) * mul[l, y]
         ok &= np.array_equal(
             t0.project(f.mod(out)), t0.project(kron_vec(f, b.U.basis(i), b.U.unit))
         )
-    rep.add("sch2", ok)
+    rep.add(f"{tag}2", ok)
 
     ok = True
     for i in range(d):
         out = f.zeros(d * d)
         for k, l, c in b.delta_sparse[i]:
-            for x, y, c2 in _sp(b, lifts[k]):
+            for x, y, c2 in sparse_pairs(lifts[k], d, d, f):
                 out[x * d : (x + 1) * d] += f.mul(c, c2) * mul[y, l]
         ok &= np.array_equal(
             t1.project(f.mod(out)), t1.project(kron_vec(f, b.U.basis(i), b.U.unit))
         )
-    rep.add("sch3", ok)
+    rep.add(f"{tag}3", ok)
 
     trip4 = TripleQuotient(
         f, (d, d, d),
@@ -208,13 +172,13 @@ def _sch_suite(b, rep):
     ok = True
     for i, lift in enumerate(lifts):
         lhs = f.zeros(d**3)
-        for x, y, c in _sp(b, lift):
-            lhs += c * kron_vec(f, b.delta_of(b.U.basis(x)), _unit(f, d, y))
+        for x, y, c in sparse_pairs(lift, d, d, f):
+            lhs += c * kron_vec(f, b.delta_of(b.U.basis(x)), unit_vector(f, d, y))
         rhs = f.zeros(d**3)
         for k, l, c in b.delta_sparse[i]:
-            rhs += c * kron_vec(f, _unit(f, d, k), lifts[l])
+            rhs += c * kron_vec(f, unit_vector(f, d, k), lifts[l])
         ok &= np.array_equal(trip4.project(f.mod(lhs)), trip4.project(f.mod(rhs)))
-    rep.add("sch4", ok)
+    rep.add(f"{tag}4", ok)
 
     trip5 = TripleQuotient(
         f, (d, d, d),
@@ -225,36 +189,36 @@ def _sch_suite(b, rep):
     for lift in lifts:
         lhs = f.zeros(d**3)
         rhs = f.zeros(d**3)
-        for x, y, c in _sp(b, lift):
-            lhs += c * kron_vec(f, _unit(f, d, x), b.delta_of(b.U.basis(y)))
-            for x2, y2, c2 in _sp(b, lifts[x]):
+        for x, y, c in sparse_pairs(lift, d, d, f):
+            lhs += c * kron_vec(f, unit_vector(f, d, x), b.delta_of(b.U.basis(y)))
+            for x2, y2, c2 in sparse_pairs(lifts[x], d, d, f):
                 rhs[(x2 * d + y) * d + y2] += f.mul(c, c2)
         ok &= np.array_equal(trip5.project(f.mod(lhs)), trip5.project(f.mod(rhs)))
-    rep.add("sch5", ok)
+    rep.add(f"{tag}5", ok)
 
     ok = True
     for i in range(d):
         for j in range(d):
             lhs = f.matmul(tl, mul[i, j])
             rhs = f.zeros(d * d)
-            for x, y, c in _sp(b, lifts[i]):
-                for x2, y2, c2 in _sp(b, lifts[j]):
+            for x, y, c in sparse_pairs(lifts[i], d, d, f):
+                for x2, y2, c2 in sparse_pairs(lifts[j], d, d, f):
                     rhs += f.mul(c, c2) * kron_vec(f, mul[x, x2], mul[y2, y])
             if not np.array_equal(t1.project(lhs), t1.project(f.mod(rhs))):
                 ok = False
-    rep.add("sch6", ok)
+    rep.add(f"{tag}6", ok)
 
     ok7 = ok8 = True
     for i, lift in enumerate(lifts):
         prod = f.zeros(d)
         recov = f.zeros(d)
-        for x, y, c in _sp(b, lift):
+        for x, y, c in sparse_pairs(lift, d, d, f):
             prod += c * mul[x, y]
             recov += c * b.U.mult(b.U.basis(x), b.t_of(b.eps(b.U.basis(y))))
         ok7 &= f.equal(f.mod(prod), b.s_of(b.eps(b.U.basis(i))))
         ok8 &= f.equal(f.mod(recov), b.U.basis(i))
-    rep.add("sch7", ok7)
-    rep.add("sch8", ok8)
+    rep.add(f"{tag}7", ok7)
+    rep.add(f"{tag}8", ok8)
 
     ok = True
     for ai in range(b.A.dim):
@@ -264,150 +228,33 @@ def _sch_suite(b, rep):
             lhs = f.matmul(tl, b.U.mult(sa, tb))
             rhs = kron_vec(f, sa, b.s_of(b.A.basis(bi)))
             ok &= np.array_equal(t1.project(lhs), t1.project(rhs))
-    rep.add("sch9", ok)
-
-
-def _tch_suite(b, rep):
-    f = b.field
-    d = b.U.dim
-    tr = translate_right_mat(b)
-    lifts = [f.mod(tr[:, i]) for i in range(d)]
-    mul = b.U.mul
-    t0, t2 = b.T0, b.T2
-
-    ok = True
-    for lift in lifts:
-        for a in range(b.A.dim):
-            dv = f.mod(
-                apply_leg1(f, b.Ls[a], lift, d, d) - apply_leg2(f, b.Rs[a], lift, d, d)
-            )
-            ok &= f.is_zero(t2.project(dv))
-    rep.add("tch1", ok)
-
-    ok = True
-    for i, lift in enumerate(lifts):
-        out = f.zeros(d * d)
-        for x, y, c in _sp(b, lift):
-            for k, l, c2 in b.delta_sparse[x]:
-                out[l::d] += f.mul(c, c2) * mul[k, y]
-        ok &= np.array_equal(
-            t0.project(f.mod(out)), t0.project(kron_vec(f, b.U.unit, b.U.basis(i)))
-        )
-    rep.add("tch2", ok)
-
-    ok = True
-    for i in range(d):
-        out = f.zeros(d * d)
-        for k, l, c in b.delta_sparse[i]:
-            for x, y, c2 in _sp(b, lifts[l]):
-                out[x * d : (x + 1) * d] += f.mul(c, c2) * mul[y, k]
-        ok &= np.array_equal(
-            t2.project(f.mod(out)), t2.project(kron_vec(f, b.U.basis(i), b.U.unit))
-        )
-    rep.add("tch3", ok)
-
-    trip = TripleQuotient(
-        f, (d, d, d),
-        [(b.Rs[a], b.Ls[a]) for a in range(b.A.dim)],
-        [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-    )
-    ok = True
-    for i, lift in enumerate(lifts):
-        lhs = f.zeros(d**3)
-        for x, y, c in _sp(b, lift):
-            for k, l, c2 in b.delta_sparse[x]:
-                lhs[(k * d + y) * d + l] += f.mul(c, c2)
-        rhs = f.zeros(d**3)
-        for k, l, c in b.delta_sparse[i]:
-            for x, y, c2 in _sp(b, lifts[k]):
-                rhs[(x * d + y) * d + l] += f.mul(c, c2)
-        ok &= np.array_equal(trip.project(f.mod(lhs)), trip.project(f.mod(rhs)))
-    rep.add("tch4", ok)
-
-    ok = True
-    for lift in lifts:
-        lhs = f.zeros(d**3)
-        rhs = f.zeros(d**3)
-        for x, y, c in _sp(b, lift):
-            rhs += c * kron_vec(f, _unit(f, d, x), b.delta_of(b.U.basis(y)))
-            for x2, y2, c2 in _sp(b, lifts[x]):
-                lhs[(x2 * d + y2) * d + y] += f.mul(c, c2)
-        ok &= np.array_equal(trip.project(f.mod(lhs)), trip.project(f.mod(rhs)))
-    rep.add("tch5", ok)
-
-    ok = True
-    for i in range(d):
-        for j in range(d):
-            lhs = f.matmul(tr, mul[i, j])
-            rhs = f.zeros(d * d)
-            for x, y, c in _sp(b, lifts[i]):
-                for x2, y2, c2 in _sp(b, lifts[j]):
-                    rhs += f.mul(c, c2) * kron_vec(f, mul[x, x2], mul[y2, y])
-            if not np.array_equal(t2.project(lhs), t2.project(f.mod(rhs))):
-                ok = False
-    rep.add("tch6", ok)
-
-    ok7 = ok8 = True
-    for i, lift in enumerate(lifts):
-        prod = f.zeros(d)
-        recov = f.zeros(d)
-        for x, y, c in _sp(b, lift):
-            prod += c * mul[x, y]
-            recov += c * b.U.mult(b.U.basis(x), b.s_of(b.eps(b.U.basis(y))))
-        ok7 &= f.equal(f.mod(prod), b.t_of(b.eps(b.U.basis(i))))
-        ok8 &= f.equal(f.mod(recov), b.U.basis(i))
-    rep.add("tch7", ok7)
-    rep.add("tch8", ok8)
-
-    ok = True
-    for ai in range(b.A.dim):
-        for bi in range(b.A.dim):
-            sa = b.s_of(b.A.basis(ai))
-            tb = b.t_of(b.A.basis(bi))
-            lhs = f.matmul(tr, b.U.mult(sa, tb))
-            rhs = kron_vec(f, tb, b.t_of(b.A.basis(ai)))
-            ok &= np.array_equal(t2.project(lhs), t2.project(rhs))
-    rep.add("tch9", ok)
+    rep.add(f"{tag}9", ok)
 
 
 # -- comodule Hopf-Galois maps ---------------------------------------------
-
-
-def _comodule_domain(com):
-    """The balanced tensor the comodule translation map lives in."""
-    b, f = com.b, com.field
-    if com.side == "left":
-        # N (x)^A |>U, relations n.a (x) u - n (x) s(a)u
-        return balanced_tensor(f, com.dim, com.induced_action, b.U.dim, b.Ls)
-    # M (x)_{Aop} U_<|, relations a.m (x) u - m (x) t(a)u
-    return balanced_tensor(f, com.dim, com.induced_action, b.U.dim, b.Lt)
 
 
 def comodule_alpha(com):
     """Matrix of the comodule Hopf-Galois map in quotient coordinates.
 
     Left comodule:  N (x)^A |>U -> U_<| (x)_A N,  n (x) v -> n_(-1) v (x) n_(0).
-    Right comodule: M (x)_{Aop} U_<| -> M (x)_A |>U,  m (x) u -> m_(0) (x) m_(1) u.
+    Right comodule: M (x)_{Aop} U_<| -> M (x)_A |>U,  m (x) u -> m_(0) (x) m_(1) u,
+    computed as the map of ``com.as_left()``, so its codomain coordinates
+    are those of the swapped legs.
     """
+    com = com.as_left()
     if "calpha" not in com._cache:
         b, f = com.b, com.field
         dn, du = com.dim, b.U.dim
         amb = f.zeros((dn * du, dn * du))
-        if com.side == "left":
-            for i in range(dn):
-                co = sparse_pairs(f.mod(com.coaction[:, i]), du, dn, f)
-                for j in range(du):
-                    col = i * du + j
-                    for k, i2, c in co:
-                        amb[i2::dn, col] += c * b.U.mul[k, j]
-        else:
-            for i in range(dn):
-                co = sparse_pairs(f.mod(com.coaction[:, i]), dn, du, f)
-                for j in range(du):
-                    col = i * du + j
-                    for i2, k, c in co:
-                        amb[i2 * du : (i2 + 1) * du, col] += c * b.U.mul[k, j]
-        dom = _comodule_domain(com)
+        for i in range(dn):
+            co = sparse_pairs(f.mod(com.coaction[:, i]), du, dn, f)
+            for j in range(du):
+                col = i * du + j
+                for k, i2, c in co:
+                    amb[i2::dn, col] += c * b.U.mul[k, j]
+        # N (x)^A |>U, relations n.a (x) u - n (x) s(a)u
+        dom = balanced_tensor(f, dn, com.induced_action, du, b.Ls)
         cod = com.quotient
         rows = dom.rel.rows
         for r in range(rows.shape[0]):
@@ -419,6 +266,7 @@ def comodule_alpha(com):
 
 
 def comodule_is_bijective(com):
+    com = com.as_left()
     m = comodule_alpha(com)
     dom = com._cache["cdom"]
     return dom.dim == com.quotient.dim and rank(com.field, m) == dom.dim
@@ -428,42 +276,36 @@ def comodule_translate_mat(com):
     """Canonical lift of the inverse Hopf-Galois map.
 
     Left comodule:  n |-> n^[+] (x) n^[-]  in N (x) U  (from 1 (x) n).
-    Right comodule: m |-> m^+ (x) m^-      in M (x) U  (from m (x) 1).
+    Right comodule: m |-> m^+ (x) m^-      in M (x) U  (from m (x) 1),
+    the same matrix as for ``com.as_left()``.
     """
+    com = com.as_left()
     if "ctrans" not in com._cache:
         if not comodule_is_bijective(com):
             raise ValueError("comodule Hopf-Galois map is not bijective")
         b, f = com.b, com.field
         dn, du = com.dim, b.U.dim
-        dom = com._cache["cdom"]
-        if com.side == "left":
-            emb = f.zeros((du * dn, dn))  # n -> 1 (x) n in U (x) N
-            for i in range(dn):
-                emb[i::dn, i] = b.U.unit
-        else:
-            emb = f.zeros((dn * du, dn))  # m -> m (x) 1 in M (x) U
-            for i in range(dn):
-                emb[i * du : (i + 1) * du, i] = b.U.unit
+        emb = f.zeros((du * dn, dn))  # n -> 1 (x) n in U (x) N
+        for i in range(dn):
+            emb[i::dn, i] = b.U.unit
         back = f.matmul(
             invert(f, comodule_alpha(com)), f.matmul(com.quotient.project_mat, emb)
         )
-        com._cache["ctrans"] = f.matmul(dom.section_mat, back)
+        com._cache["ctrans"] = f.matmul(com._cache["cdom"].section_mat, back)
     return com._cache["ctrans"]
 
 
 def comodule_translation_report(com):
     """The translation identity suite for a comodule with bijective
     Hopf-Galois map (labels follow the left/right numbering, which has no
-    fourth item)."""
+    fourth item).  The right items Sch1..Sch8 are the left items
+    Tch1..Tch8 of ``com.as_left()``."""
     rep = Report(f"{com.name} comodule translation identities")
-    if com.side == "left":
-        _left_comodule_suite(com, rep)
-    else:
-        _right_comodule_suite(com, rep)
+    _left_comodule_suite(com.as_left(), rep, "Tch" if com.side == "left" else "Sch")
     return rep
 
 
-def _left_comodule_suite(com, rep):
+def _left_comodule_suite(com, rep, tag):
     b, f = com.b, com.field
     dn, du = com.dim, b.U.dim
     tmat = comodule_translate_mat(com)
@@ -481,7 +323,7 @@ def _left_comodule_suite(com, rep):
                 - apply_leg2(f, b.Rs[a], lift, dn, du)
             )
             ok &= f.is_zero(dom.project(dv))
-    rep.add("Tch1", ok)
+    rep.add(f"{tag}1", ok)
 
     ok = True
     for i, lift in enumerate(lifts):
@@ -489,9 +331,9 @@ def _left_comodule_suite(com, rep):
         for n1, k, c in sparse_pairs(lift, dn, du, f):
             for x, n2, c2 in sparse_pairs(f.mod(com.coaction[:, n1]), du, dn, f):
                 out[n2::dn] += f.mul(c, c2) * mul[x, k]
-        target = kron_vec(f, b.U.unit, _unit(f, dn, i))
+        target = kron_vec(f, b.U.unit, unit_vector(f, dn, i))
         ok &= np.array_equal(q.project(f.mod(out)), q.project(target))
-    rep.add("Tch2", ok)
+    rep.add(f"{tag}2", ok)
 
     ok = True
     for i in range(dn):
@@ -499,9 +341,9 @@ def _left_comodule_suite(com, rep):
         for x, n2, c in sparse_pairs(f.mod(com.coaction[:, i]), du, dn, f):
             for n3, k, c2 in sparse_pairs(lifts[n2], dn, du, f):
                 out[n3 * du : (n3 + 1) * du] += f.mul(c, c2) * mul[k, x]
-        target = kron_vec(f, _unit(f, dn, i), b.U.unit)
+        target = kron_vec(f, unit_vector(f, dn, i), b.U.unit)
         ok &= np.array_equal(dom.project(f.mod(out)), dom.project(target))
-    rep.add("Tch3", ok)
+    rep.add(f"{tag}3", ok)
 
     trip = TripleQuotient(
         f, (dn, du, du),
@@ -513,11 +355,11 @@ def _left_comodule_suite(com, rep):
         lhs = f.zeros(dn * du * du)
         rhs = f.zeros(dn * du * du)
         for n1, k, c in sparse_pairs(lift, dn, du, f):
-            rhs += c * kron_vec(f, _unit(f, dn, n1), b.delta_of(b.U.basis(k)))
+            rhs += c * kron_vec(f, unit_vector(f, dn, n1), b.delta_of(b.U.basis(k)))
             for n2, k2, c2 in sparse_pairs(lifts[n1], dn, du, f):
                 lhs[(n2 * du + k2) * du + k] += f.mul(c, c2)
         ok &= np.array_equal(trip.project(f.mod(lhs)), trip.project(f.mod(rhs)))
-    rep.add("Tch5", ok)
+    rep.add(f"{tag}5", ok)
 
     ok6 = ok7 = True
     for a in range(b.A.dim):
@@ -528,93 +370,16 @@ def _left_comodule_suite(com, rep):
             lhs7 = f.matmul(tmat, f.mod(ind[a][:, i]))
             rhs7 = apply_leg2(f, b.Lt[a], lifts[i], dn, du)
             ok7 &= np.array_equal(dom.project(lhs7), dom.project(rhs7))
-    rep.add("Tch6", ok6)
-    rep.add("Tch7", ok7)
+    rep.add(f"{tag}6", ok6)
+    rep.add(f"{tag}7", ok7)
 
     ok = True
     for i, lift in enumerate(lifts):
         out = f.zeros(dn)
         for n1, k, c in sparse_pairs(lift, dn, du, f):
             out += c * sum_action(f, ind, b.eps(b.U.basis(k)))[:, n1]
-        ok &= f.equal(f.mod(out), _unit(f, dn, i))
-    rep.add("Tch8", ok)
-
-
-def _right_comodule_suite(com, rep):
-    b, f = com.b, com.field
-    dm, du = com.dim, b.U.dim
-    tmat = comodule_translate_mat(com)
-    lifts = [f.mod(tmat[:, i]) for i in range(dm)]
-    dom = com._cache["cdom"]
-    q = com.quotient
-    ind = com.induced_action
-    mul = b.U.mul
-
-    ok = True
-    for lift in lifts:
-        for a in range(b.A.dim):
-            dv = f.mod(
-                apply_leg1(f, com.action[a], lift, dm, du)
-                - apply_leg2(f, b.Rt[a], lift, dm, du)
-            )
-            ok &= f.is_zero(dom.project(dv))
-    rep.add("Sch1", ok)
-
-    ok = True
-    for i, lift in enumerate(lifts):
-        out = f.zeros(dm * du)
-        for m1, k, c in sparse_pairs(lift, dm, du, f):
-            for m2, k2, c2 in sparse_pairs(f.mod(com.coaction[:, m1]), dm, du, f):
-                out[m2 * du : (m2 + 1) * du] += f.mul(c, c2) * mul[k2, k]
-        target = kron_vec(f, _unit(f, dm, i), b.U.unit)
-        ok &= np.array_equal(q.project(f.mod(out)), q.project(target))
-    rep.add("Sch2", ok)
-
-    ok = True
-    for i in range(dm):
-        out = f.zeros(dm * du)
-        for m2, k, c in sparse_pairs(f.mod(com.coaction[:, i]), dm, du, f):
-            for m3, k2, c2 in sparse_pairs(lifts[m2], dm, du, f):
-                out[m3 * du : (m3 + 1) * du] += f.mul(c, c2) * mul[k2, k]
-        target = kron_vec(f, _unit(f, dm, i), b.U.unit)
-        ok &= np.array_equal(dom.project(f.mod(out)), dom.project(target))
-    rep.add("Sch3", ok)
-
-    trip = TripleQuotient(
-        f, (dm, du, du),
-        [(ind[a], b.Lt[a]) for a in range(b.A.dim)],
-        [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-    )
-    ok = True
-    for lift in lifts:
-        lhs = f.zeros(dm * du * du)
-        rhs = f.zeros(dm * du * du)
-        for m1, k, c in sparse_pairs(lift, dm, du, f):
-            lhs += c * kron_vec(f, _unit(f, dm, m1), b.delta_of(b.U.basis(k)))
-            for m2, k2, c2 in sparse_pairs(lifts[m1], dm, du, f):
-                rhs[(m2 * du + k) * du + k2] += f.mul(c, c2)
-        ok &= np.array_equal(trip.project(f.mod(lhs)), trip.project(f.mod(rhs)))
-    rep.add("Sch5", ok)
-
-    ok6 = ok7 = True
-    for a in range(b.A.dim):
-        for i in range(dm):
-            lhs6 = f.matmul(tmat, f.mod(ind[a][:, i]))
-            rhs6 = apply_leg2(f, b.Ls[a], lifts[i], dm, du)
-            ok6 &= np.array_equal(dom.project(lhs6), dom.project(rhs6))
-            lhs7 = f.matmul(tmat, f.mod(com.action[a][:, i]))
-            rhs7 = apply_leg2(f, b.Rs[a], lifts[i], dm, du)
-            ok7 &= np.array_equal(dom.project(lhs7), dom.project(rhs7))
-    rep.add("Sch6", ok6)
-    rep.add("Sch7", ok7)
-
-    ok = True
-    for i, lift in enumerate(lifts):
-        out = f.zeros(dm)
-        for m1, k, c in sparse_pairs(lift, dm, du, f):
-            out += c * sum_action(f, ind, b.eps(b.U.basis(k)))[:, m1]
-        ok &= f.equal(f.mod(out), _unit(f, dm, i))
-    rep.add("Sch8", ok)
+        ok &= f.equal(f.mod(out), unit_vector(f, dn, i))
+    rep.add(f"{tag}8", ok)
 
 
 def side_switch(com):

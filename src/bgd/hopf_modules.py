@@ -6,7 +6,7 @@ from .algebra import balanced_tensor, check_action, sum_action
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
 from .duals import dual_action, left_dual, right_dual, s_lower_star, s_upper_star
 from .hopf import comodule_is_bijective, comodule_translate_mat
-from .linalg import rank, solve_affine
+from .linalg import rank, solve_affine, unit_vector
 from .report import Report
 
 
@@ -163,7 +163,7 @@ def comparison_map(b, action_u):
         for k, l, c in b.delta_sparse[i]:
             col = action_u[l]
             for j in range(dn):
-                amb[:, i * dn + j] += c * np.kron(_unit(f, d, k), col[:, j])
+                amb[:, i * dn + j] += c * np.kron(unit_vector(f, d, k), col[:, j])
     amb = f.mod(amb)
     for r in range(dom.rel.rows.shape[0]):
         if not cod.rel.contains(f.matmul(amb, dom.rel.rows[r])):
@@ -171,12 +171,6 @@ def comparison_map(b, action_u):
     m = f.matmul(f.matmul(cod.project_mat, amb), dom.section_mat)
     inv = m.shape[0] == m.shape[1] and rank(f, m) == m.shape[0]
     return m, bool(inv)
-
-
-def _unit(f, n, i):
-    v = f.zeros(n)
-    v[i] = f.one
-    return v
 
 
 def _dual_basis_of_target_module(b):
@@ -216,10 +210,10 @@ def build_u_star_hopf_module(b):
     act = dual_action(b, up, "bullet")
     coact = f.zeros((d * ds, ds))
     for m in range(ds):
-        em = _unit(f, ds, m)
+        em = unit_vector(f, ds, m)
         for i in range(d):
             prod = up.U.mult(em, estars[i])
-            coact[:, m] += np.kron(_unit(f, d, i), prod)
+            coact[:, m] += np.kron(unit_vector(f, d, i), prod)
     coact = f.mod(coact)
     a_act = [up.U.right_mult(up.t_map[:, a]) for a in range(b.A.dim)]
     com = ComodulePresentation(b, "left", a_act, coact, name="U^*")

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from .bialgebroid import sparse_pairs
 from .hopf import is_right_hopf, translate_right
 from .linalg import apply_leg1, apply_leg2, kernel_basis, rank, solve_affine
 from .report import Report
@@ -261,7 +262,7 @@ def maschke_report(b, name=None):
         f, d = b.field, b.U.dim
         e = translate_right(b, norm)
         prod = f.zeros(d)
-        for i, j, c in _pairs(f, e, d):
+        for i, j, c in sparse_pairs(e, d, d, f):
             prod = prod + c * b.U.mul[i, j]
         ok = f.equal(f.mod(prod), b.U.unit)
         q = b.T2
@@ -271,10 +272,3 @@ def maschke_report(b, name=None):
             ok = ok and f.equal(lhs, rhs)
         rep.add("maschke.splitting-from-integral", bool(ok))
     return rep
-
-
-def _pairs(f, vec, d):
-    out = []
-    for idx in np.nonzero(np.asarray(vec))[0]:
-        out.append((idx // d, idx % d, f.canon(vec[idx])))
-    return out

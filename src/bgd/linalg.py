@@ -29,6 +29,7 @@ __all__ = [
     "kernel_basis",
     "solve_affine",
     "invert",
+    "unit_vector",
     "kron_vec",
     "apply_leg1",
     "apply_leg2",
@@ -397,6 +398,13 @@ class Quotient:
         if check and not self.descends(op):
             raise ValueError("operator does not descend to the quotient")
         return self.field.matmul(self.field.matmul(self.project_mat, op), self.section_mat)
+
+
+def unit_vector(field, n, i):
+    """The i-th standard basis vector of k^n."""
+    v = field.zeros(n)
+    v[i] = field.one
+    return v
 
 
 def kron_vec(field, v, w):

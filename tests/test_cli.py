@@ -137,6 +137,24 @@ def test_fundamental_command(capsys):
     assert code == 0
 
 
+def test_fundamental_on_non_hopf_is_not_usage_error(capsys):
+    # a valid spec whose comodule Hopf-Galois map is not bijective
+    code, out, _ = run(capsys, "fundamental", "--preset", "monoid-non-hopf",
+                       "--format", "json")
+    assert code != 2
+    items = {i["check_id"]: i for i in json.loads(out)["items"]}
+    assert items["fundamental.mixed-roundtrip"]["status"] == "skipped"
+
+
+def test_translate_coop_spec_file(tmp_path, capsys):
+    # the co-opposite is Hopf on both sides; its tch4 once failed
+    p = tmp_path / "coop.json"
+    b = FIXTURES["rank1-dual-numbers"]().coop()
+    p.write_text(dumps_canonical(export_spec(b)))
+    code, out, _ = run(capsys, "translate", str(p))
+    assert code == 0, out
+
+
 def test_frobenius_disagrees_on_non_hopf(capsys):
     code, out, _ = run(capsys, "frobenius", "--preset", "monoid-non-hopf",
                        "--format", "json")

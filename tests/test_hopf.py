@@ -11,7 +11,7 @@ from bgd.hopf import (
     translate_left,
     translation_report,
 )
-from bgd.bialgebroid import check_comodule, coinvariants, sparse_pairs
+from bgd.bialgebroid import LeftBialgebroid, check_comodule, coinvariants, sparse_pairs
 
 HOPF = [
     "base-trivial", "primitive-f2", "group-f3",
@@ -34,14 +34,40 @@ def test_monoid_bialgebroid_is_not_hopf():
     assert all(i.status == "skipped" for i in rep.items)
 
 
-@pytest.mark.parametrize("name", HOPF)
+@pytest.mark.parametrize("name", HOPF + [n + "-coop" for n in HOPF])
 def test_translation_identity_suites(name):
-    b = FIXTURES[name]()
+    b = FIXTURES[name.removesuffix("-coop")]()
+    if name.endswith("-coop"):
+        b = b.coop()
     rep = translation_report(b)
     assert rep.ok, [i.check_id for i in rep.failures]
     ids = {i.check_id for i in rep.items}
     assert {f"sch{k}" for k in range(1, 10)} <= ids
     assert {f"tch{k}" for k in range(1, 10)} <= ids
+
+
+@pytest.mark.parametrize("name", HOPF)
+def test_translation_report_ignores_coproduct_lift(name):
+    # adding T0 relations to the lift of delta leaves every class unchanged
+    b = FIXTURES[name]()
+    f, d = b.field, b.U.dim
+    rows = b.T0.rel.rows
+    want = [(i.check_id, i.status) for i in translation_report(b).items]
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        c = f.mod(rng.integers(0, f.p, size=(rows.shape[0], d)))
+        delta = f.mod(b.delta + f.matmul(rows.T, c))
+        other = LeftBialgebroid(b.A, b.U, b.s_map, b.t_map, delta, b.counit)
+        got = [(i.check_id, i.status) for i in translation_report(other).items]
+        assert got == want
+
+
+def test_coop_is_an_involution_sharing_quotients():
+    b = FIXTURES["crossed"]()
+    c = b.coop()
+    assert c.coop() is b
+    assert c.T1 is b.T2 and c.T2 is b.T1
+    assert c.Ls is b.Lt and c.Rt is b.Rs
 
 
 def test_primitive_translation_closed_form():
