@@ -404,20 +404,27 @@ class ComodulePresentation:
         self.name = name
         self._cache = {}
 
-    def as_left(self):
-        """This comodule as a left comodule: itself if it is one; a right
-        comodule over b is a left comodule over b.coop() (a right A-action
-        is a left A^op-action) once its coaction legs are swapped."""
-        if self.side == "left":
-            return self
-        if "left" not in self._cache:
+    def coop(self):
+        """The same comodule over ``b.coop()``, built once (``coop().coop()``
+        is this comodule): a right A-action is a left A^op-action and back,
+        so a right comodule over b is a left comodule over b.coop() once its
+        coaction legs are swapped, and a left one a right one."""
+        if "coop" not in self._cache:
             dm, du = self.dim, self.b.U.dim
-            swapped = self.coaction.reshape(dm, du, dm).swapaxes(0, 1)
-            self._cache["left"] = ComodulePresentation(
-                self.b.coop(), "left", self.action, swapped.reshape(du * dm, dm),
-                name=self.name,
+            legs = (dm, du) if self.side == "right" else (du, dm)
+            swapped = self.coaction.reshape(*legs, dm).swapaxes(0, 1)
+            twin = ComodulePresentation(
+                self.b.coop(), "left" if self.side == "right" else "right",
+                self.action, swapped.reshape(du * dm, dm), name=self.name,
             )
-        return self._cache["left"]
+            twin._cache["coop"] = self
+            self._cache["coop"] = twin
+        return self._cache["coop"]
+
+    def as_left(self):
+        """This comodule as a left comodule: itself if it is one, else
+        ``coop()``, a left comodule over b.coop()."""
+        return self if self.side == "left" else self.coop()
 
     @property
     def quotient(self):

@@ -11,11 +11,16 @@ as dA x dU matrices.  Structure maps:
     U^*:  (phi phi')(u) = phi'( s(phi(u_1)) u_2 )
           s(a) = eps(. s(a)),  t(a) = a eps(.),   eta(phi) = phi(1)
           coproduct solved from  phi(u u') = phi_1( u t(phi_2(u')) )
+
+Only U_* is built.  U^* of U is U_* of the co-opposite ``b.coop()`` read
+back over A: the same functionals and algebra, with s and t swapped and
+the coproduct legs flipped.  In the same way S_* is S^* of ``b.coop()``
+and the t-side dual basis is the s-side one of ``b.coop()``.
 """
 
 import numpy as np
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, sum_action
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, sparse_pairs
 from .hopf import translate_left_mat, translate_right_mat
 from .linalg import invert, kernel_basis, rank, rref, solve_affine
@@ -53,7 +58,7 @@ class CoordSolver:
 class DualBialgebroid(RightBialgebroid):
     """A dual right bialgebroid with its functional realization kept."""
 
-    def __init__(self, b, which, funcs, algebra, s_map, t_map, delta, counit):
+    def __init__(self, b, which, funcs, solver, algebra, s_map, t_map, delta, counit):
         super().__init__(
             b.A, algebra, s_map, t_map, delta, counit,
             name=f"{b.name}{'_*' if which == 'left' else '^*'}",
@@ -61,7 +66,7 @@ class DualBialgebroid(RightBialgebroid):
         self.b = b
         self.which = which  # 'left' for U_*, 'right' for U^*
         self.funcs = funcs
-        self.solver = CoordSolver(b.field, [m.reshape(-1) for m in funcs])
+        self.solver = solver
 
     @property
     def dim(self):
@@ -103,19 +108,15 @@ class DualBialgebroid(RightBialgebroid):
         )
 
 
-def _functional_basis(b, which):
-    """Solve the A-linearity constraints for a basis of U_* or U^*."""
+def _functional_basis(b):
+    """Solve the A-linearity constraints psi(s(a)u) = a psi(u) for a
+    basis of U_*."""
     f = b.field
     da, du = b.A.dim, b.U.dim
     n = da * du
     rows = []
     for a in range(b.A.dim):
-        move = b.Ls[a] if which == "left" else b.Lt[a]
-        scal = (
-            b.A.basis_left_mults[a]
-            if which == "left"
-            else b.A.basis_right_mults[a]
-        )
+        move, scal = b.Ls[a], b.A.basis_left_mults[a]
         # constraint F @ move = scal @ F, one row per (output coord, column)
         for j in range(du):
             for r in range(da):
@@ -129,10 +130,10 @@ def _functional_basis(b, which):
     return [v.reshape(da, du) for v in ker]
 
 
-def _build_dual(b, which):
+def _build_dual(b):
     f = b.field
     da, du = b.A.dim, b.U.dim
-    funcs = _functional_basis(b, which)
+    funcs = _functional_basis(b)
     d = len(funcs)
     solver = CoordSolver(f, [m.reshape(-1) for m in funcs])
 
@@ -143,10 +144,7 @@ def _build_dual(b, which):
             for p in range(du):
                 acc = f.zeros(da)
                 for k, l, c in b.delta_sparse[p]:
-                    if which == "left":
-                        w = b.U.mult(b.t_of(f.matmul(funcs[i], b.U.basis(l))), b.U.basis(k))
-                    else:
-                        w = b.U.mult(b.s_of(f.matmul(funcs[i], b.U.basis(k))), b.U.basis(l))
+                    w = b.U.mult(b.t_of(f.matmul(funcs[i], b.U.basis(l))), b.U.basis(k))
                     acc = acc + c * f.matmul(funcs[j], w)
                 g[:, p] = f.mod(acc)
             mul[i, j] = solver.coords(g.reshape(-1))
@@ -158,12 +156,8 @@ def _build_dual(b, which):
     t_map = f.zeros((d, da))
     for a in range(da):
         av = b.A.basis(a)
-        if which == "left":
-            smat = f.matmul(b.A.right_mult(av), b.counit)  # eps(.) a
-            tmat = f.matmul(b.counit, b.U.right_mult(b.t_of(av)))  # eps(. t(a))
-        else:
-            smat = f.matmul(b.counit, b.U.right_mult(b.s_of(av)))  # eps(. s(a))
-            tmat = f.matmul(b.A.left_mult(av), b.counit)  # a eps(.)
+        smat = f.matmul(b.A.right_mult(av), b.counit)  # eps(.) a
+        tmat = f.matmul(b.counit, b.U.right_mult(b.t_of(av)))  # eps(. t(a))
         s_map[:, a] = solver.coords(smat.reshape(-1))
         t_map[:, a] = solver.coords(tmat.reshape(-1))
 
@@ -172,23 +166,23 @@ def _build_dual(b, which):
         counit[:, i] = f.matmul(funcs[i], b.U.unit)
 
     def delta_thunk():
-        return _solve_dual_coproduct(b, which, funcs, solver)
+        return _solve_dual_coproduct(b, funcs)
 
-    return DualBialgebroid(b, which, funcs, alg, s_map, t_map, delta_thunk, counit)
+    return DualBialgebroid(
+        b, "left", funcs, solver, alg, s_map, t_map, delta_thunk, counit
+    )
 
 
-def _solve_dual_coproduct(b, which, funcs, solver):
-    """Solve the defining linear system for the dual coproduct lift."""
+def _solve_dual_coproduct(b, funcs):
+    """Solve the defining linear system for the U_* coproduct lift."""
     f = b.field
     da, du = b.A.dim, b.U.dim
     d = len(funcs)
     # column (i, j): the functional (p, q) -> psi_i( e_p s(psi_j(e_q)) )
-    # (for U_*), resp. phi_i( e_p t(phi_j(e_q)) ) (for U^*)
     cols = f.zeros((du * du * da, d * d))
-    emb = b.s_of if which == "left" else b.t_of
     for j in range(d):
         rmults = [
-            b.U.right_mult(emb(f.matmul(funcs[j], b.U.basis(q))))
+            b.U.right_mult(b.s_of(f.matmul(funcs[j], b.U.basis(q))))
             for q in range(du)
         ]
         for i in range(d):
@@ -205,23 +199,57 @@ def _solve_dual_coproduct(b, which, funcs, solver):
         if sol is None:
             raise ValueError("dual coproduct system is inconsistent")
         lift[:, m] = sol[0]
-    if which == "left":
-        # the solved legs are balanced the mirrored way round; flip them so
-        # the stored lift matches the right-bialgebroid storage convention
-        lift = f.mod(lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d))
-    return lift
+    # the solved legs are balanced the mirrored way round; flip them so
+    # the stored lift matches the right-bialgebroid storage convention
+    return f.mod(lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d))
 
 
 def left_dual(b):
     if "dual_left" not in b._cache:
-        b._cache["dual_left"] = _build_dual(b, "left")
+        b._cache["dual_left"] = _build_dual(b)
     return b._cache["dual_left"]
 
 
 def right_dual(b):
+    """U^*, read back over A from U_* of the co-opposite: the same
+    functionals, algebra and counit, s and t swapped, coproduct legs
+    flipped."""
     if "dual_right" not in b._cache:
-        b._cache["dual_right"] = _build_dual(b, "right")
+        lo = left_dual(b.coop())
+        d = lo.dim
+
+        def flipped():
+            return lo.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
+
+        b._cache["dual_right"] = DualBialgebroid(
+            b, "right", lo.funcs, lo.solver, lo.U, lo.t_map, lo.s_map,
+            flipped, lo.counit,
+        )
     return b._cache["dual_right"]
+
+
+def _s_side_dual_basis(b):
+    """Functionals e_i^* in U_* with sum_i s(<e_i^*, u>) e_i = u, or None
+    when U is not free over s(A).  The t-side basis in U^*, with
+    sum_i t(<e_i^*, u>) e_i = u, is this one of ``b.coop()``."""
+    if "dual_basis" not in b._cache:
+        f, d = b.field, b.U.dim
+        lo = left_dual(b)
+        ds = lo.dim
+        cols = []
+        for i in range(d):
+            for k in range(ds):
+                vec = f.zeros(d * d)
+                for j in range(d):
+                    a = lo.funcs[k][:, j]
+                    vec[j * d : (j + 1) * d] += sum_action(f, b.Ls, a)[:, i]
+                cols.append(f.mod(vec))
+        sol = solve_affine(f, np.stack(cols, axis=1), f.eye(d).reshape(d * d))
+        b._cache["dual_basis"] = (
+            None if sol is None
+            else [f.mod(sol[0][i * ds : (i + 1) * ds]) for i in range(d)]
+        )
+    return b._cache["dual_basis"]
 
 
 def s_upper_star(b):
@@ -250,23 +278,10 @@ def s_upper_star(b):
 def s_lower_star(b):
     """Matrix of S_*: U_* -> U^*, S_*(psi)(u) = eps(u_[+] s(psi(u_[-]))).
 
-    Requires a right Hopf structure.
+    Requires a right Hopf structure.  It is S^* of the co-opposite, whose
+    U^* and U_* are the U_* and U^* of b.
     """
-    f = b.field
-    lo, hi = left_dual(b), right_dual(b)
-    tr = translate_right_mat(b)
-    du = b.U.dim
-    out = f.zeros((hi.dim, lo.dim))
-    for m in range(lo.dim):
-        g = f.zeros((b.A.dim, du))
-        for u in range(du):
-            acc = f.zeros(b.A.dim)
-            for x, y, c in sparse_pairs(tr[:, u], du, du, f):
-                val = f.matmul(lo.funcs[m], b.U.basis(y))
-                acc = acc + c * b.eps(b.U.mult(b.U.basis(x), b.s_of(val)))
-            g[:, u] = f.mod(acc)
-        out[:, m] = hi.coords_of(g)
-    return out
+    return s_upper_star(b.coop())
 
 
 def dual_action(b, dual, kind):
@@ -311,30 +326,24 @@ def comodule_to_dual_module(b, com):
     Left comodule N -> right U^*-module:   n . phi = phi(n_(-1)) . n_(0).
 
     Returns action matrices per dual-basis index (written on the left, so
-    composition is contravariant).
+    composition is contravariant).  A right comodule is computed as the
+    left comodule ``as_left()`` over ``b.coop()``, whose U^* is U_* of b.
     """
-    from .algebra import sum_action
-
+    left = com.as_left()
     f = b.field
     du = b.U.dim
-    dual = left_dual(b) if com.side == "right" else right_dual(b)
+    funcs = right_dual(left.b).funcs
     mats = []
-    for m in range(dual.dim):
+    for m in range(len(funcs)):
         out = f.zeros((com.dim, com.dim))
         for i in range(com.dim):
-            lift = f.mod(com.coaction[:, i])
             col = f.zeros(com.dim)
-            if com.side == "right":
-                for i2, k, c in sparse_pairs(lift, com.dim, du, f):
-                    val = f.matmul(dual.funcs[m], b.U.basis(k))
-                    col = col + c * sum_action(f, com.action, val)[:, i2]
-            else:
-                for k, i2, c in sparse_pairs(lift, du, com.dim, f):
-                    val = f.matmul(dual.funcs[m], b.U.basis(k))
-                    col = col + c * sum_action(f, com.action, val)[:, i2]
+            for k, i2, c in sparse_pairs(f.mod(left.coaction[:, i]), du, com.dim, f):
+                val = f.matmul(funcs[m], b.U.basis(k))
+                col = col + c * sum_action(f, com.action, val)[:, i2]
             out[:, i] = f.mod(col)
         mats.append(out)
-    return dual, mats
+    return (left_dual(b) if com.side == "right" else right_dual(b)), mats
 
 
 def biduality_report(b):
@@ -344,8 +353,7 @@ def biduality_report(b):
     rep = Report(f"{b.name} biduality")
     lo = left_dual(b)
     du, d = b.U.dim, lo.dim
-    # pairing matrix: P[m, u] = coords-free pairing via counit row 0?  Use
-    # full A-valued pairing flattened: Phi_u = (psi_m -> <u, psi_m>) in A^d
+    # column u: Phi_u = (psi_m -> <u, psi_m>), flattened in A^d
     phi = f.zeros((d * b.A.dim, du))
     for u in range(du):
         for m in range(d):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .algebra import sum_action
-from .duals import left_dual, right_dual
+from .duals import _s_side_dual_basis, left_dual, right_dual
 from .integrals import left_integrals, right_integrals
 from .bialgebroid import sparse_pairs
 from .linalg import rank, solve_affine, unit_vector
@@ -47,26 +47,6 @@ class FrobeniusSystem:
                 return False
         ct = f.matmul(self.theta, bb.U.right_mult(self.t0))
         return f.equal(ct, bb.counit)
-
-
-def _s_side_dual_basis(b):
-    """Functionals e_i^* in the s-side dual with sum_i s(<e_i^*, u>) e_i = u."""
-    f, d = b.field, b.U.dim
-    lo = left_dual(b)
-    ds = lo.dim
-    cols = []
-    for i in range(d):
-        for k in range(ds):
-            vec = f.zeros(d * d)
-            for j in range(d):
-                a = lo.funcs[k][:, j]
-                vec[j * d : (j + 1) * d] += sum_action(f, b.Ls, a)[:, i]
-            cols.append(f.mod(vec))
-    sol = solve_affine(f, np.stack(cols, axis=1), f.eye(d).reshape(d * d))
-    if sol is None:
-        return None
-    x = sol[0]
-    return [f.mod(x[i * ds : (i + 1) * ds]) for i in range(d)]
 
 
 def _chi_matrix(b, lo, theta):
@@ -148,19 +128,17 @@ def _iso_from_integral_functional(b, dual, psi0):
 
 
 def _iso_from_integral_element(b, dual, t0):
-    """Matrix of psi -> (side map)(<psi, t0_leg>) t0_other in U coordinates."""
+    """Matrix of psi -> t(<psi, t0_2>) t0_1 from the s-side dual ``dual``
+    into U coordinates.  The t-side map phi -> s(<phi, t0_1>) t0_2 is this
+    one of ``b.coop()`` and its s-side dual, which is U^* of b."""
     f, d = b.field, b.U.dim
     pairs = sparse_pairs(b.delta_of(t0), d, d, f)
     cols = []
     for k in range(dual.dim):
         v = f.zeros(d)
         for i, j, c in pairs:
-            if dual.which == "left":
-                a = f.matmul(dual.funcs[k], unit_vector(f, d, j))
-                v = v + c * sum_action(f, b.Lt, a)[:, i]
-            else:
-                a = f.matmul(dual.funcs[k], unit_vector(f, d, i))
-                v = v + c * sum_action(f, b.Ls, a)[:, j]
+            a = f.matmul(dual.funcs[k], unit_vector(f, d, j))
+            v = v + c * sum_action(f, b.Lt, a)[:, i]
         cols.append(f.mod(v))
     return np.stack(cols, axis=1)
 
@@ -201,7 +179,8 @@ def frobenius_conditions_report(b, name=None):
         f, d, r_up, lambda v: _iso_from_integral_functional(b, up, v)
     )
     vals["frobenius.pairing-iso-from-integral-t-dual"] = _exists_iso(
-        f, d, ints, lambda v: _iso_from_integral_element(b, up, v)
+        f, d, ints,
+        lambda v: _iso_from_integral_element(b.coop(), left_dual(b.coop()), v),
     )
     for key, ok in vals.items():
         rep.add(key, ok)

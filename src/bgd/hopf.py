@@ -391,44 +391,31 @@ def side_switch(com):
     isomorphism and re-currying with a dual basis of the total algebra
     over the base gives the switched coaction.  Everything here is
     computed from quotient classes, so it does not depend on any lift.
+    A left comodule is switched as the right comodule ``com.coop()`` over
+    ``b.coop()``, and the result is read back over b.
     """
     from .bialgebroid import ComodulePresentation
-    from .duals import left_dual, right_dual, s_upper_star, s_lower_star
-    from .hopf_modules import _dual_basis_of_target_module
-    from .frobenius import _s_side_dual_basis
+    from .duals import _s_side_dual_basis, left_dual, s_upper_star
 
+    if com.side == "left":
+        return side_switch(com.coop()).coop()
     b, f = com.b, com.field
     dn, du = com.dim, b.U.dim
-    if com.side == "right":
-        # m -> sum_i e_i (x) psi_i . m  with psi_i the image of the t-side
-        # dual basis functionals under the dual isomorphism; a functional
-        # acts by m |-> m_(0) . <psi, m_(1)>.
-        estars = _dual_basis_of_target_module(b)
-        lo, smap = left_dual(b), s_upper_star(b)
-        co = f.zeros((du * dn, dn))
-        for i in range(du):
-            psi = lo.functional(f.matmul(smap, estars[i]))
-            for j in range(dn):
-                out = f.zeros(dn)
-                for m0, k, c in sparse_pairs(f.mod(com.coaction[:, j]), dn, du, f):
-                    out = out + c * sum_action(f, com.action, f.mod(psi[:, k]))[:, m0]
-                co[i * dn : (i + 1) * dn, j] += f.mod(out)
-        return ComodulePresentation(
-            b, "left", com.induced_action, f.mod(co), name=com.name + "_switched"
-        )
-    fstars = _s_side_dual_basis(b)
-    if fstars is None:
-        raise ValueError("total algebra is not free over s(A)")
-    hi, smap = right_dual(b), s_lower_star(b)
-    co = f.zeros((dn * du, dn))
+    # m -> sum_i e_i (x) psi_i . m  with psi_i the image of the t-side
+    # dual basis functionals under the dual isomorphism; a functional
+    # acts by m |-> m_(0) . <psi, m_(1)>.
+    estars = _s_side_dual_basis(b.coop())
+    if estars is None:
+        raise ValueError(f"{b.name} is not free over t(A)")
+    lo, smap = left_dual(b), s_upper_star(b)
+    co = f.zeros((du * dn, dn))
     for i in range(du):
-        phi = hi.functional(f.matmul(smap, fstars[i]))
+        psi = lo.functional(f.matmul(smap, estars[i]))
         for j in range(dn):
             out = f.zeros(dn)
-            for k, n0, c in sparse_pairs(f.mod(com.coaction[:, j]), du, dn, f):
-                out = out + c * sum_action(f, com.action, f.mod(phi[:, k]))[:, n0]
-            for n2 in np.nonzero(out)[0]:
-                co[n2 * du + i, j] += out[n2]
+            for m0, k, c in sparse_pairs(f.mod(com.coaction[:, j]), dn, du, f):
+                out = out + c * sum_action(f, com.action, f.mod(psi[:, k]))[:, m0]
+            co[i * dn : (i + 1) * dn, j] += f.mod(out)
     return ComodulePresentation(
-        b, "right", com.induced_action, f.mod(co), name=com.name + "_switched"
+        b, "left", com.induced_action, f.mod(co), name=com.name + "_switched"
     )

@@ -4,7 +4,14 @@ import numpy as np
 
 from .algebra import balanced_tensor, check_action, sum_action
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
-from .duals import dual_action, left_dual, right_dual, s_lower_star, s_upper_star
+from .duals import (
+    _s_side_dual_basis,
+    dual_action,
+    left_dual,
+    right_dual,
+    s_lower_star,
+    s_upper_star,
+)
 from .hopf import comodule_is_bijective, comodule_translate_mat
 from .linalg import rank, solve_affine, unit_vector
 from .report import Report
@@ -173,40 +180,15 @@ def comparison_map(b, action_u):
     return m, bool(inv)
 
 
-def _dual_basis_of_target_module(b):
-    """Functionals e_i^* with sum_i t(<e_i^*, u>) e_i = u, pairing the
-    total k-basis against t-side linear functionals."""
-    if "dual_basis" in b._cache:
-        return b._cache["dual_basis"]
-    f, d = b.field, b.U.dim
-    up = right_dual(b)
-    ds = up.dim
-    cols = []
-    for i in range(d):
-        for k in range(ds):
-            vec = f.zeros(d * d)
-            for j in range(d):
-                a = up.funcs[k][:, j]
-                vec[j * d : (j + 1) * d] += sum_action(f, b.Lt, a)[:, i]
-            cols.append(f.mod(vec))
-    mat = np.stack(cols, axis=1)
-    rhs = f.eye(d).reshape(d * d)
-    sol = solve_affine(f, mat, rhs)
-    if sol is None:
-        raise ValueError("total algebra is not free over t(A)")
-    x = sol[0]
-    estars = [f.mod(x[i * ds : (i + 1) * ds]) for i in range(d)]
-    b._cache["dual_basis"] = estars
-    return estars
-
-
 def build_u_star_hopf_module(b):
     """The t-side dual as a left-left Hopf module: action through the left
     translation, coaction phi -> sum_i e_i (x) phi e_i^*."""
     f, d = b.field, b.U.dim
     up = right_dual(b)
     ds = up.dim
-    estars = _dual_basis_of_target_module(b)
+    estars = _s_side_dual_basis(b.coop())
+    if estars is None:
+        raise ValueError("total algebra is not free over t(A)")
     act = dual_action(b, up, "bullet")
     coact = f.zeros((d * ds, ds))
     for m in range(ds):

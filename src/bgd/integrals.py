@@ -113,15 +113,20 @@ class IntegralSpace:
         )
 
 
-def left_integrals(b):
-    """The space of l with u l = s(eps(u)) l for all u."""
+def _integral_basis(b, mult):
+    """Basis of {l : mult(u) l = mult(s(eps(u))) l for all basis u}, for
+    ``mult`` the left or the right multiplication matrix of U."""
     f, d = b.field, b.U.dim
     rows = []
     for i in range(d):
         e = b.U.basis(i)
-        rows.append(f.mod(b.U.left_mult(e) - b.U.left_mult(b.s_of(b.eps(e)))))
-    basis = kernel_basis(f, np.concatenate(rows, axis=0))
-    return IntegralSpace("left", b.A, basis, b.Rt)
+        rows.append(f.mod(mult(e) - mult(b.s_of(b.eps(e)))))
+    return kernel_basis(f, np.concatenate(rows, axis=0))
+
+
+def left_integrals(b):
+    """The space of l with u l = s(eps(u)) l for all u."""
+    return IntegralSpace("left", b.A, _integral_basis(b, b.U.left_mult), b.Rt)
 
 
 def right_integrals(w):
@@ -134,15 +139,9 @@ def right_integrals(w):
 
 def right_integrals_of_left(b):
     """The mirror space {l : l u = l s(eps(u)) for all u} of a left
-    bialgebroid, closed under the left multiplications by s(a)."""
-    f, d = b.field, b.U.dim
-    rows = []
-    for i in range(d):
-        e = b.U.basis(i)
-        rows.append(f.mod(b.U.right_mult(e) - b.U.right_mult(b.s_of(b.eps(e)))))
-    basis = kernel_basis(f, np.concatenate(rows, axis=0))
-    spc = IntegralSpace("right", b.A, basis, b.Ls)
-    return spc
+    bialgebroid, closed under the left multiplications by s(a).  The
+    co-opposite would swap s for t, so it is not derived from there."""
+    return IntegralSpace("right", b.A, _integral_basis(b, b.U.right_mult), b.Ls)
 
 
 def integral_invariance_check(b, l, witness=False):

@@ -18,6 +18,13 @@ HOPF = [
     "rank1-dual-numbers", "rank1-dual-numbers-p3", "abelian-n", "crossed",
 ]
 SMALL = ["base-trivial", "primitive-f2", "group-f3", "rank1-dual-numbers", "abelian-n"]
+COOP = [n + "-coop" for n in HOPF]
+
+
+def _preset(name):
+    """A preset, or the co-opposite of one for a name ending in -coop."""
+    b = FIXTURES[name.removesuffix("-coop")]()
+    return b.coop() if name.endswith("-coop") else b
 
 
 @pytest.mark.parametrize("name", HOPF)
@@ -27,13 +34,36 @@ def test_dual_dimensions(name):
     assert right_dual(b).dim == b.U.dim
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", SMALL + COOP)
 @pytest.mark.parametrize("which", ["left", "right"])
 def test_dual_is_right_bialgebroid(name, which):
-    b = FIXTURES[name]()
+    b = _preset(name)
     dual = left_dual(b) if which == "left" else right_dual(b)
     rep = check_right_bialgebroid(dual)
     assert rep.ok, rep.failures
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_t_dual_defining_formulas(name):
+    # U^*: phi(t(a)u) = phi(u)a, s(a) = eps(. s(a)), t(a) = a eps(.),
+    # eta(phi) = phi(1); a mirror that swapped s and t wrongly fails here
+    b = FIXTURES[name]()
+    f, A, U = b.field, b.A, b.U
+    hi = right_dual(b)
+    for i, phi in enumerate(hi.funcs):
+        for a in range(A.dim):
+            assert f.equal(
+                f.matmul(phi, b.Lt[a]), f.matmul(A.basis_right_mults[a], phi)
+            )
+        assert f.equal(f.matmul(phi, U.unit), hi.counit[:, i])
+    for a in range(A.dim):
+        av = A.basis(a)
+        assert f.equal(
+            hi.functional(hi.s_map[:, a]), f.matmul(b.counit, U.right_mult(b.s_of(av)))
+        )
+        assert f.equal(
+            hi.functional(hi.t_map[:, a]), f.matmul(A.left_mult(av), b.counit)
+        )
 
 
 @pytest.mark.parametrize("name", HOPF)
@@ -43,9 +73,9 @@ def test_dual_algebras(name):
         assert dual.U.check().ok
 
 
-@pytest.mark.parametrize("name", HOPF)
+@pytest.mark.parametrize("name", HOPF + COOP)
 def test_pairing_maps_are_mutually_inverse(name):
-    b = FIXTURES[name]()
+    b = _preset(name)
     f = b.field
     su = s_upper_star(b)
     sl = s_lower_star(b)

@@ -17,6 +17,13 @@ HOPF = [
     "base-trivial", "primitive-f2", "group-f3",
     "rank1-dual-numbers", "rank1-dual-numbers-p3", "abelian-n", "crossed",
 ]
+COOP = [n + "-coop" for n in HOPF]
+
+
+def _preset(name):
+    """A preset, or the co-opposite of one for a name ending in -coop."""
+    b = FIXTURES[name.removesuffix("-coop")]()
+    return b.coop() if name.endswith("-coop") else b
 
 
 @pytest.mark.parametrize("name", HOPF)
@@ -34,11 +41,9 @@ def test_monoid_bialgebroid_is_not_hopf():
     assert all(i.status == "skipped" for i in rep.items)
 
 
-@pytest.mark.parametrize("name", HOPF + [n + "-coop" for n in HOPF])
+@pytest.mark.parametrize("name", HOPF + COOP)
 def test_translation_identity_suites(name):
-    b = FIXTURES[name.removesuffix("-coop")]()
-    if name.endswith("-coop"):
-        b = b.coop()
+    b = _preset(name)
     rep = translation_report(b)
     assert rep.ok, [i.check_id for i in rep.failures]
     ids = {i.check_id for i in rep.items}
@@ -110,9 +115,11 @@ def test_comodule_suite_labels_skip_fourth_item():
     assert len([i for i in ids if i[-1].isdigit()]) == 7
 
 
-@pytest.mark.parametrize("name", ["primitive-f2", "group-f3", "rank1-dual-numbers"])
+@pytest.mark.parametrize(
+    "name", ["primitive-f2", "group-f3", "rank1-dual-numbers"] + COOP
+)
 def test_side_switch_roundtrip(name):
-    b = FIXTURES[name]()
+    b = _preset(name)
     for side in ("left", "right"):
         com = regular_comodule(b, side)
         switched = side_switch(com)
@@ -133,6 +140,6 @@ def test_side_switch_roundtrip(name):
 
 def test_side_switch_requires_hopf():
     b = FIXTURES["monoid-non-hopf"]()
-    com = regular_comodule(b, "right")
-    with pytest.raises(ValueError):
-        side_switch(com)
+    for side in ("left", "right"):
+        with pytest.raises(ValueError):
+            side_switch(regular_comodule(b, side))
