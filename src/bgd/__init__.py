@@ -1,6 +1,6 @@
 """Exact computational kernel for finite-dimensional left bialgebroids."""
 
-from .linalg import BACKEND, Field, Matrix
+from .linalg import BACKEND, Field
 
-__all__ = ["BACKEND", "Field", "Matrix"]
+__all__ = ["BACKEND", "Field"]
 __version__ = "0.1.0"

@@ -197,13 +197,6 @@ class LeftBialgebroid:
             self._cache["coop"] = twin
         return self._cache["coop"]
 
-    def opposite(self):
-        """The opposite right bialgebroid on U^op."""
-        return RightBialgebroid(
-            self.A, self.U.opposite(), self.t_map, self.s_map, self.delta,
-            self.counit, name=self.name + "_op",
-        )
-
 
 class RightBialgebroid:
     """A right bialgebroid, stored as raw data plus the standard reduction
@@ -428,17 +421,16 @@ class ComodulePresentation:
 
     @property
     def quotient(self):
-        """The balanced tensor space the coaction lands in."""
+        """The balanced tensor space U_<| (x)_A M the coaction of a left
+        comodule lands in.  A right comodule has none of its own: every
+        caller goes through ``as_left()``."""
+        if self.side != "left":
+            raise ValueError("quotient is defined for left comodules; use as_left()")
         if "q" not in self._cache:
-            b, f, d = self.b, self.field, self.dim
-            if self.side == "left":
-                self._cache["q"] = balanced_tensor(
-                    f, b.U.dim, b.Lt, d, self.action
-                )
-            else:
-                self._cache["q"] = balanced_tensor(
-                    f, d, self.action, b.U.dim, b.Ls
-                )
+            b = self.b
+            self._cache["q"] = balanced_tensor(
+                self.field, b.U.dim, b.Lt, self.dim, self.action
+            )
         return self._cache["q"]
 
     @property

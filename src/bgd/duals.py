@@ -22,8 +22,8 @@ import numpy as np
 
 from .algebra import AlgebraPresentation, sum_action
 from .bialgebroid import LeftBialgebroid, RightBialgebroid, sparse_pairs
-from .hopf import translate_left_mat, translate_right_mat
-from .linalg import invert, kernel_basis, rank, rref, solve_affine
+from .hopf import _require_right_hopf, translate_left_mat, translate_right_mat
+from .linalg import invert, rank, rref, solve_affine, solve_matrix_equation
 from .report import Report
 
 __all__ = [
@@ -109,25 +109,16 @@ class DualBialgebroid(RightBialgebroid):
 
 
 def _functional_basis(b):
-    """Solve the A-linearity constraints psi(s(a)u) = a psi(u) for a
-    basis of U_*."""
+    """Solve the A-linearity constraints psi(s(a)u) = a psi(u), that is
+    psi Ls[a] = L_a psi, for a basis of U_*."""
     f = b.field
     da, du = b.A.dim, b.U.dim
-    n = da * du
-    rows = []
-    for a in range(b.A.dim):
-        move, scal = b.Ls[a], b.A.basis_left_mults[a]
-        # constraint F @ move = scal @ F, one row per (output coord, column)
-        for j in range(du):
-            for r in range(da):
-                row = f.zeros(n)
-                for jp in range(du):
-                    row[r * du + jp] += move[jp, j]
-                for rp in range(da):
-                    row[rp * du + j] -= scal[r, rp]
-                rows.append(f.mod(row))
-    ker = kernel_basis(f, np.stack(rows))
-    return [v.reshape(da, du) for v in ker]
+    eqs = [
+        ([(f.eye(da), b.Ls[a]), (-b.A.basis_left_mults[a], f.eye(du))],
+         f.zeros((da, du)))
+        for a in range(da)
+    ]
+    return solve_matrix_equation(f, (da, du), eqs)[1]
 
 
 def _build_dual(b):
@@ -190,15 +181,13 @@ def _solve_dual_coproduct(b, funcs):
             for q in range(du):
                 col[:, q, :] = f.matmul(funcs[i], rmults[q]).T
             cols[:, i * d + j] = col.reshape(-1)
-    lift = f.zeros((d * d, d))
-    for m in range(d):
-        rhs = f.zeros((du, du, da))
-        for p in range(du):
-            rhs[p, :, :] = f.matmul(funcs[m], b.U.mul[p].T).T
-        sol = solve_affine(f, cols, rhs.reshape(-1))
-        if sol is None:
-            raise ValueError("dual coproduct system is inconsistent")
-        lift[:, m] = sol[0]
+    # column m: the functional (p, q) -> psi_m(e_p e_q)
+    mul = b.U.mul.reshape(du * du, du)
+    rhs = np.stack([f.matmul(mul, g.T).reshape(-1) for g in funcs], axis=1)
+    sol = solve_affine(f, cols, rhs)
+    if sol is None:
+        raise ValueError("dual coproduct system is inconsistent")
+    lift = sol[0]
     # the solved legs are balanced the mirrored way round; flip them so
     # the stored lift matches the right-bialgebroid storage convention
     return f.mod(lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d))
@@ -281,6 +270,7 @@ def s_lower_star(b):
     Requires a right Hopf structure.  It is S^* of the co-opposite, whose
     U^* and U_* are the U_* and U^* of b.
     """
+    _require_right_hopf(b)
     return s_upper_star(b.coop())
 
 

@@ -6,7 +6,7 @@ from .algebra import sum_action
 from .duals import _s_side_dual_basis, left_dual, right_dual
 from .integrals import left_integrals, right_integrals
 from .bialgebroid import sparse_pairs
-from .linalg import rank, solve_affine, unit_vector
+from .linalg import invert, is_invertible, solve_matrix_equation, unit_vector
 from .report import Report
 
 
@@ -74,38 +74,26 @@ def frobenius_system(b, extension="via_s"):
         return None
     t0 = spc.generator
     lo = left_dual(b)
-    # theta must be s-bilinear and pair t0 to the counit
-    nb = d * da
-    rows, rhs = [], []
-
-    def add_eq(lmat, rmat, target):
-        # theta @ lmat - rmat @ theta = target, vectorized row-major
-        blk = f.mod(
-            np.kron(f.eye(da), lmat.T) - np.kron(rmat, f.eye(d))
-        )
-        rows.append(blk)
-        rhs.append(np.asarray(target).reshape(-1))
-
+    # theta must be s-bilinear (theta mult(s(a)) = mult(a) theta on both
+    # sides) and pair t0 to the counit
+    eye_a, eye_u, zero = f.eye(da), f.eye(d), f.zeros((da, d))
+    eqs = [([(eye_a, b.U.right_mult(t0))], b.counit)]
     for a in range(da):
         av = b.A.basis(a)
-        add_eq(b.U.left_mult(b.s_of(av)), b.A.left_mult(av), f.zeros((da, d)))
-        add_eq(b.U.right_mult(b.s_of(av)), b.A.right_mult(av), f.zeros((da, d)))
-    add_eq(b.U.right_mult(t0), f.zeros((da, da)), b.counit)
-    sol = solve_affine(f, np.concatenate(rows, 0), np.concatenate(rhs))
+        for mult, amult in ((b.U.left_mult, b.A.left_mult),
+                            (b.U.right_mult, b.A.right_mult)):
+            eqs.append(([(eye_a, mult(b.s_of(av))), (-amult(av), eye_u)], zero))
+    sol = solve_matrix_equation(f, (da, d), eqs)
     if sol is None:
         return None
     part, hom = sol
     estars = _s_side_dual_basis(b)
     if estars is None:
         return None
-    candidates = [part] + [f.mod(part + h) for h in hom]
-    for vec in candidates:
-        theta = vec.reshape(da, d)
+    for theta in [part] + [f.mod(part + h) for h in hom]:
         chi = _chi_matrix(b, lo, theta)
-        if chi.shape[0] != d or rank(f, chi) != d:
+        if not is_invertible(f, chi):
             continue
-        from .linalg import invert
-
         chinv = invert(f, chi)
         pairs = [
             (f.matmul(chinv, estars[i]), b.U.basis(i)) for i in range(d)
@@ -143,23 +131,16 @@ def _iso_from_integral_element(b, dual, t0):
     return np.stack(cols, axis=1)
 
 
-def _exists_iso(f, d, space, build):
-    cands = []
-    if space.generator is not None:
-        cands.append(space.generator)
-    cands.extend(space.basis)
-    for v in cands:
-        m = build(v)
-        if m.shape[0] == m.shape[1] == d and rank(f, m) == d:
-            return True
-    return False
+def _exists_iso(f, space, build):
+    gen = [] if space.generator is None else [space.generator]
+    return any(is_invertible(f, build(v)) for v in gen + space.basis)
 
 
 def frobenius_conditions_report(b, name=None):
     """The directly computable items of the Frobenius equivalence: free
     rank-one integral spaces on both sides of the duality and the four
     explicit map-isomorphism criteria."""
-    f, d = b.field, b.U.dim
+    f = b.field
     rep = Report(name or f"{b.name} Frobenius conditions")
     lo = left_dual(b)
     up = right_dual(b)
@@ -170,16 +151,16 @@ def frobenius_conditions_report(b, name=None):
     vals["frobenius.dual-right-integrals-free-rank-one"] = r_lo.free_rank_one
     vals["frobenius.integrals-free-rank-one"] = ints.free_rank_one
     vals["frobenius.pairing-iso-from-dual-integral"] = _exists_iso(
-        f, d, r_lo, lambda v: _iso_from_integral_functional(b, lo, v)
+        f, r_lo, lambda v: _iso_from_integral_functional(b, lo, v)
     )
     vals["frobenius.pairing-iso-from-integral-s-dual"] = _exists_iso(
-        f, d, ints, lambda v: _iso_from_integral_element(b, lo, v)
+        f, ints, lambda v: _iso_from_integral_element(b, lo, v)
     )
     vals["frobenius.pairing-iso-from-t-dual-integral"] = _exists_iso(
-        f, d, r_up, lambda v: _iso_from_integral_functional(b, up, v)
+        f, r_up, lambda v: _iso_from_integral_functional(b, up, v)
     )
     vals["frobenius.pairing-iso-from-integral-t-dual"] = _exists_iso(
-        f, d, ints,
+        f, ints,
         lambda v: _iso_from_integral_element(b.coop(), left_dual(b.coop()), v),
     )
     for key, ok in vals.items():

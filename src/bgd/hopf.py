@@ -20,7 +20,9 @@ import numpy as np
 
 from .algebra import TripleQuotient, balanced_tensor, sum_action
 from .bialgebroid import sparse_pairs
-from .linalg import apply_leg1, apply_leg2, invert, kron_vec, rank, unit_vector
+from .linalg import (
+    DescentError, apply_leg1, apply_leg2, invert, is_invertible, kron_vec, unit_vector,
+)
 from .report import Report
 
 __all__ = [
@@ -50,17 +52,27 @@ def alpha_left(b):
             for k, l, c in b.delta_sparse[i]:
                 for j in range(d):
                     amb[k * d : (k + 1) * d, i * d + j] += c * b.U.mul[l, j]
-        amb = f.mod(amb)
-        rows = b.T1.rel.rows
-        for r in range(rows.shape[0]):
-            if not b.T0.rel.contains(f.matmul(amb, rows[r])):
-                raise ValueError(
-                    f"alpha_l of {b.name} is not well defined on the quotient"
-                )
-        b._cache["alpha_l"] = f.matmul(
-            f.matmul(b.T0.project_mat, amb), b.T1.section_mat
+        b._cache["alpha_l"] = _induced_map(
+            b.T0, f.mod(amb), b.T1,
+            f"alpha_l of {b.name} is not well defined on the quotient",
         )
     return b._cache["alpha_l"]
+
+
+def _induced_map(cod, op, dom, message):
+    """``cod.induced_op(op, dom)``, with a ValueError that names the map
+    when op does not descend."""
+    try:
+        return cod.induced_op(op, dom)
+    except DescentError:
+        raise ValueError(message) from None
+
+
+def _inverse_lift(f, alpha, dom, cod, emb):
+    """Lift matrix section . alpha^-1 . project . emb of the inverse of a
+    bijective Hopf-Galois map alpha: dom -> cod."""
+    back = f.matmul(invert(f, alpha), f.matmul(cod.project_mat, emb))
+    return f.matmul(dom.section_mat, back)
 
 
 def alpha_right(b):
@@ -70,8 +82,9 @@ def alpha_right(b):
 
 
 def is_left_hopf(b):
-    m = alpha_left(b)
-    return b.T1.dim == b.T0.dim and rank(b.field, m) == b.T0.dim
+    if "left_hopf" not in b._cache:
+        b._cache["left_hopf"] = is_invertible(b.field, alpha_left(b))
+    return b._cache["left_hopf"]
 
 
 def is_right_hopf(b):
@@ -83,19 +96,23 @@ def translate_left_mat(b):
     if "tl_mat" not in b._cache:
         if not is_left_hopf(b):
             raise ValueError(f"alpha_l of {b.name} is not bijective")
-        f = b.field
-        d = b.U.dim
-        emb = f.zeros((d * d, d))  # u |-> u (x) 1
-        for i in range(d):
-            emb[i * d : (i + 1) * d, i] = b.U.unit
-        back = f.matmul(invert(f, alpha_left(b)), f.matmul(b.T0.project_mat, emb))
-        b._cache["tl_mat"] = f.matmul(b.T1.section_mat, back)
+        f, d = b.field, b.U.dim
+        emb = np.kron(f.eye(d), b.U.unit.reshape(d, 1))  # u |-> u (x) 1
+        b._cache["tl_mat"] = _inverse_lift(f, alpha_left(b), b.T1, b.T0, emb)
     return b._cache["tl_mat"]
+
+
+def _require_right_hopf(b):
+    """Raise unless alpha_r of b is bijective.  The right-hand maps are
+    computed on ``b.coop()``, whose own error would name alpha_l there."""
+    if not is_right_hopf(b):
+        raise ValueError(f"alpha_r of {b.name} is not bijective")
 
 
 def translate_right_mat(b):
     """Lift matrix U -> U (x) U of u |-> u_[+] (x) u_[-]: the left
     translation map of the co-opposite, with no leg flip."""
+    _require_right_hopf(b)
     return translate_left_mat(b.coop())
 
 
@@ -255,21 +272,15 @@ def comodule_alpha(com):
                     amb[i2::dn, col] += c * b.U.mul[k, j]
         # N (x)^A |>U, relations n.a (x) u - n (x) s(a)u
         dom = balanced_tensor(f, dn, com.induced_action, du, b.Ls)
-        cod = com.quotient
-        rows = dom.rel.rows
-        for r in range(rows.shape[0]):
-            if not cod.rel.contains(f.matmul(amb, rows[r])):
-                raise ValueError("comodule Hopf-Galois map not well defined")
+        com._cache["calpha"] = _induced_map(
+            com.quotient, amb, dom, "comodule Hopf-Galois map not well defined"
+        )
         com._cache["cdom"] = dom
-        com._cache["calpha"] = f.matmul(f.matmul(cod.project_mat, amb), dom.section_mat)
     return com._cache["calpha"]
 
 
 def comodule_is_bijective(com):
-    com = com.as_left()
-    m = comodule_alpha(com)
-    dom = com._cache["cdom"]
-    return dom.dim == com.quotient.dim and rank(com.field, m) == dom.dim
+    return is_invertible(com.field, comodule_alpha(com))
 
 
 def comodule_translate_mat(com):
@@ -283,15 +294,11 @@ def comodule_translate_mat(com):
     if "ctrans" not in com._cache:
         if not comodule_is_bijective(com):
             raise ValueError("comodule Hopf-Galois map is not bijective")
-        b, f = com.b, com.field
-        dn, du = com.dim, b.U.dim
-        emb = f.zeros((du * dn, dn))  # n -> 1 (x) n in U (x) N
-        for i in range(dn):
-            emb[i::dn, i] = b.U.unit
-        back = f.matmul(
-            invert(f, comodule_alpha(com)), f.matmul(com.quotient.project_mat, emb)
+        f, du = com.field, com.b.U.dim
+        emb = np.kron(com.b.U.unit.reshape(du, 1), f.eye(com.dim))  # n -> 1 (x) n
+        com._cache["ctrans"] = _inverse_lift(
+            f, comodule_alpha(com), com._cache["cdom"], com.quotient, emb
         )
-        com._cache["ctrans"] = f.matmul(com._cache["cdom"].section_mat, back)
     return com._cache["ctrans"]
 
 
@@ -398,6 +405,7 @@ def side_switch(com):
     from .duals import _s_side_dual_basis, left_dual, s_upper_star
 
     if com.side == "left":
+        _require_right_hopf(com.b)
         return side_switch(com.coop()).coop()
     b, f = com.b, com.field
     dn, du = com.dim, b.U.dim

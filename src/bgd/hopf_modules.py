@@ -12,8 +12,8 @@ from .duals import (
     s_lower_star,
     s_upper_star,
 )
-from .hopf import comodule_is_bijective, comodule_translate_mat
-from .linalg import rank, solve_affine, unit_vector
+from .hopf import _induced_map, comodule_is_bijective, comodule_translate_mat
+from .linalg import DescentError, Quotient, is_invertible, solve_affine, unit_vector
 from .report import Report
 
 
@@ -171,13 +171,8 @@ def comparison_map(b, action_u):
             col = action_u[l]
             for j in range(dn):
                 amb[:, i * dn + j] += c * np.kron(unit_vector(f, d, k), col[:, j])
-    amb = f.mod(amb)
-    for r in range(dom.rel.rows.shape[0]):
-        if not cod.rel.contains(f.matmul(amb, dom.rel.rows[r])):
-            raise ValueError("comparison map does not descend")
-    m = f.matmul(f.matmul(cod.project_mat, amb), dom.section_mat)
-    inv = m.shape[0] == m.shape[1] and rank(f, m) == m.shape[0]
-    return m, bool(inv)
+    m = _induced_map(cod, f.mod(amb), dom, "comparison map does not descend")
+    return m, bool(is_invertible(f, m))
 
 
 def build_u_star_hopf_module(b):
@@ -232,17 +227,22 @@ def _cov_data(mod, twist):
     if c == 0:
         return f.zeros((mod.dim, 0)), []
     covmat = np.stack(cov, axis=1)
-    acts = []
-    for a in range(mod.b.A.dim):
-        big = mod.act(twist[:, a])
-        cols = []
-        for r in range(c):
-            sol = solve_affine(f, covmat, f.matmul(big, covmat[:, r]))
-            if sol is None:
-                raise ValueError("coinvariants not closed under the A-action")
-            cols.append(sol[0])
-        acts.append(np.stack(cols, axis=1))
-    return covmat, acts
+    moved = [f.matmul(mod.act(twist[:, a]), covmat) for a in range(mod.b.A.dim)]
+    sol = solve_affine(f, covmat, np.concatenate(moved, axis=1))
+    if sol is None:
+        raise ValueError("coinvariants not closed under the A-action")
+    return covmat, np.split(sol[0], len(moved), axis=1)
+
+
+def _evaluation(mod, covmat, dom):
+    """The map u (x) m -> u.m from ``dom``, a balanced tensor of U with the
+    coinvariants ``covmat``, into M; None if it does not descend."""
+    f = mod.field
+    amb = np.concatenate([f.matmul(a, covmat) for a in mod.action], axis=1)
+    try:
+        return Quotient(f, mod.dim).induced_op(amb, dom)
+    except DescentError:
+        return None
 
 
 def fundamental_rl(b, mod):
@@ -256,32 +256,17 @@ def fundamental_rl(b, mod):
     if not comodule_is_bijective(com):
         raise ValueError("comodule Hopf-Galois map is not bijective")
     trans = comodule_translate_mat(com)  # m -> m^[+] (x) m^[-] in M (x) U
-    mu = f.zeros((dm, dm * d))
-    for j in range(dm):
-        for i in range(d):
-            mu[:, j * d + i] = mod.action[i][:, j]
+    mu = np.stack(mod.action, axis=2).reshape(dm, dm * d)  # m (x) u -> m.u
     kmat = f.matmul(mu, trans)  # m -> m^[+] m^[-]
     covmat, acts = _cov_data(mod, b.t_map)
-    c = covmat.shape[1]
-    ok = True
-    kc = f.zeros((c, dm))
-    for j in range(dm):
-        sol = solve_affine(f, covmat, kmat[:, j])
-        if sol is None:
-            ok = False
-            break
-        kc[:, j] = sol[0]
-    if not ok:
+    sol = solve_affine(f, covmat, kmat)
+    if sol is None:
         return None, None, False
-    dom = balanced_tensor(f, d, b.Lt, c, acts)
-    gamma_amb = f.zeros((dm, d * c))
-    for i in range(d):
-        for r in range(c):
-            gamma_amb[:, i * c + r] = f.matmul(mod.action[i], covmat[:, r])
-    for r in range(dom.rel.rows.shape[0]):
-        if not f.is_zero(f.matmul(gamma_amb, dom.rel.rows[r])):
-            return None, None, False
-    gamma = f.matmul(gamma_amb, dom.section_mat)
+    kc = sol[0]
+    dom = balanced_tensor(f, d, b.Lt, covmat.shape[1], acts)
+    gamma = _evaluation(mod, covmat, dom)
+    if gamma is None:
+        return None, None, False
     eta = f.matmul(
         dom.project_mat, f.matmul(np.kron(f.eye(d), kc), com.coaction)
     )
@@ -296,17 +281,9 @@ def fundamental_ll(b, mod):
     left-left Hopf module.  Returns (gamma, iso)."""
     if mod.kind != "LL":
         raise ValueError("expected an LL Hopf module")
-    f, d, dm = mod.field, b.U.dim, mod.dim
     covmat, acts = _cov_data(mod, b.t_map)
-    c = covmat.shape[1]
-    dom = balanced_tensor(f, d, b.Rt, c, acts)
-    gamma_amb = f.zeros((dm, d * c))
-    for i in range(d):
-        for r in range(c):
-            gamma_amb[:, i * c + r] = f.matmul(mod.action[i], covmat[:, r])
-    for r in range(dom.rel.rows.shape[0]):
-        if not f.is_zero(f.matmul(gamma_amb, dom.rel.rows[r])):
-            return None, False
-    gamma = f.matmul(gamma_amb, dom.section_mat)
-    iso = gamma.shape[0] == gamma.shape[1] and rank(f, gamma) == dm
-    return gamma, bool(iso)
+    dom = balanced_tensor(mod.field, b.U.dim, b.Rt, covmat.shape[1], acts)
+    gamma = _evaluation(mod, covmat, dom)
+    if gamma is None:
+        return None, False
+    return gamma, bool(is_invertible(mod.field, gamma))

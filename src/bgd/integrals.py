@@ -6,7 +6,9 @@ import numpy as np
 
 from .bialgebroid import sparse_pairs
 from .hopf import is_right_hopf, translate_right
-from .linalg import apply_leg1, apply_leg2, kernel_basis, rank, solve_affine
+from .linalg import (
+    apply_leg1, apply_leg2, kernel_basis, rank, solve_affine, solve_matrix_equation,
+)
 from .report import Report
 
 
@@ -65,12 +67,6 @@ class IntegralSpace:
                 if sum(cs) > 1 or (any(cs) and max(cs) > 1):
                     yield f.mod(sum(c * g for c, g in zip(cs, self.basis)))
 
-    def _coords(self, v):
-        sol = solve_affine(self.field, self.span_matrix(), v)
-        if sol is None:
-            raise ValueError("vector escapes the integral span")
-        return sol[0]
-
     def _split_test(self):
         """Whether the span is a direct summand of a free A-module: the
         evaluation A^m -> span, unit column r of factor i -> basis[i].t(a_r),
@@ -79,38 +75,22 @@ class IntegralSpace:
         if m == 0:
             return True
         # span-coordinate action matrices and the evaluation map
-        act = []
-        for a in range(da):
-            cols = [self._coords(f.matmul(self.action[a], g)) for g in self.basis]
-            act.append(np.stack(cols, axis=1))
-        ev = f.zeros((m, m * da))
-        for i in range(m):
-            for r in range(da):
-                ev[:, i * da + r] = act[r][:, i]
+        span = self.span_matrix()
+        sol = solve_affine(f, span, np.concatenate(
+            [f.matmul(a, span) for a in self.action], axis=1))
+        if sol is None:
+            raise ValueError("vector escapes the integral span")
+        act = np.split(sol[0], da, axis=1)
+        ev = np.stack(act, axis=2).reshape(m, m * da)
         rr = [np.kron(f.eye(m), rm) for rm in self.base.basis_right_mults]
-        # unknown sigma: span -> A^m, stored column by column
-        nb = m * da
-        rows, rhs = [], []
-        for j in range(m):
-            blk = f.zeros((m, m * nb))
-            blk[:, j * nb : (j + 1) * nb] = ev
-            rows.append(blk)
-            e = f.zeros(m)
-            e[j] = f.one
-            rhs.append(e)
-        for a in range(da):
-            for j in range(m):
-                blk = f.zeros((nb, m * nb))
-                for k in range(m):
-                    if act[a][k, j] != f.zero:
-                        blk[:, k * nb : (k + 1) * nb] += act[a][k, j] * f.eye(nb)
-                blk[:, j * nb : (j + 1) * nb] -= rr[a]
-                rows.append(f.mod(blk))
-                rhs.append(f.zeros(nb))
-        return (
-            solve_affine(f, np.concatenate(rows, 0), np.concatenate(rhs))
-            is not None
-        )
+        # unknown sigma^T, sigma: span -> A^m with ev sigma = 1 and
+        # sigma act[a] = rr[a] sigma
+        eye_m, eye_n = f.eye(m), f.eye(m * da)
+        eqs = [([(eye_m, ev.T)], eye_m)] + [
+            ([(act[a].T, eye_n), (eye_m, -rr[a].T)], f.zeros((m, m * da)))
+            for a in range(da)
+        ]
+        return solve_matrix_equation(f, (m, m * da), eqs) is not None
 
 
 def _integral_basis(b, mult):
@@ -200,38 +180,21 @@ def counit_splitting(b):
     """A left-module right inverse of the counit, as a dU x dA matrix, or
     None.  Existence is one face of the separability equivalences."""
     f, d, da = b.field, b.U.dim, b.A.dim
-    # unknown H: dA columns stacked; constraints eps H = id and
-    # left_mult(u) H = H act(u) where act(u)(a) = eps(u s(a)).
-    nb = d
-    rows, rhs = [], []
-    for c in range(da):
-        blk = f.zeros((da, da * nb))
-        blk[:, c * nb : (c + 1) * nb] = b.counit
-        rows.append(blk)
-        e = f.zeros(da)
-        e[c] = f.one
-        rhs.append(e)
+    # unknown H^T; constraints eps H = id and left_mult(u) H = H act(u)
+    # where act(u)(a) = eps(u s(a)), transposed.
+    eye_a, eye_u = f.eye(da), f.eye(d)
+    eqs = [([(eye_a, b.counit.T)], eye_a)]
     for i in range(d):
-        lu = b.U.basis_left_mults[i]
         actu = np.stack(
             [b.act_on_base(b.U.basis(i), b.A.basis(a)) for a in range(da)],
             axis=1,
         )
-        for c in range(da):
-            blk = f.zeros((d, da * nb))
-            blk[:, c * nb : (c + 1) * nb] = lu
-            for k in range(da):
-                if actu[k, c] != f.zero:
-                    blk[:, k * nb : (k + 1) * nb] -= actu[k, c] * f.eye(d)
-            rows.append(f.mod(blk))
-            rhs.append(f.zeros(d))
-    sol = solve_affine(f, np.concatenate(rows, 0), np.concatenate(rhs))
-    if sol is None:
-        return None
-    h = f.zeros((d, da))
-    for c in range(da):
-        h[:, c] = sol[0][c * nb : (c + 1) * nb]
-    return h
+        eqs.append((
+            [(eye_a, b.U.basis_left_mults[i].T), (-actu.T, eye_u)],
+            f.zeros((da, d)),
+        ))
+    sol = solve_matrix_equation(f, (da, d), eqs)
+    return None if sol is None else sol[0].T
 
 
 def maschke_report(b, name=None):

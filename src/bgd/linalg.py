@@ -20,7 +20,7 @@ __all__ = [
     "Field",
     "FieldError",
     "SingularMatrixError",
-    "Matrix",
+    "DescentError",
     "Subspace",
     "Quotient",
     "BACKEND",
@@ -28,6 +28,8 @@ __all__ = [
     "rank",
     "kernel_basis",
     "solve_affine",
+    "solve_matrix_equation",
+    "is_invertible",
     "invert",
     "unit_vector",
     "kron_vec",
@@ -42,6 +44,10 @@ class FieldError(ValueError):
 
 class SingularMatrixError(ValueError):
     pass
+
+
+class DescentError(ValueError):
+    """An ambient matrix does not map relations into relations."""
 
 
 def _is_prime(n):
@@ -218,33 +224,48 @@ def rank(field, m):
 def kernel_basis(field, m):
     """Basis of the right null space {v : m v = 0}, as a list of vectors."""
     m = np.asarray(m)
-    ncols = m.shape[1]
-    r, pivots = rref(field, m)
+    return _null_basis(field, *rref(field, m), m.shape[1])
+
+
+def _null_basis(field, r, pivots, ncols):
+    """Null-space basis read off an rref whose first ``ncols`` columns are
+    the matrix: one vector per free column."""
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = field.zeros(ncols)
-        v[j] = field.one
-        for i, c in enumerate(pivots):
-            v[c] = field.neg(r[i, j])
-        basis.append(v)
-    return basis
+    k = field.zeros((ncols, len(free)))
+    k[free, range(len(free))] = field.one
+    k[pivots, :] = field.neg(r[:, free])
+    return [k[:, i].copy() for i in range(len(free))]
 
 
 def solve_affine(field, m, b):
-    """Solve m x = b.  Returns (particular, homogeneous basis) or None."""
+    """Solve m x = b, or m X = B column by column for a matrix B, with one
+    rref.  Returns (particular, homogeneous basis), or None when some
+    column has no solution."""
     m = np.asarray(m)
-    b = np.asarray(b).reshape(-1, 1)
-    aug = np.concatenate([m, b], axis=1)
+    b = np.asarray(b)
+    rhs = b.reshape(-1, 1) if b.ndim == 1 else b
     ncols = m.shape[1]
-    r, pivots = rref(field, aug)
-    if pivots and pivots[-1] == ncols:
+    r, pivots = rref(field, np.concatenate([m, rhs], axis=1))
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = field.zeros(ncols)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, ncols]
-    return x, kernel_basis(field, m)
+    x = field.zeros((ncols, rhs.shape[1]))
+    x[pivots] = r[:, ncols:]
+    return (x[:, 0] if b.ndim == 1 else x), _null_basis(field, r, pivots, ncols)
+
+
+def solve_matrix_equation(field, shape, equations):
+    """Solve sum_k P_k X Q_k = T for X of the given shape, one equation per
+    ``(terms, T)`` with ``terms = [(P_k, Q_k), ...]``.  X is flattened row
+    by row, so each equation is the block sum_k kron(P_k, Q_k^T).  Returns
+    (particular, homogeneous basis) as matrices of ``shape``, or None."""
+    rows = [field.mod(sum(np.kron(p, q.T) for p, q in terms))
+            for terms, _ in equations]
+    rhs = [np.asarray(t).reshape(-1) for _, t in equations]
+    sol = solve_affine(field, np.concatenate(rows), np.concatenate(rhs))
+    if sol is None:
+        return None
+    return sol[0].reshape(shape), [h.reshape(shape) for h in sol[1]]
 
 
 def invert(field, m):
@@ -259,51 +280,10 @@ def invert(field, m):
     return r[:, n:]
 
 
-class Matrix:
-    """Thin exact-matrix wrapper used at module boundaries."""
-
-    __slots__ = ("field", "a")
-
-    def __init__(self, field, data):
-        self.field = field
-        self.a = field.array(data)
-        if self.a.ndim != 2:
-            raise ValueError("Matrix requires a 2-d array")
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    def __matmul__(self, other):
-        out = Matrix.__new__(Matrix)
-        out.field = self.field
-        out.a = self.field.matmul(self.a, other.a)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.field.equal(self.a, other.a)
-        )
-
-    def rank(self):
-        return rank(self.field, self.a)
-
-    def kernel_basis(self):
-        return kernel_basis(self.field, self.a)
-
-    def solve(self, b):
-        return solve_affine(self.field, self.a, b)
-
-    def inv(self):
-        out = Matrix.__new__(Matrix)
-        out.field = self.field
-        out.a = invert(self.field, self.a)
-        return out
-
-    def __repr__(self):
-        return f"Matrix({self.field}, {self.a.tolist()!r})"
+def is_invertible(field, m):
+    """Whether m is square of full rank."""
+    m = np.asarray(m)
+    return m.shape[0] == m.shape[1] and rank(field, m) == m.shape[0]
 
 
 class Subspace:
@@ -324,14 +304,17 @@ class Subspace:
         return len(self.pivots)
 
     def reduce(self, v):
-        """Canonical residual of v modulo the subspace (zeros at pivots)."""
+        """Canonical residual of v modulo the subspace (zeros at pivots); a
+        matrix v has all its columns reduced at once."""
         v = np.asarray(v)
         if not self.pivots:
             return self.field.mod(v.copy())
-        coeffs = v[self.pivots]
-        return self.field.mod(v - coeffs @ self.rows)
+        # rows.T @ v[pivots], written so that a vector (where .T is a
+        # no-op) takes the cheaper vector-times-matrix product
+        return self.field.mod(v - (v[self.pivots].T @ self.rows).T)
 
     def contains(self, v):
+        """Whether v (every column of a matrix v) lies in the subspace."""
         return self.field.is_zero(self.reduce(v))
 
 
@@ -367,13 +350,8 @@ class Quotient:
         if self._pmat is None:
             f = self.field
             p = f.zeros((self.dim, self.ambient_dim))
-            for qi, j in enumerate(self.coords):
-                p[qi, j] = f.one
-            if self.rel.pivots:
-                blk = self.rel.rows[:, self.coords].T
-                for qi in range(self.dim):
-                    for ri, c in enumerate(self.rel.pivots):
-                        p[qi, c] = f.neg(blk[qi, ri])
+            p[range(self.dim), self.coords] = f.one
+            p[:, self.rel.pivots] = f.neg(self.rel.rows[:, self.coords].T)
             self._pmat = p
         return self._pmat
 
@@ -381,23 +359,23 @@ class Quotient:
     def section_mat(self):
         if self._smat is None:
             s = self.field.zeros((self.ambient_dim, self.dim))
-            for qi, j in enumerate(self.coords):
-                s[j, qi] = self.field.one
+            s[self.coords, range(self.dim)] = self.field.one
             self._smat = s
         return self._smat
 
-    def descends(self, op):
-        """True if the ambient operator maps the relation span into itself."""
-        if not self.rel.pivots:
-            return True
-        img = self.field.matmul(op, self.rel.rows.T)
-        return all(self.rel.contains(img[:, i]) for i in range(img.shape[1]))
+    def descends(self, op, dom=None):
+        """True if the ambient matrix op maps the relation span of ``dom``
+        (default: this quotient) into the relation span of this one."""
+        dom = self if dom is None else dom
+        return self.rel.contains(self.field.matmul(op, dom.rel.rows.T))
 
-    def induced_op(self, op, check=True):
-        """Matrix of the operator induced on the quotient."""
-        if check and not self.descends(op):
-            raise ValueError("operator does not descend to the quotient")
-        return self.field.matmul(self.field.matmul(self.project_mat, op), self.section_mat)
+    def induced_op(self, op, dom=None):
+        """Matrix of the map dom -> self that the ambient matrix op induces
+        (dom defaults to this quotient); DescentError if op does not descend."""
+        dom = self if dom is None else dom
+        if not self.descends(op, dom):
+            raise DescentError("operator does not descend to the quotient")
+        return self.field.matmul(self.field.matmul(self.project_mat, op), dom.section_mat)
 
 
 def unit_vector(field, n, i):

@@ -9,8 +9,10 @@ from bgd.hopf import (
     is_right_hopf,
     side_switch,
     translate_left,
+    translate_right_mat,
     translation_report,
 )
+from bgd.duals import s_lower_star
 from bgd.bialgebroid import LeftBialgebroid, check_comodule, coinvariants, sparse_pairs
 
 HOPF = [
@@ -143,3 +145,15 @@ def test_side_switch_requires_hopf():
     for side in ("left", "right"):
         with pytest.raises(ValueError):
             side_switch(regular_comodule(b, side))
+
+
+def test_mirrored_paths_name_alpha_r():
+    # these are computed on b.coop(); the error must still name alpha_r of b
+    b = FIXTURES["monoid-non-hopf"]()
+    for call in (
+        lambda: translate_right_mat(b),
+        lambda: s_lower_star(b),
+        lambda: side_switch(regular_comodule(b, "left")),
+    ):
+        with pytest.raises(ValueError, match=r"^alpha_r of monoid-non-hopf is not bijective$"):
+            call()

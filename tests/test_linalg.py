@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bgd import _kernel_py
 from bgd.linalg import (
     Field,
-    Matrix,
     Quotient,
     SingularMatrixError,
     Subspace,
@@ -19,6 +18,7 @@ from bgd.linalg import (
     kron_vec,
     rank,
     solve_affine,
+    solve_matrix_equation,
 )
 
 try:
@@ -119,6 +119,104 @@ def test_solve_affine_inconsistent():
     assert solve_affine(F2, F2.array([[1, 1], [1, 1]]), F2.array([0, 1])) is None
 
 
+BLOCK_FIELDS = st.sampled_from([F2, F5, QQ])
+
+
+def _draw_matrix(field, data, rows, cols):
+    raw = data.draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows,
+    ))
+    return field.array(raw) if rows else field.zeros((0, cols))
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(1, 5), st.integers(1, 4), BLOCK_FIELDS, st.data())
+def test_block_reduce_matches_columns(ngens, ncols, k, field, data):
+    gens = _draw_matrix(field, data, ngens, ncols)
+    sub = Subspace(field, ncols, list(gens))
+    v = _draw_matrix(field, data, ncols, k)
+    block = sub.reduce(v)
+    for j in range(k):
+        assert _same(block[:, j], sub.reduce(v[:, j]))
+    assert sub.contains(v) == all(sub.contains(v[:, j]) for j in range(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), BLOCK_FIELDS, st.data())
+def test_block_solve_matches_columns(rows, cols, k, field, data):
+    m = _draw_matrix(field, data, rows, cols)
+    # each column is either in the image of m or arbitrary
+    x = _draw_matrix(field, data, cols, k)
+    free = _draw_matrix(field, data, rows, k)
+    pick = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    b = field.matmul(m, x)
+    for j in range(k):
+        if pick[j]:
+            b[:, j] = free[:, j]
+    block = solve_affine(field, m, b)
+    per_col = [solve_affine(field, m, b[:, j]) for j in range(k)]
+    if any(sol is None for sol in per_col):
+        assert block is None
+        return
+    part, homs = block
+    for j, (p, h) in enumerate(per_col):
+        assert _same(part[:, j], p)
+        assert len(h) == len(homs) and all(_same(u, w) for u, w in zip(h, homs))
+    assert field.equal(field.matmul(m, part), b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), BLOCK_FIELDS, st.data())
+def test_kernel_basis_is_homogeneous_part(rows, cols, field, data):
+    m = _draw_matrix(field, data, rows, cols)
+    x = _draw_matrix(field, data, cols, 1)[:, 0]
+    _, homs = solve_affine(field, m, field.matmul(m, x))
+    ker = kernel_basis(field, m)
+    assert len(ker) == len(homs)
+    assert all(_same(u, w) for u, w in zip(ker, homs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+    BLOCK_FIELDS, st.data(),
+)
+def test_solve_matrix_equation_solutions_satisfy(r, c, neq, consistent, field, data):
+    x0 = _draw_matrix(field, data, r, c)
+    eqs = []
+    for _ in range(neq):
+        out_r, out_c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        terms = [
+            (_draw_matrix(field, data, out_r, r), _draw_matrix(field, data, c, out_c))
+            for _ in range(data.draw(st.integers(1, 2)))
+        ]
+        if consistent:
+            t = field.mod(sum(field.matmul(field.matmul(p, x0), q) for p, q in terms))
+        else:
+            t = _draw_matrix(field, data, out_r, out_c)
+        eqs.append((terms, t))
+    sol = solve_matrix_equation(field, (r, c), eqs)
+    if consistent:
+        assert sol is not None
+    if sol is None:
+        return
+    part, homs = sol
+    for x in [part] + [field.mod(part + h) for h in homs]:
+        assert x.shape == (r, c)
+        for terms, t in eqs:
+            got = sum(field.matmul(field.matmul(p, x), q) for p, q in terms)
+            assert field.equal(field.mod(got), t)
+    for h in homs:
+        for terms, _ in eqs:
+            got = sum(field.matmul(field.matmul(p, h), q) for p, q in terms)
+            assert field.is_zero(field.mod(got))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([F3, F5, QQ]), st.data())
 def test_invert_roundtrip(n, field, data):
@@ -139,13 +237,6 @@ def test_rationals_exact():
     mi = invert(QQ, m)
     assert mi[0, 0] == Fraction(-2)
     assert mi[1, 0] == Fraction(3, 2)
-
-
-def test_matrix_wrapper():
-    a = Matrix(F5, [[1, 2], [3, 4]])
-    b = a.inv()
-    assert (a @ b) == Matrix(F5, [[1, 0], [0, 1]])
-    assert a.rank() == 2
 
 
 def test_quotient_projection_section():
@@ -171,6 +262,15 @@ def test_quotient_induced_op_descent():
     assert not q.descends(bad)
     with pytest.raises(ValueError):
         q.induced_op(bad)
+    # a map between two quotients: F_2^3 / <e0 + e1>  ->  F_2^2 / <e0 + e1>
+    dom = Quotient(F2, 3, [F2.array([1, 1, 0])])
+    fold = F2.array([[0, 1, 1], [1, 0, 0]])  # e0 -> e1, e1 -> e0, e2 -> e0
+    assert q.descends(fold, dom)
+    assert q.induced_op(fold, dom).tolist() == [[1, 1]]
+    skew = F2.array([[1, 0, 0], [0, 0, 1]])  # e0 + e1 -> e0, not a relation
+    assert not q.descends(skew, dom)
+    with pytest.raises(ValueError):
+        q.induced_op(skew, dom)
 
 
 def test_tensor_leg_ops():
