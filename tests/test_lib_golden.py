@@ -1,11 +1,16 @@
 """Golden check of the library's matrices, alongside the CLI golden.
 
-For every preset and for ``rank_n_truncated(2, 2)`` and ``(3, 1)``,
+For every preset, for ``rank_n_truncated(2, 2)`` and ``(3, 1)``, and for
+two cases over Q built here (the pair groupoid ``M_2(Q)`` over ``Q^2``,
+with s = t, and ``Q[x]/(x^2) (x) Q[x]/(x^2)^op``, with s != t),
 ``lib_golden.json`` stores the sha256 of the dtype, shape and entries of
 each value below: the Hopf-Galois and translation maps, the comodule maps
-of both regular comodules, the dual ``U_*`` and its pairing maps, the
+of both regular comodules and their induced actions and dual modules,
+the structure maps of both duals, the dual actions and pairing maps, the
 integral data, the counit and multiplication splittings, the Frobenius
-systems, the comparison map and the fundamental maps.  Where a call raises,
+systems, the comparison map, the Hopf-module coactions on the duals and
+the fundamental maps.  The integral entries of the pair case pin the
+answer of the bounded generator search over Q.  Where a call raises,
 only the exception type is stored, so a reworded message does not count as
 a change.  A refactoring that moves one entry of one of these matrices
 fails here.
@@ -22,13 +27,53 @@ import numpy as np
 import pytest
 
 from bgd import duals, frobenius, hopf, hopf_modules, integrals
+from bgd.algebra import AlgebraPresentation, tensor_product
+from bgd.bialgebroid import LeftBialgebroid
 from bgd.fixtures import FIXTURES, rank_n_truncated, regular_comodule
+from bgd.linalg import Field
 
 GOLDEN = pathlib.Path(__file__).with_name("lib_golden.json")
+Q = Field.rationals()
+
+
+def _pair_q2():
+    """M_2(Q) over Q^2: s = t send p_i to e_ii, Delta(e_ij) = e_ij (x) e_ij,
+    eps(e_ij) = p_i; e_ij has index 2i + j."""
+    r = range(2)
+    u = AlgebraPresentation.from_triples(
+        Q, 4, [(2 * i + j, 2 * j + k, 2 * i + k, 1) for i in r for j in r for k in r],
+        [1, 0, 0, 1])
+    a = AlgebraPresentation.from_triples(Q, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
+    s, counit, delta = Q.zeros((4, 2)), Q.zeros((2, 4)), Q.zeros((16, 4))
+    for g in range(4):
+        s[3 * (g // 2), g // 2] = counit[g // 2, g] = Q.one
+        delta[5 * g, g] = Q.one
+    return LeftBialgebroid(a, u, s, s, delta, counit, name="pair-Q-2")
+
+
+def _env_q2():
+    """A (x) A^op over A = Q[x]/(x^2): s(a) = a (x) 1, t(b) = 1 (x) b,
+    Delta(a (x) b) = (a (x) 1) (x) (1 (x) b), eps(a (x) b) = ab;
+    x^i (x) x^j has index 2i + j."""
+    a = AlgebraPresentation.from_triples(
+        Q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
+    s, t = Q.zeros((4, 2)), Q.zeros((4, 2))
+    counit, delta = Q.zeros((2, 4)), Q.zeros((16, 4))
+    for i in range(2):
+        s[2 * i, i] = t[i, i] = Q.one
+        for j in range(2):
+            if i + j < 2:
+                counit[i + j, 2 * i + j] = Q.one
+            delta[8 * i + j, 2 * i + j] = Q.one
+    return LeftBialgebroid(
+        a, tensor_product(a, a.opposite()), s, t, delta, counit, name="env-Q-2")
+
 
 CASES = dict(FIXTURES)
 CASES["trunc-2-2"] = lambda: rank_n_truncated(2, 2)
 CASES["trunc-3-1"] = lambda: rank_n_truncated(3, 1)
+CASES["pair-Q-2"] = _pair_q2
+CASES["env-Q-2"] = _env_q2
 
 
 def _digest(value):
@@ -76,6 +121,24 @@ def _values(b):
              lambda c=com: hopf.comodule_translate_mat(c())),
             (f"side_switch.{side}",
              lambda c=com: hopf.side_switch(c()).coaction),
+            (f"induced_action.{side}", lambda c=com: c().induced_action),
+            (f"comodule_to_dual_module.{side}",
+             lambda c=com: duals.comodule_to_dual_module(b, c())[1]),
+        ]
+    for tag, dual in (("u_lower_star", duals.left_dual),
+                      ("u_upper_star", duals.right_dual)):
+        out += [
+            (f"{tag}.{key}", lambda dual=dual, get=get: get(dual(b)))
+            for key, get in (
+                ("mul", lambda w: w.U.mul), ("unit", lambda w: w.U.unit),
+                ("s_map", lambda w: w.s_map), ("t_map", lambda w: w.t_map),
+                ("counit", lambda w: w.counit),
+            )
+        ]
+        out += [
+            (f"dual_action.{kind}.{tag}",
+             lambda dual=dual, kind=kind: duals.dual_action(b, dual(b), kind))
+            for kind in ("harpoon", "bullet")
         ]
     out += [
         ("u_lower_star.funcs", lambda: duals.left_dual(b).funcs),
@@ -95,6 +158,10 @@ def _values(b):
         ("comparison_map", lambda: hm.comparison_map(b, b.U.basis_left_mults)),
         ("fundamental_rl", lambda: hm.fundamental_rl(b, rl())),
         ("fundamental_ll", lambda: hm.fundamental_ll(b, ll())),
+        ("u_star_hopf_module.coaction",
+         lambda: hm.build_u_star_hopf_module(b).comodule.coaction),
+        ("u_lower_star_hopf_module.coaction",
+         lambda: hm.build_u_lower_star_hopf_module(b).comodule.coaction),
         ("fundamental_ll.u_star",
          lambda: hm.fundamental_ll(b, hm.build_u_star_hopf_module(b))),
         ("fundamental_ll.u_lower_star",
