@@ -21,10 +21,6 @@ def rref_mod(object mat, long p):
         np.ascontiguousarray(mat, dtype=np.int64) % p
     cdef long nrows = m.shape[0]
     cdef long ncols = m.shape[1]
-    cdef cnp.ndarray[cnp.int64_t, ndim=1] invtab = np.zeros(p, dtype=np.int64)
-    cdef long x
-    for x in range(1, p):
-        invtab[x] = pow(x, p - 2, p)
     cdef long r = 0, c, i, j, piv, lead, f, tmp
     cdef list pivots = []
     for c in range(ncols):
@@ -44,7 +40,7 @@ def rref_mod(object mat, long p):
                 m[piv, j] = tmp
         lead = m[r, c]
         if lead != 1:
-            f = invtab[lead]
+            f = pow(lead, p - 2, p)
             for j in range(c, ncols):
                 m[r, j] = (m[r, j] * f) % p
         for i in range(nrows):

@@ -18,9 +18,6 @@ def rref_mod(m: np.ndarray, p: int):
     """
     m = np.ascontiguousarray(m, dtype=np.int64) % p
     nrows, ncols = m.shape
-    inv = [0] * p
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
     r = 0
     pivots = []
     for c in range(ncols):
@@ -35,7 +32,7 @@ def rref_mod(m: np.ndarray, p: int):
             m[[r, piv]] = m[[piv, r]]
         lead = int(m[r, c])
         if lead != 1:
-            m[r] = (m[r] * inv[lead]) % p
+            m[r] = (m[r] * pow(lead, p - 2, p)) % p
         col = m[:, c].copy()
         col[r] = 0
         hit = np.nonzero(col)[0]

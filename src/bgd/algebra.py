@@ -14,6 +14,7 @@ __all__ = [
     "enveloping_square",
     "balanced_tensor",
     "TripleQuotient",
+    "pair_and_act",
 ]
 
 
@@ -157,6 +158,23 @@ def sum_action(field, mats, coeffs):
         if c != field.zero:
             out = out + c * mats[i]
     return field.mod(out)
+
+
+def pair_and_act(field, action, funcs, lift, u_first=True):
+    """The maps m -> <g, m_U> . m_M, one per functional g in the stack
+    ``funcs`` (n x dA x dU), with M a left A-module through ``action`` (one
+    matrix per A-basis index).  ``lift`` has one column per m, each in
+    U (x) M when ``u_first`` and in M (x) U otherwise.  Returns the
+    n x dM x (columns of lift) stack."""
+    f = field
+    act = np.asarray(action)
+    dm, du = act.shape[1], np.shape(funcs)[2]
+    legs = np.asarray(lift).reshape((du, dm, -1) if u_first else (dm, du, -1))
+    if not u_first:
+        legs = legs.swapaxes(0, 1)
+    # vals[g, a, i, j]: the e_a-coefficient of <g, U-leg> on the term e_i of column j
+    vals = f.mod(np.tensordot(funcs, legs, axes=(2, 0)))
+    return f.mod(np.tensordot(vals, act, axes=([1, 2], [0, 2]))).swapaxes(1, 2)
 
 
 def tensor_product(a, b):

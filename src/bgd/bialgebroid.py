@@ -17,7 +17,7 @@ balanced-tensor quotient:
 
 import numpy as np
 
-from .algebra import TripleQuotient, balanced_tensor, check_action, sum_action
+from .algebra import TripleQuotient, balanced_tensor, check_action, pair_and_act
 from .linalg import apply_leg1, apply_leg2, kernel_basis, kron_vec, unit_vector
 from .report import Report
 
@@ -87,9 +87,16 @@ class LeftBialgebroid:
     def delta_of(self, u):
         return self.field.matmul(self.delta, u)
 
-    def act_on_base(self, u, a):
-        """The action of U on its base, u(a) = eps(u s(a))."""
-        return self.eps(self.U.mult(u, self.s_of(a)))
+    @property
+    def base_action(self):
+        """The action of U on its base, a -> eps(u s(a)), as a dU x dA x dA
+        stack of matrices, one per basis u."""
+        if "base_action" not in self._cache:
+            f = self.field
+            us = f.mod(np.tensordot(self.U.mul, self.s_map, axes=(1, 0)))  # (u, w, a)
+            eps = f.mod(np.tensordot(self.counit, us, axes=(1, 1)))  # (c, u, a)
+            self._cache["base_action"] = eps.swapaxes(0, 1)
+        return self._cache["base_action"]
 
     @property
     def delta_sparse(self):
@@ -444,20 +451,11 @@ class ComodulePresentation:
         if self.side == "right":
             return self.as_left().induced_action
         if "ind" not in self._cache:
-            b, f, d = self.b, self.field, self.dim
-            du = b.U.dim
-            mats = []
-            for a in range(b.A.dim):
-                m = f.zeros((d, d))
-                for j in range(d):
-                    col = f.zeros(d)
-                    lift = f.mod(self.coaction[:, j])
-                    for k, i, c in sparse_pairs(lift, du, d, f):
-                        coeff = b.eps(b.U.mult(b.U.basis(k), b.s_of(b.A.basis(a))))
-                        col = col + c * sum_action(f, self.action, coeff)[:, i]
-                    m[:, j] = f.mod(col)
-                mats.append(m)
-            self._cache["ind"] = mats
+            # one functional per A-basis index a: u -> eps(u s(a))
+            funcs = self.b.base_action.transpose(2, 1, 0)
+            self._cache["ind"] = list(
+                pair_and_act(self.field, self.action, funcs, self.coaction)
+            )
         return self._cache["ind"]
 
     def coact(self, m):
@@ -490,14 +488,8 @@ def check_comodule(com, name=None):
                 ok = False
     rep.add("comodule.coaction.linear", ok)
 
-    ok = True
-    for j in range(d):
-        lift = f.mod(com.coaction[:, j])
-        out = f.zeros(d)
-        for k, i, c in sparse_pairs(lift, du, d, f):
-            out = out + c * sum_action(f, com.action, b.eps(b.U.basis(k)))[:, i]
-        ok &= f.equal(f.mod(out), unit_vector(f, d, j))
-    rep.add("comodule.counit", ok)
+    counit = pair_and_act(f, com.action, b.counit[None], com.coaction)[0]
+    rep.add("comodule.counit", f.equal(counit, f.eye(d)))
 
     trip = TripleQuotient(
         f,

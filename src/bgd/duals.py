@@ -1,8 +1,10 @@
 """The two duals of a left bialgebroid, as right bialgebroids.
 
 U_* is the space of k-linear psi: U -> A with psi(s(a)u) = a psi(u);
-U^* the space of phi with phi(t(a)u) = phi(u) a.  Functionals are stored
-as dA x dU matrices.  Structure maps:
+U^* the space of phi with phi(t(a)u) = phi(u) a.  A basis of functionals
+is stored as one d x dA x dU tensor, and every pairing below is a
+contraction of whole tensors, two at a time, each reduced before it is
+used again.  Structure maps:
 
     U_*:  (psi psi')(u) = psi'( t(psi(u_2)) u_1 )
           s(a) = eps(.)a,   t(a) = eps(. t(a)),   eta(psi) = psi(1)
@@ -20,8 +22,8 @@ and the t-side dual basis is the s-side one of ``b.coop()``.
 
 import numpy as np
 
-from .algebra import AlgebraPresentation, sum_action
-from .bialgebroid import LeftBialgebroid, RightBialgebroid, sparse_pairs
+from .algebra import AlgebraPresentation, pair_and_act
+from .bialgebroid import LeftBialgebroid, RightBialgebroid
 from .hopf import _require_right_hopf, translate_left_mat, translate_right_mat
 from .linalg import invert, rank, rref, solve_affine, solve_matrix_equation
 from .report import Report
@@ -56,37 +58,34 @@ class CoordSolver:
 
 
 class DualBialgebroid(RightBialgebroid):
-    """A dual right bialgebroid with its functional realization kept."""
+    """A dual right bialgebroid with its functional realization kept:
+    ``tensor[m]`` is the dA x dU matrix of the m-th basis functional, and
+    ``funcs`` lists them."""
 
-    def __init__(self, b, which, funcs, solver, algebra, s_map, t_map, delta, counit):
+    def __init__(self, b, which, tensor, solver, algebra, s_map, t_map, delta, counit):
         super().__init__(
             b.A, algebra, s_map, t_map, delta, counit,
             name=f"{b.name}{'_*' if which == 'left' else '^*'}",
         )
         self.b = b
         self.which = which  # 'left' for U_*, 'right' for U^*
-        self.funcs = funcs
+        self.tensor = tensor
+        self.funcs = list(tensor)
         self.solver = solver
 
     @property
     def dim(self):
-        return len(self.funcs)
+        return len(self.tensor)
 
     def functional(self, coords):
-        """The dA x dU matrix of the functional with given coordinates."""
-        f = self.field
-        out = f.zeros(self.funcs[0].shape)
-        for i, c in enumerate(np.asarray(coords)):
-            if c != f.zero:
-                out = out + c * self.funcs[i]
-        return f.mod(out)
+        """The dA x dU matrix of the functional with given coordinates (a
+        stack of them for a stack of coordinate vectors)."""
+        return self.field.mod(np.tensordot(np.asarray(coords), self.tensor, axes=1))
 
-    def coords_of(self, func_matrix):
-        return self.solver.coords(np.asarray(func_matrix).reshape(-1))
-
-    def pair(self, coords, u):
-        """<u, psi> as an element of A."""
-        return self.field.matmul(self.functional(coords), u)
+    def coords_of(self, func):
+        """Coordinates of a dA x dU functional, or one column per functional
+        of a stack of them."""
+        return self.solver.coords(_columns(func))
 
     def as_left_bialgebroid(self):
         """Read the dual as a left bialgebroid (used when it is
@@ -108,9 +107,17 @@ class DualBialgebroid(RightBialgebroid):
         )
 
 
+def _columns(funcs):
+    """A dA x dU functional flattened, or a stack of them (over any number
+    of leading axes) as columns."""
+    funcs = np.asarray(funcs)
+    flat = funcs.reshape(-1, funcs.shape[-2] * funcs.shape[-1])
+    return flat[0] if funcs.ndim == 2 else flat.T
+
+
 def _functional_basis(b):
     """Solve the A-linearity constraints psi(s(a)u) = a psi(u), that is
-    psi Ls[a] = L_a psi, for a basis of U_*."""
+    psi Ls[a] = L_a psi, for a basis of U_*, stacked as d x dA x dU."""
     f = b.field
     da, du = b.A.dim, b.U.dim
     eqs = [
@@ -118,49 +125,35 @@ def _functional_basis(b):
          f.zeros((da, du)))
         for a in range(da)
     ]
-    return solve_matrix_equation(f, (da, du), eqs)[1]
+    return np.stack(solve_matrix_equation(f, (da, du), eqs)[1])
 
 
 def _build_dual(b):
-    f = b.field
-    da, du = b.A.dim, b.U.dim
+    f, du = b.field, b.U.dim
     funcs = _functional_basis(b)
     d = len(funcs)
-    solver = CoordSolver(f, [m.reshape(-1) for m in funcs])
+    solver = CoordSolver(f, funcs.reshape(d, -1))
 
-    mul = f.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            g = f.zeros((da, du))
-            for p in range(du):
-                acc = f.zeros(da)
-                for k, l, c in b.delta_sparse[p]:
-                    w = b.U.mult(b.t_of(f.matmul(funcs[i], b.U.basis(l))), b.U.basis(k))
-                    acc = acc + c * f.matmul(funcs[j], w)
-                g[:, p] = f.mod(acc)
-            mul[i, j] = solver.coords(g.reshape(-1))
+    # (psi_i psi_j)(e_p) = psi_j( t(psi_i(e_l)) e_k ) over delta(e_p) = e_k (x) e_l
+    t_vals = f.mod(np.tensordot(funcs, b.t_map, axes=(1, 1)))  # (i, l, x)
+    t_mult = f.mod(np.tensordot(t_vals, b.U.mul, axes=(2, 0)))  # (i, l, k, y)
+    legs = b.delta.reshape(du, du, du)  # (k, l, p)
+    summed = f.mod(np.tensordot(t_mult, legs, axes=([1, 2], [1, 0])))  # (i, y, p)
+    prods = f.mod(np.tensordot(funcs, summed, axes=(2, 1)))  # (j, a, i, p)
+    mul = solver.coords(_columns(prods.transpose(2, 0, 1, 3))).T.reshape(d, d, d)
+    alg = AlgebraPresentation(f, mul, solver.coords(_columns(b.counit)))
 
-    unit = solver.coords(b.counit.reshape(-1))
-    alg = AlgebraPresentation(f, mul, unit)
-
-    s_map = f.zeros((d, da))
-    t_map = f.zeros((d, da))
-    for a in range(da):
-        av = b.A.basis(a)
-        smat = f.matmul(b.A.right_mult(av), b.counit)  # eps(.) a
-        tmat = f.matmul(b.counit, b.U.right_mult(b.t_of(av)))  # eps(. t(a))
-        s_map[:, a] = solver.coords(smat.reshape(-1))
-        t_map[:, a] = solver.coords(tmat.reshape(-1))
-
-    counit = f.zeros((da, d))
-    for i in range(d):
-        counit[:, i] = f.matmul(funcs[i], b.U.unit)
+    # s(a) = eps(.) a and t(a) = eps(. t(a)), one functional per a
+    s_funcs = f.mod(np.tensordot(b.A.mul, b.counit, axes=(0, 0)))  # (a, c, u)
+    t_funcs = b.coop().base_action.transpose(2, 1, 0)
+    counit = f.mod(np.tensordot(funcs, b.U.unit, axes=(2, 0))).T
 
     def delta_thunk():
         return _solve_dual_coproduct(b, funcs)
 
     return DualBialgebroid(
-        b, "left", funcs, solver, alg, s_map, t_map, delta_thunk, counit
+        b, "left", funcs, solver, alg, solver.coords(_columns(s_funcs)),
+        solver.coords(_columns(t_funcs)), delta_thunk, counit,
     )
 
 
@@ -170,20 +163,13 @@ def _solve_dual_coproduct(b, funcs):
     da, du = b.A.dim, b.U.dim
     d = len(funcs)
     # column (i, j): the functional (p, q) -> psi_i( e_p s(psi_j(e_q)) )
-    cols = f.zeros((du * du * da, d * d))
-    for j in range(d):
-        rmults = [
-            b.U.right_mult(b.s_of(f.matmul(funcs[j], b.U.basis(q))))
-            for q in range(du)
-        ]
-        for i in range(d):
-            col = f.zeros((du, du, da))
-            for q in range(du):
-                col[:, q, :] = f.matmul(funcs[i], rmults[q]).T
-            cols[:, i * d + j] = col.reshape(-1)
+    s_vals = f.mod(np.tensordot(funcs, b.s_map, axes=(1, 1)))  # (j, q, x)
+    s_mult = f.mod(np.tensordot(s_vals, b.U.mul, axes=(2, 1)))  # (j, q, p, y)
+    cols = f.mod(np.tensordot(funcs, s_mult, axes=(2, 3)))  # (i, a, j, q, p)
+    cols = cols.transpose(4, 3, 1, 0, 2).reshape(du * du * da, d * d)
     # column m: the functional (p, q) -> psi_m(e_p e_q)
-    mul = b.U.mul.reshape(du * du, du)
-    rhs = np.stack([f.matmul(mul, g.T).reshape(-1) for g in funcs], axis=1)
+    rhs = f.mod(np.tensordot(b.U.mul, funcs, axes=(2, 2)))  # (p, q, m, a)
+    rhs = rhs.swapaxes(2, 3).reshape(du * du * da, d)
     sol = solve_affine(f, cols, rhs)
     if sol is None:
         raise ValueError("dual coproduct system is inconsistent")
@@ -211,7 +197,7 @@ def right_dual(b):
             return lo.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
 
         b._cache["dual_right"] = DualBialgebroid(
-            b, "right", lo.funcs, lo.solver, lo.U, lo.t_map, lo.s_map,
+            b, "right", lo.tensor, lo.solver, lo.U, lo.t_map, lo.s_map,
             flipped, lo.counit,
         )
     return b._cache["dual_right"]
@@ -224,21 +210,26 @@ def _s_side_dual_basis(b):
     if "dual_basis" not in b._cache:
         f, d = b.field, b.U.dim
         lo = left_dual(b)
-        ds = lo.dim
-        cols = []
-        for i in range(d):
-            for k in range(ds):
-                vec = f.zeros(d * d)
-                for j in range(d):
-                    a = lo.funcs[k][:, j]
-                    vec[j * d : (j + 1) * d] += sum_action(f, b.Ls, a)[:, i]
-                cols.append(f.mod(vec))
-        sol = solve_affine(f, np.stack(cols, axis=1), f.eye(d).reshape(d * d))
+        # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
+        vals = f.mod(np.tensordot(lo.tensor, np.asarray(b.Ls), axes=(1, 0)))
+        cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * lo.dim)  # from (k, j, r, i)
+        sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
         b._cache["dual_basis"] = (
-            None if sol is None
-            else [f.mod(sol[0][i * ds : (i + 1) * ds]) for i in range(d)]
+            None if sol is None else list(sol[0].reshape(d, lo.dim))
         )
     return b._cache["dual_basis"]
+
+
+def _translated_pairing(b, values, tmat, base):
+    """The functionals u -> eps(u_+ x(<g_m, u_- w>)), where tmat lifts
+    u -> u_+ (x) u_-, ``values[m, a, y, ...]`` holds <g_m, e_y w> in A for
+    the points w the trailing axes index, and ``base`` is the base action
+    u -> eps(u x(.)) for x the source or the target.  Returns the stack
+    (m, ..., c, u)."""
+    f, du = b.field, b.U.dim
+    vals = f.mod(np.tensordot(values, base, axes=(1, 2)))  # (m, y, ..., x, c)
+    legs = tmat.reshape(du, du, du)  # (x, y, u)
+    return f.mod(np.tensordot(vals, legs, axes=([-2, 1], [0, 1])))
 
 
 def s_upper_star(b):
@@ -247,21 +238,9 @@ def s_upper_star(b):
     Requires a left Hopf structure.  Columns are indexed by the U^* basis,
     values in U_* coordinates.
     """
-    f = b.field
     lo, hi = left_dual(b), right_dual(b)
     tl = translate_left_mat(b)
-    du = b.U.dim
-    out = f.zeros((lo.dim, hi.dim))
-    for m in range(hi.dim):
-        g = f.zeros((b.A.dim, du))
-        for u in range(du):
-            acc = f.zeros(b.A.dim)
-            for x, y, c in sparse_pairs(tl[:, u], du, du, f):
-                val = f.matmul(hi.funcs[m], b.U.basis(y))
-                acc = acc + c * b.eps(b.U.mult(b.U.basis(x), b.t_of(val)))
-            g[:, u] = f.mod(acc)
-        out[:, m] = lo.coords_of(g)
-    return out
+    return lo.coords_of(_translated_pairing(b, hi.tensor, tl, b.coop().base_action))
 
 
 def s_lower_star(b):
@@ -281,32 +260,15 @@ def dual_action(b, dual, kind):
     kind 'bullet' on U^*: (u . phi)(v) = eps(u_+ s(phi(u_- v)))
     kind 'bullet' on U_*: (u . psi)(v) = eps(u_[+] s(psi(u_[-] v)))
     """
-    f = b.field
-    du = b.U.dim
-    mats = []
+    du, n = b.U.dim, dual.dim
+    # prods[m, a, y, v] = <g_m, e_y e_v>
+    prods = b.field.mod(np.tensordot(dual.tensor, b.U.mul, axes=(2, 2)))
     if kind == "harpoon":
-        for u in range(du):
-            ru = b.U.right_mult(b.U.basis(u))
-            cols = [
-                dual.coords_of(f.matmul(dual.funcs[m], ru)) for m in range(dual.dim)
-            ]
-            mats.append(np.stack(cols, axis=1))
-        return mats
-    tmat = translate_left_mat(b) if dual.which == "right" else translate_right_mat(b)
-    for u in range(du):
-        pairs = sparse_pairs(tmat[:, u], du, du, f)
-        cols = []
-        for m in range(dual.dim):
-            g = f.zeros((b.A.dim, du))
-            for v in range(du):
-                acc = f.zeros(b.A.dim)
-                for x, y, c in pairs:
-                    val = f.matmul(dual.funcs[m], b.U.mul[y, v])
-                    acc = acc + c * b.eps(b.U.mult(b.U.basis(x), b.s_of(val)))
-                g[:, v] = f.mod(acc)
-            cols.append(dual.coords_of(g))
-        mats.append(np.stack(cols, axis=1))
-    return mats
+        moved = prods.transpose(3, 0, 1, 2)  # (u, m, a, v)
+    else:
+        tmat = translate_left_mat(b) if dual.which == "right" else translate_right_mat(b)
+        moved = _translated_pairing(b, prods, tmat, b.base_action).transpose(3, 0, 2, 1)
+    return list(dual.coords_of(moved).reshape(n, du, n).swapaxes(0, 1))
 
 
 def comodule_to_dual_module(b, com):
@@ -320,19 +282,8 @@ def comodule_to_dual_module(b, com):
     left comodule ``as_left()`` over ``b.coop()``, whose U^* is U_* of b.
     """
     left = com.as_left()
-    f = b.field
-    du = b.U.dim
-    funcs = right_dual(left.b).funcs
-    mats = []
-    for m in range(len(funcs)):
-        out = f.zeros((com.dim, com.dim))
-        for i in range(com.dim):
-            col = f.zeros(com.dim)
-            for k, i2, c in sparse_pairs(f.mod(left.coaction[:, i]), du, com.dim, f):
-                val = f.matmul(funcs[m], b.U.basis(k))
-                col = col + c * sum_action(f, com.action, val)[:, i2]
-            out[:, i] = f.mod(col)
-        mats.append(out)
+    funcs = right_dual(left.b).tensor
+    mats = list(pair_and_act(b.field, com.action, funcs, left.coaction))
     return (left_dual(b) if com.side == "right" else right_dual(b)), mats
 
 
@@ -344,39 +295,16 @@ def biduality_report(b):
     lo = left_dual(b)
     du, d = b.U.dim, lo.dim
     # column u: Phi_u = (psi_m -> <u, psi_m>), flattened in A^d
-    phi = f.zeros((d * b.A.dim, du))
-    for u in range(du):
-        for m in range(d):
-            phi[m * b.A.dim : (m + 1) * b.A.dim, u] = f.matmul(
-                lo.funcs[m], b.U.basis(u)
-            )
-    rep.add("biduality.injective", rank(f, phi) == du)
+    rep.add("biduality.injective", rank(f, lo.tensor.reshape(d * b.A.dim, du)) == du)
     rep.add("biduality.dimension", d == du)
 
-    # candidate product on the image: (Phi Phi')(psi) = Phi(psi_2 t(Phi'(psi_1)))
-    dl = lo.delta
-    ok = True
-    for u in range(du):
-        for v in range(du):
-            target = _phi_vec(b, lo, b.U.mul[u, v])
-            got = f.zeros(d * b.A.dim)
-            for m in range(d):
-                acc = f.zeros(b.A.dim)
-                for i, j, c in sparse_pairs(dl[:, m], d, d, f):
-                    val = f.matmul(lo.funcs[i], b.U.basis(v))
-                    w = lo.U.mult(lo.U.basis(j), f.matmul(lo.t_map, val))
-                    pairing = f.matmul(lo.functional(w), b.U.basis(u))
-                    acc = acc + c * pairing
-                got[m * b.A.dim : (m + 1) * b.A.dim] = f.mod(acc)
-            if not f.equal(got, target):
-                ok = False
-    rep.add("biduality.multiplicative", ok)
+    # candidate product on the image: (Phi Phi')(psi) = Phi(psi_2 t(Phi'(psi_1))),
+    # against Phi_{uv}(psi_m) = psi_m(uv)
+    target = f.mod(np.tensordot(lo.tensor, b.U.mul, axes=(2, 2)))  # (m, c, u, v)
+    t_vals = f.mod(np.tensordot(lo.tensor, lo.t_map, axes=(1, 1)))  # (i, v, x)
+    t_mult = f.mod(np.tensordot(t_vals, lo.U.mul, axes=(2, 1)))  # (i, v, j, z)
+    legs = lo.delta.reshape(d, d, d)  # (i, j, m)
+    summed = f.mod(np.tensordot(t_mult, legs, axes=([0, 2], [0, 1])))  # (v, z, m)
+    got = f.mod(np.tensordot(summed, lo.tensor, axes=(1, 0)))  # (v, m, c, u)
+    rep.add("biduality.multiplicative", f.equal(got.transpose(1, 2, 3, 0), target))
     return rep
-
-
-def _phi_vec(b, lo, uvec):
-    f = b.field
-    out = f.zeros(lo.dim * b.A.dim)
-    for m in range(lo.dim):
-        out[m * b.A.dim : (m + 1) * b.A.dim] = f.matmul(lo.funcs[m], uvec)
-    return out

@@ -2,11 +2,10 @@
 
 import numpy as np
 
-from .algebra import sum_action
+from .algebra import pair_and_act
 from .duals import _s_side_dual_basis, left_dual, right_dual
 from .integrals import left_integrals, right_integrals
-from .bialgebroid import sparse_pairs
-from .linalg import invert, is_invertible, solve_matrix_equation, unit_vector
+from .linalg import invert, is_invertible, solve_matrix_equation
 from .report import Report
 
 
@@ -49,14 +48,10 @@ class FrobeniusSystem:
         return f.equal(ct, bb.counit)
 
 
-def _chi_matrix(b, lo, theta):
-    """Matrix of u -> theta(. u) in s-side dual coordinates."""
-    f, d = b.field, b.U.dim
-    cols = [
-        lo.coords_of(f.matmul(theta, b.U.right_mult(b.U.basis(i))))
-        for i in range(d)
-    ]
-    return np.stack(cols, axis=1)
+def _chi_matrix(b, dual, theta):
+    """Matrix of u -> theta(. u) in the coordinates of ``dual``."""
+    shifted = b.field.mod(np.tensordot(theta, b.U.mul, axes=(1, 2)))  # (a, v, u)
+    return dual.coords_of(shifted.transpose(2, 0, 1))
 
 
 def frobenius_system(b, extension="via_s"):
@@ -104,31 +99,12 @@ def frobenius_system(b, extension="via_s"):
     return None
 
 
-def _iso_from_integral_functional(b, dual, psi0):
-    """Matrix of u -> psi0(. u) in the given dual's coordinates."""
-    f, d = b.field, b.U.dim
-    g = dual.functional(psi0)
-    cols = [
-        dual.coords_of(f.matmul(g, b.U.right_mult(b.U.basis(i))))
-        for i in range(d)
-    ]
-    return np.stack(cols, axis=1)
-
-
 def _iso_from_integral_element(b, dual, t0):
     """Matrix of psi -> t(<psi, t0_2>) t0_1 from the s-side dual ``dual``
     into U coordinates.  The t-side map phi -> s(<phi, t0_1>) t0_2 is this
     one of ``b.coop()`` and its s-side dual, which is U^* of b."""
-    f, d = b.field, b.U.dim
-    pairs = sparse_pairs(b.delta_of(t0), d, d, f)
-    cols = []
-    for k in range(dual.dim):
-        v = f.zeros(d)
-        for i, j, c in pairs:
-            a = f.matmul(dual.funcs[k], unit_vector(f, d, j))
-            v = v + c * sum_action(f, b.Lt, a)[:, i]
-        cols.append(f.mod(v))
-    return np.stack(cols, axis=1)
+    lift = b.delta_of(t0)[:, None]
+    return pair_and_act(b.field, b.Lt, dual.tensor, lift, u_first=False)[:, :, 0].T
 
 
 def _exists_iso(f, space, build):
@@ -151,13 +127,13 @@ def frobenius_conditions_report(b, name=None):
     vals["frobenius.dual-right-integrals-free-rank-one"] = r_lo.free_rank_one
     vals["frobenius.integrals-free-rank-one"] = ints.free_rank_one
     vals["frobenius.pairing-iso-from-dual-integral"] = _exists_iso(
-        f, r_lo, lambda v: _iso_from_integral_functional(b, lo, v)
+        f, r_lo, lambda v: _chi_matrix(b, lo, lo.functional(v))
     )
     vals["frobenius.pairing-iso-from-integral-s-dual"] = _exists_iso(
         f, ints, lambda v: _iso_from_integral_element(b, lo, v)
     )
     vals["frobenius.pairing-iso-from-t-dual-integral"] = _exists_iso(
-        f, r_up, lambda v: _iso_from_integral_functional(b, up, v)
+        f, r_up, lambda v: _chi_matrix(b, up, up.functional(v))
     )
     vals["frobenius.pairing-iso-from-integral-t-dual"] = _exists_iso(
         f, ints,

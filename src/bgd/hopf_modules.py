@@ -185,13 +185,9 @@ def build_u_star_hopf_module(b):
     if estars is None:
         raise ValueError("total algebra is not free over t(A)")
     act = dual_action(b, up, "bullet")
-    coact = f.zeros((d * ds, ds))
-    for m in range(ds):
-        em = unit_vector(f, ds, m)
-        for i in range(d):
-            prod = up.U.mult(em, estars[i])
-            coact[:, m] += np.kron(unit_vector(f, d, i), prod)
-    coact = f.mod(coact)
+    # column m: sum_i e_i (x) phi_m e_i^*
+    prods = f.mod(np.tensordot(np.stack(estars), up.U.mul, axes=(1, 1)))  # (i, m, y)
+    coact = prods.swapaxes(1, 2).reshape(d * ds, ds)
     a_act = [up.U.right_mult(up.t_map[:, a]) for a in range(b.A.dim)]
     com = ComodulePresentation(b, "left", a_act, coact, name="U^*")
     return HopfModulePresentation(b, "LL", act, com, name="U^*")

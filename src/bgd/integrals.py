@@ -185,12 +185,8 @@ def counit_splitting(b):
     eye_a, eye_u = f.eye(da), f.eye(d)
     eqs = [([(eye_a, b.counit.T)], eye_a)]
     for i in range(d):
-        actu = np.stack(
-            [b.act_on_base(b.U.basis(i), b.A.basis(a)) for a in range(da)],
-            axis=1,
-        )
         eqs.append((
-            [(eye_a, b.U.basis_left_mults[i].T), (-actu.T, eye_u)],
+            [(eye_a, b.U.basis_left_mults[i].T), (-b.base_action[i].T, eye_u)],
             f.zeros((da, d)),
         ))
     sol = solve_matrix_equation(f, (da, d), eqs)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,13 +9,18 @@ from bgd.algebra import (
     balanced_tensor,
     check_action,
     enveloping_square,
+    pair_and_act,
+    sum_action,
     tensor_product,
 )
+from bgd.bialgebroid import sparse_pairs
 from bgd.fixtures import FIXTURES, truncated_polynomials
 from bgd.linalg import Field
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
+QQ = Field.rationals()
 
 
 def dual_numbers(f):
@@ -120,3 +127,46 @@ def test_check_action_rejects_wrong_composition():
     mats = [a.field.eye(2), a.field.eye(2)]  # trivial "action" is not one
     rep = check_action(a, mats, name="bogus")
     assert not rep.ok
+
+
+def _pair_and_act_loop(f, action, funcs, lift, du, dm, u_first):
+    """Reference: the per-column loop over the nonzero coaction terms."""
+    out = []
+    for g in funcs:
+        mat = f.zeros((dm, lift.shape[1]))
+        for j in range(lift.shape[1]):
+            col = f.zeros(dm)
+            pairs = sparse_pairs(lift[:, j], du, dm, f) if u_first else [
+                (k, i, c) for i, k, c in sparse_pairs(lift[:, j], dm, du, f)
+            ]
+            for k, i, c in pairs:
+                col = col + c * sum_action(f, action, f.mod(g[:, k]))[:, i]
+            mat[:, j] = f.mod(col)
+        out.append(mat)
+    return out
+
+
+@given(
+    st.sampled_from([F2, F5, QQ]),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+    st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_pair_and_act_matches_loop(f, da, du, dm, n, cols, u_first, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        nums = rng.integers(-3, 4, size=shape)
+        if f.kind == "prime":
+            return f.array(nums)
+        dens = rng.integers(1, 4, size=shape)
+        return f.array(np.vectorize(Fraction, otypes=[object])(nums, dens))
+
+    action = list(draw(da, dm, dm))
+    funcs = draw(n, da, du)
+    lift = draw(du * dm, cols)
+    got = pair_and_act(f, action, funcs, lift, u_first)
+    want = _pair_and_act_loop(f, action, funcs, lift, du, dm, u_first)
+    assert got.shape == (n, dm, cols)
+    for g, w in zip(got, want):
+        assert np.array_equal(f.mod(g), w)

@@ -45,9 +45,10 @@ def _pair_q2():
         [1, 0, 0, 1])
     a = AlgebraPresentation.from_triples(Q, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
     s, counit, delta = Q.zeros((4, 2)), Q.zeros((2, 4)), Q.zeros((16, 4))
-    for g in range(4):
-        s[3 * (g // 2), g // 2] = counit[g // 2, g] = Q.one
-        delta[5 * g, g] = Q.one
+    for i in r:
+        s[3 * i, i] = Q.one
+        for g in (2 * i, 2 * i + 1):
+            counit[i, g] = delta[5 * g, g] = Q.one
     return LeftBialgebroid(a, u, s, s, delta, counit, name="pair-Q-2")
 
 

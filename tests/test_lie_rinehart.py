@@ -149,6 +149,10 @@ def test_jet_lambda_generators_pair_correctly(name):
             one_i = tuple(1 if k == i else 0 for k in range(lr.n))
             expect = b.A.basis(r) if alpha == one_i else f.zeros(b.A.dim)
             assert np.array_equal(func[:, idx], expect)
+    # a stack of coordinate vectors gives a stack of functionals and back
+    stack = jet.functional(np.stack(lams))
+    assert np.array_equal(stack[0], jet.functional(lams[0]))
+    assert np.array_equal(jet.coords_of(stack), np.stack(lams, axis=1))
 
 
 def test_jet_lambda_powers_vanish():

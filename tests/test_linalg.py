@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,22 @@ def test_rref_mod_known(kernel):
     assert piv == [0, 2]
     assert r.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert (r >= 0).all() and (r < 5).all()
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND_NAME)
+def test_rref_mod_large_prime_is_fast(kernel):
+    # the kernel inverts each pivot on its own, so its cost does not grow with p
+    p = 1000003
+    f = Field.prime(p)
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    for _ in range(10):
+        m = f.array(rng.integers(1, p, size=(2, 2)))  # invertible for this seed
+        r, piv = kernel.rref_mod(np.concatenate([m, f.eye(2)], axis=1), p)
+        assert piv == [0, 1]
+        assert np.array_equal(r[:, 2:], invert(f, m))
+        assert f.equal(f.matmul(m, r[:, 2:]), f.eye(2))
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND_NAME)
