@@ -10,7 +10,15 @@ the structure maps of both duals, the dual actions and pairing maps, the
 integral data, the counit and multiplication splittings, the Frobenius
 systems, the comparison map, the Hopf-module coactions on the duals and
 the fundamental maps.  The integral entries of the pair case pin the
-answer of the bounded generator search over Q.  Where a call raises,
+answer of the bounded generator search over Q.
+
+The ``verdict.*`` entries pin the batteries: ``(check_id, status,
+witness)`` of every item of the bialgebroid, translation, comodule,
+comodule translation, Hopf-module and Maschke reports, and whether the
+Frobenius systems verify.  So that ``fail`` verdicts are pinned too, the
+cases include a seeded single-entry corruption of each of Delta, s, t and
+eps on ``rank1-dual-numbers``, ``crossed`` and ``trunc-2-2``; there the
+Frobenius systems verified are those of the uncorrupted case.  Where a call raises,
 only the exception type is stored, so a reworded message does not count as
 a change.  A refactoring that moves one entry of one of these matrices
 fails here.
@@ -28,7 +36,8 @@ import pytest
 
 from bgd import duals, frobenius, hopf, hopf_modules, integrals
 from bgd.algebra import AlgebraPresentation, tensor_product
-from bgd.bialgebroid import LeftBialgebroid
+from bgd.bialgebroid import LeftBialgebroid, check_comodule, check_left_bialgebroid
+from bgd.report import Report
 from bgd.fixtures import FIXTURES, rank_n_truncated, regular_comodule
 from bgd.linalg import Field
 
@@ -76,8 +85,36 @@ CASES["trunc-3-1"] = lambda: rank_n_truncated(3, 1)
 CASES["pair-Q-2"] = _pair_q2
 CASES["env-Q-2"] = _env_q2
 
+# corrupted case -> the case it corrupts
+CLEAN = {}
+
+
+def _corrupt(case, key, seed):
+    """``case`` with one entry of the structure map ``key`` (delta, s, t
+    or counit) moved by a nonzero scalar, both chosen by ``seed``."""
+    b = CASES[case]()
+    f = b.field
+    maps = {"delta": b.delta, "s": b.s_map, "t": b.t_map, "counit": b.counit}
+    maps = {k: v.copy() for k, v in maps.items()}
+    rng = np.random.default_rng(seed)
+    m = maps[key]
+    idx = tuple(int(rng.integers(n)) for n in m.shape)
+    m[idx] = f.canon(m[idx] + int(rng.integers(1, f.p)))
+    return LeftBialgebroid(b.A, b.U, maps["s"], maps["t"], maps["delta"],
+                           maps["counit"], name=f"{b.name}-bad-{key}")
+
+
+for _seed, (_case, _key) in enumerate(
+        (c, k) for c in ("rank1-dual-numbers", "crossed", "trunc-2-2")
+        for k in ("delta", "s", "t", "counit")):
+    CASES[f"{_case}-bad-{_key}"] = (
+        lambda c=_case, k=_key, sd=_seed: _corrupt(c, k, sd))
+    CLEAN[f"{_case}-bad-{_key}"] = _case
+
 
 def _digest(value):
+    if isinstance(value, Report):
+        return [f"{i.check_id} {i.status} {i.witness!r}" for i in value.items]
     if isinstance(value, np.ndarray):
         h = hashlib.sha256()
         h.update(f"{value.dtype}|{value.shape}|".encode())
@@ -103,8 +140,9 @@ def _digest(value):
     raise TypeError(f"no digest for {type(value).__name__}")
 
 
-def _values(b):
-    """(name, thunk) for every value the golden pins."""
+def _values(b, clean):
+    """(name, thunk) for every value the golden pins; ``clean`` is the
+    uncorrupted bialgebroid whose Frobenius systems are verified on b."""
     hm = hopf_modules
     rl = lambda: hm.rl_hopf_module_from_base_module(b, b.A.basis_left_mults)
     ll = lambda: hm.ll_hopf_module_from_base_module(b, b.A.basis_right_mults)
@@ -125,6 +163,9 @@ def _values(b):
             (f"induced_action.{side}", lambda c=com: c().induced_action),
             (f"comodule_to_dual_module.{side}",
              lambda c=com: duals.comodule_to_dual_module(b, c())[1]),
+            (f"verdict.comodule.{side}", lambda c=com: check_comodule(c())),
+            (f"verdict.comodule_translation.{side}",
+             lambda c=com: hopf.comodule_translation_report(c())),
         ]
     for tag, dual in (("u_lower_star", duals.left_dual),
                       ("u_upper_star", duals.right_dual)):
@@ -167,14 +208,31 @@ def _values(b):
          lambda: hm.fundamental_ll(b, hm.build_u_star_hopf_module(b))),
         ("fundamental_ll.u_lower_star",
          lambda: hm.fundamental_ll(b, hm.build_u_lower_star_hopf_module(b))),
+        ("verdict.bialgebroid", lambda: check_left_bialgebroid(b)),
+        ("verdict.translation", lambda: hopf.translation_report(b)),
+        ("verdict.maschke", lambda: integrals.maschke_report(b)),
     ]
+    for tag, build in (
+        ("rl", rl), ("ll", ll),
+        ("comparison_domain",
+         lambda: hm.ll_hopf_module_from_module(b, b.U.basis_left_mults)),
+        ("u_star", lambda: hm.build_u_star_hopf_module(b)),
+        ("u_lower_star", lambda: hm.build_u_lower_star_hopf_module(b)),
+    ):
+        out.append((f"verdict.hopf_module.{tag}",
+                    lambda build=build: hm.check_hopf_module(build())))
+    for ext in ("via_s", "via_t"):
+        out.append((f"verdict.frobenius_verify.{ext}", lambda ext=ext: (
+            lambda sysm: None if sysm is None else sysm.verify(b)
+        )(frobenius.frobenius_system(clean, ext))))
     return out
 
 
 def _record(case):
     b = CASES[case]()
+    clean = CASES[CLEAN[case]]() if case in CLEAN else b
     rec = {}
-    for name, thunk in _values(b):
+    for name, thunk in _values(b, clean):
         try:
             rec[name] = _digest(thunk())
         except Exception as exc:  # the type is the contract, not the text
