@@ -14,6 +14,8 @@ __all__ = [
     "enveloping_square",
     "balanced_tensor",
     "TripleQuotient",
+    "project_stack",
+    "lift_products",
     "pair_and_act",
 ]
 
@@ -47,16 +49,23 @@ class AlgebraPresentation:
         return unit_vector(self.field, self.dim, i)
 
     def mult(self, x, y):
-        t = np.tensordot(np.asarray(x), self.mul, axes=(0, 0))
-        return self.field.mod(np.tensordot(np.asarray(y), t, axes=(0, 0)))
+        d, f = self.dim, self.field
+        return f.matmul(y, f.matmul(x, self.mul.reshape(d, d * d)).reshape(d, d))
+
+    def products(self, x, y):
+        """Table of products: entry [a, b] is x[:, a] * y[:, b], for x and y
+        holding one element per column."""
+        f = self.field
+        return f.contract(f.contract(x, self.mul, (0, 0)), y, (1, 0)).swapaxes(1, 2)
 
     def left_mult(self, x):
         """Matrix of v -> x * v."""
-        return self.field.mod(np.tensordot(np.asarray(x), self.mul, axes=(0, 0)).T)
+        d = self.dim
+        return self.field.matmul(x, self.mul.reshape(d, d * d)).reshape(d, d).T
 
     def right_mult(self, x):
         """Matrix of v -> v * x."""
-        return self.field.mod(np.tensordot(np.asarray(x), self.mul, axes=(0, 1)).T)
+        return self.field.contract(x, self.mul, (0, 1)).T
 
     @property
     def basis_left_mults(self):
@@ -93,8 +102,8 @@ class AlgebraPresentation:
         rep.add("unit.left", f.equal(lhs_unit, f.eye(self.dim)))
         rep.add("unit.right", f.equal(rhs_unit, f.eye(self.dim)))
         # (e_i e_j) e_k vs e_i (e_j e_k), contracted in bulk
-        left = f.mod(np.tensordot(self.mul, self.mul, axes=([2], [0])))
-        right = f.mod(np.tensordot(self.mul, self.mul, axes=([2], [1])))
+        left = f.contract(self.mul, self.mul, (2, 0))
+        right = f.contract(self.mul, self.mul, (2, 1))
         right = np.transpose(right, (2, 0, 1, 3))
         ok = f.equal(left, right)
         witness = None
@@ -128,36 +137,15 @@ def check_action(alg, mats, contravariant=False, name="action"):
     """
     rep = Report(name)
     f = alg.field
-    n = mats[0].shape[0]
-    unit_mat = sum_action(f, mats, alg.unit)
-    rep.add("action.unit", f.equal(unit_mat, f.eye(n)))
-    ok = True
-    witness = None
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            prod = alg.mult(alg.basis(i), alg.basis(j))
-            comp = (
-                f.matmul(mats[j], mats[i])
-                if contravariant
-                else f.matmul(mats[i], mats[j])
-            )
-            if not f.equal(comp, sum_action(f, mats, prod)):
-                ok = False
-                witness = f"composition fails at basis pair ({i}, {j})"
-                break
-        if not ok:
-            break
-    rep.add("action.composition", ok, witness)
+    act = np.asarray(mats)
+    rep.add("action.unit", f.equal(f.contract(alg.unit, act, (0, 0)), f.eye(act.shape[1])))
+    # comp[i, j] = rho(e_i) rho(e_j), or rho(e_j) rho(e_i) when contravariant
+    comp = f.contract(act, act, (2, 1)).transpose((2, 0, 1, 3) if contravariant else (0, 2, 1, 3))
+    rep.add_residual(
+        "action.composition", f.mod(comp - f.contract(alg.mul, act, (2, 0))),
+        [alg.labels] * 2, lambda i, j: f"composition fails at basis pair ({i}, {j})",
+    )
     return rep
-
-
-def sum_action(field, mats, coeffs):
-    """Linear combination of action matrices with given coefficients."""
-    out = field.zeros(mats[0].shape)
-    for i, c in enumerate(np.asarray(coeffs)):
-        if c != field.zero:
-            out = out + c * mats[i]
-    return field.mod(out)
 
 
 def pair_and_act(field, action, funcs, lift, u_first=True):
@@ -173,36 +161,30 @@ def pair_and_act(field, action, funcs, lift, u_first=True):
     if not u_first:
         legs = legs.swapaxes(0, 1)
     # vals[g, a, i, j]: the e_a-coefficient of <g, U-leg> on the term e_i of column j
-    vals = f.mod(np.tensordot(funcs, legs, axes=(2, 0)))
-    return f.mod(np.tensordot(vals, act, axes=([1, 2], [0, 2]))).swapaxes(1, 2)
+    vals = f.contract(funcs, legs, (2, 0))
+    return f.contract(vals, act, ([1, 2], [0, 2])).swapaxes(1, 2)
+
+
+def lift_products(alg, x, y, flip=False):
+    """Factorwise products in the tensor square of ``alg``: x[:, :, i] and
+    y[:, :, j] are elements of alg (x) alg, and entry [i, j] of the result
+    (n x m x d x d) is x_i y_j, with the second legs multiplied in reverse
+    order (x' y' (x) y'' x'') when ``flip``.  The largest intermediate has
+    d^3 n m entries."""
+    f = alg.field
+    g = f.contract(x, alg.mul, (0, 0))  # (l, i, k2, a)
+    g = f.contract(g, y, (2, 0))  # (l, i, a, l2, j)
+    return f.contract(g, alg.mul, ([0, 3], [1, 0] if flip else [0, 1])).transpose(0, 2, 1, 3)
 
 
 def tensor_product(a, b):
     """Tensor product algebra on the kron-ordered basis (i, j) -> i*dimB + j."""
     f = a.field
-    mul = f.mod(
-        np.einsum("ikm,jln->ijklmn", a.mul, b.mul).reshape(
-            a.dim * b.dim, a.dim * b.dim, a.dim * b.dim
-        )
-        if f.kind == "prime"
-        else _tensor_mul_obj(a, b)
-    )
+    d = a.dim * b.dim
+    # outer[i, k, m, j, l, n] = a.mul[i, k, m] * b.mul[j, l, n]
+    mul = f.contract(a.mul, b.mul, 0).transpose(0, 3, 1, 4, 2, 5).reshape(d, d, d)
     labels = [f"{x}(x){y}" for x in a.labels for y in b.labels]
     return AlgebraPresentation(f, mul, kron_vec(f, a.unit, b.unit), labels)
-
-
-def _tensor_mul_obj(a, b):
-    d = a.dim * b.dim
-    mul = a.field.zeros((d, d, d))
-    for i in range(a.dim):
-        for k in range(a.dim):
-            prod_a = a.mul[i, k]
-            for j in range(b.dim):
-                for l in range(b.dim):
-                    mul[i * b.dim + j, k * b.dim + l] = np.outer(
-                        prod_a, b.mul[j, l]
-                    ).reshape(-1)
-    return mul
 
 
 def enveloping_square(a):
@@ -255,7 +237,19 @@ class TripleQuotient:
         self.dim = self.q2.dim
 
     def project(self, v):
-        f = self.field
-        step = np.asarray(v).reshape(self.d1 * self.d2, self.d3)
-        step = f.matmul(self.q1.project_mat, step)
-        return self.q2.project(step.reshape(-1))
+        """Coordinates on the double quotient of v, or of every column of a
+        matrix v."""
+        v = np.asarray(v)
+        step = self.field.matmul(self.q1.project_mat, v.reshape(self.d1 * self.d2, -1))
+        return self.q2.project(step.reshape((self.q1.dim * self.d3,) + v.shape[1:]))
+
+
+def project_stack(q, stack, lead=1):
+    """``q.project`` of every vector of ``stack`` (a Quotient or a
+    TripleQuotient q): the first ``lead`` axes index the vectors and the
+    rest flatten to ambient coordinates.  Returns the leading axes followed
+    by the quotient coordinates."""
+    stack = np.asarray(stack)
+    shape = stack.shape[:lead]
+    cols = stack.reshape(int(np.prod(shape)), -1).T
+    return q.project(cols).T.reshape(shape + (q.dim,))

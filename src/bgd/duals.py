@@ -80,7 +80,7 @@ class DualBialgebroid(RightBialgebroid):
     def functional(self, coords):
         """The dA x dU matrix of the functional with given coordinates (a
         stack of them for a stack of coordinate vectors)."""
-        return self.field.mod(np.tensordot(np.asarray(coords), self.tensor, axes=1))
+        return self.field.contract(coords, self.tensor, 1)
 
     def coords_of(self, func):
         """Coordinates of a dA x dU functional, or one column per functional
@@ -135,18 +135,18 @@ def _build_dual(b):
     solver = CoordSolver(f, funcs.reshape(d, -1))
 
     # (psi_i psi_j)(e_p) = psi_j( t(psi_i(e_l)) e_k ) over delta(e_p) = e_k (x) e_l
-    t_vals = f.mod(np.tensordot(funcs, b.t_map, axes=(1, 1)))  # (i, l, x)
-    t_mult = f.mod(np.tensordot(t_vals, b.U.mul, axes=(2, 0)))  # (i, l, k, y)
+    t_vals = f.contract(funcs, b.t_map, (1, 1))  # (i, l, x)
+    t_mult = f.contract(t_vals, b.U.mul, (2, 0))  # (i, l, k, y)
     legs = b.delta.reshape(du, du, du)  # (k, l, p)
-    summed = f.mod(np.tensordot(t_mult, legs, axes=([1, 2], [1, 0])))  # (i, y, p)
-    prods = f.mod(np.tensordot(funcs, summed, axes=(2, 1)))  # (j, a, i, p)
+    summed = f.contract(t_mult, legs, ([1, 2], [1, 0]))  # (i, y, p)
+    prods = f.contract(funcs, summed, (2, 1))  # (j, a, i, p)
     mul = solver.coords(_columns(prods.transpose(2, 0, 1, 3))).T.reshape(d, d, d)
     alg = AlgebraPresentation(f, mul, solver.coords(_columns(b.counit)))
 
     # s(a) = eps(.) a and t(a) = eps(. t(a)), one functional per a
-    s_funcs = f.mod(np.tensordot(b.A.mul, b.counit, axes=(0, 0)))  # (a, c, u)
+    s_funcs = f.contract(b.A.mul, b.counit, (0, 0))  # (a, c, u)
     t_funcs = b.coop().base_action.transpose(2, 1, 0)
-    counit = f.mod(np.tensordot(funcs, b.U.unit, axes=(2, 0))).T
+    counit = f.contract(funcs, b.U.unit, (2, 0)).T
 
     def delta_thunk():
         return _solve_dual_coproduct(b, funcs)
@@ -163,12 +163,12 @@ def _solve_dual_coproduct(b, funcs):
     da, du = b.A.dim, b.U.dim
     d = len(funcs)
     # column (i, j): the functional (p, q) -> psi_i( e_p s(psi_j(e_q)) )
-    s_vals = f.mod(np.tensordot(funcs, b.s_map, axes=(1, 1)))  # (j, q, x)
-    s_mult = f.mod(np.tensordot(s_vals, b.U.mul, axes=(2, 1)))  # (j, q, p, y)
-    cols = f.mod(np.tensordot(funcs, s_mult, axes=(2, 3)))  # (i, a, j, q, p)
+    s_vals = f.contract(funcs, b.s_map, (1, 1))  # (j, q, x)
+    s_mult = f.contract(s_vals, b.U.mul, (2, 1))  # (j, q, p, y)
+    cols = f.contract(funcs, s_mult, (2, 3))  # (i, a, j, q, p)
     cols = cols.transpose(4, 3, 1, 0, 2).reshape(du * du * da, d * d)
     # column m: the functional (p, q) -> psi_m(e_p e_q)
-    rhs = f.mod(np.tensordot(b.U.mul, funcs, axes=(2, 2)))  # (p, q, m, a)
+    rhs = f.contract(b.U.mul, funcs, (2, 2))  # (p, q, m, a)
     rhs = rhs.swapaxes(2, 3).reshape(du * du * da, d)
     sol = solve_affine(f, cols, rhs)
     if sol is None:
@@ -211,7 +211,7 @@ def _s_side_dual_basis(b):
         f, d = b.field, b.U.dim
         lo = left_dual(b)
         # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
-        vals = f.mod(np.tensordot(lo.tensor, np.asarray(b.Ls), axes=(1, 0)))
+        vals = f.contract(lo.tensor, np.asarray(b.Ls), (1, 0))
         cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * lo.dim)  # from (k, j, r, i)
         sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
         b._cache["dual_basis"] = (
@@ -227,9 +227,9 @@ def _translated_pairing(b, values, tmat, base):
     u -> eps(u x(.)) for x the source or the target.  Returns the stack
     (m, ..., c, u)."""
     f, du = b.field, b.U.dim
-    vals = f.mod(np.tensordot(values, base, axes=(1, 2)))  # (m, y, ..., x, c)
+    vals = f.contract(values, base, (1, 2))  # (m, y, ..., x, c)
     legs = tmat.reshape(du, du, du)  # (x, y, u)
-    return f.mod(np.tensordot(vals, legs, axes=([-2, 1], [0, 1])))
+    return f.contract(vals, legs, ([-2, 1], [0, 1]))
 
 
 def s_upper_star(b):
@@ -262,7 +262,7 @@ def dual_action(b, dual, kind):
     """
     du, n = b.U.dim, dual.dim
     # prods[m, a, y, v] = <g_m, e_y e_v>
-    prods = b.field.mod(np.tensordot(dual.tensor, b.U.mul, axes=(2, 2)))
+    prods = b.field.contract(dual.tensor, b.U.mul, (2, 2))
     if kind == "harpoon":
         moved = prods.transpose(3, 0, 1, 2)  # (u, m, a, v)
     else:
@@ -300,11 +300,11 @@ def biduality_report(b):
 
     # candidate product on the image: (Phi Phi')(psi) = Phi(psi_2 t(Phi'(psi_1))),
     # against Phi_{uv}(psi_m) = psi_m(uv)
-    target = f.mod(np.tensordot(lo.tensor, b.U.mul, axes=(2, 2)))  # (m, c, u, v)
-    t_vals = f.mod(np.tensordot(lo.tensor, lo.t_map, axes=(1, 1)))  # (i, v, x)
-    t_mult = f.mod(np.tensordot(t_vals, lo.U.mul, axes=(2, 1)))  # (i, v, j, z)
+    target = f.contract(lo.tensor, b.U.mul, (2, 2))  # (m, c, u, v)
+    t_vals = f.contract(lo.tensor, lo.t_map, (1, 1))  # (i, v, x)
+    t_mult = f.contract(t_vals, lo.U.mul, (2, 1))  # (i, v, j, z)
     legs = lo.delta.reshape(d, d, d)  # (i, j, m)
-    summed = f.mod(np.tensordot(t_mult, legs, axes=([0, 2], [0, 1])))  # (v, z, m)
-    got = f.mod(np.tensordot(summed, lo.tensor, axes=(1, 0)))  # (v, m, c, u)
+    summed = f.contract(t_mult, legs, ([0, 2], [0, 1]))  # (v, z, m)
+    got = f.contract(summed, lo.tensor, (1, 0))  # (v, m, c, u)
     rep.add("biduality.multiplicative", f.equal(got.transpose(1, 2, 3, 0), target))
     return rep

@@ -22,35 +22,33 @@ class FrobeniusSystem:
 
     def verify(self, b):
         bb = b if self.extension == "via_s" else b.coop()
-        f, d = bb.field, bb.U.dim
-        for a in range(bb.A.dim):
-            av = bb.A.basis(a)
-            lhs = f.matmul(self.theta, bb.U.left_mult(bb.s_of(av)))
-            if not f.equal(lhs, f.matmul(bb.A.left_mult(av), self.theta)):
-                return False
-            rhs = f.matmul(self.theta, bb.U.right_mult(bb.s_of(av)))
-            if not f.equal(rhs, f.matmul(bb.A.right_mult(av), self.theta)):
-                return False
-        for i in range(d):
-            u = bb.U.basis(i)
-            left = f.zeros(d)
-            right = f.zeros(d)
-            for x, y in self.pairs:
-                left = left + bb.U.mult(
-                    bb.s_of(f.matmul(self.theta, bb.U.mult(u, x))), y
-                )
-                right = right + bb.U.mult(
-                    x, bb.s_of(f.matmul(self.theta, bb.U.mult(y, u)))
-                )
-            if not (f.equal(f.mod(left), u) and f.equal(f.mod(right), u)):
-                return False
-        ct = f.matmul(self.theta, bb.U.right_mult(self.t0))
-        return f.equal(ct, bb.counit)
+        f, U, A = bb.field, bb.U, bb.A
+        theta, mul = self.theta, U.mul
+        # theta is s-bilinear: theta(s(a) u) = a theta(u), theta(u s(a)) = theta(u) a
+        bilinear = all(
+            f.equal(f.contract(theta, np.asarray(us), (1, 1)).swapaxes(0, 1),
+                    f.contract(np.asarray(am), theta, (2, 0)))
+            for us, am in ((bb.Ls, A.basis_left_mults), (bb.Rs, A.basis_right_mults))
+        )
+        # sum s(theta(u x_p)) y_p = u = sum x_p s(theta(y_p u)), as [u, z]
+        x, y = (np.stack(v) for v in zip(*self.pairs))
+        sides = []
+        for first, second, ax in ((x, y, 1), (y, x, 0)):
+            prods = f.contract(first, mul, (1, ax))  # [p, u, z]: u x_p, or y_p u
+            img = f.contract(f.contract(prods, theta, (2, 1)), bb.s_map, (2, 1))
+            other = f.contract(second, mul, (1, ax))  # [p, w, z]: w y_p, or x_p w
+            sides.append(f.contract(img, other, ([0, 2], [0, 1])))
+        ct = f.matmul(theta, U.right_mult(self.t0))
+        return bool(
+            bilinear
+            and all(f.equal(side, f.eye(U.dim)) for side in sides)
+            and f.equal(ct, bb.counit)
+        )
 
 
 def _chi_matrix(b, dual, theta):
     """Matrix of u -> theta(. u) in the coordinates of ``dual``."""
-    shifted = b.field.mod(np.tensordot(theta, b.U.mul, axes=(1, 2)))  # (a, v, u)
+    shifted = b.field.contract(theta, b.U.mul, (1, 2))  # (a, v, u)
     return dual.coords_of(shifted.transpose(2, 0, 1))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .algebra import balanced_tensor, check_action, sum_action
+from .algebra import balanced_tensor, check_action
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
 from .duals import (
     _s_side_dual_basis,
@@ -13,7 +13,7 @@ from .duals import (
     s_upper_star,
 )
 from .hopf import _induced_map, comodule_is_bijective, comodule_translate_mat
-from .linalg import DescentError, Quotient, is_invertible, solve_affine, unit_vector
+from .linalg import DescentError, Quotient, is_invertible, solve_affine
 from .report import Report
 
 
@@ -36,7 +36,9 @@ class HopfModulePresentation:
         self.name = name
 
     def act(self, u):
-        return sum_action(self.field, self.action, u)
+        """The matrix by which u acts, or their stack for the columns of a
+        matrix u."""
+        return self.field.contract(u, np.asarray(self.action), (0, 0))
 
 
 def check_hopf_module(mod, name=None):
@@ -50,42 +52,22 @@ def check_hopf_module(mod, name=None):
     rep.extend(check_comodule(mod.comodule, name=mod.comodule.name))
     com = mod.comodule
     d, dm = b.U.dim, mod.dim
-    q = com.quotient
-    if mod.kind == "LL":
-        ok = all(
-            f.equal(com.action[a], mod.act(b.s_of(b.A.basis(a))))
-            for a in range(b.A.dim)
-        )
-        rep.add("hopf-module.base-action", ok)
-    else:
-        # the induced right action m.a agrees with acting by s(a)
-        ind = com.induced_action
-        ok = all(
-            f.equal(ind[a], mod.act(b.s_of(b.A.basis(a))))
-            for a in range(b.A.dim)
-        )
-        rep.add("hopf-module.base-action", ok)
-    law = True
-    wit = None
-    for i in range(d):
-        pairs = b.delta_sparse[i]
-        lhs_mat = f.zeros((d * dm, dm))
-        for k, l, c in pairs:
-            if mod.kind == "LL":
-                op1 = b.U.basis_left_mults[k]
-            else:
-                op1 = b.U.basis_right_mults[k]
-            term = f.matmul(
-                np.kron(op1, mod.action[l]), com.coaction
-            )
-            lhs_mat = lhs_mat + c * term
-        rhs_mat = f.matmul(com.coaction, mod.action[i])
-        diff = f.matmul(q.project_mat, f.mod(lhs_mat - rhs_mat))
-        if not f.is_zero(f.mod(diff)):
-            law = False
-            wit = b.U.labels[i]
-            break
-    rep.add("hopf-module.compatibility", law, witness=wit)
+    # the A-action of the comodule (LL), or its induced right action (RL),
+    # agrees with acting by s(a)
+    base = com.action if mod.kind == "LL" else com.induced_action
+    rep.add_residual(
+        "hopf-module.base-action", f.mod(np.asarray(base) - mod.act(b.s_map)),
+        [b.A.labels])
+    # u_(1) m_(-1) (x) u_(2) m_(0) (LL; m_(-1) u_(1) (x) m_(0) u_(2) for
+    # RL) against coact(u m) in U_<| (x)_A M, one coaction matrix per u
+    act = np.asarray(mod.action)
+    g = f.contract(b.delta3, b.U.mul, (0, 0 if mod.kind == "LL" else 1))  # (l, i, y, z)
+    h = f.contract(com.coaction.reshape(d, dm, dm), act, (1, 2))  # (y, c, l, n)
+    lhs = f.contract(g, h, ([0, 2], [2, 0])).transpose(0, 1, 3, 2)  # (i, z, n, c)
+    rhs = f.contract(com.coaction, act, (1, 1)).transpose(1, 0, 2)
+    res = f.contract(lhs.reshape(rhs.shape) - rhs, com.quotient.project_mat, (1, 1))
+    rep.add_residual(
+        "hopf-module.compatibility", res, [b.U.labels], lambda i: b.U.labels[i])
     return rep
 
 
@@ -101,21 +83,27 @@ def _coaction_on_quotient(b, q, dn):
     )
 
 
+def _hopf_module_on(b, q, dn, kind, amb, name):
+    """The Hopf module on q, a balanced tensor of U with an n-dimensional N:
+    u acts through the ambient matrix amb[u] (one per total basis index),
+    a through s(a) on the U leg, and the coaction is v_(1) (x) v_(2) (x) n."""
+    f = b.field
+    act = list(q.induced_op(amb))
+    a_act = list(q.induced_op(np.kron(np.asarray(b.Ls), f.eye(dn))))
+    com = ComodulePresentation(
+        b, "left", a_act, _coaction_on_quotient(b, q, dn), name=name
+    )
+    return HopfModulePresentation(b, kind, act, com, name=name)
+
+
 def rl_hopf_module_from_base_module(b, action_a, name="U(x)N"):
     """U_<| (x)_A N for a left A-module N: right action (v (x) n).u = vu (x) n,
     coaction v_(1) (x) v_(2) (x) n."""
     f, d = b.field, b.U.dim
     dn = action_a[0].shape[0]
     q = balanced_tensor(f, d, b.Lt, dn, action_a)
-    act = [
-        q.induced_op(np.kron(b.U.basis_right_mults[i], f.eye(dn)))
-        for i in range(d)
-    ]
-    a_act = [q.induced_op(np.kron(b.Ls[a], f.eye(dn))) for a in range(b.A.dim)]
-    com = ComodulePresentation(
-        b, "left", a_act, _coaction_on_quotient(b, q, dn), name=name
-    )
-    return HopfModulePresentation(b, "RL", act, com, name=name)
+    amb = np.kron(np.asarray(b.U.basis_right_mults), f.eye(dn))
+    return _hopf_module_on(b, q, dn, "RL", amb, name)
 
 
 def ll_hopf_module_from_base_module(b, action_a, name="U(x)P"):
@@ -124,15 +112,8 @@ def ll_hopf_module_from_base_module(b, action_a, name="U(x)P"):
     f, d = b.field, b.U.dim
     dn = action_a[0].shape[0]
     q = balanced_tensor(f, d, b.Rt, dn, action_a)
-    act = [
-        q.induced_op(np.kron(b.U.basis_left_mults[i], f.eye(dn)))
-        for i in range(d)
-    ]
-    a_act = [q.induced_op(np.kron(b.Ls[a], f.eye(dn))) for a in range(b.A.dim)]
-    com = ComodulePresentation(
-        b, "left", a_act, _coaction_on_quotient(b, q, dn), name=name
-    )
-    return HopfModulePresentation(b, "LL", act, com, name=name)
+    amb = np.kron(np.asarray(b.U.basis_left_mults), f.eye(dn))
+    return _hopf_module_on(b, q, dn, "LL", amb, name)
 
 
 def ll_hopf_module_from_module(b, action_u, name="U(x)N2"):
@@ -140,19 +121,12 @@ def ll_hopf_module_from_module(b, action_u, name="U(x)N2"):
     u.(v (x) n) = u_(1)v (x) u_(2)n, coaction v_(1) (x) v_(2) (x) n."""
     f, d = b.field, b.U.dim
     dn = action_u[0].shape[0]
-    act_s = [sum_action(f, action_u, b.s_map[:, a]) for a in range(b.A.dim)]
-    q = balanced_tensor(f, d, b.Lt, dn, act_s)
-    act = []
-    for i in range(d):
-        amb = f.zeros((d * dn, d * dn))
-        for k, l, c in b.delta_sparse[i]:
-            amb = amb + c * np.kron(b.U.basis_left_mults[k], action_u[l])
-        act.append(q.induced_op(f.mod(amb)))
-    a_act = [q.induced_op(np.kron(b.Ls[a], f.eye(dn))) for a in range(b.A.dim)]
-    com = ComodulePresentation(
-        b, "left", a_act, _coaction_on_quotient(b, q, dn), name=name
-    )
-    return HopfModulePresentation(b, "LL", act, com, name=name)
+    act_u = np.asarray(action_u)
+    q = balanced_tensor(f, d, b.Lt, dn, list(f.contract(b.s_map, act_u, (0, 0))))
+    # amb[i, (z, n), (y, m)] = sum_{k,l} delta3[k, l, i] mul[k, y, z] action_u[l][n, m]
+    g = f.contract(b.delta3, b.U.mul, (0, 0))  # (l, i, y, z)
+    amb = f.contract(g, act_u, (0, 0)).transpose(0, 2, 3, 1, 4)
+    return _hopf_module_on(b, q, dn, "LL", amb.reshape(d, d * dn, d * dn), name)
 
 
 def comparison_map(b, action_u):
@@ -161,17 +135,13 @@ def comparison_map(b, action_u):
     Returns (matrix, invertible)."""
     f, d = b.field, b.U.dim
     dn = action_u[0].shape[0]
-    act_t = [sum_action(f, action_u, b.t_map[:, a]) for a in range(b.A.dim)]
-    act_s = [sum_action(f, action_u, b.s_map[:, a]) for a in range(b.A.dim)]
-    dom = balanced_tensor(f, d, b.Rt, dn, act_t)
-    cod = balanced_tensor(f, d, b.Lt, dn, act_s)
-    amb = f.zeros((d * dn, d * dn))
-    for i in range(d):
-        for k, l, c in b.delta_sparse[i]:
-            col = action_u[l]
-            for j in range(dn):
-                amb[:, i * dn + j] += c * np.kron(unit_vector(f, d, k), col[:, j])
-    m = _induced_map(cod, f.mod(amb), dom, "comparison map does not descend")
+    act_u = np.asarray(action_u)
+    dom = balanced_tensor(f, d, b.Rt, dn, list(f.contract(b.t_map, act_u, (0, 0))))
+    cod = balanced_tensor(f, d, b.Lt, dn, list(f.contract(b.s_map, act_u, (0, 0))))
+    # amb[(k, r), (i, j)] = sum_l delta3[k, l, i] action_u[l][r, j]
+    amb = f.contract(b.delta3, act_u, (1, 0)).transpose(0, 2, 1, 3)
+    m = _induced_map(
+        cod, amb.reshape(d * dn, d * dn), dom, "comparison map does not descend")
     return m, bool(is_invertible(f, m))
 
 
@@ -186,7 +156,7 @@ def build_u_star_hopf_module(b):
         raise ValueError("total algebra is not free over t(A)")
     act = dual_action(b, up, "bullet")
     # column m: sum_i e_i (x) phi_m e_i^*
-    prods = f.mod(np.tensordot(np.stack(estars), up.U.mul, axes=(1, 1)))  # (i, m, y)
+    prods = f.contract(np.stack(estars), up.U.mul, (1, 1))  # (i, m, y)
     coact = prods.swapaxes(1, 2).reshape(d * ds, ds)
     a_act = [up.U.right_mult(up.t_map[:, a]) for a in range(b.A.dim)]
     com = ComodulePresentation(b, "left", a_act, coact, name="U^*")

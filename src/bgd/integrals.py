@@ -4,11 +4,9 @@ import itertools
 
 import numpy as np
 
-from .bialgebroid import sparse_pairs
+from .algebra import project_stack
 from .hopf import is_right_hopf, translate_right
-from .linalg import (
-    apply_leg1, apply_leg2, kernel_basis, rank, solve_affine, solve_matrix_equation,
-)
+from .linalg import kernel_basis, rank, solve_affine, solve_matrix_equation
 from .report import Report
 
 
@@ -124,20 +122,18 @@ def right_integrals_of_left(b):
     return IntegralSpace("right", b.A, _integral_basis(b, b.U.right_mult), b.Ls)
 
 
-def integral_invariance_check(b, l, witness=False):
+def integral_invariance_check(b, l):
     """Whether u l_[+] (x) l_[-] = l_[+] (x) l_[-] u in U_<# (x)_A |>U for
-    all basis u; equivalent to l being a left integral."""
+    all basis u; equivalent to l being a left integral.  Returns (ok, the
+    label of the first basis u where it fails, or None)."""
     if not is_right_hopf(b):
         raise ValueError("total algebra is not right Hopf")
-    f, d = b.field, b.U.dim
-    w = translate_right(b, f.mod(np.asarray(l)))
-    q = b.T2
-    for i in range(d):
-        lhs = q.project(apply_leg1(f, b.U.basis_left_mults[i], w, d, d))
-        rhs = q.project(apply_leg2(f, b.U.basis_right_mults[i], w, d, d))
-        if not f.equal(lhs, rhs):
-            return (False, b.U.labels[i]) if witness else False
-    return (True, None) if witness else True
+    f, d, mul = b.field, b.U.dim, b.U.mul
+    w = translate_right(b, f.mod(np.asarray(l))).reshape(d, d)
+    lhs = f.contract(mul, w, (1, 0))  # [i, z, y]: e_i w' (x) w''
+    rhs = f.contract(w, mul, (1, 0)).swapaxes(0, 1)  # [i, x, z]: w' (x) w'' e_i
+    bad = np.flatnonzero(project_stack(b.T2, lhs - rhs).any(axis=1))
+    return (True, None) if not bad.size else (False, b.U.labels[bad[0]])
 
 
 def normalized_left_integral(b, space=None):
@@ -168,7 +164,7 @@ def separability_check(b):
     for i in range(d):
         lu = np.kron(b.U.basis_left_mults[i], f.eye(d))
         ru = np.kron(f.eye(d), b.U.basis_right_mults[i])
-        rows.append(f.mod(f.matmul(pm, f.mod(lu - ru)) @ sec))
+        rows.append(f.matmul(f.matmul(pm, f.mod(lu - ru)), sec))
         rhs.append(f.zeros(q.dim))
     sol = solve_affine(f, np.concatenate(rows, 0), np.concatenate(rhs))
     if sol is None:
@@ -197,19 +193,20 @@ def maschke_report(b, name=None):
     """The separability equivalences: normalized integral, splitting of
     multiplication, and splitting of the counit all exist together."""
     rep = Report(name or f"{b.name} separability")
+    f, d, mul = b.field, b.U.dim, b.U.mul
     spc = left_integrals(b)
-    rep.add("integrals.defining", all(
-        b.field.is_zero(b.field.mod(
-            b.U.mult(b.U.basis(i), l)
-            - b.U.mult(b.s_of(b.eps(b.U.basis(i))), l)
-        ))
-        for l in spc.basis for i in range(b.U.dim)
-    ))
+    # u_i l - s(eps(u_i)) l, as [l, i]
+    ul = f.contract(spc.span_matrix(), mul, (0, 1))  # [l, w, z]: u_w l
+    se = f.matmul(b.s_map, b.counit)
+    rep.add_residual(
+        "integrals.defining",
+        f.mod(ul - f.contract(ul, se, (1, 0)).swapaxes(1, 2)),
+        [[f"l{j}" for j in range(spc.dim)], b.U.labels],
+    )
     norm = normalized_left_integral(b, spc)
     split = separability_check(b)
     eta = counit_splitting(b)
-    rep.add("maschke.normalized-integral", norm is not None,
-            witness=None if norm is None else b.U.format_elem(norm))
+    rep.add("maschke.normalized-integral", norm is not None)
     rep.add("maschke.separable", split is not None)
     rep.add("maschke.counit-splits", eta is not None)
     rep.add(
@@ -217,16 +214,10 @@ def maschke_report(b, name=None):
         (norm is None) == (split is None) == (eta is None),
     )
     if norm is not None and is_right_hopf(b):
-        f, d = b.field, b.U.dim
-        e = translate_right(b, norm)
-        prod = f.zeros(d)
-        for i, j, c in sparse_pairs(e, d, d, f):
-            prod = prod + c * b.U.mul[i, j]
-        ok = f.equal(f.mod(prod), b.U.unit)
-        q = b.T2
-        for i in range(d):
-            lhs = q.project(apply_leg1(f, b.U.basis_left_mults[i], e, d, d))
-            rhs = q.project(apply_leg2(f, b.U.basis_right_mults[i], e, d, d))
-            ok = ok and f.equal(lhs, rhs)
-        rep.add("maschke.splitting-from-integral", bool(ok))
+        # e = norm_[+] (x) norm_[-] splits the multiplication: e' e'' = 1,
+        # and it is invariant exactly when norm is a left integral
+        e = translate_right(b, norm).reshape(d, d)
+        ok = f.equal(f.contract(e, mul, ([0, 1], [0, 1])), b.U.unit)
+        rep.add("maschke.splitting-from-integral",
+                bool(ok and integral_invariance_check(b, norm)[0]))
     return rep

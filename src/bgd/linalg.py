@@ -5,6 +5,7 @@ numpy arrays; rationals are :class:`fractions.Fraction` in object arrays.
 Row reduction over F_p dispatches to the compiled kernel when available.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -61,19 +62,28 @@ def _is_prime(n):
     return True
 
 
-class Field:
-    """A prime field F_p or the rationals Q."""
+# Largest prime accepted: every product of two reduced scalars must fit
+# in an int64, and trial division stays below 46341 steps.
+MAX_PRIME = 2**31
 
-    __slots__ = ("kind", "p")
+
+class Field:
+    """A prime field F_p (p < 2^31) or the rationals Q."""
+
+    __slots__ = ("kind", "p", "chunk")
 
     def __init__(self, kind, p=None):
         if kind == "prime":
+            if p is not None and p >= MAX_PRIME:
+                raise FieldError(f"prime too large: {p} (must be below 2^31)")
             if p is None or not _is_prime(p):
                 raise FieldError(f"not a prime: {p!r}")
         elif kind != "rationals":
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
+        # the most products of two reduced scalars an int64 can sum
+        self.chunk = None if p is None else (2**63 - 1) // max(1, (p - 1) ** 2)
 
     @classmethod
     def prime(cls, p):
@@ -169,8 +179,46 @@ class Field:
     def mod(self, a):
         return a % self.p if self.kind == "prime" else a
 
+    def contract(self, a, b, axes=1):
+        """``np.tensordot(a, b, axes)`` reduced into the field.  Over F_p,
+        with entries of a and b in (-p, p), the contracted axes are summed
+        in chunks of at most (2^63 - 1) // (p - 1)^2 terms, so no int64
+        partial sum overflows; for p < 2^20 that never splits."""
+        a, b = np.asarray(a), np.asarray(b)
+        if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
+            # a matrix or vector product, which matmul does with less overhead
+            if self.kind != "prime":
+                return a @ b
+            ax_a, ax_b, terms = [a.ndim - 1], [0], a.shape[-1]
+            if terms <= self.chunk:
+                return (a @ b) % self.p
+        else:
+            if isinstance(axes, int):
+                ax_a, ax_b = list(range(a.ndim - axes, a.ndim)), list(range(axes))
+            else:
+                ax_a, ax_b = (
+                    [x % m.ndim] if isinstance(x, int) else [i % m.ndim for i in x]
+                    for x, m in zip(axes, (a, b))
+                )
+            if self.kind != "prime":
+                return np.tensordot(a, b, (ax_a, ax_b))
+            terms = math.prod(a.shape[i] for i in ax_a)
+            if terms <= self.chunk:
+                out = np.tensordot(a, b, (ax_a, ax_b))
+                return np.remainder(out, self.p, out=out)
+        # flatten the contracted axes to one and sum chunk by chunk
+        a = np.moveaxis(a, ax_a, range(-len(ax_a), 0)).reshape(
+            [n for i, n in enumerate(a.shape) if i not in ax_a] + [terms])
+        b = np.moveaxis(b, ax_b, range(len(ax_b))).reshape(
+            [terms] + [n for i, n in enumerate(b.shape) if i not in ax_b])
+        out = 0
+        for lo in range(0, terms, self.chunk):
+            part = np.tensordot(a[..., lo:lo + self.chunk], b[lo:lo + self.chunk], 1)
+            out = (out + part % self.p) % self.p
+        return out
+
     def matmul(self, a, b):
-        return self.mod(a @ b)
+        return self.contract(a, b, 1)
 
     def equal(self, a, b):
         return np.array_equal(self.mod(a), self.mod(b))
@@ -311,7 +359,7 @@ class Subspace:
             return self.field.mod(v.copy())
         # rows.T @ v[pivots], written so that a vector (where .T is a
         # no-op) takes the cheaper vector-times-matrix product
-        return self.field.mod(v - (v[self.pivots].T @ self.rows).T)
+        return self.field.mod(v - self.field.contract(v[self.pivots].T, self.rows).T)
 
     def contains(self, v):
         """Whether v (every column of a matrix v) lies in the subspace."""
@@ -338,6 +386,7 @@ class Quotient:
         self._smat = None
 
     def project(self, v):
+        """Quotient coordinates of v, or of every column of a matrix v."""
         return self.rel.reduce(v)[self.coords]
 
     def section(self, q):
@@ -364,18 +413,23 @@ class Quotient:
         return self._smat
 
     def descends(self, op, dom=None):
-        """True if the ambient matrix op maps the relation span of ``dom``
-        (default: this quotient) into the relation span of this one."""
+        """True if the ambient matrix op (every matrix of a stack op) maps
+        the relation span of ``dom`` (default: this quotient) into the
+        relation span of this one."""
         dom = self if dom is None else dom
-        return self.rel.contains(self.field.matmul(op, dom.rel.rows.T))
+        img = np.moveaxis(self.field.contract(op, dom.rel.rows, (-1, 1)), -2, 0)
+        return self.rel.contains(img.reshape(len(img), int(np.prod(img.shape[1:]))))
 
     def induced_op(self, op, dom=None):
         """Matrix of the map dom -> self that the ambient matrix op induces
-        (dom defaults to this quotient); DescentError if op does not descend."""
+        (dom defaults to this quotient), or the stack of them for a stack
+        op; DescentError if op does not descend."""
         dom = self if dom is None else dom
         if not self.descends(op, dom):
             raise DescentError("operator does not descend to the quotient")
-        return self.field.matmul(self.field.matmul(self.project_mat, op), dom.section_mat)
+        f = self.field
+        out = f.contract(self.project_mat, f.contract(op, dom.section_mat, (-1, 0)), (1, -2))
+        return np.moveaxis(out, 0, -2)
 
 
 def unit_vector(field, n, i):

@@ -3,12 +3,17 @@
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CheckItem:
     check_id: str
     status: str  # "pass" | "fail" | "skipped"
     witness: str | None = None
+    # where a failed identity first fails, as basis labels; shown by
+    # to_text only, so serialized reports do not change
+    where: str | None = None
 
     @property
     def ok(self):
@@ -24,6 +29,22 @@ class Report:
         status = "pass" if ok else "fail"
         self.items.append(CheckItem(check_id, status, None if ok else witness))
         return ok
+
+    def add_residual(self, check_id, residual, labels=(), witness=None):
+        """Add an item that passes when the reduced ``residual`` (lhs - rhs
+        of an identity) is zero.  Its leading axes run over basis elements
+        named by ``labels``, one list per axis, in the order the identity
+        is read.  On a failure the first nonzero entry in that order gives
+        ``where``, and ``witness``, if given, is called with its leading
+        indices to give the witness text."""
+        nonzero = np.flatnonzero(residual)
+        if not nonzero.size:
+            return self.add(check_id, True)
+        idx = np.unravel_index(nonzero[0], np.shape(residual))[:len(labels)]
+        idx = [int(i) for i in idx]
+        self.add(check_id, False, witness and witness(*idx))
+        self.items[-1].where = ", ".join(lab[i] for lab, i in zip(labels, idx)) or None
+        return False
 
     def skip(self, check_id, reason=None):
         self.items.append(CheckItem(check_id, "skipped", reason))
@@ -55,7 +76,11 @@ class Report:
     def to_text(self):
         lines = [f"{self.subject}: {'OK' if self.ok else 'FAILED'}"]
         for item in self.failures:
-            lines.append(f"  FAIL {item.check_id}" + (f": {item.witness}" if item.witness else ""))
+            lines.append(
+                f"  FAIL {item.check_id}"
+                + (f": {item.witness}" if item.witness else "")
+                + (f" (at {item.where})" if item.where else "")
+            )
         for item in self.items:
             if item.status == "skipped":
                 lines.append(f"  SKIP {item.check_id}" + (f": {item.witness}" if item.witness else ""))

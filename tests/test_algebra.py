@@ -10,10 +10,8 @@ from bgd.algebra import (
     check_action,
     enveloping_square,
     pair_and_act,
-    sum_action,
     tensor_product,
 )
-from bgd.bialgebroid import sparse_pairs
 from bgd.fixtures import FIXTURES, truncated_polynomials
 from bgd.linalg import Field
 
@@ -129,6 +127,25 @@ def test_check_action_rejects_wrong_composition():
     assert not rep.ok
 
 
+def _sparse_pairs(vec, d1, d2, field):
+    """Nonzero entries of a vector of a d1 x d2 tensor as (i, j, coeff)."""
+    out = []
+    for idx in np.nonzero(np.asarray(vec))[0]:
+        c = field.canon(vec[idx])
+        if c != field.zero:
+            out.append((idx // d2, idx % d2, c))
+    return out
+
+
+def _sum_action(field, mats, coeffs):
+    """Linear combination of action matrices with given coefficients."""
+    out = field.zeros(mats[0].shape)
+    for i, c in enumerate(np.asarray(coeffs)):
+        if c != field.zero:
+            out = out + c * mats[i]
+    return field.mod(out)
+
+
 def _pair_and_act_loop(f, action, funcs, lift, du, dm, u_first):
     """Reference: the per-column loop over the nonzero coaction terms."""
     out = []
@@ -136,11 +153,11 @@ def _pair_and_act_loop(f, action, funcs, lift, du, dm, u_first):
         mat = f.zeros((dm, lift.shape[1]))
         for j in range(lift.shape[1]):
             col = f.zeros(dm)
-            pairs = sparse_pairs(lift[:, j], du, dm, f) if u_first else [
-                (k, i, c) for i, k, c in sparse_pairs(lift[:, j], dm, du, f)
+            pairs = _sparse_pairs(lift[:, j], du, dm, f) if u_first else [
+                (k, i, c) for i, k, c in _sparse_pairs(lift[:, j], dm, du, f)
             ]
             for k, i, c in pairs:
-                col = col + c * sum_action(f, action, f.mod(g[:, k]))[:, i]
+                col = col + c * _sum_action(f, action, f.mod(g[:, k]))[:, i]
             mat[:, j] = f.mod(col)
         out.append(mat)
     return out

@@ -77,3 +77,27 @@ def test_trivial_comodule_coinvariants_everything():
     b = FIXTURES["group-f3"]()
     cov = coinvariants(trivial_comodule(b, "left"))
     assert len(cov) == b.A.dim
+
+
+def test_failing_identities_say_where_in_text_only():
+    b = FIXTURES["rank1-dual-numbers"]()
+    delta = b.delta.copy()
+    delta[13, 2] = b.field.mod(delta[13, 2] + 1)  # one term of delta(t^1)
+    bad = LeftBialgebroid(b.A, b.U, b.s_map, b.t_map, delta, b.counit, name="bad")
+    rep = check_left_bialgebroid(bad)
+    text = rep.to_text()
+    assert ("FAIL coproduct.multiplicative: delta(e1 e2) != delta(e1) delta(e2)"
+            " (at 1*e1, t^1)") in text
+    assert "FAIL coproduct.takeuchi (at t^1, t^1)" in text
+    assert "FAIL coproduct.coassociative (at t^1)" in text
+    assert all("where" not in item for item in rep.to_dict()["items"])
+
+
+def test_failing_action_names_the_basis_pair():
+    b = FIXTURES["rank1-dual-numbers"]()
+    s_map = b.s_map.copy()
+    s_map[3, 1] = b.field.mod(s_map[3, 1] + 1)  # s(t) picks up a t*e1 term
+    bad = LeftBialgebroid(b.A, b.U, s_map, b.t_map, b.delta, b.counit, name="bad")
+    rep = check_comodule(regular_comodule(bad, "left"))
+    assert ("FAIL comodule.action.composition: composition fails at basis pair"
+            " (1, 1) (at t^1, t^1)") in rep.to_text()

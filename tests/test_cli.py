@@ -1,4 +1,5 @@
 import json
+import time
 
 from bgd.cli import main
 from bgd.fixtures import FIXTURES
@@ -177,3 +178,15 @@ def test_frobenius_on_enveloping(capsys):
     doc = json.loads(out)
     assert doc["data"]["frobenius"] is True
     assert doc["data"]["t0"]
+
+
+def test_huge_prime_in_spec_is_usage_error_at_once(tmp_path, capsys):
+    # trial division of 2^61 - 1 once hung the parser
+    doc = export_spec(FIXTURES["primitive-f2"]())
+    doc["field"]["p"] = 2**61 - 1
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2 and "field.p" in err
+    assert time.perf_counter() - start < 1.0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bgd import _kernel_py
 from bgd.linalg import (
     Field,
+    FieldError,
     Quotient,
     SingularMatrixError,
     Subspace,
@@ -302,3 +303,36 @@ def test_tensor_leg_ops():
     assert np.array_equal(
         apply_leg2(F3, m2, t, 2, 3), kron_vec(F3, v, F3.matmul(m2, w))
     )
+
+
+def test_matmul_does_not_overflow_below_2_31():
+    # (p - 1)^2 * 4 overflows int64; the contraction sums in chunks
+    p = 2**31 - 1
+    f = Field.prime(p)
+    a = f.array([[p - 1] * 4])
+    assert f.matmul(a, a.T).tolist() == [[4]]
+
+
+@given(
+    st.sampled_from([2, 5, 1000003, 2**31 - 1]),
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_contract_matches_exact_sum(p, n, k1, k2, m, seed):
+    f = Field.prime(p)
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, size=(n, k1, k2))
+    b = rng.integers(0, p, size=(k2, m, k1))
+    want = np.tensordot(a.astype(object), b.astype(object), ([1, 2], [2, 0])) % p
+    got = f.contract(a, b, ([1, 2], [2, 0]))
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_field_rejects_primes_from_2_31_at_once():
+    start = time.perf_counter()
+    for p in (2**31, 2**61 - 1):
+        with pytest.raises(FieldError):
+            Field.prime(p)
+    assert time.perf_counter() - start < 1.0
+    assert Field.prime(2**31 - 1).p == 2**31 - 1
