@@ -1,8 +1,7 @@
 """Pure-numpy row reduction kernel over prime fields.
 
-Fallback for :mod:`bgd._kernel_cy`.  Same contract: ``rref_mod`` takes a
-C-contiguous int64 matrix with entries already reduced mod p and returns
-the reduced row echelon form together with the pivot columns.
+``rref_mod`` takes an int64 matrix and returns the reduced row echelon
+form over F_p together with the pivot columns.
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ balanced-tensor quotient machinery used throughout.
 
 import numpy as np
 
-from .linalg import Quotient, kron_vec, unit_vector
+from .linalg import Quotient, kron_vec, rref, unit_vector
 from .report import Report
 
 __all__ = [
@@ -13,6 +13,8 @@ __all__ = [
     "tensor_product",
     "enveloping_square",
     "balanced_tensor",
+    "LegEmbedding",
+    "triple_classes",
     "TripleQuotient",
     "project_stack",
     "lift_products",
@@ -211,13 +213,118 @@ def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):
     return Quotient(field, dim_m * dim_n, rows)
 
 
+class LegEmbedding:
+    """The map J: X (x) Y -> X (x) k^n, x (x) y |-> sum_i P(phi_i(y)) x (x) e_i,
+    for the balanced tensor X (x)_A Y with relations (P_a x)(x)y - x(x)(Q_a y)
+    (``mats_x`` = P, ``mats_y`` = Q, one matrix per A-basis index, as for
+    ``balanced_tensor``) and a stack ``dual`` (dY x dA x dY, or None) of
+    functionals phi_i: Y -> A, one per basis element e_i of Y, so n = dY;
+    P(c) is sum_a c_a P_a.  With ``left=True`` the roles of the legs swap:
+    ``dual`` is on X, and J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
+
+    ``exact`` says that ker J is the relation span, so that J decides
+    classes without a relation rref.  Written for ``left=False``:
+
+    (i)  sum_i Q(phi_i(y)) e_i = y for every y (phi is a dual basis), and
+    (ii) J sends every relation generator to 0.
+
+    (ii) puts the relations in ker J.  Conversely, K: (x_i) |-> sum_i x_i (x) e_i
+    gives K J(x (x) y) = sum_i P(phi_i(y)) x (x) e_i, which is congruent to
+    x (x) sum_i Q(phi_i(y)) e_i = x (x) y modulo relations (relations are
+    linear in a), by (i); so J v = 0 puts v in the relation span.  No
+    action axiom is assumed: both premises are checked as stated.
+    """
+
+    def __init__(self, field, mats_x, mats_y, dual, left=False):
+        self.field = field
+        self.P, self.Q = np.asarray(mats_x), np.asarray(mats_y)
+        self.left = left
+        self.dual = dual
+        self.exact = dual is not None and self._premises()
+
+    def _premises(self):
+        f, phi = self.field, self.dual
+        # act: the action J applies; paired: the action on the leg phi reads
+        act, paired = (self.Q, self.P) if self.left else (self.P, self.Q)
+        da, dk, dy = len(act), act.shape[1], paired.shape[1]
+        # (i): [y', y] is the y'-entry of sum_i paired(phi_i(y)) e_i
+        if phi.shape != (dy, da, dy) or not f.equal(
+                f.contract(paired, phi, ([0, 2], [1, 0])), f.eye(dy)):
+            return False
+        # (ii): the generator (a, ., y) maps to the operator, in slot i,
+        #   sum_b phi_i(y)_b act_b act_a - sum_b phi_i(paired_a y)_b act_b
+        # on the acted leg (on X, or on Y when left).  Stack the matrices
+        # act_b act_a and act_b as rows; they vanish together with their
+        # products against a basis of the column space, the pivot columns.
+        mats = np.concatenate([
+            f.contract(act, act, (2, 1)).transpose(0, 2, 1, 3).reshape(da * da, dk * dk),
+            act.reshape(da, dk * dk),
+        ])
+        cols = mats[:, rref(f, mats)[1]]
+        coef = f.zeros((da, dy, dy, da, da))  # [a, i, y, b, a']
+        for a in range(da):
+            coef[a, :, :, :, a] = phi.transpose(0, 2, 1)
+        moved = f.contract(paired, phi, (1, 2)).transpose(0, 2, 3, 1)  # [a, i, b, y]
+        coef = np.concatenate([
+            coef.reshape(da, dy, dy, da * da), -moved.swapaxes(2, 3)], axis=3)
+        return f.is_zero(f.contract(coef, cols, (3, 0)))
+
+    def apply(self, v, axis):
+        """J on the legs (axis, axis + 1) of the tensor v.  It contracts v
+        with the functionals and then with the action matrices, at about
+        2 dA |v| n multiply-adds, and never forms J as a matrix."""
+        f = self.field
+        act = self.Q if self.left else self.P
+        kept, read = (axis + 1, axis) if self.left else (axis, axis + 1)
+        w = f.contract(self.dual, v, (2, read))  # (i, a, v without the read leg)
+        w = f.contract(act, w, ([0, 2], [1, 2 + kept - (kept > read)]))
+        return np.moveaxis(w, [0, 1], [kept, read])
+
+
+def triple_classes(field, v, leg12, leg23):
+    """A stack with one row per column of v (d1 x d2 x d3 x c, a column of
+    lifts to X (x) Y (x) Z) that is zero exactly where the column lies in
+    R12 (x) Z + X (x) R23, the relations of X (x)_A Y (x)_A Z given by the
+    legs ``leg12`` and ``leg23`` (LegEmbedding, both through the right leg
+    or both through the left).
+
+    Through the right legs, E = (J12 (x) 1)(1 (x) J23) is exact when both
+    legs are and (iii) the two actions on Y, Q of R12 and P of R23,
+    commute: then 1 (x) J23 maps R12 (x) Z into R12 (x) k^n, which J12 (x) 1
+    kills, and X (x) R23 goes to 0 by (ii).  Conversely E v = 0 puts
+    (1 (x) J23) v in ker(J12 (x) 1) = R12 (x) k^n, and applying 1 (x) K23,
+    which fixes v modulo X (x) R23 and sends R12 (x) k^n into R12 (x) Z,
+    puts v in the relation span.  Through the left legs J12 goes first.
+    (iii) also makes the push-through of ``TripleQuotient`` descend.  When
+    a premise fails, the classes come from a ``TripleQuotient``, which
+    raises ``DescentError`` where R23 does not descend."""
+    f, c = field, v.shape[-1]
+    if (leg12.exact and leg23.exact and leg12.left == leg23.left
+            and _commute(f, leg23.P, leg12.Q)):
+        order = [(leg12, 0), (leg23, 1)]
+        for leg, axis in order if leg12.left else order[::-1]:
+            v = leg.apply(v, axis)
+        return np.moveaxis(v, -1, 0).reshape(c, -1)
+    trip = TripleQuotient(
+        f, v.shape[:3], list(zip(leg12.P, leg12.Q)), list(zip(leg23.P, leg23.Q)))
+    return trip.project(v.reshape(-1, c)).T
+
+
+def _commute(field, p, q):
+    """Whether p_a q_b = q_b p_a for every pair of matrices of the stacks."""
+    pq = field.contract(p, q, (2, 1))  # [a, y, b, y'']
+    return field.equal(pq, field.contract(q, p, (2, 1)).transpose(2, 1, 0, 3))
+
+
 class TripleQuotient:
     """Iterated quotient of X (x) Y (x) Z by two adjacent balancing relations.
 
     The (1,2) relation is quotiented first; the (2,3) relation operators are
-    pushed through that quotient (they act on different sides of Y and so
+    pushed through that quotient (``DescentError`` where they do not
     descend), then quotiented in turn.  ``project`` maps ambient vectors of
-    length d1*d2*d3 to coordinates on the double quotient.
+    length d1*d2*d3 to coordinates on the double quotient.  Its relation
+    matrices have d1*d2*d3 columns, so ``triple_classes`` builds one only
+    where the leg embeddings' premises fail.
     """
 
     def __init__(self, field, dims, rel12, rel23):

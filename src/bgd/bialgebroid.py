@@ -18,10 +18,10 @@ balanced-tensor quotient:
 import numpy as np
 
 from .algebra import (
-    TripleQuotient, balanced_tensor, check_action, lift_products, pair_and_act,
-    project_stack,
+    LegEmbedding, balanced_tensor, check_action, lift_products, pair_and_act,
+    project_stack, triple_classes,
 )
-from .linalg import kernel_basis, kron_vec
+from .linalg import kernel_basis, kron_vec, solve_affine, solve_matrix_equation
 from .report import Report
 
 __all__ = [
@@ -153,6 +153,41 @@ class LeftBialgebroid:
             "T2", lambda: balanced_tensor(self.field, d, self.Rs, d, self.Ls)
         )
 
+    # -- dual bases ------------------------------------------------------------
+
+    @property
+    def functionals(self):
+        """A basis of U_*, the k-linear psi: U -> A with psi(s(a)u) = a psi(u),
+        as a list of dA x dU matrices (empty when there is none)."""
+        return self._cached("functionals", lambda: _functional_basis(self))
+
+    @property
+    def s_dual_basis(self):
+        """The s-side dual basis xi: a d x dA x dU tensor of functionals in
+        U_* with sum_i s(xi_i(u)) e_i = u, or None when there is none (no
+        solution, or no nonzero functional).  It needs no coproduct.  The
+        t-side basis zeta, with sum_i t(zeta_i(u)) e_i = u, is this one of
+        ``coop()``."""
+        return self._dual_basis_solve()[1]
+
+    def _dual_basis_solve(self):
+        """(coefficients on ``functionals``, xi), or (None, None)."""
+        return self._cached("xi", lambda: _solve_dual_basis(self))
+
+    def leg(self, key):
+        """The embedding of a balanced square through a dual basis, built
+        once: ``"T0"`` embeds U_<| (x)_A |>U through xi on its second leg,
+        ``"T0-left"`` through zeta on its first leg, and ``"T1"`` embeds
+        >U (x)_{Aop} U_<| through zeta on its second leg."""
+        f = self.field
+        build = {
+            "T0": lambda: LegEmbedding(f, self.Lt, self.Ls, self.s_dual_basis),
+            "T0-left": lambda: LegEmbedding(
+                f, self.Lt, self.Ls, self.coop().s_dual_basis, left=True),
+            "T1": lambda: LegEmbedding(f, self.Rt, self.Lt, self.coop().s_dual_basis),
+        }[key]
+        return self._cached("leg " + key, build)
+
     # -- derived presentations ----------------------------------------------
 
     def coop(self):
@@ -180,6 +215,37 @@ class LeftBialgebroid:
             twin._cache["coop"] = self
             self._cache["coop"] = twin
         return self._cache["coop"]
+
+
+def _functional_basis(b):
+    """Solve the A-linearity constraints psi(s(a)u) = a psi(u), that is
+    psi Ls[a] = L_a psi, for a basis of U_*."""
+    f = b.field
+    da, du = b.A.dim, b.U.dim
+    eqs = [
+        ([(f.eye(da), b.Ls[a]), (-b.A.basis_left_mults[a], f.eye(du))],
+         f.zeros((da, du)))
+        for a in range(da)
+    ]
+    return solve_matrix_equation(f, (da, du), eqs)[1]
+
+
+def _solve_dual_basis(b):
+    """Coefficients c (d x n) on the n functionals psi_k of U_* with
+    xi_i = sum_k c[i, k] psi_k and sum_i s(xi_i(u)) e_i = u, and xi; or
+    (None, None)."""
+    if not b.functionals:
+        return None, None
+    f, d = b.field, b.U.dim
+    funcs = np.stack(b.functionals)
+    # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
+    vals = f.contract(funcs, np.asarray(b.Ls), (1, 0))
+    cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * len(funcs))  # from (k, j, r, i)
+    sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
+    if sol is None:
+        return None, None
+    coeffs = sol[0].reshape(d, len(funcs))
+    return coeffs, f.contract(coeffs, funcs, 1)
 
 
 class RightBialgebroid:
@@ -220,9 +286,10 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
 
     Each identity is one residual tensor (lhs - rhs, projected where it
     lives in a balanced tensor), with one leading axis per basis element
-    it quantifies over.  ``with_triples=False`` skips the coassociativity
-    check, whose iterated triple quotient is the only expensive step on
-    large total algebras.
+    it quantifies over.  Coassociativity is decided in U (x)_A U (x)_A U
+    through the xi leg embeddings (``algebra.triple_classes``), or through a
+    ``TripleQuotient`` where their premises fail; ``with_triples=False``
+    skips it.
     """
     rep = Report(name or b.name)
     f = b.field
@@ -296,16 +363,12 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
         "coproduct.bimodule", np.concatenate(res, axis=2), [A.labels, U.labels])
 
     if with_triples:
-        trip = TripleQuotient(
-            f,
-            (d, d, d),
-            [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-            [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-        )
         # (delta (x) 1) delta(e_i) and (1 (x) delta) delta(e_i), one column per i
-        lhs = f.contract(b.delta, D, (1, 0)).reshape(d**3, d)
-        rhs = f.contract(D, b.delta, (1, 1)).transpose(0, 2, 1).reshape(d**3, d)
-        rep.add_residual("coproduct.coassociative", trip.project(lhs - rhs).T, [U.labels])
+        lhs = f.contract(b.delta, D, (1, 0)).reshape(d, d, d, d)
+        rhs = f.contract(D, b.delta, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
+        leg = b.leg("T0")
+        rep.add_residual(
+            "coproduct.coassociative", triple_classes(f, lhs - rhs, leg, leg), [U.labels])
     else:
         rep.skip("coproduct.coassociative", "triple quotient skipped")
     return rep
@@ -314,7 +377,7 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
 def _multiplicativity(b):
     """delta(e_i e_j) - delta(e_i) delta(e_j) in T0, as [i, j].  Its own
     function, so that the d^5 intermediate is freed before the triple
-    quotient of coassociativity is built."""
+    tensors of coassociativity are built."""
     d, D = b.U.dim, b.delta3
     lhs = b.field.contract(b.U.mul, b.delta, (2, 1))
     rhs = lift_products(b.U, D, D).reshape(d, d, d * d)
@@ -436,16 +499,14 @@ def check_comodule(com, name=None):
     counit = pair_and_act(f, com.action, b.counit[None], com.coaction)[0]
     rep.add("comodule.counit", f.equal(counit, f.eye(d)))
 
-    trip = TripleQuotient(
-        f,
-        (du, du, d),
-        [(b.Lt[a], b.Ls[a]) for a in range(b.A.dim)],
-        [(b.Lt[a], com.action[a]) for a in range(b.A.dim)],
-    )
-    # (delta (x) 1) coact(m_j) and (1 (x) coact) coact(m_j), one column per j
-    lhs = f.contract(b.delta, co, (1, 0)).reshape(du * du * d, d)
+    # (delta (x) 1) coact(m_j) and (1 (x) coact) coact(m_j), one column per j;
+    # M need not be projective, so both legs embed through their U leg
+    lhs = f.contract(b.delta, co, (1, 0)).reshape(du, du, d, d)
     rhs = f.contract(co, com.coaction, (1, 1)).transpose(0, 2, 1).reshape(lhs.shape)
-    rep.add_residual("comodule.coassociative", trip.project(lhs - rhs).T, labels[1:])
+    leg23 = LegEmbedding(f, b.Lt, com.action, b.coop().s_dual_basis, left=True)
+    rep.add_residual(
+        "comodule.coassociative",
+        triple_classes(f, lhs - rhs, b.leg("T0-left"), leg23), labels[1:])
 
     ind = com.induced_action
     rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"))

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import AlgebraPresentation, pair_and_act
 from .bialgebroid import LeftBialgebroid, RightBialgebroid
 from .hopf import _require_right_hopf, translate_left_mat, translate_right_mat
-from .linalg import invert, rank, rref, solve_affine, solve_matrix_equation
+from .linalg import invert, rank, rref, solve_affine
 from .report import Report
 
 __all__ = [
@@ -115,22 +115,9 @@ def _columns(funcs):
     return flat[0] if funcs.ndim == 2 else flat.T
 
 
-def _functional_basis(b):
-    """Solve the A-linearity constraints psi(s(a)u) = a psi(u), that is
-    psi Ls[a] = L_a psi, for a basis of U_*, stacked as d x dA x dU."""
-    f = b.field
-    da, du = b.A.dim, b.U.dim
-    eqs = [
-        ([(f.eye(da), b.Ls[a]), (-b.A.basis_left_mults[a], f.eye(du))],
-         f.zeros((da, du)))
-        for a in range(da)
-    ]
-    return np.stack(solve_matrix_equation(f, (da, du), eqs)[1])
-
-
 def _build_dual(b):
     f, du = b.field, b.U.dim
-    funcs = _functional_basis(b)
+    funcs = np.stack(b.functionals)
     d = len(funcs)
     solver = CoordSolver(f, funcs.reshape(d, -1))
 
@@ -204,20 +191,13 @@ def right_dual(b):
 
 
 def _s_side_dual_basis(b):
-    """Functionals e_i^* in U_* with sum_i s(<e_i^*, u>) e_i = u, or None
-    when U is not free over s(A).  The t-side basis in U^*, with
-    sum_i t(<e_i^*, u>) e_i = u, is this one of ``b.coop()``."""
-    if "dual_basis" not in b._cache:
-        f, d = b.field, b.U.dim
-        lo = left_dual(b)
-        # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
-        vals = f.contract(lo.tensor, np.asarray(b.Ls), (1, 0))
-        cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * lo.dim)  # from (k, j, r, i)
-        sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
-        b._cache["dual_basis"] = (
-            None if sol is None else list(sol[0].reshape(d, lo.dim))
-        )
-    return b._cache["dual_basis"]
+    """Coordinates in U_* of the functionals e_i^* with
+    sum_i s(<e_i^*, u>) e_i = u (``b.s_dual_basis``), or None when U is not
+    free over s(A); raises where U_* cannot be built.  The t-side basis in
+    U^*, with sum_i t(<e_i^*, u>) e_i = u, is this one of ``b.coop()``."""
+    left_dual(b)
+    coeffs = b._dual_basis_solve()[0]
+    return None if coeffs is None else list(coeffs)
 
 
 def _translated_pairing(b, values, tmat, base):

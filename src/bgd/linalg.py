@@ -2,7 +2,8 @@
 
 Scalars over a prime field are python ints in ``[0, p)`` stored in int64
 numpy arrays; rationals are :class:`fractions.Fraction` in object arrays.
-Row reduction over F_p dispatches to the compiled kernel when available.
+Row reduction over F_p runs in the numpy kernel ``_kernel_py``; ``BACKEND``
+names it.
 """
 
 import math
@@ -10,10 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from . import _kernel_cy as _kernel
-except ImportError:  # pragma: no cover - depends on build environment
-    from . import _kernel_py as _kernel
+from . import _kernel_py as _kernel
 
 BACKEND = _kernel.BACKEND_NAME
 

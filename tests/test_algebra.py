@@ -1,19 +1,26 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lib_golden import CASES
 
+from bgd import algebra, duals
 from bgd.algebra import (
     AlgebraPresentation,
+    LegEmbedding,
+    TripleQuotient,
     balanced_tensor,
     check_action,
     enveloping_square,
     pair_and_act,
     tensor_product,
+    triple_classes,
 )
-from bgd.fixtures import FIXTURES, truncated_polynomials
-from bgd.linalg import Field
+from bgd.fixtures import FIXTURES, regular_comodule, truncated_polynomials
+from bgd.bialgebroid import LeftBialgebroid, check_left_bialgebroid
+from bgd.linalg import DescentError, Field, kron_vec
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -187,3 +194,145 @@ def test_pair_and_act_matches_loop(f, da, du, dm, n, cols, u_first, seed):
     assert got.shape == (n, dm, cols)
     for g, w in zip(got, want):
         assert np.array_equal(f.mod(g), w)
+
+
+def _triple_shapes(b):
+    """(name, dims, leg12, leg23) of the five triple tensors the batteries
+    decide classes in, on b and its regular left comodule."""
+    f, d = b.field, b.U.dim
+    com = regular_comodule(b, "left")
+    zeta = b.coop().s_dual_basis
+    return [
+        ("coassociative", (d, d, d), b.leg("T0"), b.leg("T0")),
+        ("sch4", (d, d, d), b.leg("T0"), b.leg("T1")),
+        ("sch5", (d, d, d), b.leg("T1"), b.leg("T0")),
+        ("Tch5", (com.dim, d, d),
+         LegEmbedding(f, com.induced_action, b.Ls, b.s_dual_basis), b.leg("T0")),
+        ("comodule.coassociative", (d, d, com.dim), b.leg("T0-left"),
+         LegEmbedding(f, b.Lt, com.action, zeta, left=True)),
+    ]
+
+
+def _draw(f, rng, *shape):
+    nums = rng.integers(-2, 3, size=shape)
+    if f.kind == "prime":
+        return f.array(nums)
+    dens = rng.integers(1, 3, size=shape)
+    return f.array(np.vectorize(Fraction, otypes=[object])(nums, dens))
+
+
+def _relation_element(f, rng, dims, leg12, leg23):
+    """A random element of R12 (x) Z + X (x) R23."""
+    v = f.zeros(dims)
+    for _ in range(3):
+        x, y, z = (_draw(f, rng, n) for n in dims)
+        a = rng.integers(len(leg12.P))
+        p, q = leg12.P[a], leg12.Q[a]
+        v = v + np.multiply.outer(np.multiply.outer(f.matmul(p, x), y), z)
+        v = v - np.multiply.outer(np.multiply.outer(x, f.matmul(q, y)), z)
+        a = rng.integers(len(leg23.P))
+        p, q = leg23.P[a], leg23.Q[a]
+        v = v + np.multiply.outer(np.multiply.outer(x, f.matmul(p, y)), z)
+        v = v - np.multiply.outer(np.multiply.outer(x, y), f.matmul(q, z))
+    return f.mod(v)
+
+
+EMBED_CASES = sorted(FIXTURES) + ["trunc-2-2", "trunc-3-1", "env-Q-2"]
+
+
+@pytest.mark.parametrize("case", EMBED_CASES)
+def test_triple_embedding_matches_quotient(case, monkeypatch):
+    b = CASES[case]()
+    f = b.field
+    rng = np.random.default_rng(sorted(CASES).index(case))
+    for name, dims, leg12, leg23 in _triple_shapes(b):
+        cols = [_relation_element(f, rng, dims, leg12, leg23) for _ in range(2)]
+        for rel in cols[:2]:
+            bad = rel.copy()
+            idx = tuple(int(rng.integers(n)) for n in dims)
+            bad[idx] = f.add(bad[idx], f.one)
+            cols.append(bad)
+        cols += [_draw(f, rng, *dims) for _ in range(2)]
+        v = f.mod(np.stack(cols, axis=-1))
+        want = TripleQuotient(
+            f, dims, list(zip(leg12.P, leg12.Q)), list(zip(leg23.P, leg23.Q)),
+        ).project(v.reshape(-1, len(cols))).T
+        # the embedding decides, with no triple quotient built
+        monkeypatch.setattr(algebra, "TripleQuotient", None)
+        got = triple_classes(f, v, leg12, leg23)
+        monkeypatch.undo()
+        zero = [f.is_zero(row) for row in got]
+        assert zero == [f.is_zero(row) for row in want], (case, name)
+        assert zero[:2] == [True, True], (case, name)
+
+
+def _premises_by_hand(leg):
+    """Premises (i) and (ii) of a LegEmbedding, from their statements:
+    phi is a dual basis, and J kills every relation generator."""
+    f = leg.field
+    act, paired = (leg.Q, leg.P) if leg.left else (leg.P, leg.Q)
+    dy = paired.shape[1]
+    for y in range(dy):
+        back = f.zeros(dy)
+        for i in range(dy):
+            for a in range(len(paired)):
+                back = back + leg.dual[i, a, y] * paired[a][:, i]
+        if not f.equal(back, np.eye(dy, dtype=int)[y]):
+            return False
+    dx, dy = leg.P.shape[1], leg.Q.shape[1]
+    gens = balanced_tensor(f, dx, leg.P, dy, leg.Q).rel.rows
+    return f.is_zero(leg.apply(gens.T.reshape(dx, dy, -1), 0))
+
+
+@pytest.mark.parametrize("case", EMBED_CASES + [
+    "crossed-bad-t", "crossed-bad-s", "rank1-dual-numbers-bad-t", "trunc-2-2-bad-s"])
+def test_leg_premises_match_their_statements(case):
+    b = CASES[case]()
+    for _, _, leg12, leg23 in _triple_shapes(b):
+        for leg in (leg12, leg23):
+            if leg.dual is not None:
+                assert leg.exact == _premises_by_hand(leg), case
+
+
+@pytest.mark.parametrize("case", ["crossed-bad-t", "rank1-dual-numbers-bad-s"])
+def test_triple_embedding_declines(case):
+    b = CASES[case]()
+    assert not b.leg("T0").exact
+    if case == "rank1-dual-numbers-bad-s":
+        assert b.functionals == [] and b.s_dual_basis is None
+
+
+def test_dual_basis_needs_no_coproduct():
+    b = CASES["rank1-dual-numbers-bad-delta"]()
+    f, xi = b.field, b.s_dual_basis
+    # sum_i s(xi_i(u)) e_i = u, though U_* (which needs Delta) cannot be built
+    assert f.equal(f.contract(np.asarray(b.Ls), xi, ([0, 2], [1, 0])), f.eye(b.U.dim))
+    with pytest.raises(ValueError):
+        duals._s_side_dual_basis(b)
+
+
+def _envelope(a):
+    """A (x) A^op over A: s(a) = a (x) 1, t(b) = 1 (x) b,
+    Delta(a (x) b) = s(a) (x) t(b), eps(a (x) b) = ab."""
+    f, n = a.field, a.dim
+    s = np.stack([kron_vec(f, a.basis(i), a.unit) for i in range(n)], axis=1)
+    t = np.stack([kron_vec(f, a.unit, a.basis(i)) for i in range(n)], axis=1)
+    delta = np.stack([kron_vec(f, s[:, i], t[:, j])
+                      for i in range(n) for j in range(n)], axis=1)
+    counit = a.mul.reshape(n * n, n).T
+    return LeftBialgebroid(a, tensor_product(a, a.opposite()), s, t, delta, counit)
+
+
+def test_triple_embedding_needs_commuting_middle():
+    # upper triangular 2 x 2 matrices (e11, e12, e22): on its envelope both
+    # legs of sch5 embed, but t(a) and t(b) on the middle leg do not commute,
+    # so the classes come from a TripleQuotient, whose push-through fails
+    tri = AlgebraPresentation.from_triples(
+        F2, 3, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 2, 1, 1), (2, 2, 2, 1)], [1, 0, 1])
+    b = _envelope(tri)
+    assert check_left_bialgebroid(b).ok
+    leg12, leg23 = b.leg("T1"), b.leg("T0")
+    assert leg12.exact and leg23.exact
+    d = b.U.dim
+    with pytest.raises(DescentError):
+        triple_classes(F2, F2.zeros((d, d, d, 1)), leg12, leg23)

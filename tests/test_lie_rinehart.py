@@ -63,7 +63,7 @@ def test_bracket_antisymmetric_on_elements(a0, a1, b0, b1):
 @pytest.mark.parametrize("name", ENV)
 def test_enveloping_is_left_bialgebroid(name):
     b = FIXTURES[name]()
-    rep = check_left_bialgebroid(b, with_triples=b.U.dim <= 9)
+    rep = check_left_bialgebroid(b)
     assert rep.ok, rep.render()
 
 
@@ -123,7 +123,7 @@ def test_jet_is_commutative_right_bialgebroid(name):
     b = FIXTURES[name]()
     jet = jet_algebroid(b)
     assert jet.U.is_commutative()
-    rep = check_right_bialgebroid(jet, with_triples=jet.U.dim <= 9)
+    rep = check_right_bialgebroid(jet)
     assert rep.ok, rep.render()
 
 
@@ -131,7 +131,7 @@ def test_jet_is_commutative_right_bialgebroid(name):
 def test_jet_reads_as_left_bialgebroid(name):
     b = FIXTURES[name]()
     lb = jet_algebroid(b).as_left_bialgebroid()
-    rep = check_left_bialgebroid(lb, with_triples=lb.U.dim <= 9)
+    rep = check_left_bialgebroid(lb)
     assert rep.ok, rep.render()
 
 

@@ -23,18 +23,10 @@ from bgd.linalg import (
     solve_matrix_equation,
 )
 
-try:
-    from bgd import _kernel_cy
-except ImportError:
-    _kernel_cy = None
-
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 QQ = Field.rationals()
-
-KERNELS = [_kernel_py] + ([_kernel_cy] if _kernel_cy else [])
-
 
 def rand_matrix(field, rows, cols, draw):
     if field.kind == "prime":
@@ -47,17 +39,15 @@ def draw_ints(rows, cols, data):
     return [[next(it) for _ in range(cols)] for _ in range(rows)]
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND_NAME)
-def test_rref_mod_known(kernel):
+def test_rref_mod_known():
     m = np.array([[2, 4, 1], [1, 2, 3], [0, 0, 4]], dtype=np.int64)
-    r, piv = kernel.rref_mod(m, 5)
+    r, piv = _kernel_py.rref_mod(m, 5)
     assert piv == [0, 2]
     assert r.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert (r >= 0).all() and (r < 5).all()
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND_NAME)
-def test_rref_mod_large_prime_is_fast(kernel):
+def test_rref_mod_large_prime_is_fast():
     # the kernel inverts each pivot on its own, so its cost does not grow with p
     p = 1000003
     f = Field.prime(p)
@@ -65,39 +55,18 @@ def test_rref_mod_large_prime_is_fast(kernel):
     start = time.perf_counter()
     for _ in range(10):
         m = f.array(rng.integers(1, p, size=(2, 2)))  # invertible for this seed
-        r, piv = kernel.rref_mod(np.concatenate([m, f.eye(2)], axis=1), p)
+        r, piv = _kernel_py.rref_mod(np.concatenate([m, f.eye(2)], axis=1), p)
         assert piv == [0, 1]
         assert np.array_equal(r[:, 2:], invert(f, m))
         assert f.equal(f.matmul(m, r[:, 2:]), f.eye(2))
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.BACKEND_NAME)
-def test_rref_mod_zero_and_identity(kernel):
-    r, piv = kernel.rref_mod(np.zeros((3, 3), dtype=np.int64), 3)
+def test_rref_mod_zero_and_identity():
+    r, piv = _kernel_py.rref_mod(np.zeros((3, 3), dtype=np.int64), 3)
     assert piv == [] and r.shape == (0, 3)
-    r, piv = kernel.rref_mod(np.eye(4, dtype=np.int64), 2)
+    r, piv = _kernel_py.rref_mod(np.eye(4, dtype=np.int64), 2)
     assert piv == [0, 1, 2, 3]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.sampled_from([2, 3, 5, 7]),
-    st.data(),
-)
-def test_backends_agree(rows, cols, p, data):
-    if _kernel_cy is None:
-        pytest.skip("compiled kernel unavailable")
-    m = np.array(
-        data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
-        dtype=np.int64,
-    )
-    r1, p1 = _kernel_py.rref_mod(m.copy(), p)
-    r2, p2 = _kernel_cy.rref_mod(m.copy(), p)
-    assert p1 == p2
-    assert np.array_equal(r1, r2)
 
 
 @settings(max_examples=60, deadline=None)
