@@ -127,7 +127,16 @@ def _cmd_translate(b, args):
     data = {}
     sides = [args.side] if args.side else ["left", "right"]
     for side in sides:
-        hopf = is_left_hopf(b) if side == "left" else is_right_hopf(b)
+        try:
+            hopf = is_left_hopf(b) if side == "left" else is_right_hopf(b)
+        except ValueError:
+            # the map does not descend to the balanced tensors, so the
+            # input is no bialgebroid and there is nothing to translate
+            rep.skip(
+                f"translate.{side}",
+                f"the {side} Hopf-Galois map is not well defined on the quotient",
+            )
+            continue
         if not hopf:
             rep.skip(
                 f"translate.{side}",

@@ -4,6 +4,14 @@ Scalars over a prime field are python ints in ``[0, p)`` stored in int64
 numpy arrays; rationals are :class:`fractions.Fraction` in object arrays.
 Row reduction over F_p runs in the numpy kernel ``_kernel_py``; ``BACKEND``
 names it.
+
+Products over F_p (``Field.contract``) run in float64 through BLAS, as in
+FFLAS (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): with entries in
+(-p, p), a sum of at most 2^53 / (p - 1)^2 products has every partial sum
+an integer of magnitude at most 2^53, which float64 represents exactly
+whatever the summation order, so casting the result back to int64 and
+reducing once is exact.  For p above about 9.49e7 a single product can
+pass 2^53 and the product runs in int64 instead.
 """
 
 import math
@@ -63,12 +71,16 @@ def _is_prime(n):
 # Largest prime accepted: every product of two reduced scalars must fit
 # in an int64, and trial division stays below 46341 steps.
 MAX_PRIME = 2**31
+# float64 holds every integer of magnitude up to 2^53 exactly
+FLOAT_EXACT = 2**53
+# entries of the larger operand that Field.contract casts at a time
+SLAB = 2**16
 
 
 class Field:
     """A prime field F_p (p < 2^31) or the rationals Q."""
 
-    __slots__ = ("kind", "p", "chunk")
+    __slots__ = ("kind", "p", "dtype", "chunk")
 
     def __init__(self, kind, p=None):
         if kind == "prime":
@@ -80,8 +92,14 @@ class Field:
             raise FieldError(f"unknown field kind {kind!r}")
         self.kind = kind
         self.p = p
-        # the most products of two reduced scalars an int64 can sum
-        self.chunk = None if p is None else (2**63 - 1) // max(1, (p - 1) ** 2)
+        self.dtype = self.chunk = None
+        if p is not None:
+            # products of two reduced scalars run in float64 while one fits
+            # in its 53-bit significand; chunk is how many of them a partial
+            # sum may take
+            square = max(1, (p - 1) ** 2)
+            self.dtype = np.float64 if square <= FLOAT_EXACT else np.int64
+            self.chunk = (FLOAT_EXACT if square <= FLOAT_EXACT else 2**63 - 1) // square
 
     @classmethod
     def prime(cls, p):
@@ -178,42 +196,69 @@ class Field:
         return a % self.p if self.kind == "prime" else a
 
     def contract(self, a, b, axes=1):
-        """``np.tensordot(a, b, axes)`` reduced into the field.  Over F_p,
-        with entries of a and b in (-p, p), the contracted axes are summed
-        in chunks of at most (2^63 - 1) // (p - 1)^2 terms, so no int64
-        partial sum overflows; for p < 2^20 that never splits."""
+        """``np.tensordot(a, b, axes)`` reduced into the field.  Over F_p the
+        entries of a and b must lie in (-p, p); the result is ``int64`` in
+        [0, p).  The product runs in float64 through BLAS whenever
+        ``terms * (p - 1)^2 <= 2^53``: every partial sum is then an integer
+        of magnitude at most 2^53, which float64 holds exactly in any
+        summation order.  Longer sums are split into chunks of that many
+        terms; for p above about 9.49e7, where one product can pass 2^53,
+        the product runs in ``int64`` in chunks of (2^63 - 1) // (p - 1)^2
+        terms.  At most ``SLAB`` entries of the larger operand are cast at
+        a time."""
         a, b = np.asarray(a), np.asarray(b)
         if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
-            # a matrix or vector product, which matmul does with less overhead
-            if self.kind != "prime":
-                return a @ b
-            ax_a, ax_b, terms = [a.ndim - 1], [0], a.shape[-1]
-            if terms <= self.chunk:
-                return (a @ b) % self.p
+            # a matrix or vector product, which needs no reshaping
+            return a @ b if self.kind != "prime" else self._product(a, b)
+        if isinstance(axes, int):
+            ax_a, ax_b = list(range(a.ndim - axes, a.ndim)), list(range(axes))
         else:
-            if isinstance(axes, int):
-                ax_a, ax_b = list(range(a.ndim - axes, a.ndim)), list(range(axes))
-            else:
-                ax_a, ax_b = (
-                    [x % m.ndim] if isinstance(x, int) else [i % m.ndim for i in x]
-                    for x, m in zip(axes, (a, b))
-                )
-            if self.kind != "prime":
-                return np.tensordot(a, b, (ax_a, ax_b))
-            terms = math.prod(a.shape[i] for i in ax_a)
-            if terms <= self.chunk:
-                out = np.tensordot(a, b, (ax_a, ax_b))
-                return np.remainder(out, self.p, out=out)
-        # flatten the contracted axes to one and sum chunk by chunk
-        a = np.moveaxis(a, ax_a, range(-len(ax_a), 0)).reshape(
-            [n for i, n in enumerate(a.shape) if i not in ax_a] + [terms])
-        b = np.moveaxis(b, ax_b, range(len(ax_b))).reshape(
-            [terms] + [n for i, n in enumerate(b.shape) if i not in ax_b])
-        out = 0
-        for lo in range(0, terms, self.chunk):
-            part = np.tensordot(a[..., lo:lo + self.chunk], b[lo:lo + self.chunk], 1)
-            out = (out + part % self.p) % self.p
-        return out
+            ax_a, ax_b = (
+                [x % m.ndim] if isinstance(x, int) else [i % m.ndim for i in x]
+                for x, m in zip(axes, (a, b))
+            )
+        if self.kind != "prime":
+            return np.tensordot(a, b, (ax_a, ax_b))
+        # the free axes of a, then its contracted ones; the reverse for b
+        order_a = [i for i in range(a.ndim) if i not in ax_a] + ax_a
+        order_b = ax_b + [i for i in range(b.ndim) if i not in ax_b]
+        free_a = [a.shape[i] for i in order_a[:a.ndim - len(ax_a)]]
+        free_b = [b.shape[i] for i in order_b[len(ax_b):]]
+        terms = math.prod(a.shape[i] for i in ax_a)
+        a = a.transpose(order_a).reshape(math.prod(free_a), terms)
+        b = b.transpose(order_b).reshape(terms, math.prod(free_b))
+        return self._product(a, b).reshape(free_a + free_b)
+
+    def _product(self, a, b):
+        """``a @ b`` mod p for a vector or matrix a (m x k) and b (k x n).
+        When the operands and the result fit in one slab the product runs
+        in one go; otherwise an int64 result is filled by slabs of rows of
+        the larger operand (of columns of the result when that is b), each
+        summed in chunks of terms."""
+        dtype, chunk, p = self.dtype, self.chunk, self.p
+        shape = a.shape[:-1] + b.shape[1:]
+        if a.shape[-1] <= chunk and max(a.size, b.size, math.prod(shape)) <= SLAB:
+            out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+            out = out.astype(np.int64, copy=False)
+            out %= p
+            return out
+        a = a if a.ndim == 2 else a[None]
+        b = b if b.ndim == 2 else b[:, None]
+        out = np.zeros((len(a), b.shape[1]), dtype=np.int64)
+        big, small, dst = (a, b, out) if a.size >= b.size else (b.T, a.T, out.T)
+        terms = len(small)
+        rows = max(1, SLAB // max(1, terms, small.shape[1]))
+        for lo in range(0, terms, chunk):
+            part_small = small[lo:lo + chunk].astype(dtype, copy=False)
+            for r in range(0, len(big), rows):
+                part = big[r:r + rows, lo:lo + chunk].astype(dtype, copy=False) @ part_small
+                acc = dst[r:r + rows]
+                if lo:
+                    acc += np.remainder(part.astype(np.int64, copy=False), p)
+                else:
+                    acc[...] = part
+                np.remainder(acc, p, out=acc)
+        return out.reshape(shape)
 
     def matmul(self, a, b):
         return self.contract(a, b, 1)

@@ -323,13 +323,19 @@ def _envelope(a):
     return LeftBialgebroid(a, tensor_product(a, a.opposite()), s, t, delta, counit)
 
 
-def test_triple_embedding_needs_commuting_middle():
-    # upper triangular 2 x 2 matrices (e11, e12, e22): on its envelope both
-    # legs of sch5 embed, but t(a) and t(b) on the middle leg do not commute,
-    # so the classes come from a TripleQuotient, whose push-through fails
+def triangular_envelope():
+    """The envelope of the upper triangular 2 x 2 matrices (e11, e12, e22)
+    over F_2, a left and right Hopf bialgebroid over a noncommutative base."""
     tri = AlgebraPresentation.from_triples(
         F2, 3, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 2, 1, 1), (2, 2, 2, 1)], [1, 0, 1])
-    b = _envelope(tri)
+    return _envelope(tri)
+
+
+def test_triple_embedding_needs_commuting_middle():
+    # on the triangular envelope both legs of sch5 embed, but t(a) and t(b)
+    # on the middle leg do not commute, so the classes come from a
+    # TripleQuotient, whose push-through fails
+    b = triangular_envelope()
     assert check_left_bialgebroid(b).ok
     leg12, leg23 = b.leg("T1"), b.leg("T0")
     assert leg12.exact and leg23.exact

@@ -1,6 +1,8 @@
 import json
 import time
 
+from test_algebra import triangular_envelope
+
 from bgd.cli import main
 from bgd.fixtures import FIXTURES
 from bgd.jsonio import dumps_canonical, export_spec, parse_spec
@@ -154,6 +156,36 @@ def test_translate_coop_spec_file(tmp_path, capsys):
     p.write_text(dumps_canonical(export_spec(b)))
     code, out, _ = run(capsys, "translate", str(p))
     assert code == 0, out
+
+
+def _statuses(out):
+    return {i["check_id"]: i["status"] for i in json.loads(out)["items"]}
+
+
+def test_translate_skips_noncommuting_middle_leg(tmp_path, capsys):
+    # valid and Hopf on both sides, but the sch5/tch5 triple quotient does
+    # not exist over this noncommutative base
+    p = tmp_path / "env.json"
+    p.write_text(dumps_canonical(export_spec(triangular_envelope())))
+    code, out, _ = run(capsys, "translate", str(p), "--format", "json")
+    assert code in (0, 1)
+    items = _statuses(out)
+    assert items["sch5"] == items["tch5"] == "skipped"
+
+
+def test_translate_skips_ill_defined_alpha(tmp_path, capsys):
+    # a parsed spec whose coproduct breaks the Takeuchi property, so that
+    # alpha_l does not descend to the balanced tensors
+    doc = export_spec(FIXTURES["rank1-dual-numbers"]())
+    delta = doc["bialgebroid"]["delta"]
+    delta[1][1] = "1" if delta[1][1] == "0" else "0"
+    p = tmp_path / "flipped.json"
+    p.write_text(dumps_canonical(doc))
+    assert run(capsys, "check", str(p))[0] == 1
+    code, out, _ = run(capsys, "translate", str(p), "--format", "json")
+    assert code in (0, 1)
+    items = _statuses(out)
+    assert items["translate.left"] == items["translate.right"] == "skipped"
 
 
 def test_frobenius_disagrees_on_non_hopf(capsys):

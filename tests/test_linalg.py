@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgd import _kernel_py
+from bgd import _kernel_py, linalg
 from bgd.linalg import (
     Field,
     FieldError,
@@ -282,20 +282,99 @@ def test_matmul_does_not_overflow_below_2_31():
     assert f.matmul(a, a.T).tolist() == [[4]]
 
 
+def exact_contract(a, b, axes, p):
+    """The contraction in python ints, reduced into [0, p)."""
+    return np.asarray(
+        np.tensordot(np.asarray(a).astype(object), np.asarray(b).astype(object), axes) % p)
+
+
+def assert_reduced(got, want, p):
+    got = np.asarray(got)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert ((got >= 0) & (got < p)).all() and got.tolist() == want.tolist()
+
+
+# 94906249: (p - 1)^2 fits below 2^53 once, so a float sum takes one term
 @given(
-    st.sampled_from([2, 5, 1000003, 2**31 - 1]),
+    st.sampled_from([2, 5, 1000003, 94906249, 2**31 - 1]),
     st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_contract_matches_exact_sum(p, n, k1, k2, m, seed):
     f = Field.prime(p)
     rng = np.random.default_rng(seed)
-    a = rng.integers(0, p, size=(n, k1, k2))
-    b = rng.integers(0, p, size=(k2, m, k1))
-    want = np.tensordot(a.astype(object), b.astype(object), ([1, 2], [2, 0])) % p
-    got = f.contract(a, b, ([1, 2], [2, 0]))
-    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    # entries in (-p, p), as in an unreduced difference
+    a = rng.integers(1 - p, p, size=(n, k1, k2))
+    b = rng.integers(1 - p, p, size=(k2, m, k1))
+    assert_reduced(f.contract(a, b, ([1, 2], [2, 0])), exact_contract(a, b, ([1, 2], [2, 0]), p), p)
+    assert_reduced(f.matmul(a[:, 0], b[:, :, 0]), exact_contract(a[:, 0], b[:, :, 0], 1, p), p)
+
+
+@pytest.mark.parametrize("p", [1000003, 94906249, 2**31 - 1])
+def test_contract_at_the_exact_sum_bound(p):
+    # f.chunk products of magnitude (p - 1)^2 are the most one partial sum
+    # may take (2^53 in float64, 2^63 - 1 in int64); one more splits the sum
+    f = Field.prime(p)
+    rng = np.random.default_rng(p)
+    for terms in (f.chunk, f.chunk + 1):
+        signs = rng.choice([-1, 1], size=(3, terms))
+        for a in ((p - 1) * np.ones((2, terms), dtype=np.int64),
+                  (p - 1) * signs[:2], (p - 1) * signs[1:]):
+            b = (p - 1) * signs.T
+            assert_reduced(f.matmul(a, b), exact_contract(a, b, 1, p), p)
+        # (p - 1)^2 + 1 has its lowest bit set, so a float64 sum of two
+        # products over 94906249 would round it
+        a = np.full(terms, p - 1)
+        a[-1] = 1
+        assert_reduced(f.matmul(a, a), exact_contract(a, a, 1, p), p)
+
+
+@pytest.mark.parametrize("p", [2, 94906249, 2**31 - 1])
+def test_contract_with_zero_size_axes(p, monkeypatch):
+    f = Field.prime(p)
+    cases = [
+        ((0, 3), (3, 4), 1), ((3, 0), (0, 4), 1), ((3, 4), (4, 0), 1),
+        ((0,), (0, 2), 1), ((2, 0, 3), (3, 0), ([1, 2], [1, 0])),
+        ((2, 3, 0), (0, 3), (2, 0)), ((2, 0), (0, 5, 2), 1),
+    ]
+    for slab in (linalg.SLAB, 1):
+        monkeypatch.setattr(linalg, "SLAB", slab)
+        for sa, sb, axes in cases:
+            a, b = np.ones(sa, dtype=np.int64), np.ones(sb, dtype=np.int64)
+            assert_reduced(f.contract(a, b, axes), exact_contract(a, b, axes, p), p)
+
+
+@pytest.mark.parametrize("p", [5, 94906249, 2**31 - 1])
+def test_contract_by_slabs_matches_one_slab(p, monkeypatch):
+    f = Field.prime(p)
+    rng = np.random.default_rng(p)
+    cases = [
+        ((40, 6), (6, 7), 1),  # slabs of rows of a
+        ((6, 5), (5, 40), 1),  # b is larger: slabs of columns of the result
+        ((9,), (9, 30), 1),
+        ((5, 4, 3, 6), (6, 3, 8), ([2, 3], [1, 0])),
+    ]
+    for sa, sb, axes in cases:
+        a, b = rng.integers(1 - p, p, size=sa), rng.integers(1 - p, p, size=sb)
+        whole = f.contract(a, b, axes)
+        for slab in (1, 7, 50):
+            monkeypatch.setattr(linalg, "SLAB", slab)
+            assert_reduced(f.contract(a, b, axes), whole, p)
+        monkeypatch.undo()
+        assert_reduced(whole, exact_contract(a, b, axes, p), p)
+
+
+def test_contract_small_prime_is_fast():
+    # float64 BLAS takes about 0.01 s here; the int64 product about 0.9 s
+    f = Field.prime(5)
+    rng = np.random.default_rng(0)
+    a, b = rng.integers(0, 5, size=(2, 625, 625))
+    f.contract(a[:8], b[:, :8])
+    start = time.perf_counter()
+    got = f.contract(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert np.array_equal(got, (a @ b) % 5)
 
 
 def test_field_rejects_primes_from_2_31_at_once():
