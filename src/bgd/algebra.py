@@ -11,7 +11,6 @@ __all__ = [
     "AlgebraPresentation",
     "check_action",
     "tensor_product",
-    "enveloping_square",
     "balanced_tensor",
     "LegEmbedding",
     "triple_classes",
@@ -171,12 +170,13 @@ def lift_products(alg, x, y, flip=False):
     """Factorwise products in the tensor square of ``alg``: x[:, :, i] and
     y[:, :, j] are elements of alg (x) alg, and entry [i, j] of the result
     (n x m x d x d) is x_i y_j, with the second legs multiplied in reverse
-    order (x' y' (x) y'' x'') when ``flip``.  The largest intermediate has
-    d^3 n m entries."""
+    order (x' y' (x) y'' x'') when ``flip``.  Each leg is multiplied
+    before the two are paired, so no intermediate has more than
+    d^3 max(n, m) or d^2 n m entries."""
     f = alg.field
-    g = f.contract(x, alg.mul, (0, 0))  # (l, i, k2, a)
-    g = f.contract(g, y, (2, 0))  # (l, i, a, l2, j)
-    return f.contract(g, alg.mul, ([0, 3], [1, 0] if flip else [0, 1])).transpose(0, 2, 1, 3)
+    second = f.contract(x, alg.mul, (1, 1 if flip else 0))  # x'' y'' as [x', i, y'', b]
+    first = f.contract(y, alg.mul, (0, 1))  # x' y' as [y'', j, x', a]
+    return f.contract(second, first, ([0, 2], [2, 0])).transpose(0, 2, 3, 1)
 
 
 def tensor_product(a, b):
@@ -187,11 +187,6 @@ def tensor_product(a, b):
     mul = f.contract(a.mul, b.mul, 0).transpose(0, 3, 1, 4, 2, 5).reshape(d, d, d)
     labels = [f"{x}(x){y}" for x in a.labels for y in b.labels]
     return AlgebraPresentation(f, mul, kron_vec(f, a.unit, b.unit), labels)
-
-
-def enveloping_square(a):
-    """A (x) A^op."""
-    return tensor_product(a, a.opposite())
 
 
 def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):

@@ -50,9 +50,9 @@ class CoordSolver:
         self.rows = pivots
         self.inv = invert(field, self.b[pivots, :])
 
-    def coords(self, v, check=True):
+    def coords(self, v):
         x = self.field.matmul(self.inv, np.asarray(v)[self.rows])
-        if check and not self.field.equal(self.field.matmul(self.b, x), v):
+        if not self.field.equal(self.field.matmul(self.b, x), v):
             raise ValueError("vector is not in the span")
         return x
 

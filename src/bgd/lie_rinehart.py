@@ -14,7 +14,7 @@ alpha in [0, p-1]^n (PBW), products computed by straightening:
 
 import numpy as np
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, project_stack
 from .bialgebroid import LeftBialgebroid
 from .duals import left_dual
 from .report import Report
@@ -34,126 +34,118 @@ class RestrictedLieRinehart:
     bracket[i, j, k] in A is the e_k-coefficient of [e_i, e_j];
     anchors[i] is the derivation matrix of omega(e_i) on A;
     pops[i, k] in A is the e_k-coefficient of e_i^[p].
+
+    An element x of L = A^n is an n x dA array, x[i] its e_i-coefficient;
+    labels names the generators e1..en.
+    anchor_tensor[i, a] is the derivation matrix of omega(a_a e_i), and
+    bracket_tensor[i, a, j, b, k, c] is the e_c-coordinate of the slot k
+    of [a_a e_i, a_b e_j]: the bracket as a k-bilinear map on L.
     """
 
     def __init__(self, base, n, bracket, anchors, pops, name="L"):
         self.A = base
-        self.field = base.field
-        if self.field.kind != "prime":
+        self.field = f = base.field
+        if f.kind != "prime":
             raise ValueError("restricted structures require a prime field")
-        self.p = self.field.p
+        self.p = f.p
         self.n = n
         da = base.dim
-        self.bracket = self.field.mod(np.asarray(bracket).reshape(n, n, n, da))
-        self.anchors = [self.field.mod(np.asarray(m)) for m in anchors]
-        self.pops = self.field.mod(np.asarray(pops).reshape(n, n, da))
+        self.bracket = f.mod(np.asarray(bracket).reshape(n, n, n, da))
+        self.anchors = f.mod(np.asarray(anchors).reshape(n, da, da))
+        self.pops = f.mod(np.asarray(pops).reshape(n, n, da))
         self.name = name
+        self.labels = [f"e{i + 1}" for i in range(n)]
+        mul = base.mul
+        # omega(a e_i) = L_a omega_i, indexed [i, a, t, b]
+        self.anchor_tensor = f.contract(self.anchors, mul, (1, 1)).transpose(0, 2, 3, 1)
+        # [x, y]_k = sum_ij x_i y_j c_ijk + omega_x(y_k) 1 - omega_y(x_k): the
+        # structure term indexed [i, j, k, a, b, c], the anchor terms with a
+        # Kronecker delta putting them into slot k
+        structure = f.contract(self.bracket, f.contract(mul, mul, (2, 0)), (3, 2))
+        one = base.right_mult(base.unit)
+        eye = f.eye(n)
+        left = f.contract(f.contract(self.anchor_tensor, one, (2, 1)), eye, 0)
+        right = f.contract(self.anchor_tensor, eye, 0)
+        self.bracket_tensor = f.mod(
+            structure.transpose(0, 3, 1, 4, 2, 5)
+            + left.transpose(0, 1, 4, 2, 5, 3)
+            - right.transpose(4, 3, 0, 1, 5, 2)
+        )
 
     def anchor_of(self, x):
-        """Derivation matrix of an L-element x (shape n x dA)."""
-        f = self.field
-        out = f.zeros((self.A.dim, self.A.dim))
-        for i in range(self.n):
-            out = out + f.matmul(self.A.left_mult(x[i]), self.anchors[i])
-        return f.mod(out)
+        """Derivation matrix of an L-element x (shape n x dA), or the stack
+        of them for a stack of elements."""
+        return self.field.contract(x, self.anchor_tensor, ([-2, -1], [0, 1]))
 
     def bracket_of(self, x, y):
-        """[x, y] for L-elements, via the Leibniz rule in both slots."""
-        f, a_ = self.field, self.A
-        out = f.zeros((self.n, a_.dim))
-        wx, wy = self.anchor_of(x), self.anchor_of(y)
-        for i in range(self.n):
-            for j in range(self.n):
-                ab = a_.mult(x[i], y[j])
-                for k in range(self.n):
-                    out[k] = out[k] + a_.mult(ab, self.bracket[i, j, k])
-        for j in range(self.n):
-            out[j] = out[j] + a_.mult(f.matmul(wx, y[j]), a_.unit)
-        for i in range(self.n):
-            out[i] = out[i] - f.matmul(wy, x[i])
-        return f.mod(out)
-
-    def gen(self, i):
-        x = self.field.zeros((self.n, self.A.dim))
-        x[i] = self.A.unit
-        return x
+        """[x, y] for L-elements, via the Leibniz rule in both slots.  For
+        stacks x and y the result is the table of brackets, indexed by the
+        stack axes of x, then those of y."""
+        f = self.field
+        xy = f.contract(f.contract(x, self.bracket_tensor, ([-2, -1], [0, 1])), y,
+                        ([-4, -3], [-2, -1]))
+        lead = np.ndim(x) - 2
+        return np.moveaxis(xy, (lead, lead + 1), (-2, -1))
 
     def check(self):
         rep = Report(self.name)
-        f, a_ = self.field, self.A
+        f, a_, n = self.field, self.A, self.n
         sub = a_.check()
         for item in sub.items:
             item.check_id = "base." + item.check_id
         rep.items.extend(sub.items)
         rep.add("base.commutative", a_.is_commutative())
 
-        ok_alt = all(
-            f.is_zero(self.bracket_of(self.gen(i), self.gen(i)))
-            for i in range(self.n)
+        gens = self.labels
+        e = f.contract(f.eye(n), a_.unit, 0)  # the generators, e[i] = e_i
+        br = self.bracket_of(e, e)  # [e_i, e_j]
+        rep.add_residual("bracket.alternating", _diag(br, 1), [gens])
+        rep.add_residual("bracket.antisymmetric", f.mod(br + br.swapaxes(0, 1)), [gens] * 2)
+        # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+        jac = self.bracket_of(e, br)
+        rep.add_residual(
+            "bracket.jacobi", f.mod(jac + np.moveaxis(jac, 2, 0) + np.moveaxis(jac, 0, 2)),
+            [gens] * 3,
         )
-        ok_skew = True
-        for i in range(self.n):
-            for j in range(self.n):
-                ok_skew &= f.is_zero(
-                    f.mod(
-                        self.bracket_of(self.gen(i), self.gen(j))
-                        + self.bracket_of(self.gen(j), self.gen(i))
-                    )
-                )
-        rep.add("bracket.alternating", ok_alt)
-        rep.add("bracket.antisymmetric", ok_skew)
 
-        ok = True
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    x, y, z = self.gen(i), self.gen(j), self.gen(k)
-                    jac = (
-                        self.bracket_of(x, self.bracket_of(y, z))
-                        + self.bracket_of(y, self.bracket_of(z, x))
-                        + self.bracket_of(z, self.bracket_of(x, y))
-                    )
-                    ok &= f.is_zero(f.mod(jac))
-        rep.add("bracket.jacobi", ok)
+        # omega_i(e_r e_s) - omega_i(e_r) e_s - e_r omega_i(e_s)
+        w, mul = self.anchors, a_.mul
+        lhs = np.moveaxis(f.contract(w, mul, (2, 2)), 1, -1)
+        rhs = f.contract(w, mul, (1, 0)) + f.contract(w, mul, (1, 1)).swapaxes(1, 2)
+        rep.add_residual("anchor.derivation", f.mod(lhs - rhs), [gens, a_.labels, a_.labels])
 
-        ok = True
-        for i in range(self.n):
-            w = self.anchors[i]
-            for r in range(a_.dim):
-                for s in range(a_.dim):
-                    er, es = a_.basis(r), a_.basis(s)
-                    lhs = f.matmul(w, a_.mult(er, es))
-                    rhs = a_.mult(f.matmul(w, er), es) + a_.mult(er, f.matmul(w, es))
-                    ok &= f.equal(lhs, f.mod(rhs))
-        rep.add("anchor.derivation", ok)
+        # omega([e_i, e_j]) - [omega_i, omega_j]
+        comp = f.contract(w, w, (2, 1)).transpose(0, 2, 1, 3)  # omega_i omega_j
+        rep.add_residual(
+            "anchor.morphism", f.mod(self.anchor_of(br) - comp + comp.swapaxes(0, 1)), [gens] * 2
+        )
 
-        ok = True
-        for i in range(self.n):
-            for j in range(self.n):
-                lhs = self.anchor_of(self.bracket_of(self.gen(i), self.gen(j)))
-                wi, wj = self.anchors[i], self.anchors[j]
-                rhs = f.mod(f.matmul(wi, wj) - f.matmul(wj, wi))
-                ok &= f.equal(lhs, rhs)
-        rep.add("anchor.morphism", ok)
+        # omega(e_i^[p]) - omega_i^p
+        wp = np.broadcast_to(f.eye(a_.dim), w.shape)
+        for _ in range(self.p):
+            wp = _diag(f.contract(wp, w, (2, 1)), 2)
+        rep.add_residual("anchor.restricted", f.mod(self.anchor_of(self.pops) - wp), [gens])
 
-        ok = True
-        for i in range(self.n):
-            wp = f.eye(a_.dim)
-            for _ in range(self.p):
-                wp = f.matmul(wp, self.anchors[i])
-            ok &= f.equal(self.anchor_of(self.pops[i]), wp)
-        rep.add("anchor.restricted", ok)
-
-        ok = True
-        for i in range(self.n):
-            for j in range(self.n):
-                y = self.gen(j)
-                ad = y
-                for _ in range(self.p):
-                    ad = self.bracket_of(self.gen(i), ad)
-                ok &= f.equal(self.bracket_of(self.pops[i], y), ad)
-        rep.add("pop.adjoint", ok)
+        # [e_i^[p], e_j] - ad(e_i)^p (e_j)
+        ad = np.broadcast_to(e, (n,) + e.shape)
+        for _ in range(self.p):
+            ad = _diag(self.bracket_of(e, ad), 1)
+        rep.add_residual("pop.adjoint", f.mod(self.bracket_of(self.pops, e) - ad), [gens] * 2)
         return rep
+
+
+def _diag(t, axis):
+    """The entries of t whose indices on axes 0 and ``axis`` agree, indexed
+    by that common index first."""
+    return np.moveaxis(np.diagonal(t, 0, 0, axis), -1, 0)
+
+
+def _powers(alg, x, n):
+    """x^n for every element of the stack x (one element per row)."""
+    out = np.broadcast_to(alg.unit, x.shape)
+    for _ in range(n):
+        out = _diag(alg.products(out.T, x.T), 1)
+    return out
 
 
 class _Envelope:
@@ -316,21 +308,19 @@ def restricted_enveloping(lr):
     for r in range(da):
         counit[r, eng.index(r, (0,) * lr.n)] = f.one
 
-    from .linalg import apply_leg1, apply_leg2
-
     gens = [eng.to_vec(eng.unit_elem(_bump((0,) * lr.n, i))) for i in range(lr.n)]
     rgens = [total.right_mult(g) for g in gens]
     delta = f.zeros((d * d, d))
     for idx in range(d):
         r, alpha = eng.decode(idx)
         base = eng.to_vec(eng.amul(lr.A.basis(r), eng.unit_elem((0,) * lr.n)))
-        t = np.outer(base, unit).reshape(-1)
+        # Delta(a e^alpha) = (a (x) 1) prod_i (e_i (x) 1 + 1 (x) e_i)^alpha_i,
+        # each factor a right multiplication on both legs of the d x d lift
+        t = f.mod(np.outer(base, unit))
         for i in range(lr.n):
             for _ in range(alpha[i]):
-                t = f.mod(
-                    apply_leg1(f, rgens[i], t, d, d) + apply_leg2(f, rgens[i], t, d, d)
-                )
-        delta[:, idx] = t
+                t = f.mod(f.matmul(rgens[i], t) + f.matmul(t, rgens[i].T))
+        delta[:, idx] = t.reshape(-1)
 
     b = LeftBialgebroid(lr.A, total, s_map, s_map, delta, counit, name=f"U({lr.name})")
     b._cache["lr"] = lr
@@ -344,56 +334,36 @@ def enveloping_report(b):
     generators are primitive, D^p = D^[p] holds, and the Hochschild-type
     formula (aD)^p = a^p D^[p] + (a omega_D)^{p-1}(a) D holds in U."""
     lr = b._cache["lr"]
-    eng = b._cache["lr_engine"]
-    gens = b._cache["lr_gens"]
-    f = lr.field
+    f, a_, n, p = lr.field, lr.A, lr.n, lr.p
+    u, d = b.U, b.U.dim
     rep = Report(b.name)
-    d = b.U.dim
+    gens = lr.labels
+    e = np.stack(b._cache["lr_gens"])
+    # the inclusion of L: incl[k, a] = s(a_a) e_k = (a_a 1) e_k
+    incl = u.products(b.s_map, e.T).swapaxes(0, 1)
 
-    ok = True
-    for g in gens:
-        lift = b.delta_of(g)
-        expect = f.mod(
-            np.outer(g, b.U.unit).reshape(-1) + np.outer(b.U.unit, g).reshape(-1)
-        )
-        ok &= np.array_equal(b.T0.project(lift), b.T0.project(expect))
-    rep.add("generators.primitive", ok)
+    # Delta(e_i) - e_i (x) 1 - 1 (x) e_i in U (x)_A U
+    lift = f.contract(e, b.delta, (1, 1)).reshape(n, d, d)
+    prim = f.contract(e, u.unit, 0) + np.moveaxis(f.contract(u.unit, e, 0), 1, 0)
+    rep.add_residual("generators.primitive", project_stack(b.T0, f.mod(lift - prim)), [gens])
 
-    ok = True
-    for i in range(lr.n):
-        lhs = b.U.power(gens[i], lr.p)
-        rhs = f.zeros(d)
-        for k in range(lr.n):
-            rhs = rhs + eng.to_vec(
-                eng.amul(lr.pops[i, k], eng.unit_elem(_bump((0,) * lr.n, k)))
-            )
-        ok &= f.equal(lhs, f.mod(rhs))
-    rep.add("pop.power_rule", ok)
+    # e_i^p - iota(e_i^[p])
+    power = _powers(u, e, p) - f.contract(lr.pops, incl, ([1, 2], [0, 1]))
+    rep.add_residual("pop.power_rule", f.mod(power), [gens])
 
-    ok = True
-    for i in range(lr.n):
-        for r in range(lr.A.dim):
-            a = lr.A.basis(r)
-            x = eng.to_vec(eng.amul(a, eng.unit_elem(_bump((0,) * lr.n, i))))
-            lhs = b.U.power(x, lr.p)
-            ap = lr.A.power(a, lr.p)
-            rhs = f.zeros(d)
-            for k in range(lr.n):
-                rhs = rhs + eng.to_vec(
-                    eng.amul(
-                        lr.A.mult(ap, lr.pops[i, k]),
-                        eng.unit_elem(_bump((0,) * lr.n, k)),
-                    )
-                )
-            deriv = f.matmul(lr.A.left_mult(a), lr.anchors[i])
-            acted = a
-            for _ in range(lr.p - 1):
-                acted = f.matmul(deriv, acted)
-            rhs = rhs + eng.to_vec(
-                eng.amul(lr.A.mult(acted, lr.A.unit), eng.unit_elem(_bump((0,) * lr.n, i)))
-            )
-            ok &= f.equal(lhs, f.mod(rhs))
-    rep.add("pop.hochschild", ok)
+    # (a e_i)^p - a^p e_i^[p] - (a omega_i)^{p-1}(a) e_i for a = a_r
+    da = a_.dim
+    lhs = _powers(u, incl.reshape(n * da, d), p).reshape(n, da, d)
+    # a_r^p pops[i, k], indexed [r, c, i, k], sent into U
+    ap = f.contract(f.contract(_powers(a_, f.eye(da), p), a_.mul, (1, 0)), lr.pops, (1, 2))
+    rhs = f.contract(ap, incl, ([3, 1], [0, 1])).swapaxes(0, 1)
+    acted = np.tile(f.eye(da), (n, 1))  # row (i, r) is a_r
+    deriv = lr.anchor_tensor.reshape(n * da, da, da)
+    for _ in range(p - 1):
+        acted = _diag(f.contract(deriv, acted, (2, 1)), 2)
+    acted = f.contract(acted.reshape(n, da, da), a_.right_mult(a_.unit), (2, 1))
+    rhs = rhs + _diag(f.contract(acted, incl, (2, 1)), 2)
+    rep.add_residual("pop.hochschild", f.mod(lhs - rhs), [gens, a_.labels])
     return rep
 
 

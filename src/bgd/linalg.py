@@ -2,8 +2,9 @@
 
 Scalars over a prime field are python ints in ``[0, p)`` stored in int64
 numpy arrays; rationals are :class:`fractions.Fraction` in object arrays.
-Row reduction over F_p runs in the numpy kernel ``_kernel_py``; ``BACKEND``
-names it.
+One Gauss-Jordan elimination (``rref``), written against the ``Field``
+operations, serves both; it runs row operations on whole numpy rows, and
+``BACKEND`` names it.
 
 Products over F_p (``Field.contract``) run in float64 through BLAS, as in
 FFLAS (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): with entries in
@@ -19,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernel_py as _kernel
-
-BACKEND = _kernel.BACKEND_NAME
+# the row reduction runs in numpy for both fields
+BACKEND = "numpy"
 
 __all__ = [
     "Field",
@@ -40,8 +40,6 @@ __all__ = [
     "invert",
     "unit_vector",
     "kron_vec",
-    "apply_leg1",
-    "apply_leg2",
 ]
 
 
@@ -271,41 +269,37 @@ class Field:
 
 
 def rref(field, m):
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form by Gauss-Jordan elimination.  Returns
+    (nonzero rows, pivot columns)."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    if field.kind == "prime":
-        return _kernel.rref_mod(m.copy(), field.p)
-    return _rref_frac(m)
-
-
-def _rref_frac(m):
-    rows = [[Fraction(x) for x in row] for row in m]
-    nrows = len(rows)
-    ncols = m.shape[1]
+    w = field.array(m)  # the working copy, reduced into the field
+    mod, one = field.mod, field.one
+    nrows, ncols = w.shape
     r = 0
     pivots = []
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
+        nz = np.nonzero(w[r:, c])[0]
+        if not nz.size:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][c]
-        if lead != 1:
-            rows[r] = [x / lead for x in rows[r]]
-        for i in range(nrows):
-            f = rows[i][c]
-            if i != r and f != 0:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv = r + int(nz[0])
+        if piv != r:
+            w[[r, piv]] = w[[piv, r]]
+        # rows r.. vanish left of column c, so only columns c.. change
+        row = w[r, c:]
+        if row[0] != one:
+            row = w[r, c:] = mod(row * field.inv(field.canon(row[0])))
+        col = w[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            w[hit, c:] = mod(w[hit, c:] - np.outer(col[hit], row))
         pivots.append(c)
         r += 1
-    out = np.empty((r, ncols), dtype=object)
-    for i in range(r):
-        out[i, :] = rows[i]
-    return out, pivots
+    return w[:r].copy(), pivots
 
 
 def rank(field, m):
@@ -484,13 +478,3 @@ def unit_vector(field, n, i):
 
 def kron_vec(field, v, w):
     return field.mod(np.outer(np.asarray(v), np.asarray(w)).reshape(-1))
-
-
-def apply_leg1(field, m, vec, d1, d2):
-    """(m x I) vec for vec in X (x) Y with dims (d1, d2)."""
-    return field.matmul(m, np.asarray(vec).reshape(d1, d2)).reshape(-1)
-
-
-def apply_leg2(field, m, vec, d1, d2):
-    """(I x m) vec."""
-    return field.matmul(np.asarray(vec).reshape(d1, d2), m.T).reshape(-1)

@@ -1,6 +1,5 @@
 """Structured pass/fail reports shared by all checkers."""
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +68,6 @@ class Report:
                 for i in sorted(self.items, key=lambda i: i.check_id)
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self):
         lines = [f"{self.subject}: {'OK' if self.ok else 'FAILED'}"]

@@ -13,7 +13,6 @@ from bgd.algebra import (
     TripleQuotient,
     balanced_tensor,
     check_action,
-    enveloping_square,
     pair_and_act,
     tensor_product,
     triple_classes,
@@ -86,7 +85,7 @@ def test_tensor_product_algebra():
     t = tensor_product(a, a)
     assert t.dim == 4
     assert t.check().ok
-    assert enveloping_square(a).check().ok
+    assert tensor_product(a, a.opposite()).check().ok
 
 
 @given(st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 3))

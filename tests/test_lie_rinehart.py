@@ -24,7 +24,7 @@ ENV = ["rank1-dual-numbers", "rank1-dual-numbers-p3", "abelian-n", "crossed"]
 def test_lr_axioms(name):
     lr = LR_FIXTURES[name]()
     rep = lr.check()
-    assert rep.ok, rep.render()
+    assert rep.ok, rep.to_text()
 
 
 def test_lr_axioms_detect_bad_anchor():
@@ -64,7 +64,7 @@ def test_bracket_antisymmetric_on_elements(a0, a1, b0, b1):
 def test_enveloping_is_left_bialgebroid(name):
     b = FIXTURES[name]()
     rep = check_left_bialgebroid(b)
-    assert rep.ok, rep.render()
+    assert rep.ok, rep.to_text()
 
 
 @pytest.mark.parametrize("name", ENV)
@@ -84,7 +84,7 @@ def test_enveloping_dimension_and_labels():
 def test_enveloping_report(name):
     b = FIXTURES[name]()
     rep = enveloping_report(b)
-    assert rep.ok, rep.render()
+    assert rep.ok, rep.to_text()
     by_id = {i.check_id: i.status for i in rep.items}
     assert by_id["pop.power_rule"] == "pass"
     assert by_id["pop.hochschild"] == "pass"
@@ -124,7 +124,7 @@ def test_jet_is_commutative_right_bialgebroid(name):
     jet = jet_algebroid(b)
     assert jet.U.is_commutative()
     rep = check_right_bialgebroid(jet)
-    assert rep.ok, rep.render()
+    assert rep.ok, rep.to_text()
 
 
 @pytest.mark.parametrize("name", ENV)
@@ -132,7 +132,7 @@ def test_jet_reads_as_left_bialgebroid(name):
     b = FIXTURES[name]()
     lb = jet_algebroid(b).as_left_bialgebroid()
     rep = check_left_bialgebroid(lb)
-    assert rep.ok, rep.render()
+    assert rep.ok, rep.to_text()
 
 
 @pytest.mark.parametrize("name", ENV)

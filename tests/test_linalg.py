@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgd import _kernel_py, linalg
+from bgd import linalg
 from bgd.linalg import (
     Field,
     FieldError,
     Quotient,
     SingularMatrixError,
     Subspace,
-    apply_leg1,
-    apply_leg2,
     invert,
     kernel_basis,
     kron_vec,
@@ -41,21 +39,21 @@ def draw_ints(rows, cols, data):
 
 def test_rref_mod_known():
     m = np.array([[2, 4, 1], [1, 2, 3], [0, 0, 4]], dtype=np.int64)
-    r, piv = _kernel_py.rref_mod(m, 5)
+    r, piv = linalg.rref(F5, m)
     assert piv == [0, 2]
     assert r.tolist() == [[1, 2, 0], [0, 0, 1]]
     assert (r >= 0).all() and (r < 5).all()
 
 
 def test_rref_mod_large_prime_is_fast():
-    # the kernel inverts each pivot on its own, so its cost does not grow with p
+    # rref inverts each pivot on its own, so its cost does not grow with p
     p = 1000003
     f = Field.prime(p)
     rng = np.random.default_rng(0)
     start = time.perf_counter()
     for _ in range(10):
         m = f.array(rng.integers(1, p, size=(2, 2)))  # invertible for this seed
-        r, piv = _kernel_py.rref_mod(np.concatenate([m, f.eye(2)], axis=1), p)
+        r, piv = linalg.rref(f, np.concatenate([m, f.eye(2)], axis=1))
         assert piv == [0, 1]
         assert np.array_equal(r[:, 2:], invert(f, m))
         assert f.equal(f.matmul(m, r[:, 2:]), f.eye(2))
@@ -63,9 +61,9 @@ def test_rref_mod_large_prime_is_fast():
 
 
 def test_rref_mod_zero_and_identity():
-    r, piv = _kernel_py.rref_mod(np.zeros((3, 3), dtype=np.int64), 3)
+    r, piv = linalg.rref(F3, np.zeros((3, 3), dtype=np.int64))
     assert piv == [] and r.shape == (0, 3)
-    r, piv = _kernel_py.rref_mod(np.eye(4, dtype=np.int64), 2)
+    r, piv = linalg.rref(F2, np.eye(4, dtype=np.int64))
     assert piv == [0, 1, 2, 3]
 
 
@@ -264,13 +262,10 @@ def test_tensor_leg_ops():
     v = F3.array([1, 2])
     w = F3.array([0, 1, 2])
     t = kron_vec(F3, v, w)
+    assert t.tolist() == [0, 1, 2, 0, 2, 1]
     m = F3.array([[1, 1], [0, 2]])
-    lhs = apply_leg1(F3, m, t, 2, 3)
-    rhs = kron_vec(F3, F3.matmul(m, v), w)
-    assert np.array_equal(lhs, rhs)
-    m2 = F3.array([[0, 1, 0], [1, 0, 1], [2, 2, 2]])
     assert np.array_equal(
-        apply_leg2(F3, m2, t, 2, 3), kron_vec(F3, v, F3.matmul(m2, w))
+        F3.matmul(m, t.reshape(2, 3)).reshape(-1), kron_vec(F3, F3.matmul(m, v), w)
     )
 
 
