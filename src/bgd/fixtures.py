@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, tensor_product
 from .bialgebroid import ComodulePresentation, LeftBialgebroid
 from .lie_rinehart import RestrictedLieRinehart, crossed_product, restricted_enveloping
 from .linalg import Field
@@ -21,8 +21,12 @@ __all__ = [
     "rank_n_truncated",
     "abelian_n",
     "crossed_rank2",
+    "pair_q2",
+    "env_q2",
+    "group_q3",
     "FIXTURES",
     "LR_FIXTURES",
+    "Q_FIXTURES",
 ]
 
 
@@ -97,6 +101,57 @@ def monoid_non_hopf():
     delta[3, 1] = 1
     counit = f.array([[1, 1]])
     return LeftBialgebroid(a, u, s, s, delta, counit, name="monoid-non-hopf")
+
+
+def pair_q2():
+    """The pair groupoid M_2(Q) over Q^2: s = t send p_i to e_ii,
+    Delta(e_ij) = e_ij (x) e_ij, eps(e_ij) = p_i; e_ij has index 2i + j."""
+    q = Field.rationals()
+    r = range(2)
+    u = AlgebraPresentation.from_triples(
+        q, 4, [(2 * i + j, 2 * j + k, 2 * i + k, 1) for i in r for j in r for k in r],
+        [1, 0, 0, 1])
+    a = AlgebraPresentation.from_triples(q, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
+    s, counit, delta = q.zeros((4, 2)), q.zeros((2, 4)), q.zeros((16, 4))
+    for i in r:
+        s[3 * i, i] = q.one
+        for g in (2 * i, 2 * i + 1):
+            counit[i, g] = delta[5 * g, g] = q.one
+    return LeftBialgebroid(a, u, s, s, delta, counit, name="pair-Q-2")
+
+
+def env_q2():
+    """A (x) A^op over A = Q[x]/(x^2): s(a) = a (x) 1, t(b) = 1 (x) b,
+    Delta(a (x) b) = (a (x) 1) (x) (1 (x) b), eps(a (x) b) = ab;
+    x^i (x) x^j has index 2i + j."""
+    q = Field.rationals()
+    a = AlgebraPresentation.from_triples(
+        q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
+    s, t = q.zeros((4, 2)), q.zeros((4, 2))
+    counit, delta = q.zeros((2, 4)), q.zeros((16, 4))
+    for i in range(2):
+        s[2 * i, i] = t[i, i] = q.one
+        for j in range(2):
+            if i + j < 2:
+                counit[i + j, 2 * i + j] = q.one
+            delta[8 * i + j, 2 * i + j] = q.one
+    return LeftBialgebroid(
+        a, tensor_product(a, a.opposite()), s, t, delta, counit, name="env-Q-2")
+
+
+def group_q3():
+    """Group algebra Q[Z/3], g grouplike; semisimple, since 3 is invertible."""
+    q = Field.rationals()
+    a = _scalar_field_algebra(q)
+    u = AlgebraPresentation.from_triples(
+        q, 3, [(i, j, (i + j) % 3, 1) for i in range(3) for j in range(3)], [1, 0, 0],
+        ["1", "g", "g^2"])
+    s = q.array([[1], [0], [0]])
+    delta = q.zeros((9, 3))
+    for i in range(3):
+        delta[4 * i, i] = q.one  # delta(g^i) = g^i (x) g^i
+    counit = q.array([[1, 1, 1]])
+    return LeftBialgebroid(a, u, s, s, delta, counit, name="group-Q-3")
 
 
 def regular_comodule(b, side):
@@ -211,4 +266,11 @@ LR_FIXTURES = {
     "rank1-dual-numbers-p3": lambda: rank1_dual_numbers_lr(3),
     "abelian-n": lambda: abelian_lr(2, 2),
     "crossed": crossed_rank2_lr,
+}
+
+# Fixtures over Q, kept out of the CLI presets.
+Q_FIXTURES = {
+    "pair-Q-2": pair_q2,
+    "env-Q-2": env_q2,
+    "group-Q-3": group_q3,
 }

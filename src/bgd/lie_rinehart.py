@@ -329,14 +329,24 @@ def restricted_enveloping(lr):
     return b
 
 
+# the reason given where a bialgebroid does not come from restricted_enveloping
+NO_LR_DATA = "no Lie-Rinehart data"
+
+
 def enveloping_report(b):
     """Extra consistency checks tying the envelope back to its input:
     generators are primitive, D^p = D^[p] holds, and the Hochschild-type
-    formula (aD)^p = a^p D^[p] + (a omega_D)^{p-1}(a) D holds in U."""
+    formula (aD)^p = a^p D^[p] + (a omega_D)^{p-1}(a) D holds in U.  A
+    bialgebroid not built by ``restricted_enveloping`` (one read from a
+    spec, say) has no Lie-Rinehart data, and its three items are skipped."""
+    rep = Report(b.name)
+    if "lr" not in b._cache:
+        for check_id in ("generators.primitive", "pop.power_rule", "pop.hochschild"):
+            rep.skip(check_id, NO_LR_DATA)
+        return rep
     lr = b._cache["lr"]
     f, a_, n, p = lr.field, lr.A, lr.n, lr.p
     u, d = b.U, b.U.dim
-    rep = Report(b.name)
     gens = lr.labels
     e = np.stack(b._cache["lr_gens"])
     # the inclusion of L: incl[k, a] = s(a_a) e_k = (a_a 1) e_k
@@ -376,7 +386,10 @@ def jet_algebroid(b):
 
 def jet_lambda_coords(b, dual=None):
     """Coordinates of the jet generators lambda_i (dual to the e_i) in the
-    dual basis: <lambda_i, a e^alpha> = a if alpha = 1_i else 0."""
+    dual basis: <lambda_i, a e^alpha> = a if alpha = 1_i else 0.  Raises
+    ValueError on a bialgebroid without Lie-Rinehart data."""
+    if "lr" not in b._cache:
+        raise ValueError(NO_LR_DATA)
     dual = dual or left_dual(b)
     eng = b._cache["lr_engine"]
     lr = b._cache["lr"]

@@ -13,6 +13,13 @@ an integer of magnitude at most 2^53, which float64 represents exactly
 whatever the summation order, so casting the result back to int64 and
 reducing once is exact.  For p above about 9.49e7 a single product can
 pass 2^53 and the product runs in int64 instead.
+
+Products over Q rest on the same bound.  Each operand is scaled by the lcm
+of its denominators to integer numerators; when ``terms * max|N_a| *
+max|N_b| <= 2^53`` the numerators are multiplied in float64 through BLAS,
+and otherwise as python ints, which is exact for any size.  The result is
+divided once by the product of the two denominators, so no ``Fraction`` is
+multiplied term by term.
 """
 
 import math
@@ -203,11 +210,13 @@ class Field:
         terms; for p above about 9.49e7, where one product can pass 2^53,
         the product runs in ``int64`` in chunks of (2^63 - 1) // (p - 1)^2
         terms.  At most ``SLAB`` entries of the larger operand are cast at
-        a time."""
+        a time.  Over Q an object operand gives an object array of
+        ``Fraction``s (see ``_rational_product``)."""
         a, b = np.asarray(a), np.asarray(b)
+        product = self._product if self.kind == "prime" else _rational_product
         if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
             # a matrix or vector product, which needs no reshaping
-            return a @ b if self.kind != "prime" else self._product(a, b)
+            return product(a, b)
         if isinstance(axes, int):
             ax_a, ax_b = list(range(a.ndim - axes, a.ndim)), list(range(axes))
         else:
@@ -215,8 +224,6 @@ class Field:
                 [x % m.ndim] if isinstance(x, int) else [i % m.ndim for i in x]
                 for x, m in zip(axes, (a, b))
             )
-        if self.kind != "prime":
-            return np.tensordot(a, b, (ax_a, ax_b))
         # the free axes of a, then its contracted ones; the reverse for b
         order_a = [i for i in range(a.ndim) if i not in ax_a] + ax_a
         order_b = ax_b + [i for i in range(b.ndim) if i not in ax_b]
@@ -225,7 +232,7 @@ class Field:
         terms = math.prod(a.shape[i] for i in ax_a)
         a = a.transpose(order_a).reshape(math.prod(free_a), terms)
         b = b.transpose(order_b).reshape(terms, math.prod(free_b))
-        return self._product(a, b).reshape(free_a + free_b)
+        return product(a, b).reshape(free_a + free_b)
 
     def _product(self, a, b):
         """``a @ b`` mod p for a vector or matrix a (m x k) and b (k x n).
@@ -266,6 +273,44 @@ class Field:
 
     def is_zero(self, a):
         return not np.any(self.mod(a))
+
+
+def _scaled(a):
+    """(numerators, denominator) of a rational array a: the python-int
+    entries of ``den * a``, flattened, for ``den`` the lcm of the entries'
+    denominators."""
+    vals = a.ravel().tolist()
+    den = math.lcm(*{x.denominator for x in vals})
+    if den == 1:
+        return [x.numerator for x in vals], 1
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def _rational_product(a, b):
+    """``a @ b`` over Q for a vector or matrix a (m x k) and b (k x n).  With
+    an object operand the result is an object array of ``Fraction``s (a
+    ``Fraction`` for two vectors); two non-object operands give ``a @ b``.
+    The numerators of the scaled operands are multiplied in float64 when
+    ``k * max|N_a| * max|N_b| <= 2^53`` and as python ints otherwise; an
+    all-zero or empty operand takes neither, since ``float`` of a numerator
+    above about 1e308 raises."""
+    if a.dtype != object and b.dtype != object:
+        return a @ b
+    shape = a.shape[:-1] + b.shape[1:]
+    (num_a, den_a), (num_b, den_b) = _scaled(a), _scaled(b)
+    top = max(map(abs, num_a), default=0) * max(map(abs, num_b), default=0)
+    if top:
+        dtype = np.float64 if a.shape[-1] * top <= FLOAT_EXACT else object
+        out = np.asarray(np.array(num_a, dtype=dtype).reshape(a.shape)
+                         @ np.array(num_b, dtype=dtype).reshape(b.shape))
+        if dtype is np.float64:
+            out = out.astype(np.int64)
+        den = den_a * den_b
+        vals = [Fraction(x, den) for x in out.ravel().tolist()]
+    else:
+        vals = [Fraction(0)] * math.prod(shape)
+    out = np.array(vals, dtype=object).reshape(shape)
+    return out if shape else out[()]
 
 
 def rref(field, m):

@@ -1,8 +1,9 @@
 """Golden check of the library's matrices, alongside the CLI golden.
 
 For every preset, for ``rank_n_truncated(2, 2)`` and ``(3, 1)``, and for
-two cases over Q built here (the pair groupoid ``M_2(Q)`` over ``Q^2``,
-with s = t, and ``Q[x]/(x^2) (x) Q[x]/(x^2)^op``, with s != t),
+the two cases of ``Q_FIXTURES`` over Q with ``dim A = 2`` (the pair
+groupoid ``M_2(Q)`` over ``Q^2``, with s = t, and
+``Q[x]/(x^2) (x) Q[x]/(x^2)^op``, with s != t),
 ``lib_golden.json`` stores the sha256 of the dtype, shape and entries of
 each value below: the Hopf-Galois and translation maps, the comodule maps
 of both regular comodules and their induced actions and dual modules,
@@ -35,55 +36,18 @@ import numpy as np
 import pytest
 
 from bgd import duals, frobenius, hopf, hopf_modules, integrals
-from bgd.algebra import AlgebraPresentation, tensor_product
 from bgd.bialgebroid import LeftBialgebroid, check_comodule, check_left_bialgebroid
 from bgd.report import Report
-from bgd.fixtures import FIXTURES, rank_n_truncated, regular_comodule
-from bgd.linalg import Field
+from bgd.fixtures import FIXTURES, Q_FIXTURES, rank_n_truncated, regular_comodule
 
 GOLDEN = pathlib.Path(__file__).with_name("lib_golden.json")
-Q = Field.rationals()
-
-
-def _pair_q2():
-    """M_2(Q) over Q^2: s = t send p_i to e_ii, Delta(e_ij) = e_ij (x) e_ij,
-    eps(e_ij) = p_i; e_ij has index 2i + j."""
-    r = range(2)
-    u = AlgebraPresentation.from_triples(
-        Q, 4, [(2 * i + j, 2 * j + k, 2 * i + k, 1) for i in r for j in r for k in r],
-        [1, 0, 0, 1])
-    a = AlgebraPresentation.from_triples(Q, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
-    s, counit, delta = Q.zeros((4, 2)), Q.zeros((2, 4)), Q.zeros((16, 4))
-    for i in r:
-        s[3 * i, i] = Q.one
-        for g in (2 * i, 2 * i + 1):
-            counit[i, g] = delta[5 * g, g] = Q.one
-    return LeftBialgebroid(a, u, s, s, delta, counit, name="pair-Q-2")
-
-
-def _env_q2():
-    """A (x) A^op over A = Q[x]/(x^2): s(a) = a (x) 1, t(b) = 1 (x) b,
-    Delta(a (x) b) = (a (x) 1) (x) (1 (x) b), eps(a (x) b) = ab;
-    x^i (x) x^j has index 2i + j."""
-    a = AlgebraPresentation.from_triples(
-        Q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
-    s, t = Q.zeros((4, 2)), Q.zeros((4, 2))
-    counit, delta = Q.zeros((2, 4)), Q.zeros((16, 4))
-    for i in range(2):
-        s[2 * i, i] = t[i, i] = Q.one
-        for j in range(2):
-            if i + j < 2:
-                counit[i + j, 2 * i + j] = Q.one
-            delta[8 * i + j, 2 * i + j] = Q.one
-    return LeftBialgebroid(
-        a, tensor_product(a, a.opposite()), s, t, delta, counit, name="env-Q-2")
 
 
 CASES = dict(FIXTURES)
 CASES["trunc-2-2"] = lambda: rank_n_truncated(2, 2)
 CASES["trunc-3-1"] = lambda: rank_n_truncated(3, 1)
-CASES["pair-Q-2"] = _pair_q2
-CASES["env-Q-2"] = _env_q2
+CASES["pair-Q-2"] = Q_FIXTURES["pair-Q-2"]
+CASES["env-Q-2"] = Q_FIXTURES["env-Q-2"]
 
 # corrupted case -> the case it corrupts
 CLEAN = {}

@@ -7,9 +7,11 @@ from bgd.bialgebroid import check_left_bialgebroid, check_right_bialgebroid
 from bgd.fixtures import (
     FIXTURES,
     LR_FIXTURES,
+    rank1_dual_numbers,
     rank1_dual_numbers_lr,
 )
 from bgd.hopf import is_left_hopf, is_right_hopf, translate_left
+from bgd.jsonio import export_spec, parse_spec
 from bgd.lie_rinehart import (
     RestrictedLieRinehart,
     enveloping_report,
@@ -88,6 +90,18 @@ def test_enveloping_report(name):
     by_id = {i.check_id: i.status for i in rep.items}
     assert by_id["pop.power_rule"] == "pass"
     assert by_id["pop.hochschild"] == "pass"
+
+
+def test_envelope_read_from_a_spec_has_no_lie_rinehart_data():
+    # a spec keeps the bialgebroid but not the Lie-Rinehart algebra behind it
+    b = parse_spec(export_spec(rank1_dual_numbers()))
+    rep = enveloping_report(b)
+    assert [(i.check_id, i.status, i.witness) for i in rep.items] == [
+        (check_id, "skipped", "no Lie-Rinehart data")
+        for check_id in ("generators.primitive", "pop.power_rule", "pop.hochschild")
+    ]
+    with pytest.raises(ValueError, match="no Lie-Rinehart data"):
+        jet_lambda_coords(b)
 
 
 @pytest.mark.parametrize("name", ENV)

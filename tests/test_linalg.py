@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -370,6 +371,112 @@ def test_contract_small_prime_is_fast():
     got = f.contract(a, b)
     assert time.perf_counter() - start < 0.5
     assert np.array_equal(got, (a @ b) % 5)
+
+
+def test_contract_rationals_is_fast():
+    # float64 BLAS takes about 0.04 s here; multiplying and adding the
+    # 1.7M terms as Fractions took about 9 s
+    rng = np.random.default_rng(0)
+    a, b = (QQ.array([[Fraction(int(n), int(d)) for n, d in zip(nr, dr)]
+                      for nr, dr in zip(rng.integers(-9, 10, size=(120, 120)),
+                                        rng.integers(1, 5, size=(120, 120)))])
+            for _ in range(2))
+    QQ.matmul(a[:8], b[:, :8])
+    start = time.perf_counter()
+    got = QQ.matmul(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert got[3, 5] == sum(a[3, i] * b[i, 5] for i in range(120))
+
+
+def rational_array(rng, shape, size, dens):
+    """Fractions n/d with |n| < size (a python int of any size) and d drawn
+    from 1..dens, as an object array."""
+    out = np.empty(math.prod(shape), dtype=object)
+    out[:] = [Fraction(int(rng.integers(-2**62, 2**62)) * size // 2**62,
+                       int(rng.integers(1, dens + 1))) for _ in range(out.size)]
+    return out.reshape(shape)
+
+
+def assert_fractions(got, want):
+    """got is today's product: an object array of ``Fraction``s equal to
+    the exact sum ``want``, or a ``Fraction`` where want is one."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == object
+        assert got.shape == want.shape
+        got, want = got.ravel().tolist(), want.ravel().tolist()
+    else:
+        got, want = [got], [want]
+    assert all(type(x) is Fraction for x in got) and got == want
+
+
+# numerators below 10 take the float64 product; 2^40 passes 2^53 once two
+# of them meet, and 2^200 passes the float64 range
+@given(
+    st.sampled_from([10, 2**20, 2**40, 2**200]), st.sampled_from([1, 4, 12]),
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+    st.booleans(), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_contract_matches_exact_sum(size, dens, n, k1, k2, m, mixed, seed):
+    rng = np.random.default_rng(seed)
+    a = rational_array(rng, (n, k1, k2), size, dens)
+    # an int64 operand beside an object one, as an unreduced int array may be
+    b = (rng.integers(-9, 10, size=(k2, m, k1)) if mixed
+         else rational_array(rng, (k2, m, k1), size, dens))
+    exact = b.astype(object)
+    axes = ([1, 2], [2, 0])
+    assert_fractions(QQ.contract(a, b, axes), np.tensordot(a, exact, axes))
+    assert_fractions(QQ.matmul(a[:, 0], b[:, :, 0]), a[:, 0] @ exact[:, :, 0])
+    assert_fractions(QQ.matmul(b[0, 0], a[0]), exact[0, 0] @ a[0])
+    # a vector times a vector is a Fraction; a full contraction a 0-d array
+    assert_fractions(QQ.matmul(a[0, 0], exact[:, 0, 0]), a[0, 0] @ exact[:, 0, 0])
+    assert_fractions(QQ.contract(a[0], b[:, 0].T, 2), np.tensordot(a[0], exact[:, 0].T, 2))
+
+
+def test_rational_contract_at_the_exact_sum_bound():
+    # 2^25 * 2^25 = 2^50, so eight such products reach 2^53 and a ninth
+    # passes it; 2^53 + 1 has its lowest bit set, so a float64 sum of the
+    # nine would round it
+    big = 2**25
+    for terms in (8, 9):
+        for den in (1, 3):
+            a = QQ.array([Fraction(big, den)] * (terms - 1) + [Fraction(1, den)])
+            b = QQ.array([Fraction(big, den)] * terms)
+            assert_fractions(QQ.matmul(a, a), a @ a)
+            assert_fractions(QQ.matmul(a[None], b[:, None]), a[None] @ b[:, None])
+    a = QQ.array([big] * 8 + [1])
+    assert QQ.matmul(a, a) == 2**53 + 1
+
+
+def test_rational_contract_of_an_all_zero_operand():
+    # float() of a numerator above about 1e308 raises, so neither this
+    # product nor the one of two huge operands may take the float64 path
+    huge = QQ.array([[10**400, Fraction(1, 3)], [2, 10**309]])
+    zero = QQ.zeros((2, 2))
+    assert_fractions(QQ.matmul(zero, huge), zero @ huge)
+    assert_fractions(QQ.contract(huge, zero, ([0], [1])), np.tensordot(huge, zero, ([0], [1])))
+    assert_fractions(QQ.matmul(huge, huge), huge @ huge)
+    assert_fractions(QQ.matmul(huge[0], np.zeros(2, dtype=np.int64)), Fraction(0))
+
+
+def test_rational_contract_with_zero_size_axes():
+    cases = [
+        ((0, 3), (3, 4), 1), ((3, 0), (0, 4), 1), ((3, 4), (4, 0), 1),
+        ((0,), (0, 2), 1), ((2, 0, 3), (3, 0), ([1, 2], [1, 0])),
+        ((2, 3, 0), (0, 3), (2, 0)), ((2, 0), (0, 5, 2), 1),
+    ]
+    for sa, sb, axes in cases:
+        a, b = QQ.array(np.ones(sa, dtype=np.int64)), QQ.array(np.ones(sb, dtype=np.int64))
+        want = np.tensordot(a, b, axes)
+        want[...] = Fraction(0)
+        assert_fractions(QQ.contract(a, b, axes), want)
+
+
+def test_rational_contract_of_int_operands_keeps_int64():
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    for got, want in ((QQ.matmul(a, a.T), a @ a.T),
+                      (QQ.contract(a, a, ([0], [0])), np.tensordot(a, a, ([0], [0])))):
+        assert _same(got, want)
 
 
 def test_field_rejects_primes_from_2_31_at_once():
