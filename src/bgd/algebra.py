@@ -228,6 +228,10 @@ class LegEmbedding:
     x (x) sum_i Q(phi_i(y)) e_i = x (x) y modulo relations (relations are
     linear in a), by (i); so J v = 0 puts v in the relation span.  No
     action axiom is assumed: both premises are checked as stated.
+
+    ``quotient`` is the balanced tensor itself: read off the matrix of J
+    (``Quotient.from_kernel``) when ``exact``, and built from the relation
+    rows of ``balanced_tensor`` otherwise.  Both give the same coordinates.
     """
 
     def __init__(self, field, mats_x, mats_y, dual, left=False):
@@ -236,6 +240,29 @@ class LegEmbedding:
         self.left = left
         self.dual = dual
         self.exact = dual is not None and self._premises()
+        self._quotient = None
+
+    @property
+    def quotient(self):
+        """X (x)_A Y as a ``Quotient`` of X (x) Y, built once."""
+        if self._quotient is None:
+            f, (dx, dy) = self.field, (self.P.shape[1], self.Q.shape[1])
+            if self.exact:
+                self._quotient = Quotient.from_kernel(f, self._matrix())
+            else:
+                self._quotient = balanced_tensor(f, dx, self.P, dy, self.Q)
+        return self._quotient
+
+    def _matrix(self):
+        """J as a (dX n) x (dX dY) matrix, the entry at (x', i), (x, y)
+        being sum_a phi_i(y)_a P_a[x', x]; when left, an (n dY) x (dX dY)
+        matrix with sum_a phi_i(x)_a Q_a[y', y] at (i, y'), (x, y)."""
+        f = self.field
+        if self.left:  # [i, x, y', y] -> [(i, y'), (x, y)]
+            j = f.contract(self.dual, self.Q, (1, 0)).transpose(0, 2, 1, 3)
+        else:  # [x', x, i, y] -> [(x', i), (x, y)]
+            j = f.contract(self.P, self.dual, (0, 1)).transpose(0, 2, 1, 3)
+        return j.reshape(j.shape[0] * j.shape[1], j.shape[2] * j.shape[3])
 
     def _premises(self):
         f, phi = self.field, self.dual

@@ -13,13 +13,22 @@ balanced-tensor quotient:
     T0 = U_<| (x)_A |>U       relations  t(a)u (x) v - u (x) s(a)v
     T1 = >U (x)_{Aop} U_<|    relations  u t(a) (x) v - u (x) t(a)v
     T2 = U_< (x)^A |>U        relations  u s(a) (x) v - u (x) s(a)v
+
+Each is read off a dual-basis leg embedding J (``LeftBialgebroid.leg``;
+T0 through xi, T1 through zeta, T2 as T1 of the co-opposite), and so is
+the comodule tensor U_<| (x)_A M (``ComodulePresentation.leg``): the
+relation span is ker J, column j is a pivot of the relation rref iff
+J e_j lies in span{J e_k : k > j}, and one rref of J with its columns
+reversed gives the relation-built quotient's coordinates and projection
+(``linalg.Quotient.from_kernel``).  Where a leg's premises fail, the
+quotient is built from the relation rows of ``algebra.balanced_tensor``.
 """
 
 import numpy as np
 
 from .algebra import (
-    LegEmbedding, balanced_tensor, check_action, lift_products, pair_and_act,
-    project_stack, triple_classes,
+    LegEmbedding, check_action, lift_products, pair_and_act, project_stack,
+    triple_classes,
 )
 from .linalg import kernel_basis, kron_vec, solve_affine, solve_matrix_equation
 from .report import Report
@@ -134,24 +143,15 @@ class LeftBialgebroid:
 
     @property
     def T0(self):
-        d = self.U.dim
-        return self._cached(
-            "T0", lambda: balanced_tensor(self.field, d, self.Lt, d, self.Ls)
-        )
+        return self._cached("T0", lambda: self.leg("T0").quotient)
 
     @property
     def T1(self):
-        d = self.U.dim
-        return self._cached(
-            "T1", lambda: balanced_tensor(self.field, d, self.Rt, d, self.Lt)
-        )
+        return self._cached("T1", lambda: self.leg("T1").quotient)
 
     @property
     def T2(self):
-        d = self.U.dim
-        return self._cached(
-            "T2", lambda: balanced_tensor(self.field, d, self.Rs, d, self.Ls)
-        )
+        return self._cached("T2", lambda: self.coop().T1)
 
     # -- dual bases ------------------------------------------------------------
 
@@ -182,11 +182,17 @@ class LeftBialgebroid:
         f = self.field
         build = {
             "T0": lambda: LegEmbedding(f, self.Lt, self.Ls, self.s_dual_basis),
-            "T0-left": lambda: LegEmbedding(
-                f, self.Lt, self.Ls, self.coop().s_dual_basis, left=True),
+            "T0-left": lambda: self.lt_leg(self.Ls),
             "T1": lambda: LegEmbedding(f, self.Rt, self.Lt, self.coop().s_dual_basis),
         }[key]
         return self._cached("leg " + key, build)
+
+    def lt_leg(self, action):
+        """The embedding of U_<| (x)_A N, relations t(a)u (x) n - u (x) a.n
+        for a left A-action on N (one matrix per A-basis index), through
+        zeta on its U leg."""
+        return LegEmbedding(
+            self.field, self.Lt, action, self.coop().s_dual_basis, left=True)
 
     # -- derived presentations ----------------------------------------------
 
@@ -435,18 +441,20 @@ class ComodulePresentation:
         return self if self.side == "left" else self.coop()
 
     @property
-    def quotient(self):
-        """The balanced tensor space U_<| (x)_A M the coaction of a left
-        comodule lands in.  A right comodule has none of its own: every
-        caller goes through ``as_left()``."""
+    def leg(self):
+        """The embedding through zeta of the balanced tensor U_<| (x)_A M the
+        coaction of a left comodule lands in, built once.  A right comodule
+        has none of its own: every caller goes through ``as_left()``."""
         if self.side != "left":
             raise ValueError("quotient is defined for left comodules; use as_left()")
-        if "q" not in self._cache:
-            b = self.b
-            self._cache["q"] = balanced_tensor(
-                self.field, b.U.dim, b.Lt, self.dim, self.action
-            )
-        return self._cache["q"]
+        if "leg" not in self._cache:
+            self._cache["leg"] = self.b.lt_leg(self.action)
+        return self._cache["leg"]
+
+    @property
+    def quotient(self):
+        """U_<| (x)_A M as a ``Quotient`` (left comodules only)."""
+        return self.leg.quotient
 
     @property
     def induced_action(self):
@@ -503,10 +511,9 @@ def check_comodule(com, name=None):
     # M need not be projective, so both legs embed through their U leg
     lhs = f.contract(b.delta, co, (1, 0)).reshape(du, du, d, d)
     rhs = f.contract(co, com.coaction, (1, 1)).transpose(0, 2, 1).reshape(lhs.shape)
-    leg23 = LegEmbedding(f, b.Lt, com.action, b.coop().s_dual_basis, left=True)
     rep.add_residual(
         "comodule.coassociative",
-        triple_classes(f, lhs - rhs, b.leg("T0-left"), leg23), labels[1:])
+        triple_classes(f, lhs - rhs, b.leg("T0-left"), com.leg), labels[1:])
 
     ind = com.induced_action
     rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"))

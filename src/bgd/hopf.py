@@ -19,8 +19,7 @@ left comodule ``as_left()`` over ``b.coop()``.
 import numpy as np
 
 from .algebra import (
-    LegEmbedding, balanced_tensor, lift_products, pair_and_act, project_stack,
-    triple_classes,
+    LegEmbedding, lift_products, pair_and_act, project_stack, triple_classes,
 )
 from .linalg import DescentError, invert, is_invertible
 from .report import Report
@@ -231,13 +230,13 @@ def comodule_alpha(com):
         # coaction as du x dn x dn
         co = com.coaction.reshape(du, dn, dn)
         amb = f.contract(co, b.U.mul, (0, 0)).transpose(3, 0, 1, 2)
-        # N (x)^A |>U, relations n.a (x) u - n (x) s(a)u
-        dom = balanced_tensor(f, dn, com.induced_action, du, b.Ls)
+        # N (x)^A |>U, relations n.a (x) u - n (x) s(a)u, through xi
+        leg = LegEmbedding(f, com.induced_action, b.Ls, b.s_dual_basis)
         com._cache["calpha"] = _induced_map(
-            com.quotient, amb.reshape(dn * du, dn * du), dom,
+            com.quotient, amb.reshape(dn * du, dn * du), leg.quotient,
             "comodule Hopf-Galois map not well defined",
         )
-        com._cache["cdom"] = dom
+        com._cache["cdom leg"] = leg
     return com._cache["calpha"]
 
 
@@ -259,7 +258,7 @@ def comodule_translate_mat(com):
         f, du = com.field, com.b.U.dim
         emb = np.kron(com.b.U.unit.reshape(du, 1), f.eye(com.dim))  # n -> 1 (x) n
         com._cache["ctrans"] = _inverse_lift(
-            f, comodule_alpha(com), com._cache["cdom"], com.quotient, emb
+            f, comodule_alpha(com), com._cache["cdom leg"].quotient, com.quotient, emb
         )
     return com._cache["ctrans"]
 
@@ -282,7 +281,8 @@ def _left_comodule_suite(com, rep, tag):
     # co[x, n, j]: the coefficient of e_x (x) n_n in the coaction of n_j
     tm = tmat.reshape(dn, du, dn)
     co = com.coaction.reshape(du, dn, dn)
-    dom = com._cache["cdom"]
+    leg12 = com._cache["cdom leg"]
+    dom = leg12.quotient
     q = com.quotient
     ind = com.induced_action
     mul = b.U.mul
@@ -307,7 +307,6 @@ def _left_comodule_suite(com, rep, tag):
     # n^[+][+] (x) n^[+][-] (x) n^[-] = n^[+] (x) n^[-](1) (x) n^[-](2)
     lhs = f.contract(tm, tm, (0, 2)).transpose(2, 3, 0, 1).reshape(dn, du, du, dn)
     rhs = f.contract(tm, b.delta, (1, 1)).transpose(0, 2, 1).reshape(lhs.shape)
-    leg12 = LegEmbedding(f, ind, b.Ls, b.s_dual_basis)
     rep.add_residual(f"{tag}5", triple_classes(f, lhs - rhs, leg12, b.leg("T0")), nl)
 
     # the lift of a.n (of n.a) against n^[+] (x) n^[-] t(a) (t(a) n^[-]), as [a, n]

@@ -101,7 +101,7 @@ def rl_hopf_module_from_base_module(b, action_a, name="U(x)N"):
     coaction v_(1) (x) v_(2) (x) n."""
     f, d = b.field, b.U.dim
     dn = action_a[0].shape[0]
-    q = balanced_tensor(f, d, b.Lt, dn, action_a)
+    q = b.lt_leg(action_a).quotient
     amb = np.kron(np.asarray(b.U.basis_right_mults), f.eye(dn))
     return _hopf_module_on(b, q, dn, "RL", amb, name)
 
@@ -122,7 +122,7 @@ def ll_hopf_module_from_module(b, action_u, name="U(x)N2"):
     f, d = b.field, b.U.dim
     dn = action_u[0].shape[0]
     act_u = np.asarray(action_u)
-    q = balanced_tensor(f, d, b.Lt, dn, list(f.contract(b.s_map, act_u, (0, 0))))
+    q = b.lt_leg(f.contract(b.s_map, act_u, (0, 0))).quotient
     # amb[i, (z, n), (y, m)] = sum_{k,l} delta3[k, l, i] mul[k, y, z] action_u[l][n, m]
     g = f.contract(b.delta3, b.U.mul, (0, 0))  # (l, i, y, z)
     amb = f.contract(g, act_u, (0, 0)).transpose(0, 2, 3, 1, 4)
@@ -137,7 +137,7 @@ def comparison_map(b, action_u):
     dn = action_u[0].shape[0]
     act_u = np.asarray(action_u)
     dom = balanced_tensor(f, d, b.Rt, dn, list(f.contract(b.t_map, act_u, (0, 0))))
-    cod = balanced_tensor(f, d, b.Lt, dn, list(f.contract(b.s_map, act_u, (0, 0))))
+    cod = b.lt_leg(f.contract(b.s_map, act_u, (0, 0))).quotient
     # amb[(k, r), (i, j)] = sum_l delta3[k, l, i] action_u[l][r, j]
     amb = f.contract(b.delta3, act_u, (1, 0)).transpose(0, 2, 1, 3)
     m = _induced_map(
@@ -191,7 +191,7 @@ def _cov_data(mod, twist):
     cov = coinvariants(mod.comodule)
     c = len(cov)
     if c == 0:
-        return f.zeros((mod.dim, 0)), []
+        return f.zeros((mod.dim, 0)), [f.zeros((0, 0))] * mod.b.A.dim
     covmat = np.stack(cov, axis=1)
     moved = [f.matmul(mod.act(twist[:, a]), covmat) for a in range(mod.b.A.dim)]
     sol = solve_affine(f, covmat, np.concatenate(moved, axis=1))
@@ -229,7 +229,7 @@ def fundamental_rl(b, mod):
     if sol is None:
         return None, None, False
     kc = sol[0]
-    dom = balanced_tensor(f, d, b.Lt, covmat.shape[1], acts)
+    dom = b.lt_leg(acts).quotient
     gamma = _evaluation(mod, covmat, dom)
     if gamma is None:
         return None, None, False

@@ -165,12 +165,18 @@ class Field:
         return 1 / Fraction(a)
 
     def parse(self, s):
-        """Parse a scalar from its string form ("2", "-1/3", ...)."""
-        if self.kind == "prime":
-            return int(Fraction(s)) % self.p if "/" not in s else self.canon(
-                Fraction(s).numerator * self.inv(int(Fraction(s).denominator))
-            )
-        return Fraction(s)
+        """Parse a scalar from its string form ("2", "-1/3", "1.5", ...).
+        Over F_p a non-integer n/m is n * m^-1, and ZeroDivisionError is
+        raised when p divides m."""
+        try:
+            x = int(s)
+        except ValueError:
+            x = Fraction(s)
+        if self.kind == "rationals":
+            return Fraction(x)
+        if isinstance(x, int):
+            return x % self.p
+        return self.canon(x.numerator * self.inv(x.denominator))
 
     def format(self, x):
         return str(x)
@@ -387,15 +393,23 @@ def solve_affine(field, m, b):
 def solve_matrix_equation(field, shape, equations):
     """Solve sum_k P_k X Q_k = T for X of the given shape, one equation per
     ``(terms, T)`` with ``terms = [(P_k, Q_k), ...]``.  X is flattened row
-    by row, so each equation is the block sum_k kron(P_k, Q_k^T).  Returns
-    (particular, homogeneous basis) as matrices of ``shape``, or None."""
-    rows = [field.mod(sum(np.kron(p, q.T) for p, q in terms))
-            for terms, _ in equations]
+    by row, so each equation is the block sum_k kron(P_k, Q_k^T), one
+    contraction over the stacked term axis k.  Returns (particular,
+    homogeneous basis) as matrices of ``shape``, or None."""
+    rows = [_kron_sum(field, terms) for terms, _ in equations]
     rhs = [np.asarray(t).reshape(-1) for _, t in equations]
     sol = solve_affine(field, np.concatenate(rows), np.concatenate(rhs))
     if sol is None:
         return None
     return sol[0].reshape(shape), [h.reshape(shape) for h in sol[1]]
+
+
+def _kron_sum(field, terms):
+    """sum_k kron(P_k, Q_k^T) for same-shape terms: entry [(i, j), (k, l)]
+    is sum_t P_t[i, k] Q_t[l, j]."""
+    ps, qs = (np.stack(leg) for leg in zip(*terms))
+    (_, m, n), (_, r, c) = ps.shape, qs.shape
+    return field.contract(ps, qs, (0, 0)).transpose(0, 3, 1, 2).reshape(m * c, n * r)
 
 
 def invert(field, m):
@@ -449,27 +463,73 @@ class Subspace:
 
 
 class Quotient:
-    """Quotient of a free module by a relation span, with explicit
+    """Quotient of a free module k^N by a relation span R, with explicit
     projection/section in the standard basis.
 
-    The quotient basis is indexed by the non-pivot coordinates of the
-    relation rref; ``project`` and ``section`` satisfy project(section(q)) = q
-    and ker(project) = relation span.
+    The quotient basis is indexed by ``coords``, the non-pivot columns of
+    the relation rref: e_j is one of them exactly when e_j is not in
+    R + span{e_k : k > j}.  ``project_mat`` writes every e_m modulo R in
+    that basis and ``section_mat`` puts coordinates back at ``coords``, so
+    project(section(q)) = q and ker(project) = R.
+
+    ``Quotient(field, ambient_dim, relation_gens)`` row-reduces the
+    relation generators; ``Quotient.from_kernel`` reads the same quotient,
+    with the same ``coords`` and ``project_mat``, off a matrix whose kernel
+    is R.
     """
 
     def __init__(self, field, ambient_dim, relation_gens=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rel = Subspace(field, ambient_dim, relation_gens)
-        pivot_set = set(self.rel.pivots)
+        self._rel = Subspace(field, ambient_dim, relation_gens)
+        pivot_set = set(self._rel.pivots)
         self.coords = [j for j in range(ambient_dim) if j not in pivot_set]
         self.dim = len(self.coords)
         self._pmat = None
         self._smat = None
 
+    @classmethod
+    def from_kernel(cls, field, emb):
+        """The quotient of k^N (N the columns of emb) by R = ker emb, from
+        one rref of emb with its columns reversed.  Column j is a pivot of
+        the relation rref iff e_j is in R + span{e_k : k > j}, iff emb e_j
+        is in span{emb e_k : k > j}: so ``coords`` are the pivots of
+        rref(emb[:, ::-1]) read back.  The row of that rref
+        with its pivot at c writes every emb e_m in the basis emb e_c, and
+        emb is injective on the quotient, so it is row c of
+        ``project_mat``.  The rref has rank dim, where the relation rref
+        has rank N - dim."""
+        emb = np.asarray(emb)
+        n = emb.shape[1]
+        q = cls(field, n)  # k^N itself, until its relations are read off emb
+        rows, pivots = rref(field, emb[:, ::-1])
+        q.coords = [n - 1 - j for j in reversed(pivots)]
+        q.dim = len(q.coords)
+        q._pmat = np.ascontiguousarray(rows[::-1, ::-1])
+        q._rel = None
+        return q
+
+    @property
+    def rel(self):
+        """The relation span R in reduced row echelon form.  Its pivots are
+        the columns outside ``coords``, and the row with pivot p is e_p
+        minus the class of e_p in the quotient basis; RREF is unique, so a
+        quotient built ``from_kernel`` gets the same rows on demand."""
+        if self._rel is None:
+            f, n = self.field, self.ambient_dim
+            keep = set(self.coords)
+            pivots = [j for j in range(n) if j not in keep]
+            rows = f.zeros((len(pivots), n))
+            rows[range(len(pivots)), pivots] = f.one
+            rows[:, self.coords] = f.neg(self.project_mat[:, pivots].T)
+            self._rel = Subspace(f, n)
+            self._rel.rows, self._rel.pivots = rows, pivots
+        return self._rel
+
     def project(self, v):
-        """Quotient coordinates of v, or of every column of a matrix v."""
-        return self.rel.reduce(v)[self.coords]
+        """Quotient coordinates of v, or of every column of a matrix v (its
+        entries in (-p, p) over F_p, as for ``Field.contract``)."""
+        return self.field.matmul(self.project_mat, v)
 
     def section(self, q):
         v = self.field.zeros(self.ambient_dim)
@@ -479,10 +539,10 @@ class Quotient:
     @property
     def project_mat(self):
         if self._pmat is None:
-            f = self.field
+            f, rel = self.field, self._rel
             p = f.zeros((self.dim, self.ambient_dim))
             p[range(self.dim), self.coords] = f.one
-            p[:, self.rel.pivots] = f.neg(self.rel.rows[:, self.coords].T)
+            p[:, rel.pivots] = f.neg(rel.rows[:, self.coords].T)
             self._pmat = p
         return self._pmat
 
@@ -494,24 +554,33 @@ class Quotient:
             self._smat = s
         return self._smat
 
+    def _pushed(self, op, dom):
+        """(P op, whether op descends) for the ambient matrix op (or stack)
+        from ``dom`` to this quotient's ambient space, P this quotient's
+        ``project_mat``; P op is [coordinate, stack axes..., dom ambient].
+        R_dom is the image of 1 - S P_dom, for S and P_dom the section and
+        projection of dom, so op descends iff P op = (P op S) P_dom, and
+        P op S is the columns ``dom.coords`` of P op."""
+        f = self.field
+        pop = f.contract(self.project_mat, op, (1, -2))
+        back = f.contract(pop[..., dom.coords], dom.project_mat, (-1, 0))
+        return pop, f.equal(pop, back)
+
     def descends(self, op, dom=None):
         """True if the ambient matrix op (every matrix of a stack op) maps
         the relation span of ``dom`` (default: this quotient) into the
         relation span of this one."""
-        dom = self if dom is None else dom
-        img = np.moveaxis(self.field.contract(op, dom.rel.rows, (-1, 1)), -2, 0)
-        return self.rel.contains(img.reshape(len(img), int(np.prod(img.shape[1:]))))
+        return self._pushed(op, self if dom is None else dom)[1]
 
     def induced_op(self, op, dom=None):
         """Matrix of the map dom -> self that the ambient matrix op induces
         (dom defaults to this quotient), or the stack of them for a stack
         op; DescentError if op does not descend."""
         dom = self if dom is None else dom
-        if not self.descends(op, dom):
+        pop, ok = self._pushed(op, dom)
+        if not ok:
             raise DescentError("operator does not descend to the quotient")
-        f = self.field
-        out = f.contract(self.project_mat, f.contract(op, dom.section_mat, (-1, 0)), (1, -2))
-        return np.moveaxis(out, 0, -2)
+        return np.moveaxis(pop[..., dom.coords], 0, -2)
 
 
 def unit_vector(field, n, i):

@@ -222,3 +222,23 @@ def test_huge_prime_in_spec_is_usage_error_at_once(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(p))
     assert code == 2 and "field.p" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_decimal_element_is_the_fraction_it_denotes(capsys):
+    # over F_3, 0.5 = 1/2 = 2
+    runs = [run(capsys, "translate", "--preset", "group-f3", "--element", e,
+                "--format", "json") for e in ("0.5,0", "2,0")]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
+def test_decimal_with_p_in_denominator_is_usage_error(tmp_path, capsys):
+    # over F_2, 0.5 = 1/2 has no value; it used to be read as 0
+    code, _, err = run(capsys, "translate", "--preset", "primitive-f2",
+                       "--element", "0.5,1")
+    assert code == 2 and "--element" in err
+    doc = export_spec(FIXTURES["primitive-f2"]())
+    doc["bialgebroid"]["counit"][0][0] = "0.5"
+    p = tmp_path / "half.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2 and "bialgebroid.counit[0][0]" in err

@@ -12,6 +12,7 @@ from bgd.jsonio import (
     load_spec,
     parse_spec,
 )
+from bgd.linalg import Field
 
 SMALL = ["base-trivial", "primitive-f2", "group-f3", "monoid-non-hopf",
          "rank1-dual-numbers", "abelian-n"]
@@ -178,3 +179,26 @@ def test_rational_field_round_trip():
     doc["bialgebroid"]["counit"] = [["1/2"]]
     c2 = parse_spec(doc)
     assert c2.counit[0, 0] == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("2", 2), ("-1", 4), ("7", 2), ("1.5", 4), ("3/2", 4), ("-0.5", 2), ("1.0", 1),
+    ("1e1", 0), ("-4/6", 1)])
+def test_scalar_parse_over_f5(text, want):
+    # a decimal is the fraction it denotes: "1.5" is 3/2, not 1
+    assert Field.prime(5).parse(text) == want
+
+
+@pytest.mark.parametrize("text", ["0.2", "1/5", "0.4"])
+def test_scalar_with_p_in_denominator_fails_over_f5(text):
+    with pytest.raises(ZeroDivisionError):
+        Field.prime(5).parse(text)
+
+
+def test_decimal_scalar_in_spec():
+    doc = _doc()  # over F_2
+    doc["algebras"]["U"]["unit"][0] = "3.0"
+    assert parse_spec(doc).U.unit[0] == 1
+    # 0.5 = 1/2 has no value in F_2; it used to parse as 0
+    doc["algebras"]["U"]["unit"][0] = "0.5"
+    _expect_error(doc, "algebras.U.unit[0]")

@@ -1,0 +1,206 @@
+"""The balanced-tensor quotients read off the leg embeddings are the
+quotients built from relation rows, entry for entry.
+
+``LegEmbedding.quotient`` builds U_<| (x)_A |>U, >U (x)_{Aop} U_<| and the
+comodule tensors from the matrix of J (``Quotient.from_kernel``) when the
+leg's premises hold, and from ``balanced_tensor`` otherwise.  Here every
+such quotient is compared with ``balanced_tensor`` on the same relations:
+``coords``, ``project_mat``, ``section_mat`` and the relation rref must
+agree in dtype, shape and every entry, and ``descends``/``induced_op``
+must agree with the relation-row descent test, ``DescentError`` included.
+"""
+
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_lib_golden import CASES, CLEAN
+
+from bgd import algebra
+from bgd.algebra import LegEmbedding, balanced_tensor
+from bgd.bialgebroid import check_comodule, check_left_bialgebroid
+from bgd.fixtures import regular_comodule, trivial_comodule
+from bgd.hopf import comodule_translation_report, translation_report
+from bgd.linalg import DescentError, Field, Quotient, kernel_basis
+
+# the benchmark's known-answer families, imported from its own directory
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+import families  # noqa: E402
+
+F3, F5, QQ = Field.prime(3), Field.prime(5), Field.rationals()
+
+# the golden cases (with pair and env over Q at n = 2), and pair and env
+# over F_5
+SUBJECTS = dict(CASES)
+for _n in (2, 3):
+    SUBJECTS[f"pair-F5-{_n}"] = lambda n=_n: families.pair(F5, n)
+    SUBJECTS[f"env-F5-{_n}"] = lambda n=_n: families.env(F5, n)
+
+# the corrupted golden cases whose squares or regular comodule tensors have
+# a leg whose premises fail: a corrupted s or t breaks the dual basis or
+# premise (ii) on the leg that pairs with it
+FALLBACK = {
+    case: sites for case, sites in {
+        "crossed-bad-s": {"T0", "T2", "com-right"},
+        "crossed-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
+        "rank1-dual-numbers-bad-s": {"T0", "T2", "coop-T0", "com-left", "com-right"},
+        "rank1-dual-numbers-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
+        "trunc-2-2-bad-s": {"T0", "T2", "coop-T0", "com-left", "com-right"},
+        "trunc-2-2-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
+    }.items()
+}
+
+
+def _relation_built(leg):
+    return balanced_tensor(leg.field, leg.P.shape[1], leg.P, leg.Q.shape[1], leg.Q)
+
+
+def _entries(a):
+    return (a.dtype, a.shape, [(type(x), x) for x in a.ravel().tolist()])
+
+
+def _assert_same(q, r):
+    assert (q.ambient_dim, q.dim, q.coords) == (r.ambient_dim, r.dim, r.coords)
+    for name in ("project_mat", "section_mat"):
+        assert _entries(getattr(q, name)) == _entries(getattr(r, name)), name
+    assert q.rel.pivots == r.rel.pivots
+    assert _entries(q.rel.rows) == _entries(r.rel.rows)
+
+
+def _ref_descends(cod, op, dom):
+    """The descent test on relation rows: op maps every relation row of
+    dom into the relation span of cod."""
+    return cod.rel.contains(cod.field.contract(op, dom.rel.rows, (-1, 1)))
+
+
+def _ref_induced(cod, op, dom):
+    f = cod.field
+    return f.matmul(cod.project_mat, f.matmul(op, dom.section_mat))
+
+
+def _assert_same_descent(q, r, op, q_dom, r_dom):
+    """q/q_dom and r/r_dom are the same quotients built two ways."""
+    want = _ref_descends(r, op, r_dom)
+    assert q.descends(op, q_dom) == want == r.descends(op, r_dom)
+    if want:
+        assert _entries(q.induced_op(op, q_dom)) == _entries(_ref_induced(r, op, r_dom))
+    else:
+        with pytest.raises(DescentError):
+            q.induced_op(op, q_dom)
+
+
+def _legs(b):
+    """(site, leg) of every balanced tensor a battery reads off a leg."""
+    out = [("T0", b.leg("T0")), ("T0-left", b.leg("T0-left")), ("T1", b.leg("T1")),
+           ("T2", b.coop().leg("T1")), ("coop-T0", b.coop().leg("T0"))]
+    for side in ("left", "right"):
+        com = regular_comodule(b, side).as_left()
+        c = com.b
+        out.append((f"com-{side}", com.leg))
+        # the domain N (x)^A |>U of the comodule Hopf-Galois map, through xi
+        out.append((f"cdom-{side}",
+                    LegEmbedding(c.field, com.induced_action, c.Ls, c.s_dual_basis)))
+    out.append(("com-base", trivial_comodule(b, "left").leg))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(SUBJECTS))
+def test_leg_quotients_equal_relation_quotients(case):
+    b = SUBJECTS[case]()
+    for site, leg in _legs(b):
+        _assert_same(leg.quotient, _relation_built(leg))
+    # the battery's cached quotients are the leg quotients
+    assert b.T0 is b.leg("T0").quotient and b.T1 is b.leg("T1").quotient
+    assert b.T2 is b.coop().T1 and b.coop().T2 is b.T1
+    com = regular_comodule(b, "left")
+    assert com.quotient is com.leg.quotient
+    fallback = {site for site, leg in _legs(b)
+                if not leg.exact and site in ("T0", "T1", "T2", "coop-T0", "com-left",
+                                              "com-right")}
+    if case in CLEAN:
+        assert fallback == FALLBACK.get(case, set()), case
+    else:
+        assert not fallback, case
+
+
+@pytest.mark.parametrize("case", sorted(SUBJECTS))
+def test_leg_quotients_descend_as_relation_quotients(case):
+    b = SUBJECTS[case]()
+    f, d = b.field, b.U.dim
+    rng = np.random.default_rng(sorted(SUBJECTS).index(case))
+    built = {site: (leg.quotient, _relation_built(leg)) for site, leg in _legs(b)}
+    # alpha_l: T1 -> T0, u (x) v |-> u_1 (x) u_2 v, as in hopf.alpha_left
+    amb = f.contract(b.delta3, b.U.mul, (1, 0)).transpose(0, 3, 1, 2).reshape(d * d, d * d)
+    (q0, r0), (q1, r1) = built["T0"], built["T1"]
+    _assert_same_descent(q0, r0, amb, q1, r1)
+    # the comodule Hopf-Galois map of the regular left comodule, as in
+    # hopf.comodule_alpha
+    co = b.delta.reshape(d, d, d)
+    amb = f.contract(co, b.U.mul, (0, 0)).transpose(3, 0, 1, 2).reshape(d * d, d * d)
+    (qc, rc), (qd, rd) = built["com-left"], built["cdom-left"]
+    _assert_same_descent(qc, rc, amb, qd, rd)
+    for q, r in built.values():
+        n = q.ambient_dim
+        _assert_same_descent(q, r, f.eye(n), q, r)
+        op = f.mod(f.array(rng.integers(-1, 2, size=(n, n))))
+        _assert_same_descent(q, r, op, q, r)
+        _assert_same_descent(q, r, f.matmul(f.matmul(q.section_mat, q.project_mat), op), q, r)
+
+
+@pytest.mark.parametrize("case", ["group-f3", "rank1-dual-numbers", "crossed", "trunc-2-2",
+                                  "pair-F5-3", "env-Q-2"])
+def test_no_relation_matrix_when_premises_hold(case, monkeypatch):
+    b = SUBJECTS[case]()
+
+    def refuse(*args):
+        raise AssertionError("balanced_tensor called")
+
+    monkeypatch.setattr(algebra, "balanced_tensor", refuse)
+    for q in (b.T0, b.T1, b.T2, b.coop().T0):
+        assert q.dim * b.A.dim == q.ambient_dim
+    assert check_left_bialgebroid(b).ok
+    assert translation_report(b).ok
+    for side in ("left", "right"):
+        com = regular_comodule(b, side)
+        assert check_comodule(com).ok
+        assert comodule_translation_report(com).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([F3, F5, QQ]), st.data())
+def test_from_kernel_equals_relation_quotient(field, data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 7))
+    raw = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    emb = field.array(raw) if rows else field.zeros((0, cols))
+    _assert_same(Quotient.from_kernel(field, emb),
+                 Quotient(field, cols, kernel_basis(field, emb)))
+
+
+def _stack(field, data, n, dim):
+    raw = data.draw(st.lists(st.integers(-2, 2), min_size=n * dim * dim,
+                             max_size=n * dim * dim))
+    return field.array(np.array(raw).reshape(n, dim, dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F3, QQ]), st.booleans(), st.data())
+def test_failed_premises_fall_back_to_relation_rows(field, left, data):
+    # random action stacks and functionals, which rarely form a dual basis
+    da, dx, dy = (data.draw(st.integers(1, 3)) for _ in range(3))
+    p, q = _stack(field, data, da, dx), _stack(field, data, da, dy)
+    dual_leg = dx if left else dy
+    raw = data.draw(st.lists(st.integers(-2, 2), min_size=dual_leg * da * dual_leg,
+                             max_size=dual_leg * da * dual_leg))
+    dual = field.array(np.array(raw).reshape(dual_leg, da, dual_leg))
+    leg = LegEmbedding(field, p, q, dual, left=left)
+    assume(not leg.exact)
+    got, want = leg.quotient, _relation_built(leg)
+    _assert_same(got, want)
+    n = dx * dy
+    op = field.array(np.array(data.draw(st.lists(
+        st.integers(-2, 2), min_size=n * n, max_size=n * n))).reshape(n, n))
+    _assert_same_descent(got, want, op, got, want)
