@@ -2,9 +2,11 @@
 balanced-tensor quotient machinery used throughout.
 """
 
+import itertools
+
 import numpy as np
 
-from .linalg import Quotient, kron_vec, rref, unit_vector
+from .linalg import Quotient, invert, kron_vec, rref, unit_vector
 from .report import Report
 
 __all__ = [
@@ -12,6 +14,7 @@ __all__ = [
     "check_action",
     "tensor_product",
     "balanced_tensor",
+    "free_basis",
     "LegEmbedding",
     "triple_classes",
     "TripleQuotient",
@@ -208,24 +211,80 @@ def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):
     return Quotient(field, dim_m * dim_n, rows)
 
 
+# How many random candidates ``free_basis`` draws per generator, after the
+# basis vectors, before it gives up.
+_FREE_BASIS_TRIES = 64
+
+
+def free_basis(field, mats):
+    """A basis of Y free over A, for the left action stack ``mats``
+    (dA x dY x dY, one matrix per A-basis index), and its coordinate
+    functionals: ``(phi, gens)`` with ``gens`` dY x r, r = dY / dA, such
+    that M = [mats_a g_i] (column (i, a)) is invertible, and ``phi`` = M^-1
+    as an r x dA x dY stack, so that sum_i sum_a phi_i(y)_a mats_a g_i = y.
+    None when dA does not divide dY, or when the candidates run out.
+
+    The search is greedy: a candidate g is kept when the span of the
+    mats_a g adds dA to the rank so far.  The candidates are the basis
+    vectors of Y, which keep M, phi and so the leg embeddings sparse where
+    they generate, and then ``_FREE_BASIS_TRIES`` random vectors per
+    generator, drawn from a fixed seed: basis vectors need not do (on
+    M_n(k) over k^n, s(A) e_ij is k e_ij).  Every run picks the same
+    generators."""
+    f, mats = field, np.asarray(mats)
+    da, dy = mats.shape[:2]
+    if dy % da:
+        return None
+    r = dy // da
+    rng = np.random.default_rng(0)
+    # entries in -1..1 over Q, which keep the fractions of phi small
+    lo, hi = (0, f.p) if f.kind == "prime" else (-1, 2)
+    cands = itertools.chain(f.eye(dy), (
+        f.array(rng.integers(lo, hi, size=dy)) for _ in range(_FREE_BASIS_TRIES * r)))
+    # the span so far, reduced: rows[:, pivots] is the identity
+    rows, pivots, gens = f.zeros((0, dy)), [], []
+    for g in cands:
+        block = f.contract(mats, g, (2, 0))  # row a: mats_a g
+        if pivots:
+            block = f.mod(block - f.matmul(block[:, pivots], rows))
+        if not block.any(axis=1).all():  # a zero row: rank below dA
+            continue
+        new, piv = rref(f, block)
+        if len(piv) < da:
+            continue
+        if pivots:
+            rows = f.mod(rows - f.matmul(rows[:, piv], new))
+        rows, pivots = np.concatenate([rows, new]), pivots + piv
+        gens.append(g)
+        if len(gens) == r:
+            break
+    else:
+        return None
+    gens = np.stack(gens, axis=1)
+    m = f.contract(mats, gens, (2, 0)).transpose(1, 2, 0).reshape(dy, dy)
+    return invert(f, m).reshape(r, da, dy), gens
+
+
 class LegEmbedding:
     """The map J: X (x) Y -> X (x) k^n, x (x) y |-> sum_i P(phi_i(y)) x (x) e_i,
     for the balanced tensor X (x)_A Y with relations (P_a x)(x)y - x(x)(Q_a y)
     (``mats_x`` = P, ``mats_y`` = Q, one matrix per A-basis index, as for
-    ``balanced_tensor``) and a stack ``dual`` (dY x dA x dY, or None) of
-    functionals phi_i: Y -> A, one per basis element e_i of Y, so n = dY;
-    P(c) is sum_a c_a P_a.  With ``left=True`` the roles of the legs swap:
-    ``dual`` is on X, and J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
+    ``balanced_tensor``), a stack ``dual`` (n x dA x dY, or None) of
+    functionals phi_i: Y -> A and generators ``gens`` (dY x n, g_i its
+    columns) of Y; P(c) is sum_a c_a P_a.  ``gens=None`` stands for the
+    basis of Y, g_i = e_i, with n = dY: a dual basis.  From ``free_basis``,
+    n = dY / dA.  With ``left=True`` the roles of the legs swap: ``dual``
+    and ``gens`` are on X, and J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
 
     ``exact`` says that ker J is the relation span, so that J decides
     classes without a relation rref.  Written for ``left=False``:
 
-    (i)  sum_i Q(phi_i(y)) e_i = y for every y (phi is a dual basis), and
+    (i)  sum_i Q(phi_i(y)) g_i = y for every y, and
     (ii) J sends every relation generator to 0.
 
-    (ii) puts the relations in ker J.  Conversely, K: (x_i) |-> sum_i x_i (x) e_i
-    gives K J(x (x) y) = sum_i P(phi_i(y)) x (x) e_i, which is congruent to
-    x (x) sum_i Q(phi_i(y)) e_i = x (x) y modulo relations (relations are
+    (ii) puts the relations in ker J.  Conversely, K: x (x) e_i |-> x (x) g_i
+    gives K J(x (x) y) = sum_i P(phi_i(y)) x (x) g_i, which is congruent to
+    x (x) sum_i Q(phi_i(y)) g_i = x (x) y modulo relations (relations are
     linear in a), by (i); so J v = 0 puts v in the relation span.  No
     action axiom is assumed: both premises are checked as stated.
 
@@ -234,11 +293,12 @@ class LegEmbedding:
     rows of ``balanced_tensor`` otherwise.  Both give the same coordinates.
     """
 
-    def __init__(self, field, mats_x, mats_y, dual, left=False):
+    def __init__(self, field, mats_x, mats_y, dual, left=False, gens=None):
         self.field = field
         self.P, self.Q = np.asarray(mats_x), np.asarray(mats_y)
         self.left = left
         self.dual = dual
+        self.gens = gens
         self.exact = dual is not None and self._premises()
         self._quotient = None
 
@@ -269,9 +329,12 @@ class LegEmbedding:
         # act: the action J applies; paired: the action on the leg phi reads
         act, paired = (self.Q, self.P) if self.left else (self.P, self.Q)
         da, dk, dy = len(act), act.shape[1], paired.shape[1]
-        # (i): [y', y] is the y'-entry of sum_i paired(phi_i(y)) e_i
-        if phi.shape != (dy, da, dy) or not f.equal(
-                f.contract(paired, phi, ([0, 2], [1, 0])), f.eye(dy)):
+        n = phi.shape[0]
+        # (i): [y', y] is the y'-entry of sum_i paired(phi_i(y)) g_i, where
+        # pg[a, y', i] is the y'-entry of paired_a g_i
+        pg = paired if self.gens is None else f.contract(paired, self.gens, (2, 0))
+        if phi.shape != (n, da, dy) or pg.shape != (da, dy, n) or not f.equal(
+                f.contract(pg, phi, ([0, 2], [1, 0])), f.eye(dy)):
             return False
         # (ii): the generator (a, ., y) maps to the operator, in slot i,
         #   sum_b phi_i(y)_b act_b act_a - sum_b phi_i(paired_a y)_b act_b
@@ -283,12 +346,12 @@ class LegEmbedding:
             act.reshape(da, dk * dk),
         ])
         cols = mats[:, rref(f, mats)[1]]
-        coef = f.zeros((da, dy, dy, da, da))  # [a, i, y, b, a']
+        coef = f.zeros((da, n, dy, da, da))  # [a, i, y, b, a']
         for a in range(da):
             coef[a, :, :, :, a] = phi.transpose(0, 2, 1)
         moved = f.contract(paired, phi, (1, 2)).transpose(0, 2, 3, 1)  # [a, i, b, y]
         coef = np.concatenate([
-            coef.reshape(da, dy, dy, da * da), -moved.swapaxes(2, 3)], axis=3)
+            coef.reshape(da, n, dy, da * da), -moved.swapaxes(2, 3)], axis=3)
         return f.is_zero(f.contract(coef, cols, (3, 0)))
 
     def apply(self, v, axis):
@@ -314,9 +377,10 @@ def triple_classes(field, v, leg12, leg23):
     legs are and (iii) the two actions on Y, Q of R12 and P of R23,
     commute: then 1 (x) J23 maps R12 (x) Z into R12 (x) k^n, which J12 (x) 1
     kills, and X (x) R23 goes to 0 by (ii).  Conversely E v = 0 puts
-    (1 (x) J23) v in ker(J12 (x) 1) = R12 (x) k^n, and applying 1 (x) K23,
-    which fixes v modulo X (x) R23 and sends R12 (x) k^n into R12 (x) Z,
-    puts v in the relation span.  Through the left legs J12 goes first.
+    (1 (x) J23) v in ker(J12 (x) 1) = R12 (x) k^n, and applying 1 (x) K23
+    (e_i |-> g_i, the generators of Z), which fixes v modulo X (x) R23 and
+    sends R12 (x) k^n into R12 (x) Z, puts v in the relation span.
+    Through the left legs J12 goes first.
     (iii) also makes the push-through of ``TripleQuotient`` descend.  When
     a premise fails, the classes come from a ``TripleQuotient``, which
     raises ``DescentError`` where R23 does not descend."""

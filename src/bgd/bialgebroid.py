@@ -14,8 +14,10 @@ balanced-tensor quotient:
     T1 = >U (x)_{Aop} U_<|    relations  u t(a) (x) v - u (x) t(a)v
     T2 = U_< (x)^A |>U        relations  u s(a) (x) v - u (x) s(a)v
 
-Each is read off a dual-basis leg embedding J (``LeftBialgebroid.leg``;
-T0 through xi, T1 through zeta, T2 as T1 of the co-opposite), and so is
+Each is read off a leg embedding J (``LeftBialgebroid.leg``) through a
+free basis of U over s(A) (T0) or t(A) (T1; T2 is T1 of the
+co-opposite), with r = dU / dA slots (``s_leg``), or through the dual
+basis xi or zeta, with dU slots, where no free basis is found.  So is
 the comodule tensor U_<| (x)_A M (``ComodulePresentation.leg``): the
 relation span is ker J, column j is a pivot of the relation rref iff
 J e_j lies in span{J e_k : k > j}, and one rref of J with its columns
@@ -27,8 +29,8 @@ quotient is built from the relation rows of ``algebra.balanced_tensor``.
 import numpy as np
 
 from .algebra import (
-    LegEmbedding, check_action, lift_products, pair_and_act, project_stack,
-    triple_classes,
+    LegEmbedding, check_action, free_basis, lift_products, pair_and_act,
+    project_stack, triple_classes,
 )
 from .linalg import kernel_basis, kron_vec, solve_affine, solve_matrix_equation
 from .report import Report
@@ -174,25 +176,42 @@ class LeftBialgebroid:
         """(coefficients on ``functionals``, xi), or (None, None)."""
         return self._cached("xi", lambda: _solve_dual_basis(self))
 
+    @property
+    def s_free_basis(self):
+        """``algebra.free_basis`` of U over s(A): (phi, gens) with r = dU / dA
+        generators g_i and sum_i s(phi_i(u)) g_i = u, or None when the
+        search finds none.  The t-side basis is this one of ``coop()``."""
+        return self._cached("free", lambda: free_basis(self.field, self.Ls))
+
+    def s_leg(self, action, left=False):
+        """The embedding of N (x) U by the relations n.a (x) u - n (x) s(a)u,
+        for an action on N given by one matrix per A-basis index, or, with
+        ``left``, of U (x) N by s(a)u (x) n - u (x) a.n; through the free
+        basis of U over s(A) on its U leg, or through xi, with dU slots,
+        where the search finds none."""
+        free = self.s_free_basis
+        dual, gens = free if free is not None else (self.s_dual_basis, None)
+        legs = (self.Ls, action) if left else (action, self.Ls)
+        return LegEmbedding(self.field, *legs, dual, left=left, gens=gens)
+
     def leg(self, key):
-        """The embedding of a balanced square through a dual basis, built
-        once: ``"T0"`` embeds U_<| (x)_A |>U through xi on its second leg,
-        ``"T0-left"`` through zeta on its first leg, and ``"T1"`` embeds
-        >U (x)_{Aop} U_<| through zeta on its second leg."""
-        f = self.field
+        """The embedding of a balanced square through a free basis (``s_leg``),
+        built once: ``"T0"`` embeds U_<| (x)_A |>U through the s-side basis on
+        its second leg, ``"T0-left"`` through the t-side basis on its first
+        leg, and ``"T1"`` embeds >U (x)_{Aop} U_<| through the t-side basis
+        on its second leg."""
         build = {
-            "T0": lambda: LegEmbedding(f, self.Lt, self.Ls, self.s_dual_basis),
+            "T0": lambda: self.s_leg(self.Lt),
             "T0-left": lambda: self.lt_leg(self.Ls),
-            "T1": lambda: LegEmbedding(f, self.Rt, self.Lt, self.coop().s_dual_basis),
+            "T1": lambda: self.coop().s_leg(self.Rt),
         }[key]
         return self._cached("leg " + key, build)
 
     def lt_leg(self, action):
         """The embedding of U_<| (x)_A N, relations t(a)u (x) n - u (x) a.n
         for a left A-action on N (one matrix per A-basis index), through
-        zeta on its U leg."""
-        return LegEmbedding(
-            self.field, self.Lt, action, self.coop().s_dual_basis, left=True)
+        the t-side basis on its U leg."""
+        return self.coop().s_leg(action, left=True)
 
     # -- derived presentations ----------------------------------------------
 
@@ -293,7 +312,7 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
     Each identity is one residual tensor (lhs - rhs, projected where it
     lives in a balanced tensor), with one leading axis per basis element
     it quantifies over.  Coassociativity is decided in U (x)_A U (x)_A U
-    through the xi leg embeddings (``algebra.triple_classes``), or through a
+    through the T0 leg embeddings (``algebra.triple_classes``), or through a
     ``TripleQuotient`` where their premises fail; ``with_triples=False``
     skips it.
     """
@@ -442,9 +461,10 @@ class ComodulePresentation:
 
     @property
     def leg(self):
-        """The embedding through zeta of the balanced tensor U_<| (x)_A M the
-        coaction of a left comodule lands in, built once.  A right comodule
-        has none of its own: every caller goes through ``as_left()``."""
+        """The embedding through the t-side basis (``lt_leg``) of the
+        balanced tensor U_<| (x)_A M the coaction of a left comodule lands
+        in, built once.  A right comodule has none of its own: every caller
+        goes through ``as_left()``."""
         if self.side != "left":
             raise ValueError("quotient is defined for left comodules; use as_left()")
         if "leg" not in self._cache:

@@ -18,9 +18,7 @@ left comodule ``as_left()`` over ``b.coop()``.
 
 import numpy as np
 
-from .algebra import (
-    LegEmbedding, lift_products, pair_and_act, project_stack, triple_classes,
-)
+from .algebra import lift_products, pair_and_act, project_stack, triple_classes
 from .linalg import DescentError, invert, is_invertible
 from .report import Report
 
@@ -43,6 +41,12 @@ __all__ = [
 
 def alpha_left(b):
     """Matrix of alpha_l between quotient coordinates (T1 -> T0)."""
+    return _alpha(b, f"alpha_l of {b.name}")
+
+
+def _alpha(b, name):
+    """alpha_l of b, built once; where it does not descend, a ValueError
+    names it ``name``."""
     if "alpha_l" not in b._cache:
         f = b.field
         d = b.U.dim
@@ -50,7 +54,7 @@ def alpha_left(b):
         amb = f.contract(b.delta3, b.U.mul, (1, 0)).transpose(0, 3, 1, 2)
         b._cache["alpha_l"] = _induced_map(
             b.T0, amb.reshape(d * d, d * d), b.T1,
-            f"alpha_l of {b.name} is not well defined on the quotient",
+            f"{name} is not well defined on the quotient",
         )
     return b._cache["alpha_l"]
 
@@ -73,8 +77,9 @@ def _inverse_lift(f, alpha, dom, cod, emb):
 
 def alpha_right(b):
     """Matrix of alpha_r, computed as alpha_l of the co-opposite: from
-    T2 = T1(b.coop()) to T0(b.coop()), the flip of T0."""
-    return alpha_left(b.coop())
+    T2 = T1(b.coop()) to T0(b.coop()), the flip of T0.  Its error names
+    alpha_r of b, not alpha_l of the co-opposite."""
+    return _alpha(b.coop(), f"alpha_r of {b.name}")
 
 
 def is_left_hopf(b):
@@ -84,6 +89,7 @@ def is_left_hopf(b):
 
 
 def is_right_hopf(b):
+    alpha_right(b)  # where alpha_r does not descend, its error names it
     return is_left_hopf(b.coop())
 
 
@@ -126,17 +132,18 @@ def translation_report(b, side=None):
     items tch1..tch9 are sch1..sch9 of the co-opposite."""
     rep = Report(f"{b.name} translation identities")
     if side in (None, "left"):
-        _sch_suite(b, rep, "sch", "not left Hopf")
+        _sch_suite(b, rep, "sch", is_left_hopf(b), "not left Hopf")
     if side in (None, "right"):
-        _sch_suite(b.coop(), rep, "tch", "not right Hopf")
+        _sch_suite(b.coop(), rep, "tch", is_right_hopf(b), "not right Hopf")
     return rep
 
 
-def _sch_suite(b, rep, tag, reason):
+def _sch_suite(b, rep, tag, hopf, reason):
     """Items tag1..tag9: the left translation identities of b, or skips
-    with ``reason`` when b is not left Hopf.  Each is one residual tensor
-    with a leading axis per basis element it quantifies over."""
-    if not is_left_hopf(b):
+    with ``reason`` when b is not left Hopf (``hopf`` false).  Each is one
+    residual tensor with a leading axis per basis element it quantifies
+    over."""
+    if not hopf:
         for i in range(1, 10):
             rep.skip(f"{tag}{i}", reason)
         return
@@ -230,8 +237,7 @@ def comodule_alpha(com):
         # coaction as du x dn x dn
         co = com.coaction.reshape(du, dn, dn)
         amb = f.contract(co, b.U.mul, (0, 0)).transpose(3, 0, 1, 2)
-        # N (x)^A |>U, relations n.a (x) u - n (x) s(a)u, through xi
-        leg = LegEmbedding(f, com.induced_action, b.Ls, b.s_dual_basis)
+        leg = b.s_leg(com.induced_action)  # N (x)^A |>U
         com._cache["calpha"] = _induced_map(
             com.quotient, amb.reshape(dn * du, dn * du), leg.quotient,
             "comodule Hopf-Galois map not well defined",

@@ -197,18 +197,31 @@ def test_pair_and_act_matches_loop(f, da, du, dm, n, cols, u_first, seed):
 
 def _triple_shapes(b):
     """(name, dims, leg12, leg23) of the five triple tensors the batteries
-    decide classes in, on b and its regular left comodule."""
-    f, d = b.field, b.U.dim
+    decide classes in, on b and its regular left comodule, through the
+    legs the batteries build."""
+    d = b.U.dim
     com = regular_comodule(b, "left")
-    zeta = b.coop().s_dual_basis
     return [
         ("coassociative", (d, d, d), b.leg("T0"), b.leg("T0")),
         ("sch4", (d, d, d), b.leg("T0"), b.leg("T1")),
         ("sch5", (d, d, d), b.leg("T1"), b.leg("T0")),
-        ("Tch5", (com.dim, d, d),
-         LegEmbedding(f, com.induced_action, b.Ls, b.s_dual_basis), b.leg("T0")),
-        ("comodule.coassociative", (d, d, com.dim), b.leg("T0-left"),
-         LegEmbedding(f, b.Lt, com.action, zeta, left=True)),
+        ("Tch5", (com.dim, d, d), b.s_leg(com.induced_action), b.leg("T0")),
+        ("comodule.coassociative", (d, d, com.dim), b.leg("T0-left"), com.leg),
+    ]
+
+
+def _dual_basis_legs(b):
+    """The legs of ``_triple_shapes`` through the dual bases xi and zeta,
+    with one slot per basis element of U."""
+    f = b.field
+    com = regular_comodule(b, "left")
+    xi, zeta = b.s_dual_basis, b.coop().s_dual_basis
+    return [
+        LegEmbedding(f, b.Lt, b.Ls, xi),
+        LegEmbedding(f, b.Rt, b.Lt, zeta),
+        LegEmbedding(f, com.induced_action, b.Ls, xi),
+        LegEmbedding(f, b.Lt, b.Ls, zeta, left=True),
+        LegEmbedding(f, b.Lt, com.action, zeta, left=True),
     ]
 
 
@@ -267,15 +280,17 @@ def test_triple_embedding_matches_quotient(case, monkeypatch):
 
 def _premises_by_hand(leg):
     """Premises (i) and (ii) of a LegEmbedding, from their statements:
-    phi is a dual basis, and J kills every relation generator."""
+    sum_i paired(phi_i(y)) g_i = y, with g_i = e_i when the leg has no
+    generators, and J kills every relation generator."""
     f = leg.field
     act, paired = (leg.Q, leg.P) if leg.left else (leg.P, leg.Q)
     dy = paired.shape[1]
+    gens = f.eye(dy) if leg.gens is None else leg.gens
     for y in range(dy):
         back = f.zeros(dy)
-        for i in range(dy):
+        for i in range(len(leg.dual)):
             for a in range(len(paired)):
-                back = back + leg.dual[i, a, y] * paired[a][:, i]
+                back = back + leg.dual[i, a, y] * f.matmul(paired[a], gens[:, i])
         if not f.equal(back, np.eye(dy, dtype=int)[y]):
             return False
     dx, dy = leg.P.shape[1], leg.Q.shape[1]
@@ -287,10 +302,10 @@ def _premises_by_hand(leg):
     "crossed-bad-t", "crossed-bad-s", "rank1-dual-numbers-bad-t", "trunc-2-2-bad-s"])
 def test_leg_premises_match_their_statements(case):
     b = CASES[case]()
-    for _, _, leg12, leg23 in _triple_shapes(b):
-        for leg in (leg12, leg23):
-            if leg.dual is not None:
-                assert leg.exact == _premises_by_hand(leg), case
+    legs = [leg for _, _, *pair in _triple_shapes(b) for leg in pair]
+    for leg in legs + _dual_basis_legs(b):
+        if leg.dual is not None:
+            assert leg.exact == _premises_by_hand(leg), case
 
 
 @pytest.mark.parametrize("case", ["crossed-bad-t", "rank1-dual-numbers-bad-s"])

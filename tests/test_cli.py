@@ -1,10 +1,12 @@
 import json
 import time
 
+import pytest
 from test_algebra import triangular_envelope
 
 from bgd.cli import main
 from bgd.fixtures import FIXTURES
+from bgd.hopf import alpha_left, alpha_right, is_right_hopf, translate_right_mat
 from bgd.jsonio import dumps_canonical, export_spec, parse_spec
 
 
@@ -173,19 +175,41 @@ def test_translate_skips_noncommuting_middle_leg(tmp_path, capsys):
     assert items["sch5"] == items["tch5"] == "skipped"
 
 
-def test_translate_skips_ill_defined_alpha(tmp_path, capsys):
-    # a parsed spec whose coproduct breaks the Takeuchi property, so that
-    # alpha_l does not descend to the balanced tensors
+def _flipped_spec():
+    """A spec whose coproduct breaks the Takeuchi property, so that neither
+    alpha_l nor alpha_r descends to the balanced tensors."""
     doc = export_spec(FIXTURES["rank1-dual-numbers"]())
     delta = doc["bialgebroid"]["delta"]
     delta[1][1] = "1" if delta[1][1] == "0" else "0"
+    return doc
+
+
+def test_translate_skips_ill_defined_alpha(tmp_path, capsys):
     p = tmp_path / "flipped.json"
-    p.write_text(dumps_canonical(doc))
+    p.write_text(dumps_canonical(_flipped_spec()))
     assert run(capsys, "check", str(p))[0] == 1
     code, out, _ = run(capsys, "translate", str(p), "--format", "json")
     assert code in (0, 1)
     items = _statuses(out)
     assert items["translate.left"] == items["translate.right"] == "skipped"
+
+
+def test_right_hopf_errors_name_alpha_r(tmp_path, capsys):
+    # alpha_r is computed as alpha_l of the co-opposite; its errors name
+    # alpha_r of the subject, not alpha_l of U_coop
+    doc = _flipped_spec()
+    b = parse_spec(doc)
+    for right in (alpha_right, is_right_hopf, translate_right_mat):
+        with pytest.raises(ValueError, match=r"^alpha_r of U\(dual-numbers-p2\) is not"):
+            right(b)
+    with pytest.raises(ValueError, match=r"^alpha_l of U\(dual-numbers-p2\) is not"):
+        alpha_left(b)
+    p = tmp_path / "flipped.json"
+    p.write_text(dumps_canonical(doc))
+    code, _, err = run(capsys, "maschke", str(p))
+    assert code == 2
+    assert "alpha_r of U(dual-numbers-p2) is not well defined" in err
+    assert "_coop" not in err
 
 
 def test_frobenius_disagrees_on_non_hopf(capsys):

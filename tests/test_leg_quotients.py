@@ -19,18 +19,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_lib_golden import CASES, CLEAN
 
-from bgd import algebra
-from bgd.algebra import LegEmbedding, balanced_tensor
+from bgd import algebra, bialgebroid
+from bgd.algebra import AlgebraPresentation, LegEmbedding, balanced_tensor, free_basis
 from bgd.bialgebroid import check_comodule, check_left_bialgebroid
-from bgd.fixtures import regular_comodule, trivial_comodule
-from bgd.hopf import comodule_translation_report, translation_report
-from bgd.linalg import DescentError, Field, Quotient, kernel_basis
+from bgd.fixtures import rank_n_truncated, regular_comodule, trivial_comodule
+from bgd.hopf import comodule_alpha, comodule_translation_report, translation_report
+from bgd.linalg import DescentError, Field, Quotient, invert, kernel_basis
 
 # the benchmark's known-answer families, imported from its own directory
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import families  # noqa: E402
 
-F3, F5, QQ = Field.prime(3), Field.prime(5), Field.rationals()
+F2, F3, F5, QQ = Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()
 
 # the golden cases (with pair and env over Q at n = 2), and pair and env
 # over F_5
@@ -40,16 +40,16 @@ for _n in (2, 3):
     SUBJECTS[f"env-F5-{_n}"] = lambda n=_n: families.env(F5, n)
 
 # the corrupted golden cases whose squares or regular comodule tensors have
-# a leg whose premises fail: a corrupted s or t breaks the dual basis or
+# a leg whose premises fail: a corrupted s or t breaks the free basis or
 # premise (ii) on the leg that pairs with it
 FALLBACK = {
     case: sites for case, sites in {
         "crossed-bad-s": {"T0", "T2", "com-right"},
         "crossed-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
-        "rank1-dual-numbers-bad-s": {"T0", "T2", "coop-T0", "com-left", "com-right"},
-        "rank1-dual-numbers-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
+        "rank1-dual-numbers-bad-s": {"T0", "coop-T0", "com-left", "com-right"},
+        "rank1-dual-numbers-bad-t": {"T0", "coop-T0", "com-left", "com-right"},
         "trunc-2-2-bad-s": {"T0", "T2", "coop-T0", "com-left", "com-right"},
-        "trunc-2-2-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
+        "trunc-2-2-bad-t": {"T0", "coop-T0", "com-left", "com-right"},
     }.items()
 }
 
@@ -100,9 +100,9 @@ def _legs(b):
         com = regular_comodule(b, side).as_left()
         c = com.b
         out.append((f"com-{side}", com.leg))
-        # the domain N (x)^A |>U of the comodule Hopf-Galois map, through xi
-        out.append((f"cdom-{side}",
-                    LegEmbedding(c.field, com.induced_action, c.Ls, c.s_dual_basis)))
+        # the domain N (x)^A |>U of the comodule Hopf-Galois map, as built by
+        # hopf.comodule_alpha
+        out.append((f"cdom-{side}", c.s_leg(com.induced_action)))
     out.append(("com-base", trivial_comodule(b, "left").leg))
     return out
 
@@ -204,3 +204,107 @@ def test_failed_premises_fall_back_to_relation_rows(field, left, data):
     op = field.array(np.array(data.draw(st.lists(
         st.integers(-2, 2), min_size=n * n, max_size=n * n))).reshape(n, n))
     _assert_same_descent(got, want, op, got, want)
+
+
+# pair, env and trunc over F_5 and Q (trunc, a restricted enveloping
+# algebra, exists over F_p only)
+FREE = {
+    "pair-F5-3": lambda: families.pair(F5, 3),
+    "pair-Q-2": lambda: families.pair(QQ, 2),
+    "env-F5-3": lambda: families.env(F5, 3),
+    "env-Q-2": lambda: families.env(QQ, 2),
+    "trunc-F5-1": lambda: rank_n_truncated(5, 1),
+    "trunc-2-2": lambda: rank_n_truncated(2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FREE))
+def test_legs_run_on_free_basis_slots(case):
+    # r = dU / dA slots on every leg: a silent fall back to the dual basis
+    # (dU slots) fails here
+    b = FREE[case]()
+    d, r = b.U.dim, b.U.dim // b.A.dim
+    com = regular_comodule(b, "left")
+    comodule_alpha(com)
+    for site, leg in _legs(b) + [("calpha", com._cache["cdom leg"])]:
+        assert leg.exact, site
+        assert leg.dual.shape == (r, b.A.dim, d) and leg.gens.shape == (d, r), site
+    # nor was the dual basis solved for
+    assert "xi" not in b._cache and "xi" not in b.coop()._cache
+
+
+def test_search_miss_takes_the_dual_basis(monkeypatch):
+    # where free_basis finds nothing, the legs run through xi and zeta with
+    # dU slots and still read off the relation-built quotients
+    monkeypatch.setattr(bialgebroid, "free_basis", lambda field, mats: None)
+    b = families.pair(F5, 3)
+    for site, leg in _legs(b):
+        assert leg.exact and leg.gens is None, site
+        assert leg.dual.shape == (b.U.dim, b.A.dim, b.U.dim), site
+        _assert_same(leg.quotient, _relation_built(leg))
+    assert check_left_bialgebroid(b).ok and translation_report(b).ok
+
+
+def test_free_basis_picks_the_same_generators():
+    for build in (lambda: families.pair(F5, 3), lambda: families.env(QQ, 2)):
+        one, two = build(), build()
+        for x, y in ((one, two), (one.coop(), two.coop())):
+            for got, want in zip(x.s_free_basis, y.s_free_basis):
+                assert _entries(got) == _entries(want)
+
+
+def _split(field, m):
+    """k^m, m orthogonal idempotents."""
+    return AlgebraPresentation.from_triples(
+        field, m, [(i, i, i, 1) for i in range(m)], [1] * m)
+
+
+def test_projective_not_free_keeps_the_dual_basis():
+    # A = k x k on k^3 by diag(1, 0, 0) and diag(0, 1, 1): projective, not
+    # free, since dA does not divide dY; the dual basis phi_0(y) = y_0 p_0,
+    # phi_1(y) = y_1 p_1, phi_2(y) = y_2 p_1 has n = dY = 3 slots
+    for f in (F5, QQ):
+        a = _split(f, 2)
+        q = f.array([np.diag([1, 0, 0]), np.diag([0, 1, 1])])
+        assert free_basis(f, q) is None
+        dual = f.zeros((3, 2, 3))
+        dual[0, 0, 0] = dual[1, 1, 1] = dual[2, 1, 2] = f.one
+        leg = LegEmbedding(f, np.asarray(a.basis_right_mults), q, dual)
+        assert leg.exact and leg.gens is None
+        _assert_same(leg.quotient, _relation_built(leg))
+
+
+def _unit_triangular(field, data, n, lower):
+    m = np.eye(n, dtype=int)
+    for i in range(n):
+        for j in range(n):
+            if (i > j) if lower else (i < j):
+                m[i, j] = data.draw(st.integers(-2, 2))
+    return field.array(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F2, F5, QQ]), st.sampled_from(["split", "trunc"]),
+       st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_free_basis_of_a_free_module(field, kind, m, r, left, data):
+    # Y = A^r under a random change of basis c, A = k^m or k[x]/(x^m)
+    a = (_split if kind == "split" else families.truncated_line)(field, m)
+    n = m * r
+    c = field.matmul(_unit_triangular(field, data, n, True),
+                     _unit_triangular(field, data, n, False))
+    block = np.zeros((m, n, n), dtype=object)
+    for i in range(r):
+        block[:, i * m:(i + 1) * m, i * m:(i + 1) * m] = a.basis_left_mults
+    mats = field.contract(field.contract(c, field.array(block), (1, 1)), invert(field, c),
+                          (2, 0)).transpose(1, 0, 2)
+    found = free_basis(field, mats)
+    assert found is not None
+    phi, gens = found
+    assert phi.shape == (r, m, n) and gens.shape == (n, r)
+    # A is commutative, so its multiplications act from either side: the
+    # balanced tensor A (x)_A Y, or Y (x)_A A through the left leg
+    reg = np.asarray(a.basis_left_mults)
+    leg = (LegEmbedding(field, mats, reg, phi, left=True, gens=gens) if left
+           else LegEmbedding(field, reg, mats, phi, gens=gens))
+    assert leg.exact
+    _assert_same(leg.quotient, _relation_built(leg))
