@@ -211,8 +211,8 @@ def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):
     return Quotient(field, dim_m * dim_n, rows)
 
 
-# How many random candidates ``free_basis`` draws per generator, after the
-# basis vectors, before it gives up.
+# ``free_basis`` draws one pool of ``_FREE_BASIS_TRIES * r`` random
+# candidates, after the basis vectors, before it gives up.
 _FREE_BASIS_TRIES = 64
 
 
@@ -227,10 +227,10 @@ def free_basis(field, mats):
     The search is greedy: a candidate g is kept when the span of the
     mats_a g adds dA to the rank so far.  The candidates are the basis
     vectors of Y, which keep M, phi and so the leg embeddings sparse where
-    they generate, and then ``_FREE_BASIS_TRIES`` random vectors per
-    generator, drawn from a fixed seed: basis vectors need not do (on
-    M_n(k) over k^n, s(A) e_ij is k e_ij).  Every run picks the same
-    generators."""
+    they generate, and then a pool of ``_FREE_BASIS_TRIES * r`` random
+    vectors, drawn from a fixed seed, shared by all r generators: basis
+    vectors need not do (on M_n(k) over k^n, s(A) e_ij is k e_ij).  Every
+    run picks the same generators."""
     f, mats = field, np.asarray(mats)
     da, dy = mats.shape[:2]
     if dy % da:
@@ -247,8 +247,6 @@ def free_basis(field, mats):
         block = f.contract(mats, g, (2, 0))  # row a: mats_a g
         if pivots:
             block = f.mod(block - f.matmul(block[:, pivots], rows))
-        if not block.any(axis=1).all():  # a zero row: rank below dA
-            continue
         new, piv = rref(f, block)
         if len(piv) < da:
             continue
@@ -271,10 +269,11 @@ class LegEmbedding:
     (``mats_x`` = P, ``mats_y`` = Q, one matrix per A-basis index, as for
     ``balanced_tensor``), a stack ``dual`` (n x dA x dY, or None) of
     functionals phi_i: Y -> A and generators ``gens`` (dY x n, g_i its
-    columns) of Y; P(c) is sum_a c_a P_a.  ``gens=None`` stands for the
-    basis of Y, g_i = e_i, with n = dY: a dual basis.  From ``free_basis``,
-    n = dY / dA.  With ``left=True`` the roles of the legs swap: ``dual``
-    and ``gens`` are on X, and J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
+    columns) of Y; P(c) is sum_a c_a P_a.  ``gens=None`` is the basis of
+    Y, g_i = e_i (``gens`` = I), with n = dY: a dual basis.  From
+    ``free_basis``, n = dY / dA.  With ``left=True`` the roles of the legs
+    swap: ``dual`` and ``gens`` are on X, and
+    J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
 
     ``exact`` says that ker J is the relation span, so that J decides
     classes without a relation rref.  Written for ``left=False``:
@@ -298,7 +297,8 @@ class LegEmbedding:
         self.P, self.Q = np.asarray(mats_x), np.asarray(mats_y)
         self.left = left
         self.dual = dual
-        self.gens = gens
+        dy = (self.P if left else self.Q).shape[1]
+        self.gens = field.eye(dy) if gens is None else gens
         self.exact = dual is not None and self._premises()
         self._quotient = None
 
@@ -332,7 +332,7 @@ class LegEmbedding:
         n = phi.shape[0]
         # (i): [y', y] is the y'-entry of sum_i paired(phi_i(y)) g_i, where
         # pg[a, y', i] is the y'-entry of paired_a g_i
-        pg = paired if self.gens is None else f.contract(paired, self.gens, (2, 0))
+        pg = f.contract(paired, self.gens, (2, 0))
         if phi.shape != (n, da, dy) or pg.shape != (da, dy, n) or not f.equal(
                 f.contract(pg, phi, ([0, 2], [1, 0])), f.eye(dy)):
             return False

@@ -210,18 +210,23 @@ def _triple_shapes(b):
     ]
 
 
-def _dual_basis_legs(b):
-    """The legs of ``_triple_shapes`` through the dual bases xi and zeta,
-    with one slot per basis element of U."""
-    f = b.field
+def _dual_basis_shapes(b):
+    """The triples of ``_triple_shapes`` through the dual bases xi (T0 and
+    Tch5) and zeta (T1 and the comodule legs), with one slot per basis
+    element of U: the legs where U has no free basis over A."""
+    f, d = b.field, b.U.dim
     com = regular_comodule(b, "left")
     xi, zeta = b.s_dual_basis, b.coop().s_dual_basis
+    t0 = LegEmbedding(f, b.Lt, b.Ls, xi)
+    t1 = LegEmbedding(f, b.Rt, b.Lt, zeta)
     return [
-        LegEmbedding(f, b.Lt, b.Ls, xi),
-        LegEmbedding(f, b.Rt, b.Lt, zeta),
-        LegEmbedding(f, com.induced_action, b.Ls, xi),
-        LegEmbedding(f, b.Lt, b.Ls, zeta, left=True),
-        LegEmbedding(f, b.Lt, com.action, zeta, left=True),
+        ("coassociative", (d, d, d), t0, t0),
+        ("sch4", (d, d, d), t0, t1),
+        ("sch5", (d, d, d), t1, t0),
+        ("Tch5", (com.dim, d, d), LegEmbedding(f, com.induced_action, b.Ls, xi), t0),
+        ("comodule.coassociative", (d, d, com.dim),
+         LegEmbedding(f, b.Lt, b.Ls, zeta, left=True),
+         LegEmbedding(f, b.Lt, com.action, zeta, left=True)),
     ]
 
 
@@ -257,7 +262,8 @@ def test_triple_embedding_matches_quotient(case, monkeypatch):
     b = CASES[case]()
     f = b.field
     rng = np.random.default_rng(sorted(CASES).index(case))
-    for name, dims, leg12, leg23 in _triple_shapes(b):
+    for name, dims, leg12, leg23 in _triple_shapes(b) + _dual_basis_shapes(b):
+        assert leg12.exact and leg23.exact, (case, name)
         cols = [_relation_element(f, rng, dims, leg12, leg23) for _ in range(2)]
         for rel in cols[:2]:
             bad = rel.copy()
@@ -280,17 +286,15 @@ def test_triple_embedding_matches_quotient(case, monkeypatch):
 
 def _premises_by_hand(leg):
     """Premises (i) and (ii) of a LegEmbedding, from their statements:
-    sum_i paired(phi_i(y)) g_i = y, with g_i = e_i when the leg has no
-    generators, and J kills every relation generator."""
+    sum_i paired(phi_i(y)) g_i = y, and J kills every relation generator."""
     f = leg.field
     act, paired = (leg.Q, leg.P) if leg.left else (leg.P, leg.Q)
     dy = paired.shape[1]
-    gens = f.eye(dy) if leg.gens is None else leg.gens
     for y in range(dy):
         back = f.zeros(dy)
         for i in range(len(leg.dual)):
             for a in range(len(paired)):
-                back = back + leg.dual[i, a, y] * f.matmul(paired[a], gens[:, i])
+                back = back + leg.dual[i, a, y] * f.matmul(paired[a], leg.gens[:, i])
         if not f.equal(back, np.eye(dy, dtype=int)[y]):
             return False
     dx, dy = leg.P.shape[1], leg.Q.shape[1]
@@ -302,8 +306,8 @@ def _premises_by_hand(leg):
     "crossed-bad-t", "crossed-bad-s", "rank1-dual-numbers-bad-t", "trunc-2-2-bad-s"])
 def test_leg_premises_match_their_statements(case):
     b = CASES[case]()
-    legs = [leg for _, _, *pair in _triple_shapes(b) for leg in pair]
-    for leg in legs + _dual_basis_legs(b):
+    shapes = _triple_shapes(b) + _dual_basis_shapes(b)
+    for leg in [leg for _, _, *pair in shapes for leg in pair]:
         if leg.dual is not None:
             assert leg.exact == _premises_by_hand(leg), case
 
