@@ -10,6 +10,7 @@ agree in dtype, shape and every entry, and ``descends``/``induced_op``
 must agree with the relation-row descent test, ``DescentError`` included.
 """
 
+import argparse
 import pathlib
 import sys
 
@@ -19,11 +20,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_lib_golden import CASES, CLEAN
 
-from bgd import algebra, bialgebroid
+from bgd import algebra, bialgebroid, duals
 from bgd.algebra import AlgebraPresentation, LegEmbedding, balanced_tensor, free_basis
-from bgd.bialgebroid import check_comodule, check_left_bialgebroid
+from bgd.bialgebroid import LeftBialgebroid, check_comodule, check_left_bialgebroid
+from bgd.cli import HANDLERS
 from bgd.fixtures import rank_n_truncated, regular_comodule, trivial_comodule
-from bgd.hopf import comodule_alpha, comodule_translation_report, translation_report
+from bgd.hopf import (
+    comodule_alpha, comodule_translation_report, side_switch, translation_report,
+)
+from bgd.hopf_modules import build_u_star_hopf_module, check_hopf_module
 from bgd.linalg import DescentError, Field, Quotient, invert, kernel_basis
 
 # the benchmark's known-answer families, imported from its own directory
@@ -272,6 +277,73 @@ def test_projective_not_free_keeps_the_dual_basis():
         leg = LegEmbedding(f, np.asarray(a.basis_right_mults), q, dual)
         assert leg.exact and f.equal(leg.gens, f.eye(3))
         _assert_same(leg.quotient, _relation_built(leg))
+
+
+def groupoid(field):
+    """The groupoid algebra of a point (object 0) and the pair groupoid on
+    objects 1 and 2, k x M_2(k) over A = k^3, with arrows e00, e11, e12,
+    e21, e22: s = t send p_i to e_ii, Delta(e_ij) = e_ij (x) e_ij and
+    eps(e_ij) = p_i.  U is projective over s(A), a sum of copies of A p_0,
+    A p_1 and A p_2, but not free, since dA = 3 does not divide d = 5."""
+    f = field
+    arrows = [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+    d, n = len(arrows), 3
+    index = {arrow: g for g, arrow in enumerate(arrows)}
+    triples = [(index[i, j], index[j, k], index[i, k], 1)
+               for i, j in arrows for jj, k in arrows if j == jj]
+    u = AlgebraPresentation.from_triples(
+        f, d, triples, [int(i == j) for i, j in arrows], [f"e{i}{j}" for i, j in arrows])
+    a = _split(f, n)
+    s, counit, delta = f.zeros((d, n)), f.zeros((n, d)), f.zeros((d * d, d))
+    for g, (i, j) in enumerate(arrows):
+        counit[i, g] = delta[g * d + g, g] = f.one
+        if i == j:
+            s[g, i] = f.one
+    return LeftBialgebroid(a, u, s, s, delta, counit, name="groupoid")
+
+
+# the items the bounded integral search fails on the groupoid over Q: the
+# six Frobenius conditions, and so the system search
+GROUPOID_Q_FROBENIUS = {
+    "frobenius.dual-right-integrals-free-rank-one",
+    "frobenius.integrals-free-rank-one",
+    "frobenius.pairing-iso-from-dual-integral",
+    "frobenius.pairing-iso-from-integral-s-dual",
+    "frobenius.pairing-iso-from-t-dual-integral",
+    "frobenius.pairing-iso-from-integral-t-dual",
+    "frobenius.system-found",
+}
+
+
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_groupoid_is_projective_not_free(field):
+    b = groupoid(field)
+    assert free_basis(field, b.Ls) is None and free_basis(field, b.coop().Ls) is None
+    assert duals._s_side_dual_basis(b) is not None
+    assert duals._s_side_dual_basis(b.coop()) is not None
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "maschke", "quasi-frobenius",
+                                     "dual", "fundamental", "frobenius"])
+@pytest.mark.parametrize("field", [F5, QQ], ids=["F5", "Q"])
+def test_groupoid_batteries(field, command):
+    rep, _ = HANDLERS[command](groupoid(field), argparse.Namespace(side=None, element=None))
+    failed = {i.check_id for i in rep.items if i.status != "pass"}
+    missed = GROUPOID_Q_FROBENIUS if (field, command) == (QQ, "frobenius") else set()
+    assert rep.items and failed == missed
+
+
+def test_groupoid_dual_basis_serves_without_a_free_basis():
+    # side_switch and the U^* Hopf module need a dual basis over t(A), not
+    # a free basis
+    b = groupoid(F5)
+    for side in ("left", "right"):
+        com = regular_comodule(b, side)
+        switched = side_switch(com)
+        assert switched.side != side and check_comodule(switched).ok
+        back = side_switch(switched)
+        assert back.side == side and F5.equal(back.coaction, com.coaction)
+    assert check_hopf_module(build_u_star_hopf_module(b)).ok
 
 
 def _unit_triangular(field, data, n, lower):
