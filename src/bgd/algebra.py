@@ -264,16 +264,14 @@ def free_basis(field, mats):
 
 
 class LegEmbedding:
-    """The map J: X (x) Y -> X (x) k^n, x (x) y |-> sum_i P(phi_i(y)) x (x) e_i,
+    """The map J: X (x) Y -> X (x) k^r, x (x) y |-> sum_i P(phi_i(y)) x (x) e_i,
     for the balanced tensor X (x)_A Y with relations (P_a x)(x)y - x(x)(Q_a y)
     (``mats_x`` = P, ``mats_y`` = Q, one matrix per A-basis index, as for
-    ``balanced_tensor``), a stack ``dual`` (n x dA x dY, or None) of
-    functionals phi_i: Y -> A and generators ``gens`` (dY x n, g_i its
-    columns) of Y; P(c) is sum_a c_a P_a.  ``gens=None`` is the basis of
-    Y, g_i = e_i (``gens`` = I), with n = dY: a dual basis.  From
-    ``free_basis``, n = dY / dA.  With ``left=True`` the roles of the legs
-    swap: ``dual`` and ``gens`` are on X, and
-    J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
+    ``balanced_tensor``), through ``basis`` = ``(dual, gens)``, a stack of
+    functionals phi_i: Y -> A (r x dA x dY) and generators of Y (dY x r,
+    g_i its columns), as ``free_basis`` returns them, or None; P(c) is
+    sum_a c_a P_a.  With ``left=True`` the roles of the legs swap: the
+    basis is of X, and J: x (x) y |-> sum_i e_i (x) Q(phi_i(x)) y.
 
     ``exact`` says that ker J is the relation span, so that J decides
     classes without a relation rref.  Written for ``left=False``:
@@ -285,21 +283,21 @@ class LegEmbedding:
     gives K J(x (x) y) = sum_i P(phi_i(y)) x (x) g_i, which is congruent to
     x (x) sum_i Q(phi_i(y)) g_i = x (x) y modulo relations (relations are
     linear in a), by (i); so J v = 0 puts v in the relation span.  No
-    action axiom is assumed: both premises are checked as stated.
+    action axiom is assumed: both premises are checked as stated, for any
+    basis passed, so a dual basis (gens the identity, r = dY) serves too.
 
     ``quotient`` is the balanced tensor itself: read off the matrix of J
     (``Quotient.from_kernel``) when ``exact``, and built from the relation
-    rows of ``balanced_tensor`` otherwise.  Both give the same coordinates.
+    rows of ``balanced_tensor`` otherwise, as it is without a basis.  Both
+    give the same coordinates.
     """
 
-    def __init__(self, field, mats_x, mats_y, dual, left=False, gens=None):
+    def __init__(self, field, mats_x, mats_y, basis, left=False):
         self.field = field
         self.P, self.Q = np.asarray(mats_x), np.asarray(mats_y)
         self.left = left
-        self.dual = dual
-        dy = (self.P if left else self.Q).shape[1]
-        self.gens = field.eye(dy) if gens is None else gens
-        self.exact = dual is not None and self._premises()
+        self.dual, self.gens = (None, None) if basis is None else basis
+        self.exact = basis is not None and self._premises()
         self._quotient = None
 
     @property

@@ -16,14 +16,14 @@ balanced-tensor quotient:
 
 Each is read off a leg embedding J (``LeftBialgebroid.leg``) through a
 free basis of U over s(A) (T0) or t(A) (T1; T2 is T1 of the
-co-opposite), with r = dU / dA slots (``s_leg``), or through the dual
-basis xi or zeta, with dU slots, where no free basis is found.  So is
-the comodule tensor U_<| (x)_A M (``ComodulePresentation.leg``): the
-relation span is ker J, column j is a pivot of the relation rref iff
-J e_j lies in span{J e_k : k > j}, and one rref of J with its columns
-reversed gives the relation-built quotient's coordinates and projection
-(``linalg.Quotient.from_kernel``).  Where a leg's premises fail, the
-quotient is built from the relation rows of ``algebra.balanced_tensor``.
+co-opposite), with r = dU / dA slots (``s_leg``).  So is the comodule
+tensor U_<| (x)_A M (``ComodulePresentation.leg``): the relation span is
+ker J, column j is a pivot of the relation rref iff J e_j lies in
+span{J e_k : k > j}, and one rref of J with its columns reversed gives
+the relation-built quotient's coordinates and projection
+(``linalg.Quotient.from_kernel``).  Where the search finds no free basis,
+or a leg's premises fail, the quotient is built from the relation rows
+of ``algebra.balanced_tensor``.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ from .algebra import (
     LegEmbedding, check_action, free_basis, lift_products, pair_and_act,
     project_stack, triple_classes,
 )
-from .linalg import kernel_basis, kron_vec, solve_affine, solve_matrix_equation
+from .linalg import kernel_basis, kron_vec
 from .report import Report
 
 __all__ = [
@@ -155,26 +155,7 @@ class LeftBialgebroid:
     def T2(self):
         return self._cached("T2", lambda: self.coop().T1)
 
-    # -- dual bases ------------------------------------------------------------
-
-    @property
-    def functionals(self):
-        """A basis of U_*, the k-linear psi: U -> A with psi(s(a)u) = a psi(u),
-        as a list of dA x dU matrices (empty when there is none)."""
-        return self._cached("functionals", lambda: _functional_basis(self))
-
-    @property
-    def s_dual_basis(self):
-        """The s-side dual basis xi: a d x dA x dU tensor of functionals in
-        U_* with sum_i s(xi_i(u)) e_i = u, or None when there is none (no
-        solution, or no nonzero functional).  It needs no coproduct.  The
-        t-side basis zeta, with sum_i t(zeta_i(u)) e_i = u, is this one of
-        ``coop()``."""
-        return self._dual_basis_solve()[1]
-
-    def _dual_basis_solve(self):
-        """(coefficients on ``functionals``, xi), or (None, None)."""
-        return self._cached("xi", lambda: _solve_dual_basis(self))
+    # -- free bases --------------------------------------------------------------
 
     @property
     def s_free_basis(self):
@@ -187,12 +168,10 @@ class LeftBialgebroid:
         """The embedding of N (x) U by the relations n.a (x) u - n (x) s(a)u,
         for an action on N given by one matrix per A-basis index, or, with
         ``left``, of U (x) N by s(a)u (x) n - u (x) a.n; through the free
-        basis of U over s(A) on its U leg, or through xi, with dU slots,
-        where the search finds none."""
-        free = self.s_free_basis
-        dual, gens = free if free is not None else (self.s_dual_basis, None)
+        basis of U over s(A) on its U leg; not exact where the search
+        finds none."""
         legs = (self.Ls, action) if left else (action, self.Ls)
-        return LegEmbedding(self.field, *legs, dual, left=left, gens=gens)
+        return LegEmbedding(self.field, *legs, self.s_free_basis, left=left)
 
     def leg(self, key):
         """The embedding of a balanced square through a free basis (``s_leg``),
@@ -225,13 +204,9 @@ class LeftBialgebroid:
         suites of ``bgd.hopf`` are the left-hand ones computed on it.
         """
         if "coop" not in self._cache:
-            d = self.U.dim
-
-            def flipped():
-                return self.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
-
             twin = LeftBialgebroid(
-                self.A.opposite(), self.U, self.t_map, self.s_map, flipped,
+                self.A.opposite(), self.U, self.t_map, self.s_map,
+                lambda: flip_legs(self.delta),
                 self.counit, name=self.name + "_coop",
             )
             for key, val in self._cache.items():
@@ -242,35 +217,10 @@ class LeftBialgebroid:
         return self._cache["coop"]
 
 
-def _functional_basis(b):
-    """Solve the A-linearity constraints psi(s(a)u) = a psi(u), that is
-    psi Ls[a] = L_a psi, for a basis of U_*."""
-    f = b.field
-    da, du = b.A.dim, b.U.dim
-    eqs = [
-        ([(f.eye(da), b.Ls[a]), (-b.A.basis_left_mults[a], f.eye(du))],
-         f.zeros((da, du)))
-        for a in range(da)
-    ]
-    return solve_matrix_equation(f, (da, du), eqs)[1]
-
-
-def _solve_dual_basis(b):
-    """Coefficients c (d x n) on the n functionals psi_k of U_* with
-    xi_i = sum_k c[i, k] psi_k and sum_i s(xi_i(u)) e_i = u, and xi; or
-    (None, None)."""
-    if not b.functionals:
-        return None, None
-    f, d = b.field, b.U.dim
-    funcs = np.stack(b.functionals)
-    # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
-    vals = f.contract(funcs, np.asarray(b.Ls), (1, 0))
-    cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * len(funcs))  # from (k, j, r, i)
-    sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
-    if sol is None:
-        return None, None
-    coeffs = sol[0].reshape(d, len(funcs))
-    return coeffs, f.contract(coeffs, funcs, 1)
+def flip_legs(lift):
+    """The coproduct lift (d^2 x d) with its two tensor legs swapped."""
+    d = lift.shape[1]
+    return lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
 
 
 class RightBialgebroid:
@@ -297,12 +247,9 @@ class RightBialgebroid:
 
     def op_coop(self):
         """The associated left bialgebroid (U^op, A^op, s, t, flip o delta)."""
-        d = self.U.dim
-        def flipped():
-            return self.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
         return LeftBialgebroid(
             self.A.opposite(), self.U.opposite(), self.s_map, self.t_map,
-            flipped, self.counit, name=self.name + "_opcoop",
+            lambda: flip_legs(self.delta), self.counit, name=self.name + "_opcoop",
         )
 
 
@@ -470,6 +417,17 @@ class ComodulePresentation:
         if "leg" not in self._cache:
             self._cache["leg"] = self.b.lt_leg(self.action)
         return self._cache["leg"]
+
+    @property
+    def dom_leg(self):
+        """The embedding through the s-side basis (``s_leg``) of the domain
+        N (x)^A |>U of the comodule Hopf-Galois map of a left comodule, for
+        the induced right action on N, built once."""
+        if self.side != "left":
+            raise ValueError("dom_leg is defined for left comodules; use as_left()")
+        if "dom leg" not in self._cache:
+            self._cache["dom leg"] = self.b.s_leg(self.induced_action)
+        return self._cache["dom leg"]
 
     @property
     def quotient(self):

@@ -17,21 +17,24 @@ used again.  Structure maps:
 Only U_* is built.  U^* of U is U_* of the co-opposite ``b.coop()`` read
 back over A: the same functionals and algebra, with s and t swapped and
 the coproduct legs flipped.  In the same way S_* is S^* of ``b.coop()``
-and the t-side dual basis is the s-side one of ``b.coop()``.
+and the t-side dual basis is the s-side one of ``b.coop()``.  Each is
+cached in ``b._cache``, as is the dual basis xi of U_* (``s_dual_basis``).
 """
 
 import numpy as np
 
 from .algebra import AlgebraPresentation, pair_and_act
-from .bialgebroid import LeftBialgebroid, RightBialgebroid
+from .bialgebroid import LeftBialgebroid, RightBialgebroid, flip_legs
 from .hopf import _require_right_hopf, translate_left_mat, translate_right_mat
-from .linalg import invert, rank, rref, solve_affine
+from .linalg import invert, rank, rref, solve_affine, solve_matrix_equation
 from .report import Report
 
 __all__ = [
     "DualBialgebroid",
     "left_dual",
     "right_dual",
+    "functionals",
+    "s_dual_basis",
     "s_upper_star",
     "s_lower_star",
     "dual_action",
@@ -90,17 +93,9 @@ class DualBialgebroid(RightBialgebroid):
     def as_left_bialgebroid(self):
         """Read the dual as a left bialgebroid (used when it is
         commutative, e.g. for jet algebroids); the coproduct stays lazy."""
-        delta = self._delta if callable(self._delta) else self.delta
-        if self.which == "left":
-            # the stored lift has its legs in the right-bialgebroid order;
-            # the left reading wants them the other way round
-            f, d = self.field, self.U.dim
-
-            def unflip(src=delta):
-                lift = src() if callable(src) else src
-                return f.mod(lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d))
-
-            delta = unflip
+        # the stored lift of U_* has its legs in the right-bialgebroid
+        # order; the left reading wants them the other way round
+        delta = (lambda: flip_legs(self.delta)) if self.which == "left" else self._delta
         return LeftBialgebroid(
             self.A, self.U, self.s_map, self.t_map,
             delta, self.counit, name=self.name,
@@ -117,7 +112,7 @@ def _columns(funcs):
 
 def _build_dual(b):
     f, du = b.field, b.U.dim
-    funcs = np.stack(b.functionals)
+    funcs = np.stack(functionals(b))
     d = len(funcs)
     solver = CoordSolver(f, funcs.reshape(d, -1))
 
@@ -160,43 +155,91 @@ def _solve_dual_coproduct(b, funcs):
     sol = solve_affine(f, cols, rhs)
     if sol is None:
         raise ValueError("dual coproduct system is inconsistent")
-    lift = sol[0]
     # the solved legs are balanced the mirrored way round; flip them so
     # the stored lift matches the right-bialgebroid storage convention
-    return f.mod(lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d))
+    return flip_legs(sol[0])
+
+
+def _cached(b, key, build):
+    """``b._cache[key]``, built on first use."""
+    if key not in b._cache:
+        b._cache[key] = build(b)
+    return b._cache[key]
 
 
 def left_dual(b):
-    if "dual_left" not in b._cache:
-        b._cache["dual_left"] = _build_dual(b)
-    return b._cache["dual_left"]
+    return _cached(b, "dual_left", _build_dual)
 
 
 def right_dual(b):
     """U^*, read back over A from U_* of the co-opposite: the same
     functionals, algebra and counit, s and t swapped, coproduct legs
     flipped."""
-    if "dual_right" not in b._cache:
-        lo = left_dual(b.coop())
-        d = lo.dim
+    return _cached(b, "dual_right", _build_right_dual)
 
-        def flipped():
-            return lo.delta.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
 
-        b._cache["dual_right"] = DualBialgebroid(
-            b, "right", lo.tensor, lo.solver, lo.U, lo.t_map, lo.s_map,
-            flipped, lo.counit,
-        )
-    return b._cache["dual_right"]
+def _build_right_dual(b):
+    lo = left_dual(b.coop())
+    return DualBialgebroid(
+        b, "right", lo.tensor, lo.solver, lo.U, lo.t_map, lo.s_map,
+        lambda: flip_legs(lo.delta), lo.counit,
+    )
+
+
+def functionals(b):
+    """A basis of U_*, the k-linear psi: U -> A with psi(s(a)u) = a psi(u),
+    as a list of dA x dU matrices (empty when there is none)."""
+    return _cached(b, "functionals", _functional_basis)
+
+
+def _functional_basis(b):
+    """Solve the A-linearity constraints psi(s(a)u) = a psi(u), that is
+    psi Ls[a] = L_a psi, for a basis of U_*."""
+    f = b.field
+    da, du = b.A.dim, b.U.dim
+    eqs = [
+        ([(f.eye(da), b.Ls[a]), (-b.A.basis_left_mults[a], f.eye(du))],
+         f.zeros((da, du)))
+        for a in range(da)
+    ]
+    return solve_matrix_equation(f, (da, du), eqs)[1]
+
+
+def s_dual_basis(b):
+    """The s-side dual basis xi: a d x dA x dU tensor of functionals in U_*
+    with sum_i s(xi_i(u)) e_i = u, or None when there is none (no solution,
+    or no nonzero functional), that is when U is not finitely generated
+    projective over s(A).  It needs no coproduct.  The t-side basis zeta,
+    with sum_i t(zeta_i(u)) e_i = u, is this one of ``b.coop()``."""
+    return _cached(b, "xi", _solve_dual_basis)[1]
+
+
+def _solve_dual_basis(b):
+    """Coefficients c (d x n) on the n functionals psi_k of U_* with
+    xi_i = sum_k c[i, k] psi_k and sum_i s(xi_i(u)) e_i = u, and xi; or
+    (None, None)."""
+    if not functionals(b):
+        return None, None
+    f, d = b.field, b.U.dim
+    funcs = np.stack(functionals(b))
+    # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
+    vals = f.contract(funcs, np.asarray(b.Ls), (1, 0))
+    cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * len(funcs))  # from (k, j, r, i)
+    sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
+    if sol is None:
+        return None, None
+    coeffs = sol[0].reshape(d, len(funcs))
+    return coeffs, f.contract(coeffs, funcs, 1)
 
 
 def _s_side_dual_basis(b):
     """Coordinates in U_* of the functionals e_i^* with
-    sum_i s(<e_i^*, u>) e_i = u (``b.s_dual_basis``), or None when U is not
-    free over s(A); raises where U_* cannot be built.  The t-side basis in
-    U^*, with sum_i t(<e_i^*, u>) e_i = u, is this one of ``b.coop()``."""
+    sum_i s(<e_i^*, u>) e_i = u (``s_dual_basis``), or None when there are
+    none, that is when U is not finitely generated projective over s(A);
+    raises where U_* cannot be built.  The t-side basis in U^*, with
+    sum_i t(<e_i^*, u>) e_i = u, is this one of ``b.coop()``."""
     left_dual(b)
-    coeffs = b._dual_basis_solve()[0]
+    coeffs = _cached(b, "xi", _solve_dual_basis)[0]
     return None if coeffs is None else list(coeffs)
 
 

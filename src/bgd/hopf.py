@@ -237,12 +237,10 @@ def comodule_alpha(com):
         # coaction as du x dn x dn
         co = com.coaction.reshape(du, dn, dn)
         amb = f.contract(co, b.U.mul, (0, 0)).transpose(3, 0, 1, 2)
-        leg = b.s_leg(com.induced_action)  # N (x)^A |>U
         com._cache["calpha"] = _induced_map(
-            com.quotient, amb.reshape(dn * du, dn * du), leg.quotient,
+            com.quotient, amb.reshape(dn * du, dn * du), com.dom_leg.quotient,
             "comodule Hopf-Galois map not well defined",
         )
-        com._cache["cdom leg"] = leg
     return com._cache["calpha"]
 
 
@@ -264,7 +262,7 @@ def comodule_translate_mat(com):
         f, du = com.field, com.b.U.dim
         emb = np.kron(com.b.U.unit.reshape(du, 1), f.eye(com.dim))  # n -> 1 (x) n
         com._cache["ctrans"] = _inverse_lift(
-            f, comodule_alpha(com), com._cache["cdom leg"].quotient, com.quotient, emb
+            f, comodule_alpha(com), com.dom_leg.quotient, com.quotient, emb
         )
     return com._cache["ctrans"]
 
@@ -287,7 +285,7 @@ def _left_comodule_suite(com, rep, tag):
     # co[x, n, j]: the coefficient of e_x (x) n_n in the coaction of n_j
     tm = tmat.reshape(dn, du, dn)
     co = com.coaction.reshape(du, dn, dn)
-    leg12 = com._cache["cdom leg"]
+    leg12 = com.dom_leg
     dom = leg12.quotient
     q = com.quotient
     ind = com.induced_action
@@ -351,7 +349,7 @@ def side_switch(com):
     # acts by m |-> m_(0) . <psi, m_(1)>.
     estars = _s_side_dual_basis(b.coop())
     if estars is None:
-        raise ValueError(f"{b.name} is not free over t(A)")
+        raise ValueError(f"{b.name} has no dual basis over t(A)")
     psis = left_dual(b).functional(f.matmul(np.stack(estars), s_upper_star(b).T))
     co = pair_and_act(f, com.action, psis, com.coaction, u_first=False)
     return ComodulePresentation(

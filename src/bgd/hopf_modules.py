@@ -153,7 +153,7 @@ def build_u_star_hopf_module(b):
     ds = up.dim
     estars = _s_side_dual_basis(b.coop())
     if estars is None:
-        raise ValueError("total algebra is not free over t(A)")
+        raise ValueError("total algebra has no dual basis over t(A)")
     act = dual_action(b, up, "bullet")
     # column m: sum_i e_i (x) phi_m e_i^*
     prods = f.contract(np.stack(estars), up.U.mul, (1, 1))  # (i, m, y)

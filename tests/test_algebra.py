@@ -216,7 +216,9 @@ def _dual_basis_shapes(b):
     element of U: the legs where U has no free basis over A."""
     f, d = b.field, b.U.dim
     com = regular_comodule(b, "left")
-    xi, zeta = b.s_dual_basis, b.coop().s_dual_basis
+    # a dual basis is a basis with the identity as its generators
+    xi, zeta = (None if x is None else (x, f.eye(d))
+                for x in (duals.s_dual_basis(b), duals.s_dual_basis(b.coop())))
     t0 = LegEmbedding(f, b.Lt, b.Ls, xi)
     t1 = LegEmbedding(f, b.Rt, b.Lt, zeta)
     return [
@@ -317,12 +319,12 @@ def test_triple_embedding_declines(case):
     b = CASES[case]()
     assert not b.leg("T0").exact
     if case == "rank1-dual-numbers-bad-s":
-        assert b.functionals == [] and b.s_dual_basis is None
+        assert duals.functionals(b) == [] and duals.s_dual_basis(b) is None
 
 
 def test_dual_basis_needs_no_coproduct():
     b = CASES["rank1-dual-numbers-bad-delta"]()
-    f, xi = b.field, b.s_dual_basis
+    f, xi = b.field, duals.s_dual_basis(b)
     # sum_i s(xi_i(u)) e_i = u, though U_* (which needs Delta) cannot be built
     assert f.equal(f.contract(np.asarray(b.Ls), xi, ([0, 2], [1, 0])), f.eye(b.U.dim))
     with pytest.raises(ValueError):
