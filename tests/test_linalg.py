@@ -486,3 +486,106 @@ def test_field_rejects_primes_from_2_31_at_once():
             Field.prime(p)
     assert time.perf_counter() - start < 1.0
     assert Field.prime(2**31 - 1).p == 2**31 - 1
+
+
+# -- the sparse-first rref against the dense loop ---------------------------
+
+P31 = Field.prime(2**31 - 1)
+
+
+def reference_rref(field, m):
+    """The dense Gauss-Jordan loop on its own."""
+    return linalg._gauss_jordan(field, field.array(np.asarray(m)))
+
+
+def assert_same_rref(field, m):
+    rows, pivots = linalg.rref(field, m)
+    want_rows, want_pivots = reference_rref(field, m)
+    assert pivots == want_pivots
+    assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+    if field.kind == "prime":
+        assert rows.dtype == np.int64
+    else:
+        assert rows.dtype == object
+        assert all(type(x) is Fraction for x in rows.ravel().tolist())
+
+
+@st.composite
+def rref_inputs(draw):
+    """(field, matrix): sparse, dense, rank-deficient, or a sparse head on a
+    dense tail, the shape that hands over to the dense loop part-way;
+    entries in (-p, p) or up to 2^40 over F_p, ints and Fractions over Q."""
+    field = draw(st.sampled_from([F2, F5, P31, QQ]))
+    kind = draw(st.sampled_from(["sparse", "dense", "low-rank", "handoff"]))
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = field.p or 7
+    if kind == "low-rank":  # wide or tall with rank at most k
+        k = draw(st.integers(0, 3))
+        m = field.matmul(rng.integers(0, top, size=(nrows, k)),
+                         rng.integers(0, top, size=(k, ncols)))
+    else:
+        m = rng.integers(1, top, size=(nrows, ncols))
+        m *= rng.random((nrows, ncols)) < {"sparse": 0.15, "dense": 0.9}.get(kind, 0.9)
+        if kind == "handoff":
+            head = min(nrows, ncols, draw(st.integers(1, 3)))
+            m[:head] = np.eye(head, ncols, dtype=np.int64) * rng.integers(1, top, size=(head, 1))
+    if field.kind == "prime":
+        shift = draw(st.sampled_from(["reduced", "negative", "large"]))
+        if shift == "negative":
+            m = m - top * (rng.random(m.shape) < 0.5)
+        elif shift == "large":
+            m = m + top * rng.integers(0, 2**40 // top, size=m.shape)
+        return field, np.asarray(m, dtype=np.int64)
+    out = np.empty(np.shape(m), dtype=object)
+    out.reshape(-1)[:] = [Fraction(int(x), int(rng.integers(1, 4))) if rng.random() < 0.5
+                          else int(x) for x in np.asarray(m).reshape(-1).tolist()]
+    return field, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(rref_inputs())
+def test_rref_matches_the_dense_loop(case):
+    assert_same_rref(*case)
+
+
+def test_rref_of_empty_and_zero_shapes():
+    for field in (F2, F5, P31, QQ):
+        for shape in ((0, 0), (0, 4), (4, 0), (3, 5)):
+            assert_same_rref(field, np.zeros(shape, dtype=np.int64))
+        # multiples of p are zero in F_p; only Q keeps them
+        assert_same_rref(field, np.full((2, 3), 2 * (field.p or 1), dtype=np.int64))
+
+
+def test_rref_hands_over_to_the_dense_loop_part_way(monkeypatch):
+    # two sparse rows enter the sparse basis, then a dense row fills it in
+    rng = np.random.default_rng(3)
+    m = np.concatenate([np.eye(2, 40, dtype=np.int64),
+                        rng.integers(1, 5, size=(30, 40))])
+    handed = []
+    dense = linalg._gauss_jordan
+
+    def watch(field, w):
+        handed.append(w.shape)
+        return dense(field, w)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", watch)
+    linalg.rref(F5, m)
+    # the basis (three rows) and the 29 rows after the one that filled it
+    assert handed == [(32, 40)]
+    monkeypatch.undo()
+    assert_same_rref(F5, m)
+
+
+def test_rref_counts_once_through_the_dense_handoff(monkeypatch):
+    # perfbench counts rref calls and cells by wrapping linalg.rref, so a
+    # reduction that hands over to the dense loop must stay one call
+    calls, handed = [], []
+    rref, dense = linalg.rref, linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "rref", lambda f, m: calls.append(np.shape(m)) or rref(f, m))
+    monkeypatch.setattr(linalg, "_gauss_jordan",
+                        lambda f, w: handed.append(w.shape) or dense(f, w))
+    m = np.random.default_rng(0).integers(0, 5, size=(64, 128))
+    sub = Subspace(F5, 128, list(m))
+    assert calls == [(64, 128)] and len(handed) == 1
+    assert sub.dim == 64
