@@ -197,18 +197,25 @@ def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):
 
     ``mats_m`` / ``mats_n`` are the per-basis action matrices P_a, Q_a.
     """
-    gens = []
-    eye_m = field.eye(dim_m)
-    eye_n = field.eye(dim_n)
-    for p, q in zip(mats_m, mats_n):
-        block = np.kron(p.T, eye_n) - np.kron(eye_m, q.T)
-        gens.append(field.mod(block))
-    if gens:
-        stacked = np.concatenate(gens, axis=0)
-        rows = [stacked[i] for i in range(stacked.shape[0])]
-    else:
-        rows = []
+    rows = balanced_relations(field, dim_m, mats_m, dim_n, mats_n)
     return Quotient(field, dim_m * dim_n, rows)
+
+
+def balanced_relations(field, dim_m, mats_m, dim_n, mats_n):
+    """The relation rows kron(P_a^T, I) - kron(I, Q_a^T) of ``balanced_tensor``,
+    stacked over a.  Row (a, i, k) holds P_a[j, i] at (j, k) and -Q_a[l, k]
+    at (i, l); the blocks are placed by indexing, so no entry is multiplied
+    by an identity."""
+    m, n, count = dim_m, dim_n, len(mats_m)
+    ps = np.asarray(mats_m).reshape(count, m, m)
+    qs = np.asarray(mats_n).reshape(count, n, n)
+    out = field.zeros((count, m, n, m, n))
+    i, k = np.arange(m), np.arange(n)
+    out[:, :, k, :, k] = ps.transpose(0, 2, 1)  # [k, a, i, j] = P_a[j, i]
+    out[:, i, :, i, :] = -qs.transpose(0, 2, 1)  # [i, a, k, l] = -Q_a[l, k]
+    # where the blocks meet, at (j, l) = (i, k), both terms count
+    out[:, i[:, None], k, i[:, None], k] = ps[:, i, i][:, :, None] - qs[:, k, k][:, None, :]
+    return field.mod(out.reshape(count * m * n, m * n))
 
 
 # ``free_basis`` draws one pool of ``_FREE_BASIS_TRIES * r`` random

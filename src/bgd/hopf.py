@@ -19,7 +19,7 @@ left comodule ``as_left()`` over ``b.coop()``.
 import numpy as np
 
 from .algebra import lift_products, pair_and_act, project_stack, triple_classes
-from .linalg import DescentError, invert, is_invertible
+from .linalg import DescentError, SingularMatrixError, invert
 from .report import Report
 
 __all__ = [
@@ -68,10 +68,19 @@ def _induced_map(cod, op, dom, message):
         raise ValueError(message) from None
 
 
-def _inverse_lift(f, alpha, dom, cod, emb):
+def _inverse(f, alpha):
+    """alpha^-1, or None where the Hopf-Galois map alpha is not bijective:
+    one reduction gives both the verdict and the inverse."""
+    try:
+        return invert(f, alpha)
+    except SingularMatrixError:
+        return None
+
+
+def _inverse_lift(f, inverse, dom, cod, emb):
     """Lift matrix section . alpha^-1 . project . emb of the inverse of a
     bijective Hopf-Galois map alpha: dom -> cod."""
-    back = f.matmul(invert(f, alpha), f.matmul(cod.project_mat, emb))
+    back = f.matmul(inverse, f.matmul(cod.project_mat, emb))
     return f.matmul(dom.section_mat, back)
 
 
@@ -83,9 +92,9 @@ def alpha_right(b):
 
 
 def is_left_hopf(b):
-    if "left_hopf" not in b._cache:
-        b._cache["left_hopf"] = is_invertible(b.field, alpha_left(b))
-    return b._cache["left_hopf"]
+    if "alpha_l inverse" not in b._cache:
+        b._cache["alpha_l inverse"] = _inverse(b.field, alpha_left(b))
+    return b._cache["alpha_l inverse"] is not None
 
 
 def is_right_hopf(b):
@@ -100,7 +109,7 @@ def translate_left_mat(b):
             raise ValueError(f"alpha_l of {b.name} is not bijective")
         f, d = b.field, b.U.dim
         emb = np.kron(f.eye(d), b.U.unit.reshape(d, 1))  # u |-> u (x) 1
-        b._cache["tl_mat"] = _inverse_lift(f, alpha_left(b), b.T1, b.T0, emb)
+        b._cache["tl_mat"] = _inverse_lift(f, b._cache["alpha_l inverse"], b.T1, b.T0, emb)
     return b._cache["tl_mat"]
 
 
@@ -245,7 +254,12 @@ def comodule_alpha(com):
 
 
 def comodule_is_bijective(com):
-    return is_invertible(com.field, comodule_alpha(com))
+    """Whether the comodule Hopf-Galois map is bijective, decided once per
+    comodule (on ``com.as_left()``)."""
+    com = com.as_left()
+    if "calpha inverse" not in com._cache:
+        com._cache["calpha inverse"] = _inverse(com.field, comodule_alpha(com))
+    return com._cache["calpha inverse"] is not None
 
 
 def comodule_translate_mat(com):
@@ -262,7 +276,7 @@ def comodule_translate_mat(com):
         f, du = com.field, com.b.U.dim
         emb = np.kron(com.b.U.unit.reshape(du, 1), f.eye(com.dim))  # n -> 1 (x) n
         com._cache["ctrans"] = _inverse_lift(
-            f, comodule_alpha(com), com.dom_leg.quotient, com.quotient, emb
+            f, com._cache["calpha inverse"], com.dom_leg.quotient, com.quotient, emb
         )
     return com._cache["ctrans"]
 

@@ -11,6 +11,7 @@ from bgd.algebra import (
     AlgebraPresentation,
     LegEmbedding,
     TripleQuotient,
+    balanced_relations,
     balanced_tensor,
     check_action,
     pair_and_act,
@@ -124,6 +125,23 @@ def test_balanced_tensor_projection_respects_relations():
                 for k in np.nonzero(sv)[0]:
                     right[i * d + k] = sv[k]
                 assert f.equal(q.project(left), q.project(right))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([F5, QQ]), st.integers(0, 3), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 2**32 - 1))
+def test_balanced_relations_match_kron(f, count, m, n, seed):
+    # the placed blocks equal the kron rows kron(P_a^T, I) - kron(I, Q_a^T)
+    rng = np.random.default_rng(seed)
+    ps = [f.array(rng.integers(-4, 5, size=(m, m))) for _ in range(count)]
+    qs = [f.array(rng.integers(-4, 5, size=(n, n))) for _ in range(count)]
+    got = balanced_relations(f, m, ps, n, qs)
+    want = [f.mod(np.kron(p.T, f.eye(n)) - np.kron(f.eye(m), q.T)) for p, q in zip(ps, qs)]
+    want = np.concatenate(want) if want else f.zeros((0, m * n))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if f is QQ:
+        assert all(type(x) is Fraction for x in got.ravel().tolist())
 
 
 def test_check_action_rejects_wrong_composition():
