@@ -90,9 +90,12 @@ FLOAT_EXACT = 2**53
 # entries of the larger operand that Field.contract casts at a time
 SLAB = 2**16
 # rref hands over to the dense loop once its sparse basis holds more than
-# this fraction of rank x columns nonzero entries: on random F_5 matrices a
-# denser basis makes each sparse row cost more than a whole numpy row
-FILL_IN = 0.2
+# FILL_IN of rank x columns nonzero entries, and more than DENSE_STEP: a
+# basis that fills in makes a sparse row cost more than a whole numpy row,
+# and reducing a row against fewer than DENSE_STEP entries costs less than
+# the numpy calls of one pivot of the dense loop (about 15 us)
+FILL_IN = 0.1
+DENSE_STEP = 128
 
 
 class Field:
@@ -343,27 +346,18 @@ def rref(field, m):
     normalized and cleared from the basis rows that hold its column.  The
     loop stops once the rank reaches the number of columns, and hands the
     basis and the rows left to ``_gauss_jordan`` once the basis holds more
-    than ``FILL_IN`` of rank x columns nonzero entries."""
+    than ``FILL_IN`` of rank x columns nonzero entries and more than
+    ``DENSE_STEP``."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    ncols = m.shape[1]
+    nrows, ncols = m.shape
     p = field.p
-    # the nonzero entries of m reduced into the field, in row order
-    flat = m.reshape(-1)
-    at = flat.nonzero()[0]
-    vals = field.array(flat[at])
-    keep = vals.nonzero()[0]
-    if len(keep) < len(at):  # multiples of p
-        at, vals = at[keep], vals[keep]
-    rows, cols = divmod(at, max(ncols, 1))
-    cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-    cols, vals = cols.tolist(), vals.tolist()
     basis = {}  # pivot column -> row, zero at every other pivot column
     seen = set()  # columns that some basis row has held
     fill = 0  # nonzero entries of the basis
-    for lo, hi in zip([0] + cuts, cuts + [len(cols)] if cols else []):
-        v = _reduced(dict(zip(cols[lo:hi], vals[lo:hi])), basis, p)
+    for i, v in _sparse_rows(field, m):
+        v = _reduced(v, basis, p)
         if not v:
             continue
         c = min(v)
@@ -381,10 +375,34 @@ def rref(field, m):
         fill += len(v)
         if len(basis) == ncols:
             break
-        if fill > FILL_IN * len(basis) * ncols and hi < len(cols):
-            rest = field.array(m[rows[hi]:])
+        if fill > max(FILL_IN * len(basis) * ncols, DENSE_STEP) and i + 1 < nrows:
+            rest = field.array(m[i + 1:])
             return _gauss_jordan(field, np.concatenate([_stacked(field, basis, ncols), rest]))
     return _stacked(field, basis, ncols), sorted(basis)
+
+
+def _sparse_rows(field, m):
+    """(row index, {column: scalar}) for every row of m that is nonzero in
+    the field, its entries reduced into the field.  Rows are read in
+    blocks that grow from 2^12 entries to ``SLAB``, so a dense m that goes
+    to the dense loop after a few rows is not turned into python scalars
+    whole, and a long sparse one takes few blocks."""
+    width = max(1, m.shape[1])
+    lo, cells = 0, 2**12
+    while lo < len(m):
+        hi = lo + max(1, cells // width)
+        flat = m[lo:hi].reshape(-1)
+        at = flat.nonzero()[0]
+        vals = field.array(flat[at])
+        keep = vals.nonzero()[0]
+        if len(keep) < len(at):  # zero in the field, such as multiples of p
+            at, vals = at[keep], vals[keep]
+        rows, cols = divmod(at, width)
+        cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
+        rows, cols, vals = rows.tolist(), cols.tolist(), vals.tolist()
+        for a, b in zip([0] + cuts, cuts + [len(cols)] if cols else []):
+            yield lo + rows[a], dict(zip(cols[a:b], vals[a:b]))
+        lo, cells = hi, min(2 * cells, SLAB)
 
 
 def _reduced(v, basis, p):

@@ -517,7 +517,12 @@ def rref_inputs(draw):
     entries in (-p, p) or up to 2^40 over F_p, ints and Fractions over Q."""
     field = draw(st.sampled_from([F2, F5, P31, QQ]))
     kind = draw(st.sampled_from(["sparse", "dense", "low-rank", "handoff"]))
-    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    # dense and hand-off inputs are small or reach past linalg.DENSE_STEP
+    # basis entries
+    if kind in ("dense", "handoff"):
+        nrows, ncols = (draw(st.integers(0, 4) | st.integers(12, 24)) * k for k in (1, 2))
+    else:
+        nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = field.p or 7
     if kind == "low-rank":  # wide or tall with rank at most k
@@ -558,7 +563,7 @@ def test_rref_of_empty_and_zero_shapes():
 
 
 def test_rref_hands_over_to_the_dense_loop_part_way(monkeypatch):
-    # two sparse rows enter the sparse basis, then a dense row fills it in
+    # two sparse rows enter the sparse basis, then dense rows fill it in
     rng = np.random.default_rng(3)
     m = np.concatenate([np.eye(2, 40, dtype=np.int64),
                         rng.integers(1, 5, size=(30, 40))])
@@ -566,14 +571,19 @@ def test_rref_hands_over_to_the_dense_loop_part_way(monkeypatch):
     dense = linalg._gauss_jordan
 
     def watch(field, w):
-        handed.append(w.shape)
+        handed.append(w.copy())
         return dense(field, w)
 
     monkeypatch.setattr(linalg, "_gauss_jordan", watch)
     linalg.rref(F5, m)
-    # the basis (three rows) and the 29 rows after the one that filled it
-    assert handed == [(32, 40)]
     monkeypatch.undo()
+    assert len(handed) == 1
+    w = handed[0]
+    # the dense loop gets the sparse basis, in RREF, then the rows not yet
+    # inserted, as they were
+    k = len(w) - next(n for n in range(len(m)) if not np.array_equal(w[-n - 1], m[-n - 1]))
+    assert 2 < k < len(m)
+    assert linalg._gauss_jordan(F5, w[:k].copy())[0].tolist() == w[:k].tolist()
     assert_same_rref(F5, m)
 
 
