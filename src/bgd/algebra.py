@@ -197,8 +197,7 @@ def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):
 
     ``mats_m`` / ``mats_n`` are the per-basis action matrices P_a, Q_a.
     """
-    rows = balanced_relations(field, dim_m, mats_m, dim_n, mats_n)
-    return Quotient(field, dim_m * dim_n, rows)
+    return Quotient(field, dim_m * dim_n, balanced_relations(field, dim_m, mats_m, dim_n, mats_n))
 
 
 def balanced_relations(field, dim_m, mats_m, dim_n, mats_n):

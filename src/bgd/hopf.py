@@ -79,7 +79,8 @@ def _inverse(f, alpha):
 
 def _inverse_lift(f, inverse, dom, cod, emb):
     """Lift matrix section . alpha^-1 . project . emb of the inverse of a
-    bijective Hopf-Galois map alpha: dom -> cod."""
+    bijective Hopf-Galois map alpha: dom -> cod, given ``inverse`` =
+    alpha^-1."""
     back = f.matmul(inverse, f.matmul(cod.project_mat, emb))
     return f.matmul(dom.section_mat, back)
 
