@@ -93,7 +93,8 @@ SLAB = 2**16
 # FILL_IN of rank x columns nonzero entries, and more than DENSE_STEP: a
 # basis that fills in makes a sparse row cost more than a whole numpy row,
 # and reducing a row against fewer than DENSE_STEP entries costs less than
-# the numpy calls of one pivot of the dense loop (about 15 us)
+# the numpy calls of one pivot of the dense loop (about 15 us on a 2-vCPU
+# x86 host)
 FILL_IN = 0.1
 DENSE_STEP = 128
 
