@@ -93,9 +93,13 @@ def alpha_right(b):
 
 
 def is_left_hopf(b):
-    if "alpha_l inverse" not in b._cache:
-        b._cache["alpha_l inverse"] = _inverse(b.field, alpha_left(b))
-    return b._cache["alpha_l inverse"] is not None
+    if "left_hopf" not in b._cache:
+        inverse = _inverse(b.field, alpha_left(b))
+        b._cache["left_hopf"] = inverse is not None
+        # kept for translate_left_mat, which drops it: it is as large as
+        # alpha_l, 32 MB on rank_n_truncated(2, 5)
+        b._cache["alpha_l inverse"] = inverse
+    return b._cache["left_hopf"]
 
 
 def is_right_hopf(b):
@@ -111,6 +115,7 @@ def translate_left_mat(b):
         f, d = b.field, b.U.dim
         emb = np.kron(f.eye(d), b.U.unit.reshape(d, 1))  # u |-> u (x) 1
         b._cache["tl_mat"] = _inverse_lift(f, b._cache["alpha_l inverse"], b.T1, b.T0, emb)
+        del b._cache["alpha_l inverse"]
     return b._cache["tl_mat"]
 
 
@@ -258,9 +263,11 @@ def comodule_is_bijective(com):
     """Whether the comodule Hopf-Galois map is bijective, decided once per
     comodule (on ``com.as_left()``)."""
     com = com.as_left()
-    if "calpha inverse" not in com._cache:
-        com._cache["calpha inverse"] = _inverse(com.field, comodule_alpha(com))
-    return com._cache["calpha inverse"] is not None
+    if "calpha bijective" not in com._cache:
+        inverse = _inverse(com.field, comodule_alpha(com))
+        com._cache["calpha bijective"] = inverse is not None
+        com._cache["calpha inverse"] = inverse  # dropped by comodule_translate_mat
+    return com._cache["calpha bijective"]
 
 
 def comodule_translate_mat(com):
@@ -279,6 +286,7 @@ def comodule_translate_mat(com):
         com._cache["ctrans"] = _inverse_lift(
             f, com._cache["calpha inverse"], com.dom_leg.quotient, com.quotient, emb
         )
+        del com._cache["calpha inverse"]
     return com._cache["ctrans"]
 
 

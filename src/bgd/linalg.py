@@ -12,6 +12,8 @@ Where the basis fills in past ``FILL_IN`` of rank x columns, sparse rows
 cost more than dense ones, and the basis and the rows not yet inserted go
 to a dense Gauss-Jordan loop on whole numpy rows (``_gauss_jordan``), as in
 the sparse-then-dense rank computations of Dumas and Villard (CASC 2002).
+The basis is written over the rows already read, so the input is held in
+the field once, as the dense loop alone holds it.
 RREF is unique, so the two paths give the same rows.
 
 Products over F_p (``Field.contract``) run in float64 through BLAS, as in
@@ -90,13 +92,19 @@ FLOAT_EXACT = 2**53
 # entries of the larger operand that Field.contract casts at a time
 SLAB = 2**16
 # rref hands over to the dense loop once its sparse basis holds more than
-# FILL_IN of rank x columns nonzero entries, and more than DENSE_STEP: a
-# basis that fills in makes a sparse row cost more than a whole numpy row,
-# and reducing a row against fewer than DENSE_STEP entries costs less than
-# the numpy calls of one pivot of the dense loop (about 15 us on a 2-vCPU
-# x86 host)
+# FILL_IN of rank x columns nonzero entries, and more than DENSE_STEP.
+# Dense inputs need the handoff: random dense matrices of up to 256 x 512
+# over F_5, F_(2^31-1) and Q reduce about 5 times faster with it.  Small
+# bases need the floor: the small matrices of the perfbench workloads are
+# dense for their size, and with no floor their rref inputs take 1.5 times
+# as long.  Both timings are flat, within their noise, for DENSE_STEP from
+# 64 to 512 and FILL_IN from 0.05 to 0.4.
 FILL_IN = 0.1
 DENSE_STEP = 128
+# rref reads a matrix of at most ROW_PASS entries in one python pass over
+# its rows, which costs less than the numpy calls of one block below about
+# 256 entries (5 against 9 to 14 us on a 9 x 3 matrix)
+ROW_PASS = 128
 
 
 class Field:
@@ -203,9 +211,14 @@ class Field:
     def array(self, data):
         if self.kind == "prime":
             return np.array(data, dtype=np.int64) % self.p
-        a = np.empty(np.shape(data), dtype=object)
-        a[...] = np.vectorize(Fraction, otypes=[object])(np.array(data, dtype=object))
-        return a
+        # Fractions are kept as they are and zeros share one Fraction(0), so
+        # only nonzero non-Fraction entries build a Fraction of their own
+        a = np.array(data, dtype=object)
+        out = np.empty(a.shape, dtype=object)
+        zero = Fraction(0)
+        out.reshape(-1)[:] = [x if type(x) is Fraction else Fraction(x) if x != 0 else zero
+                              for x in a.reshape(-1).tolist()]
+        return out
 
     def zeros(self, shape):
         if self.kind == "prime":
@@ -352,12 +365,13 @@ def rref(field, m):
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    nrows, ncols = m.shape
+    w = field.array(m)
+    nrows, ncols = w.shape
     p = field.p
     basis = {}  # pivot column -> row, zero at every other pivot column
     seen = set()  # columns that some basis row has held
     fill = 0  # nonzero entries of the basis
-    for i, v in _sparse_rows(field, m):
+    for i, v in _sparse_rows(w):
         v = _reduced(v, basis, p)
         if not v:
             continue
@@ -377,30 +391,38 @@ def rref(field, m):
         if len(basis) == ncols:
             break
         if fill > max(FILL_IN * len(basis) * ncols, DENSE_STEP) and i + 1 < nrows:
-            rest = field.array(m[i + 1:])
-            return _gauss_jordan(field, np.concatenate([_stacked(field, basis, ncols), rest]))
-    return _stacked(field, basis, ncols), sorted(basis)
+            # the rows already read hold at least as many as the basis:
+            # the basis goes over the last of them, in place
+            lo = i + 1 - len(basis)
+            w[lo:i + 1] = field.zero
+            _place(basis, w[lo:i + 1])
+            return _gauss_jordan(field, w[lo:])
+    out = field.zeros((len(basis), ncols))
+    _place(basis, out)
+    return out, sorted(basis)
 
 
-def _sparse_rows(field, m):
-    """(row index, {column: scalar}) for every row of m that is nonzero in
-    the field, its entries reduced into the field.  Rows are read in
-    blocks that grow from 2^12 entries to ``SLAB``, so a dense m that goes
-    to the dense loop after a few rows is not turned into python scalars
-    whole, and a long sparse one takes few blocks."""
-    width = max(1, m.shape[1])
+def _sparse_rows(w):
+    """(row index, {column: scalar}) for every nonzero row of w.  Rows are
+    read in blocks that grow from 2^12 entries to ``SLAB``, so a dense w
+    that goes to the dense loop after a few rows is not turned into python
+    scalars whole, and a long sparse one takes few blocks.  A w of at most
+    ``ROW_PASS`` entries is read by one python pass over its rows instead,
+    which costs less than the numpy calls of one block."""
+    if w.size <= ROW_PASS:
+        for i, row in enumerate(w.tolist()):
+            if v := {j: x for j, x in enumerate(row) if x}:
+                yield i, v
+        return
+    width = max(1, w.shape[1])
     lo, cells = 0, 2**12
-    while lo < len(m):
+    while lo < len(w):
         hi = lo + max(1, cells // width)
-        flat = m[lo:hi].reshape(-1)
+        flat = w[lo:hi].reshape(-1)
         at = flat.nonzero()[0]
-        vals = field.array(flat[at])
-        keep = vals.nonzero()[0]
-        if len(keep) < len(at):  # zero in the field, such as multiples of p
-            at, vals = at[keep], vals[keep]
         rows, cols = divmod(at, width)
         cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-        rows, cols, vals = rows.tolist(), cols.tolist(), vals.tolist()
+        rows, cols, vals = rows.tolist(), cols.tolist(), flat[at].tolist()
         for a, b in zip([0] + cuts, cuts + [len(cols)] if cols else []):
             yield lo + rows[a], dict(zip(cols[a:b], vals[a:b]))
         lo, cells = hi, min(2 * cells, SLAB)
@@ -435,15 +457,14 @@ def _subtract(row, a, v, p):
             del row[j]
 
 
-def _stacked(field, basis, ncols):
-    """The sparse basis as a dense array, its rows in pivot order."""
+def _place(basis, out):
+    """Write the sparse basis into the zero array out, its rows in pivot
+    order."""
     pivots = sorted(basis)
-    out = field.zeros((len(pivots), ncols))
     if pivots:
         out[[r for r, c in enumerate(pivots) for _ in basis[c]],
             [j for c in pivots for j in basis[c]]] = [
             x for c in pivots for x in basis[c].values()]
-    return out
 
 
 def _gauss_jordan(field, w):

@@ -157,3 +157,36 @@ def test_mirrored_paths_name_alpha_r():
     ):
         with pytest.raises(ValueError, match=r"^alpha_r of monoid-non-hopf is not bijective$"):
             call()
+
+
+@pytest.mark.parametrize("name", ["group-f3", "rank1-dual-numbers", "monoid-non-hopf"])
+def test_one_reduction_decides_and_inverts_alpha(name, monkeypatch):
+    # is_left_hopf reduces alpha_l once; translate_left_mat lifts that
+    # inverse and drops it, keeping the verdict
+    from bgd import hopf, linalg
+    b = FIXTURES[name]()
+    for q in (b.T0, b.T1):
+        q.section_mat, q.project_mat
+    alpha = hopf.alpha_left(b)
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda f, m: calls.append(np.shape(m)) or rref(f, m))
+    left = is_left_hopf(b)
+    if left:
+        hopf.translate_left_mat(b)
+        assert "alpha_l inverse" not in b._cache
+    else:
+        with pytest.raises(ValueError, match="not bijective"):
+            hopf.translate_left_mat(b)
+    assert is_left_hopf(b) is left
+    assert calls == [(len(alpha), 2 * len(alpha))]
+
+
+def test_comodule_inverse_is_dropped_once_lifted():
+    from bgd import hopf
+    com = regular_comodule(FIXTURES["group-f3"](), "right")
+    assert comodule_is_bijective(com)
+    hopf.comodule_translate_mat(com)
+    assert "calpha inverse" not in com.as_left()._cache
+    assert comodule_is_bijective(com)
+    assert comodule_translation_report(com).ok

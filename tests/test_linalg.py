@@ -518,11 +518,12 @@ def rref_inputs(draw):
     field = draw(st.sampled_from([F2, F5, P31, QQ]))
     kind = draw(st.sampled_from(["sparse", "dense", "low-rank", "handoff"]))
     # dense and hand-off inputs are small or reach past linalg.DENSE_STEP
-    # basis entries
+    # basis entries; sparse ones are read in one python pass up to
+    # linalg.ROW_PASS entries and in numpy blocks past it
     if kind in ("dense", "handoff"):
         nrows, ncols = (draw(st.integers(0, 4) | st.integers(12, 24)) * k for k in (1, 2))
     else:
-        nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        nrows, ncols = (draw(st.integers(0, 9) | st.integers(12, 40)) for _ in range(2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = field.p or 7
     if kind == "low-rank":  # wide or tall with rank at most k
@@ -551,7 +552,10 @@ def rref_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(rref_inputs())
 def test_rref_matches_the_dense_loop(case):
-    assert_same_rref(*case)
+    field, m = case
+    before = m.copy()
+    assert_same_rref(field, m)
+    assert np.array_equal(m, before)  # the handoff reduces a copy in place
 
 
 def test_rref_of_empty_and_zero_shapes():
@@ -599,3 +603,14 @@ def test_rref_counts_once_through_the_dense_handoff(monkeypatch):
     sub = Subspace(F5, 128, list(m))
     assert calls == [(64, 128)] and len(handed) == 1
     assert sub.dim == 64
+
+
+def test_rational_array_converts_every_entry():
+    a = QQ.array([[0, 2, Fraction(1, 3)], [0.5, 0.0, -7]])
+    assert a.tolist() == [[0, 2, Fraction(1, 3)], [Fraction(1, 2), 0, -7]]
+    assert all(type(x) is Fraction for x in a.ravel().tolist())
+    assert QQ.array(3)[()] == 3 and type(QQ.array(0)[()]) is Fraction
+    assert QQ.array(np.zeros((0, 3))).shape == (0, 3)
+    for bad in ([None, 1], ["", 1]):
+        with pytest.raises((TypeError, ValueError)):
+            QQ.array(bad)
