@@ -40,7 +40,7 @@ class IntegralSpace:
 
     def contains(self, v):
         if not self.basis:
-            return self.field.is_zero(self.field.mod(np.asarray(v)))
+            return self.field.is_zero(v)
         return solve_affine(self.field, self.span_matrix(), v) is not None
 
     def _orbit(self, g):

@@ -24,6 +24,19 @@ whatever the summation order, so casting the result back to int64 and
 reducing once is exact.  For p above about 9.49e7 a single product can
 pass 2^53 and the product runs in int64 instead.
 
+The structure tensors of a monomial presentation are nearly empty, and so
+are most products of them: 625 x 625 by 625 x 625 with 125 nonzero pairs
+a[i, t] b[t, j].  Over F_p such a product pairs the nonzeros instead
+(``_pair_product``): each nonzero a[i, t] meets the nonzeros of row t of b
+through numpy ``repeat``/``bincount`` index arithmetic, each pair is
+multiplied exactly in int64 (|ab| < 2^62) and reduced where k such
+products could pass 2^53, and the pairs are summed per output entry in
+float64, exact while k (p - 1) <= 2^53 for k terms.  Only the output entries some pair reaches are written.  It runs
+for at least ``PAIR_FLOOR`` multiply-adds when the pairs number at most
+1 / ``SPARSE_COST`` of them and its arrays of one word per pair fit the
+dense result (``PAIR_WORDS``); every other product runs dense, and both
+give the same reduced int64 array.
+
 Products over Q rest on the same bound.  Each operand is scaled by the lcm
 of its denominators to integer numerators; when ``terms * max|N_a| *
 max|N_b| <= 2^53`` the numerators are multiplied in float64 through BLAS,
@@ -105,6 +118,23 @@ DENSE_STEP = 128
 # its rows, which costs less than the numpy calls of one block below about
 # 256 entries (5 against 9 to 14 us on a 9 x 3 matrix)
 ROW_PASS = 128
+# Field.contract over F_p pairs nonzeros (_pair_product) for a product of
+# at least PAIR_FLOOR multiply-adds whose nonzero pairs number at most
+# 1 / SPARSE_COST of them, and whose index arrays, PAIR_WORDS words per
+# pair and per operand nonzero, fit the m x n words of the dense result.
+# For k > SPARSE_COST / PAIR_WORDS the buffer rule is the tighter: the
+# pairs must number fewer than one per PAIR_WORDS output entries.
+# On the F_p products of one pass of the quotients, elements and cli-small
+# workloads (best of 3 per product), each total is flat within its noise
+# for SPARSE_COST from 8 to 4096, and for PAIR_FLOOR from 2^19 to 2^20;
+# from 2^21 quotients and elements take 1.7 to 2.2 times as long, and
+# below 2^19 cli-small takes up to 1.7 times as long.  Dense random products
+# stop at the count_nonzero test: over F_5, 256 x 512 by 512 x 256 and
+# 625^3 take 1 to 6% longer than the dense path alone (medians of 41 to 61
+# interleaved runs, whose own spread is about 5%).
+PAIR_FLOOR = 2**20
+SPARSE_COST = 32
+PAIR_WORDS = 6
 
 
 class Field:
@@ -246,8 +276,13 @@ class Field:
         terms; for p above about 9.49e7, where one product can pass 2^53,
         the product runs in ``int64`` in chunks of (2^63 - 1) // (p - 1)^2
         terms.  At most ``SLAB`` entries of the larger operand are cast at
-        a time.  Over Q an object operand gives an object array of
-        ``Fraction``s (see ``_rational_product``)."""
+        a time.  A product of at least ``PAIR_FLOOR`` multiply-adds with
+        few nonzero pairs a[..., t] b[t, ...] (at most 1 / ``SPARSE_COST``
+        of them, and fewer than one per ``PAIR_WORDS`` result entries) pairs
+        its nonzeros instead, summing each result entry in float64, which
+        is exact while terms * (p - 1) <= 2^53 (``_pair_product``).  Over Q
+        an object operand gives an object array of ``Fraction``s (see
+        ``_rational_product``)."""
         a, b = np.asarray(a), np.asarray(b)
         product = self._product if self.kind == "prime" else _rational_product
         if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
@@ -272,12 +307,18 @@ class Field:
 
     def _product(self, a, b):
         """``a @ b`` mod p for a vector or matrix a (m x k) and b (k x n).
-        When the operands and the result fit in one slab the product runs
+        A product of at least ``PAIR_FLOOR`` multiply-adds may pair its
+        nonzeros (``_pair_product``).  Otherwise, when the operands and the
+        result fit in one slab the product runs
         in one go; otherwise an int64 result is filled by slabs of rows of
         the larger operand (of columns of the result when that is b), each
         summed in chunks of terms."""
         dtype, chunk, p = self.dtype, self.chunk, self.p
         shape = a.shape[:-1] + b.shape[1:]
+        if a.size * math.prod(b.shape[1:]) >= PAIR_FLOOR:
+            out = _pair_product(p, a if a.ndim == 2 else a[None], b if b.ndim == 2 else b[:, None])
+            if out is not None:
+                return out.reshape(shape)
         if a.shape[-1] <= chunk and max(a.size, b.size, math.prod(shape)) <= SLAB:
             out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
             out = out.astype(np.int64, copy=False)
@@ -305,10 +346,68 @@ class Field:
         return self.contract(a, b, 1)
 
     def equal(self, a, b):
-        return np.array_equal(self.mod(a), self.mod(b))
+        if self.kind != "prime":
+            return np.array_equal(a, b)
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and self.is_zero(a - b)
 
     def is_zero(self, a):
-        return not np.any(self.mod(a))
+        """Whether every entry of a is zero in the field.  Over F_p, p
+        divides x exactly when fmod(x, p) is 0, whatever the sign of x, so
+        no entry is reduced into [0, p)."""
+        return not (np.fmod(a, self.p).any() if self.kind == "prime" else np.any(a))
+
+
+def _pair_product(p, a, b):
+    """``a @ b`` mod p for matrices a (m x k) and b (k x n) with entries in
+    (-p, p), by pairing every nonzero a[i, t] with the nonzeros of row t of
+    b; None when the dense product is the cheaper one (see ``PAIR_FLOOR``,
+    which the caller tests).  Each pair is multiplied exactly in int64,
+    where |ab| < 2^62, and the pairs are summed per output entry in
+    float64.  An entry takes at most k terms, so its partial sums are
+    integers of magnitude at most 2^53, which float64 holds exactly, once
+    the products are reduced below p and k (p - 1) <= 2^53; they stay
+    unreduced where k (p - 1)^2 <= 2^53 already."""
+    (m, k), n = a.shape, b.shape[1]
+    work = m * k * n
+    if k * (p - 1) > FLOAT_EXACT:
+        return None
+    na, nb = np.count_nonzero(a), np.count_nonzero(b)
+    # (m - nnz a[:, t]) (n - nnz b[t, :]) >= 0 for every t, so there are at
+    # least n na + m nb - m k n pairs: dense operands stop here
+    if (n * na + m * nb - work) * SPARSE_COST > work or PAIR_WORDS * (na + nb) > m * n:
+        return None
+    ia, ta = divmod(np.flatnonzero(a != 0), k)  # of a bool array: fast
+    tb, jb = divmod(np.flatnonzero(b != 0), n)
+    per_row = np.bincount(tb, minlength=k)
+    reps = per_row[ta]
+    pairs = int(reps.sum())
+    if pairs * SPARSE_COST > work or PAIR_WORDS * pairs > m * n:
+        return None
+    # b's nonzeros come row by row, so pair q of a[ia[e], ta[e]] takes b's
+    # nonzero number start[ta[e]] + q - first[e]
+    start = np.cumsum(per_row) - per_row
+    first = np.cumsum(reps) - reps
+    at = np.repeat(start[ta] - first, reps)
+    seq = np.arange(pairs)
+    at += seq
+    vals = np.repeat(a[ia, ta].astype(np.int64), reps)
+    vals *= b[tb, jb].astype(np.int64)[at]
+    if k * (p - 1) ** 2 > FLOAT_EXACT:
+        vals %= p
+    keys = np.repeat(ia * n, reps)
+    keys += jb[at]
+    del at
+    # one of the pairs that land in an output entry stands for it; np.zeros
+    # commits only the pages written, so a nearly empty result stays small
+    out = np.zeros(m * n, dtype=np.int64)
+    out[keys] = seq
+    rep = out[keys]
+    lead = np.flatnonzero(rep == seq)
+    del seq
+    sums = np.bincount(rep, weights=vals)
+    out[keys[lead]] = sums[lead].astype(np.int64) % p
+    return out.reshape(m, n)
 
 
 def _scaled(a):

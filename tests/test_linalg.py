@@ -614,3 +614,97 @@ def test_rational_array_converts_every_entry():
     for bad in ([None, 1], ["", 1]):
         with pytest.raises((TypeError, ValueError)):
             QQ.array(bad)
+
+
+# -- products by nonzero pairs against the dense path ----------------------
+
+
+@st.composite
+def pair_inputs(draw):
+    """(p, a, b): a vector or matrix a and b with entries in (-p, p), any
+    density from all-zero to full, axes that may be empty, and int32
+    entries, whose products would wrap in int32."""
+    p = draw(st.sampled_from([2, 5, 2**31 - 1]))
+    m, k, n = (draw(st.integers(0, 9)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    shape_a = (k,) if draw(st.booleans()) else (m, k)
+    shape_b = (k,) if draw(st.booleans()) else (k, n)
+    a, b = ((rng.integers(1 - p, p, size=s) * (rng.random(s) < draw(st.sampled_from([0, 0.1, 0.5, 1]))))
+            .astype(dtype) for s in (shape_a, shape_b))
+    return p, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_inputs(), st.sampled_from([None, 0, 1]))
+def test_pair_product_matches_dense_and_exact(case, over):
+    # over: None leaves FLOAT_EXACT as it is; 0 puts k (p - 1) at the bound
+    # of exact float64 bin sums, which the pair path takes, and 1 just past it
+    p, a, b = case
+    f = Field.prime(p)
+    k = a.shape[-1]
+    want = exact_contract(a, b, 1, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PAIR_FLOOR", 0)
+        mp.setattr(linalg, "SPARSE_COST", 0)
+        mp.setattr(linalg, "PAIR_WORDS", 0)
+        if over is not None:
+            mp.setattr(linalg, "FLOAT_EXACT", k * (p - 1) - over)
+        got = linalg._pair_product(p, a if a.ndim == 2 else a[None], b if b.ndim == 2 else b[:, None])
+        assert (got is None) == (over == 1)
+        if got is not None:
+            assert_reduced(got.reshape(want.shape), want, p)
+        assert_reduced(f.matmul(a, b), want, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "PAIR_FLOOR", math.inf)
+        assert_reduced(f.matmul(a, b), want, p)
+
+
+def test_pair_path_runs_on_structure_tensors_only(monkeypatch):
+    from bgd import bialgebroid
+    from bgd.fixtures import rank_n_truncated
+
+    # the shapes of the products that the pair path computes
+    runs, pair = [], linalg._pair_product
+
+    def watch(p, a, b):
+        out = pair(p, a, b)
+        if out is not None:
+            runs.append((a.shape, b.shape))
+        return out
+
+    monkeypatch.setattr(linalg, "_pair_product", watch)
+    multiplicativity, seen = bialgebroid._multiplicativity, []
+
+    def watched(b):
+        before = len(runs)
+        out = multiplicativity(b)
+        seen.extend(runs[before:])
+        return out
+
+    monkeypatch.setattr(bialgebroid, "_multiplicativity", watched)
+    b = rank_n_truncated(2, 4)  # d = 32, monomial basis
+    rep = bialgebroid.check_left_bialgebroid(b)
+    assert rep.ok and seen
+    f, rng = b.field, np.random.default_rng(0)
+    del runs[:]
+    # a dense random product of the largest shape the pair path took
+    shape_a, shape_b = max(seen, key=lambda s: s[0][0] * s[0][1] * s[1][1])
+    a, b = rng.integers(0, 2, size=shape_a), rng.integers(0, 2, size=shape_b)
+    assert np.array_equal(f.matmul(a, b), a @ b % 2)
+    # below the multiply-add floor: 2^18 of them
+    eye = np.eye(64, dtype=np.int64)
+    assert np.array_equal(f.matmul(eye, eye), eye)
+    # past the buffer guards: 8 nonzeros that make 16 pairs, more than
+    # the 4 x 4 result holds, and 128 nonzeros that make one pair for each
+    # entry of the 64 x 64 result
+    for m, k in ((4, 2**17), (64, 2**8)):
+        a = np.zeros((m, k), dtype=np.int64)
+        a[:, 0] = 1
+        assert np.array_equal(f.matmul(a, a.T), np.ones((m, m)))
+    assert runs == []
+    # past the 2^53 guard on the bin sums of k terms below p
+    one = np.eye(2**10, dtype=np.int64)
+    assert np.array_equal(f.matmul(one, one), one) and len(runs) == 1
+    monkeypatch.setattr(linalg, "FLOAT_EXACT", 2**10 - 1)
+    assert np.array_equal(f.matmul(one, one), one) and len(runs) == 1
