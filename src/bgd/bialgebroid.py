@@ -14,16 +14,17 @@ balanced-tensor quotient:
     T1 = >U (x)_{Aop} U_<|    relations  u t(a) (x) v - u (x) t(a)v
     T2 = U_< (x)^A |>U        relations  u s(a) (x) v - u (x) s(a)v
 
-Each is read off a leg embedding J (``LeftBialgebroid.leg``) through a
-free basis of U over s(A) (T0) or t(A) (T1; T2 is T1 of the
-co-opposite), with r = dU / dA slots (``s_leg``).  So is the comodule
-tensor U_<| (x)_A M (``ComodulePresentation.leg``): the relation span is
-ker J, column j is a pivot of the relation rref iff J e_j lies in
-span{J e_k : k > j}, and one rref of J with its columns reversed gives
-the relation-built quotient's coordinates and projection
-(``linalg.Quotient.from_kernel``).  Where the search finds no free basis,
-or a leg's premises fail, the quotient is built from the relation rows
-of ``algebra.balanced_tensor``.
+Every balanced tensor of U with a module N (these three, the comodule
+tensors U_<| (x)_A M, and the >U (x)_{Aop} N of ``bgd.hopf_modules``) is
+read off one leg embedding J, ``LeftBialgebroid.leg``: the U leg goes
+through a free basis of U for the action of A that balances it (s(A)
+for T0, t(A) for T1; T2 is T1 of the co-opposite), with r = dU / dA
+slots.  The relation span is ker J, column j is a pivot of the relation
+rref iff J e_j lies in span{J e_k : k > j}, and one rref of J with its
+columns reversed gives the relation-built quotient's coordinates and
+projection (``linalg.Quotient.from_kernel``).  Where the search finds no
+free basis, or a leg's premises fail, the quotient is built from the
+relation rows of ``algebra.balanced_tensor``.
 """
 
 import numpy as np
@@ -48,7 +49,9 @@ __all__ = [
 
 # Cache entries a bialgebroid shares with its co-opposite, keyed by the
 # name each one has there.
-_COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1"}
+_COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1",
+              "free Ls": "free Lt", "free Lt": "free Ls", "free Rs": "free Rt",
+              "free Rt": "free Rs"}
 
 
 class LeftBialgebroid:
@@ -141,56 +144,38 @@ class LeftBialgebroid:
     def Rt(self):
         return self._mults("Rt", self.t_map, self.U.right_mult)
 
-    # -- balanced tensor squares --------------------------------------------
+    # -- balanced tensors of U ----------------------------------------------
 
     @property
     def T0(self):
-        return self._cached("T0", lambda: self.leg("T0").quotient)
+        return self._cached("T0", lambda: self.leg("Lt", over="Ls", u_first=False).quotient)
 
     @property
     def T1(self):
-        return self._cached("T1", lambda: self.leg("T1").quotient)
+        return self._cached("T1", lambda: self.leg("Rt", over="Lt", u_first=False).quotient)
 
     @property
     def T2(self):
         return self._cached("T2", lambda: self.coop().T1)
 
-    # -- free bases --------------------------------------------------------------
-
-    @property
-    def s_free_basis(self):
-        """``algebra.free_basis`` of U over s(A): (phi, gens) with r = dU / dA
-        generators g_i and sum_i s(phi_i(u)) g_i = u, or None when the
-        search finds none.  The t-side basis is this one of ``coop()``."""
-        return self._cached("free", lambda: free_basis(self.field, self.Ls))
-
-    def s_leg(self, action, left=False):
-        """The embedding of N (x) U by the relations n.a (x) u - n (x) s(a)u,
-        for an action on N given by one matrix per A-basis index, or, with
-        ``left``, of U (x) N by s(a)u (x) n - u (x) a.n; through the free
-        basis of U over s(A) on its U leg; not exact where the search
-        finds none."""
-        legs = (self.Ls, action) if left else (action, self.Ls)
-        return LegEmbedding(self.field, *legs, self.s_free_basis, left=left)
-
-    def leg(self, key):
-        """The embedding of a balanced square through a free basis (``s_leg``),
-        built once: ``"T0"`` embeds U_<| (x)_A |>U through the s-side basis on
-        its second leg, ``"T0-left"`` through the t-side basis on its first
-        leg, and ``"T1"`` embeds >U (x)_{Aop} U_<| through the t-side basis
-        on its second leg."""
-        build = {
-            "T0": lambda: self.s_leg(self.Lt),
-            "T0-left": lambda: self.lt_leg(self.Ls),
-            "T1": lambda: self.coop().s_leg(self.Rt),
-        }[key]
-        return self._cached("leg " + key, build)
-
-    def lt_leg(self, action):
-        """The embedding of U_<| (x)_A N, relations t(a)u (x) n - u (x) a.n
-        for a left A-action on N (one matrix per A-basis index), through
-        the t-side basis on its U leg."""
-        return self.coop().s_leg(action, left=True)
+    def leg(self, action, *, over, u_first):
+        """The embedding of the balanced tensor of U with N, for the action
+        on N given by ``action`` (one matrix per A-basis index) and the action
+        of A on U it balances, named by ``over`` (``"Ls"``, ``"Lt"`` or
+        ``"Rt"``): U (x) N with relations over_a(u) (x) n - u (x) action_a n
+        when ``u_first``, N (x) U with relations action_a n (x) u -
+        n (x) over_a(u) otherwise.  Its U leg is read through
+        ``algebra.free_basis`` of U for ``over``, searched once and shared with
+        the co-opposite; not exact where the search finds none.  ``action``
+        may also name one of U's own actions: that square is built once, as
+        T0 = ``leg("Lt", over="Ls", u_first=False)``."""
+        if isinstance(action, str):
+            return self._cached(("leg", action, over, u_first), lambda: self.leg(
+                getattr(self, action), over=over, u_first=u_first))
+        mats = getattr(self, over)
+        basis = self._cached("free " + over, lambda: free_basis(self.field, mats))
+        legs = (mats, action) if u_first else (action, mats)
+        return LegEmbedding(self.field, *legs, basis, left=u_first)
 
     # -- derived presentations ----------------------------------------------
 
@@ -198,10 +183,11 @@ class LeftBialgebroid:
         """The co-opposite left bialgebroid (U, A^op, t, s, flip o delta, eps).
 
         It is built once: ``b.coop().coop() is b``.  Source and target swap
-        roles, so it shares ``b``'s action lists (Ls <-> Lt, Rs <-> Rt) and
-        balanced squares (T1 <-> T2); only its T0 is new.  The right-hand
-        translation maps, their identity suite and the right-comodule
-        suites of ``bgd.hopf`` are the left-hand ones computed on it.
+        roles, so it shares ``b``'s action lists and their free bases
+        (Ls <-> Lt, Rs <-> Rt) and balanced squares (T1 <-> T2); only its T0
+        is new.  The right-hand translation maps, their identity suite and
+        the right-comodule suites of ``bgd.hopf`` are the left-hand ones
+        computed on it.
         """
         if "coop" not in self._cache:
             twin = LeftBialgebroid(
@@ -338,7 +324,7 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
         # (delta (x) 1) delta(e_i) and (1 (x) delta) delta(e_i), one column per i
         lhs = f.contract(b.delta, D, (1, 0)).reshape(d, d, d, d)
         rhs = f.contract(D, b.delta, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
-        leg = b.leg("T0")
+        leg = b.leg("Lt", over="Ls", u_first=False)
         rep.add_residual(
             "coproduct.coassociative", triple_classes(f, lhs - rhs, leg, leg), [U.labels])
     else:
@@ -408,25 +394,25 @@ class ComodulePresentation:
 
     @property
     def leg(self):
-        """The embedding through the t-side basis (``lt_leg``) of the
-        balanced tensor U_<| (x)_A M the coaction of a left comodule lands
-        in, built once.  A right comodule has none of its own: every caller
-        goes through ``as_left()``."""
+        """The embedding (``b.leg``, over t(A)) of the balanced tensor
+        U_<| (x)_A M the coaction of a left comodule lands in, built once.
+        A right comodule has none of its own: every caller goes through
+        ``as_left()``."""
         if self.side != "left":
             raise ValueError("quotient is defined for left comodules; use as_left()")
         if "leg" not in self._cache:
-            self._cache["leg"] = self.b.lt_leg(self.action)
+            self._cache["leg"] = self.b.leg(self.action, over="Lt", u_first=True)
         return self._cache["leg"]
 
     @property
     def dom_leg(self):
-        """The embedding through the s-side basis (``s_leg``) of the domain
-        N (x)^A |>U of the comodule Hopf-Galois map of a left comodule, for
-        the induced right action on N, built once."""
+        """The embedding (``b.leg``, over s(A)) of the domain N (x)^A |>U of
+        the comodule Hopf-Galois map of a left comodule, for the induced
+        right action on N, built once."""
         if self.side != "left":
             raise ValueError("dom_leg is defined for left comodules; use as_left()")
         if "dom leg" not in self._cache:
-            self._cache["dom leg"] = self.b.s_leg(self.induced_action)
+            self._cache["dom leg"] = self.b.leg(self.induced_action, over="Ls", u_first=False)
         return self._cache["dom leg"]
 
     @property
@@ -489,9 +475,9 @@ def check_comodule(com, name=None):
     # M need not be projective, so both legs embed through their U leg
     lhs = f.contract(b.delta, co, (1, 0)).reshape(du, du, d, d)
     rhs = f.contract(co, com.coaction, (1, 1)).transpose(0, 2, 1).reshape(lhs.shape)
+    leg12 = b.leg("Ls", over="Lt", u_first=True)
     rep.add_residual(
-        "comodule.coassociative",
-        triple_classes(f, lhs - rhs, b.leg("T0-left"), com.leg), labels[1:])
+        "comodule.coassociative", triple_classes(f, lhs - rhs, leg12, com.leg), labels[1:])
 
     ind = com.induced_action
     rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"))

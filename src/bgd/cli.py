@@ -1,7 +1,6 @@
 """Command-line front end: `bgd <command> <spec.json|--preset NAME> ...`."""
 
 import argparse
-import json
 import sys
 
 import numpy as np

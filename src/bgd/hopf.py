@@ -168,6 +168,7 @@ def _sch_suite(b, rep, tag, hopf, reason):
     # tl3[x, y, i]: the coefficient of e_x (x) e_y in u_i+ (x) u_i-
     tl3 = tl.reshape(d, d, d)
     t0, t1 = b.T0, b.T1
+    leg0, leg1 = b.leg("Lt", over="Ls", u_first=False), b.leg("Rt", over="Lt", u_first=False)
     ul, au = [U.labels], [U.labels, b.A.labels]
     u1 = np.kron(f.eye(d), U.unit)  # row i: e_i (x) 1
 
@@ -189,12 +190,12 @@ def _sch_suite(b, rep, tag, hopf, reason):
     # u_+(1) (x) u_+(2) (x) u_- = u_(1) (x) u_(2)+ (x) u_(2)-, one column per u
     lhs = f.contract(b.delta, tl3, (1, 0)).reshape(d, d, d, d)
     rhs = f.contract(b.delta3, tl, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
-    _add_triple(rep, f"{tag}4", f, lhs - rhs, b.leg("T0"), b.leg("T1"), ul)
+    _add_triple(rep, f"{tag}4", f, lhs - rhs, leg0, leg1, ul)
 
     # u_+ (x) u_-(1) (x) u_-(2) = u_++ (x) u_- (x) u_+-
     lhs = f.contract(tl3, b.delta, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
     rhs = f.contract(tl3, tl3, (0, 2)).transpose(2, 0, 3, 1).reshape(d, d, d, d)
-    _add_triple(rep, f"{tag}5", f, lhs - rhs, b.leg("T1"), b.leg("T0"), ul)
+    _add_triple(rep, f"{tag}5", f, lhs - rhs, leg1, leg0, ul)
 
     rep.add_residual(f"{tag}6", _translation_multiplicativity(b, tl), ul * 2)
 
@@ -334,7 +335,8 @@ def _left_comodule_suite(com, rep, tag):
     # n^[+][+] (x) n^[+][-] (x) n^[-] = n^[+] (x) n^[-](1) (x) n^[-](2)
     lhs = f.contract(tm, tm, (0, 2)).transpose(2, 3, 0, 1).reshape(dn, du, du, dn)
     rhs = f.contract(tm, b.delta, (1, 1)).transpose(0, 2, 1).reshape(lhs.shape)
-    rep.add_residual(f"{tag}5", triple_classes(f, lhs - rhs, leg12, b.leg("T0")), nl)
+    leg23 = b.leg("Lt", over="Ls", u_first=False)
+    rep.add_residual(f"{tag}5", triple_classes(f, lhs - rhs, leg12, leg23), nl)
 
     # the lift of a.n (of n.a) against n^[+] (x) n^[-] t(a) (t(a) n^[-]), as [a, n]
     for i, mats, rmats in ((6, com.action, b.Rt), (7, ind, b.Lt)):

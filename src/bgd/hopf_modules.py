@@ -1,8 +1,15 @@
-"""Mixed module/comodule structures and their structure theorems."""
+"""Mixed module/comodule structures and their structure theorems.
+
+Every balanced tensor of U with a module N built here is read off the leg
+embedding ``b.leg``, through a free basis of U over t(A): U_<| (x)_A N
+over ``"Lt"`` and >U (x)_{Aop} N over ``"Rt"``.  On the latter
+phi_i(u t(a)) = a phi_i(u), so premise (ii) holds where the A-action on N
+is contravariant, as it is at each site here.  A leg falls back to
+relation rows only where no free basis is found or a premise fails."""
 
 import numpy as np
 
-from .algebra import balanced_tensor, check_action
+from .algebra import check_action
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
 from .duals import (
     _s_side_dual_basis,
@@ -99,9 +106,9 @@ def _hopf_module_on(b, q, dn, kind, amb, name):
 def rl_hopf_module_from_base_module(b, action_a, name="U(x)N"):
     """U_<| (x)_A N for a left A-module N: right action (v (x) n).u = vu (x) n,
     coaction v_(1) (x) v_(2) (x) n."""
-    f, d = b.field, b.U.dim
+    f = b.field
     dn = action_a[0].shape[0]
-    q = b.lt_leg(action_a).quotient
+    q = b.leg(action_a, over="Lt", u_first=True).quotient
     amb = np.kron(np.asarray(b.U.basis_right_mults), f.eye(dn))
     return _hopf_module_on(b, q, dn, "RL", amb, name)
 
@@ -109,9 +116,9 @@ def rl_hopf_module_from_base_module(b, action_a, name="U(x)N"):
 def ll_hopf_module_from_base_module(b, action_a, name="U(x)P"):
     """|>U (x)_{Aop} P for a right A-module P (written on the left):
     left action u.(v (x) x) = uv (x) x, coaction v_(1) (x) v_(2) (x) x."""
-    f, d = b.field, b.U.dim
+    f = b.field
     dn = action_a[0].shape[0]
-    q = balanced_tensor(f, d, b.Rt, dn, action_a)
+    q = b.leg(action_a, over="Rt", u_first=True).quotient
     amb = np.kron(np.asarray(b.U.basis_left_mults), f.eye(dn))
     return _hopf_module_on(b, q, dn, "LL", amb, name)
 
@@ -122,7 +129,7 @@ def ll_hopf_module_from_module(b, action_u, name="U(x)N2"):
     f, d = b.field, b.U.dim
     dn = action_u[0].shape[0]
     act_u = np.asarray(action_u)
-    q = b.lt_leg(f.contract(b.s_map, act_u, (0, 0))).quotient
+    q = b.leg(f.contract(b.s_map, act_u, (0, 0)), over="Lt", u_first=True).quotient
     # amb[i, (z, n), (y, m)] = sum_{k,l} delta3[k, l, i] mul[k, y, z] action_u[l][n, m]
     g = f.contract(b.delta3, b.U.mul, (0, 0))  # (l, i, y, z)
     amb = f.contract(g, act_u, (0, 0)).transpose(0, 2, 3, 1, 4)
@@ -136,8 +143,8 @@ def comparison_map(b, action_u):
     f, d = b.field, b.U.dim
     dn = action_u[0].shape[0]
     act_u = np.asarray(action_u)
-    dom = balanced_tensor(f, d, b.Rt, dn, list(f.contract(b.t_map, act_u, (0, 0))))
-    cod = b.lt_leg(f.contract(b.s_map, act_u, (0, 0))).quotient
+    dom = b.leg(f.contract(b.t_map, act_u, (0, 0)), over="Rt", u_first=True).quotient
+    cod = b.leg(f.contract(b.s_map, act_u, (0, 0)), over="Lt", u_first=True).quotient
     # amb[(k, r), (i, j)] = sum_l delta3[k, l, i] action_u[l][r, j]
     amb = f.contract(b.delta3, act_u, (1, 0)).transpose(0, 2, 1, 3)
     m = _induced_map(
@@ -229,7 +236,7 @@ def fundamental_rl(b, mod):
     if sol is None:
         return None, None, False
     kc = sol[0]
-    dom = b.lt_leg(acts).quotient
+    dom = b.leg(acts, over="Lt", u_first=True).quotient
     gamma = _evaluation(mod, covmat, dom)
     if gamma is None:
         return None, None, False
@@ -248,7 +255,7 @@ def fundamental_ll(b, mod):
     if mod.kind != "LL":
         raise ValueError("expected an LL Hopf module")
     covmat, acts = _cov_data(mod, b.t_map)
-    dom = balanced_tensor(mod.field, b.U.dim, b.Rt, covmat.shape[1], acts)
+    dom = b.leg(acts, over="Rt", u_first=True).quotient
     gamma = _evaluation(mod, covmat, dom)
     if gamma is None:
         return None, False

@@ -27,7 +27,7 @@ def _parse_field(doc):
     kind = _need(doc, "kind", "field")
     if kind == "prime":
         p = _need(doc, "p", "field")
-        if not isinstance(p, int):
+        if isinstance(p, bool) or not isinstance(p, int):
             raise SpecError("field.p", "expected an integer")
         try:
             return Field.prime(p)
@@ -68,7 +68,7 @@ def _parse_vector(f, data, n, where):
 
 def _parse_algebra(f, doc, where):
     dim = _need(doc, "dim", where)
-    if not isinstance(dim, int) or dim <= 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
         raise SpecError(f"{where}.dim", "expected a positive integer")
     unit = _parse_vector(f, _need(doc, "unit", where), dim, f"{where}.unit")
     triples = []
@@ -77,14 +77,15 @@ def _parse_algebra(f, doc, where):
             raise SpecError(f"{where}.mul[{n}]", "expected [i, j, k, coeff]")
         i, j, k, c = t
         for idx, v in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(v, int) or not 0 <= v < dim:
-                raise SpecError(f"{where}.mul[{n}]", f"index {idx} out of range")
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < dim:
+                raise SpecError(f"{where}.mul[{n}]", f"index {idx} is no integer in range")
         triples.append((i, j, k, _parse_scalar(f, c, f"{where}.mul[{n}]")))
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or len(labels) != dim
+        or not all(isinstance(x, str) for x in labels)
     ):
-        raise SpecError(f"{where}.labels", f"expected {dim} labels")
+        raise SpecError(f"{where}.labels", f"expected {dim} string labels")
     return AlgebraPresentation.from_triples(f, dim, triples, unit, labels=labels)
 
 
@@ -100,7 +101,7 @@ def parse_spec(doc):
     base_name = _need(bdoc, "base", "bialgebroid")
     total_name = _need(bdoc, "total", "bialgebroid")
     for nm in (base_name, total_name):
-        if nm not in parsed:
+        if not isinstance(nm, str) or nm not in parsed:
             raise SpecError("bialgebroid", f"unknown algebra name {nm!r}")
     A, U = parsed[base_name], parsed[total_name]
     s = _parse_matrix(f, _need(bdoc, "s", "bialgebroid"), (U.dim, A.dim),
@@ -111,8 +112,10 @@ def parse_spec(doc):
                            (A.dim, U.dim), "bialgebroid.counit")
     delta = _parse_matrix(f, _need(bdoc, "delta", "bialgebroid"),
                           (U.dim * U.dim, U.dim), "bialgebroid.delta")
-    return LeftBialgebroid(A, U, s, t, delta, counit,
-                           name=doc.get("name", total_name))
+    name = doc.get("name", total_name)
+    if not isinstance(name, str):
+        raise SpecError("name", "expected a string")
+    return LeftBialgebroid(A, U, s, t, delta, counit, name=name)
 
 
 def load_spec(path):
@@ -142,13 +145,9 @@ def export_spec(b):
     }
 
     def alg_doc(alg):
-        triples = []
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                for k in range(alg.dim):
-                    c = f.canon(alg.mul[i, j, k])
-                    if c != f.zero:
-                        triples.append([i, j, k, f.format(c)])
+        # the nonzero structure constants, in C order of (i, j, k)
+        triples = [[int(i), int(j), int(k), f.format(alg.mul[i, j, k])]
+                   for i, j, k in np.argwhere(alg.mul)]
         return {
             "dim": alg.dim,
             "unit": [f.format(x) for x in alg.unit],

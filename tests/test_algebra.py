@@ -219,12 +219,14 @@ def _triple_shapes(b):
     legs the batteries build."""
     d = b.U.dim
     com = regular_comodule(b, "left")
+    t0, t1 = b.leg("Lt", over="Ls", u_first=False), b.leg("Rt", over="Lt", u_first=False)
     return [
-        ("coassociative", (d, d, d), b.leg("T0"), b.leg("T0")),
-        ("sch4", (d, d, d), b.leg("T0"), b.leg("T1")),
-        ("sch5", (d, d, d), b.leg("T1"), b.leg("T0")),
-        ("Tch5", (com.dim, d, d), b.s_leg(com.induced_action), b.leg("T0")),
-        ("comodule.coassociative", (d, d, com.dim), b.leg("T0-left"), com.leg),
+        ("coassociative", (d, d, d), t0, t0),
+        ("sch4", (d, d, d), t0, t1),
+        ("sch5", (d, d, d), t1, t0),
+        ("Tch5", (com.dim, d, d), b.leg(com.induced_action, over="Ls", u_first=False), t0),
+        ("comodule.coassociative", (d, d, com.dim), b.leg("Ls", over="Lt", u_first=True),
+         com.leg),
     ]
 
 
@@ -335,7 +337,7 @@ def test_leg_premises_match_their_statements(case):
 @pytest.mark.parametrize("case", ["crossed-bad-t", "rank1-dual-numbers-bad-s"])
 def test_triple_embedding_declines(case):
     b = CASES[case]()
-    assert not b.leg("T0").exact
+    assert not b.leg("Lt", over="Ls", u_first=False).exact
     if case == "rank1-dual-numbers-bad-s":
         assert duals.functionals(b) == [] and duals.s_dual_basis(b) is None
 
@@ -375,7 +377,7 @@ def test_triple_embedding_needs_commuting_middle():
     # TripleQuotient, whose push-through fails
     b = triangular_envelope()
     assert check_left_bialgebroid(b).ok
-    leg12, leg23 = b.leg("T1"), b.leg("T0")
+    leg12, leg23 = b.leg("Rt", over="Lt", u_first=False), b.leg("Lt", over="Ls", u_first=False)
     assert leg12.exact and leg23.exact
     d = b.U.dim
     with pytest.raises(DescentError):

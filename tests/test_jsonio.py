@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bgd.bialgebroid import check_left_bialgebroid
+from bgd.cli import main
 from bgd.fixtures import FIXTURES
 from bgd.jsonio import (
     SpecError,
@@ -202,3 +203,28 @@ def test_decimal_scalar_in_spec():
     # 0.5 = 1/2 has no value in F_2; it used to parse as 0
     doc["algebras"]["U"]["unit"][0] = "0.5"
     _expect_error(doc, "algebras.U.unit[0]")
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("algebras", "U", "mul", 1, 1), True, "algebras.U.mul[1]"),
+    (("algebras", "A", "dim"), True, "algebras.A.dim"),
+    (("field", "p"), True, "field.p"),
+    (("algebras", "U", "labels", 0), True, "algebras.U.labels"),
+    (("name",), True, "name"),
+    (("bialgebroid", "base"), [], "bialgebroid"),
+])
+def test_json_type_mismatch_is_usage_error(path, value, where, tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass: e_0 e_true and a base of
+    # dimension true used to load as e_0 e_1 and dimension 1; a label or
+    # name true crashed the first report that printed it, and a list as an
+    # algebra name crashed the lookup
+    doc = _doc()  # primitive-f2: U.mul[1] is [0, 1, 1, "1"], A.dim is 1
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    _expect_error(doc, where)
+    p = tmp_path / "mismatch.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p)]) == 2
+    assert where in capsys.readouterr().err

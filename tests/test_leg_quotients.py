@@ -1,10 +1,13 @@
 """The balanced-tensor quotients read off the leg embeddings are the
 quotients built from relation rows, entry for entry.
 
-``LegEmbedding.quotient`` builds U_<| (x)_A |>U, >U (x)_{Aop} U_<| and the
-comodule tensors from the matrix of J (``Quotient.from_kernel``) when the
-leg's premises hold, and from ``balanced_tensor`` otherwise.  Here every
-such quotient is compared with ``balanced_tensor`` on the same relations:
+Every balanced tensor of U with a module is the quotient of a leg
+embedding ``b.leg``: U_<| (x)_A |>U, >U (x)_{Aop} U_<|, the comodule
+tensors and the >U (x)_{Aop} N of ``bgd.hopf_modules``.
+``LegEmbedding.quotient`` builds it from the matrix of J
+(``Quotient.from_kernel``) when the leg's premises hold, and from
+``balanced_tensor`` otherwise.  Here every such quotient is compared with
+``balanced_tensor`` on the same relations:
 ``coords``, ``project_mat``, ``section_mat`` and the relation rref must
 agree in dtype, shape and every entry, and ``descends``/``induced_op``
 must agree with the relation-row descent test, ``DescentError`` included.
@@ -42,17 +45,19 @@ for _n in (2, 3):
     SUBJECTS[f"pair-F5-{_n}"] = lambda n=_n: families.pair(F5, n)
     SUBJECTS[f"env-F5-{_n}"] = lambda n=_n: families.env(F5, n)
 
-# the corrupted golden cases whose squares or regular comodule tensors have
-# a leg whose premises fail: a corrupted s or t breaks the free basis or
-# premise (ii) on the leg that pairs with it
+# the corrupted golden cases whose squares, regular comodule tensors or
+# module tensors have a leg whose premises fail: a corrupted s or t breaks
+# the free basis or premise (ii) on the leg that pairs with it
 FALLBACK = {
     case: sites for case, sites in {
         "crossed-bad-s": {"T0", "T2", "com-right"},
-        "crossed-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right"},
+        "crossed-bad-t": {"T0", "T1", "coop-T0", "com-left", "com-right", "ll-base",
+                          "comparison-dom", "fundamental-ll"},
         "rank1-dual-numbers-bad-s": {"T0", "coop-T0", "com-left", "com-right"},
-        "rank1-dual-numbers-bad-t": {"T0", "coop-T0", "com-left", "com-right"},
+        "rank1-dual-numbers-bad-t": {"T0", "coop-T0", "com-left", "com-right", "ll-base",
+                                     "comparison-dom", "fundamental-ll"},
         "trunc-2-2-bad-s": {"T0", "T2", "coop-T0", "com-left", "com-right"},
-        "trunc-2-2-bad-t": {"T0", "coop-T0", "com-left", "com-right"},
+        "trunc-2-2-bad-t": {"T0", "coop-T0", "com-left", "com-right", "ll-base"},
     }.items()
 }
 
@@ -97,17 +102,31 @@ def _assert_same_descent(q, r, op, q_dom, r_dom):
 
 def _legs(b):
     """(site, leg) of every balanced tensor a battery reads off a leg."""
-    out = [("T0", b.leg("T0")), ("T0-left", b.leg("T0-left")), ("T1", b.leg("T1")),
-           ("T2", b.coop().leg("T1")), ("coop-T0", b.coop().leg("T0"))]
+    out = [("T0", b.leg("Lt", over="Ls", u_first=False)),
+           ("T0-left", b.leg("Ls", over="Lt", u_first=True)),
+           ("T1", b.leg("Rt", over="Lt", u_first=False)),
+           ("T2", b.coop().leg("Rt", over="Lt", u_first=False)),
+           ("coop-T0", b.coop().leg("Lt", over="Ls", u_first=False))]
     for side in ("left", "right"):
         com = regular_comodule(b, side).as_left()
         c = com.b
         out.append((f"com-{side}", com.leg))
         # the domain N (x)^A |>U of the comodule Hopf-Galois map, as built by
         # hopf.comodule_alpha
-        out.append((f"cdom-{side}", c.s_leg(com.induced_action)))
+        out.append((f"cdom-{side}", c.leg(com.induced_action, over="Ls", u_first=False)))
     out.append(("com-base", trivial_comodule(b, "left").leg))
-    return out
+    return out + _module_legs(b)
+
+
+def _module_legs(b):
+    """(site, leg) of the >U (x)_{Aop} N the ``fundamental`` command builds
+    in ``hopf_modules``, on the modules it passes them."""
+    f, right_a = b.field, b.A.basis_right_mults
+    t_left = f.contract(b.t_map, np.asarray(b.U.basis_left_mults), (0, 0))  # a -> t(a) on U
+    ll = hopf_modules.ll_hopf_module_from_base_module(b, right_a)
+    acts = hopf_modules._cov_data(ll, b.t_map)[1]  # a -> t(a) on the coinvariants
+    return [(site, b.leg(action, over="Rt", u_first=True)) for site, action in (
+        ("ll-base", right_a), ("comparison-dom", t_left), ("fundamental-ll", acts))]
 
 
 @pytest.mark.parametrize("case", sorted(SUBJECTS))
@@ -116,13 +135,15 @@ def test_leg_quotients_equal_relation_quotients(case):
     for site, leg in _legs(b):
         _assert_same(leg.quotient, _relation_built(leg))
     # the battery's cached quotients are the leg quotients
-    assert b.T0 is b.leg("T0").quotient and b.T1 is b.leg("T1").quotient
+    assert b.T0 is b.leg("Lt", over="Ls", u_first=False).quotient
+    assert b.T1 is b.leg("Rt", over="Lt", u_first=False).quotient
     assert b.T2 is b.coop().T1 and b.coop().T2 is b.T1
     com = regular_comodule(b, "left")
     assert com.quotient is com.leg.quotient
     fallback = {site for site, leg in _legs(b)
                 if not leg.exact and site in ("T0", "T1", "T2", "coop-T0", "com-left",
-                                              "com-right")}
+                                              "com-right", "ll-base", "comparison-dom",
+                                              "fundamental-ll")}
     if case in CLEAN:
         assert fallback == FALLBACK.get(case, set()), case
     else:
@@ -170,11 +191,13 @@ def test_no_relation_matrix_when_premises_hold(case, monkeypatch):
         com = regular_comodule(b, side)
         assert check_comodule(com).ok
         assert comodule_translation_report(com).ok
+    rep, _ = HANDLERS["fundamental"](b, argparse.Namespace(side=None, element=None))
+    assert rep.items and not [i for i in rep.items if i.status == "fail"]
 
 
-# the three sites that build >U (x)_{Aop} N from relation rows: the
-# balanced tensor of a left A-module N, whose action has no leg of U
-RELATION_ROW_SITES = {"ll_hopf_module_from_base_module", "comparison_map", "fundamental_ll"}
+# the functions that build a balanced tensor from relation rows on these
+# inputs: none, since the >U (x)_{Aop} N of hopf_modules are read off legs
+RELATION_ROW_SITES = set()
 
 
 @pytest.mark.parametrize("case", sorted(FIXTURES) + ["pair-F5-3", "env-Q-2"])
@@ -189,8 +212,7 @@ def test_relation_rows_only_at_module_sites(case, monkeypatch):
         callers.add(sys._getframe(1).f_code.co_name)
         return balanced_tensor(*args)
 
-    for module in (algebra, hopf_modules):
-        monkeypatch.setattr(module, "balanced_tensor", recorded)
+    monkeypatch.setattr(algebra, "balanced_tensor", recorded)
     for command, handler in HANDLERS.items():
         for side in ("left", "right"):
             try:
@@ -288,8 +310,9 @@ def test_free_basis_picks_the_same_generators():
     for build in (lambda: families.pair(F5, 3), lambda: families.env(QQ, 2)):
         one, two = build(), build()
         for x, y in ((one, two), (one.coop(), two.coop())):
-            for got, want in zip(x.s_free_basis, y.s_free_basis):
-                assert _entries(got) == _entries(want)
+            got, want = (z.leg("Lt", over="Ls", u_first=False) for z in (x, y))
+            assert _entries(got.dual) == _entries(want.dual)
+            assert _entries(got.gens) == _entries(want.gens)
 
 
 def _split(field, m):

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` replaces named functions and methods of ``bgd``
 with timing wrappers.  A renamed or re-signatured boundary would make
 ``--trace 1`` fail or record nothing, so this installs the tracer on the
-current package, runs ``bgd check`` and ``bgd translate`` inside a request
-span, and checks that every target was wrapped, recorded and restored.
+current package, runs ``bgd check``, ``bgd translate`` and ``bgd fundamental``
+inside a request span, and checks that every target was wrapped, recorded
+and restored.
 """
 
 import pathlib
@@ -30,7 +31,7 @@ def test_tracer_wraps_and_restores_every_target(capsys):
             wrapped = _current(owner, attr)
             assert wrapped is not orig and wrapped.__wrapped__ is orig, attr
         with tr.span("request", request=0):
-            for command in ("check", "translate"):
+            for command in ("check", "translate", "fundamental"):
                 code = cli.main([command, "--preset", "rank1-dual-numbers", "--format", "json"])
                 assert code == 0, command
     finally:
@@ -39,9 +40,11 @@ def test_tracer_wraps_and_restores_every_target(capsys):
         assert _current(owner, attr) is orig, attr
     capsys.readouterr()
     for key in ("bialgebroid.check.calls", "hopf.translation.calls", "hopf.alpha.calls",
-                "linalg.rref.calls", "linalg.rref.cells", "linalg.Quotient.project.calls"):
+                "hopf_modules.calls", "linalg.rref.calls", "linalg.rref.cells",
+                "linalg.Quotient.project.calls"):
         assert tr.counters.get(key, 0) > 0, key
-    # the premises hold on this preset, so no relation matrix is built
+    # the premises hold on this preset, so no relation matrix is built, not
+    # even for the >U (x)_{Aop} N of the structure theorems
     assert tr.counters.get("algebra.balanced_tensor.calls", 0) == 0
     names = set(tr.self_times())
-    assert {"bialgebroid.check", "hopf.translation", "linalg.rref"} <= names
+    assert {"bialgebroid.check", "hopf.translation", "hopf_modules", "linalg.rref"} <= names
