@@ -112,7 +112,7 @@ class AlgebraPresentation:
         ok = f.equal(left, right)
         witness = None
         if not ok:
-            bad = np.argwhere(f.mod(left - right))
+            bad = np.argwhere(f.sub(left, right))
             i, j, k = bad[0][:3]
             witness = f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
         rep.add("associativity", ok, witness)
@@ -146,7 +146,7 @@ def check_action(alg, mats, contravariant=False, name="action"):
     # comp[i, j] = rho(e_i) rho(e_j), or rho(e_j) rho(e_i) when contravariant
     comp = f.contract(act, act, (2, 1)).transpose((2, 0, 1, 3) if contravariant else (0, 2, 1, 3))
     rep.add_residual(
-        "action.composition", f.mod(comp - f.contract(alg.mul, act, (2, 0))),
+        "action.composition", f.sub(comp, f.contract(alg.mul, act, (2, 0))),
         [alg.labels] * 2, lambda i, j: f"composition fails at basis pair ({i}, {j})",
     )
     return rep
@@ -252,12 +252,12 @@ def free_basis(field, mats):
     for g in cands:
         block = f.contract(mats, g, (2, 0))  # row a: mats_a g
         if pivots:
-            block = f.mod(block - f.matmul(block[:, pivots], rows))
+            block = f.sub(block, f.matmul(block[:, pivots], rows))
         new, piv = rref(f, block)
         if len(piv) < da:
             continue
         if pivots:
-            rows = f.mod(rows - f.matmul(rows[:, piv], new))
+            rows = f.sub(rows, f.matmul(rows[:, piv], new))
         rows, pivots = np.concatenate([rows, new]), pivots + piv
         gens.append(g)
         if len(gens) == r:

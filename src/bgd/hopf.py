@@ -203,9 +203,9 @@ def _sch_suite(b, rep, tag, hopf, reason):
     se = f.matmul(b.s_map, b.counit)
     te = f.matmul(b.t_map, b.counit)
     prod = f.contract(tl3, mul, ([0, 1], [0, 1]))
-    rep.add_residual(f"{tag}7", f.mod(prod - se.T), ul)
+    rep.add_residual(f"{tag}7", f.sub(prod, se.T), ul)
     recov = f.contract(tl3, f.contract(te, mul, (0, 1)), ([0, 1], [1, 0]))
-    rep.add_residual(f"{tag}8", f.mod(recov - f.eye(d)), ul)
+    rep.add_residual(f"{tag}8", f.sub(recov, f.eye(d)), ul)
 
     # (s(a) t(b))_+ (x) (s(a) t(b))_- = s(a) (x) s(b), as [a, b]
     lhs = f.contract(U.products(b.s_map, b.t_map), tl, (2, 1))

@@ -63,7 +63,7 @@ def check_hopf_module(mod, name=None):
     # agrees with acting by s(a)
     base = com.action if mod.kind == "LL" else com.induced_action
     rep.add_residual(
-        "hopf-module.base-action", f.mod(np.asarray(base) - mod.act(b.s_map)),
+        "hopf-module.base-action", f.sub(np.asarray(base), mod.act(b.s_map)),
         [b.A.labels])
     # u_(1) m_(-1) (x) u_(2) m_(0) (LL; m_(-1) u_(1) (x) m_(0) u_(2) for
     # RL) against coact(u m) in U_<| (x)_A M, one coaction matrix per u

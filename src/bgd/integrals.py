@@ -98,7 +98,7 @@ def _integral_basis(b, mult):
     rows = []
     for i in range(d):
         e = b.U.basis(i)
-        rows.append(f.mod(mult(e) - mult(b.s_of(b.eps(e)))))
+        rows.append(f.sub(mult(e), mult(b.s_of(b.eps(e)))))
     return kernel_basis(f, np.concatenate(rows, axis=0))
 
 
@@ -164,7 +164,7 @@ def separability_check(b):
     for i in range(d):
         lu = np.kron(b.U.basis_left_mults[i], f.eye(d))
         ru = np.kron(f.eye(d), b.U.basis_right_mults[i])
-        rows.append(f.matmul(f.matmul(pm, f.mod(lu - ru)), sec))
+        rows.append(f.matmul(f.matmul(pm, f.sub(lu, ru)), sec))
         rhs.append(f.zeros(q.dim))
     sol = solve_affine(f, np.concatenate(rows, 0), np.concatenate(rhs))
     if sol is None:
@@ -200,7 +200,7 @@ def maschke_report(b, name=None):
     se = f.matmul(b.s_map, b.counit)
     rep.add_residual(
         "integrals.defining",
-        f.mod(ul - f.contract(ul, se, (1, 0)).swapaxes(1, 2)),
+        f.sub(ul, f.contract(ul, se, (1, 0)).swapaxes(1, 2)),
         [[f"l{j}" for j in range(spc.dim)], b.U.labels],
     )
     norm = normalized_left_integral(b, spc)

@@ -18,6 +18,8 @@ class SpecError(ValueError):
 
 
 def _need(doc, key, where):
+    if not isinstance(doc, dict):
+        raise SpecError(where, "expected a JSON object")
     if key not in doc:
         raise SpecError(where, f"missing key '{key}'")
     return doc[key]
@@ -71,8 +73,11 @@ def _parse_algebra(f, doc, where):
     if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
         raise SpecError(f"{where}.dim", "expected a positive integer")
     unit = _parse_vector(f, _need(doc, "unit", where), dim, f"{where}.unit")
+    mul = _need(doc, "mul", where)
+    if not isinstance(mul, list):
+        raise SpecError(f"{where}.mul", "expected a list of [i, j, k, coeff]")
     triples = []
-    for n, t in enumerate(_need(doc, "mul", where)):
+    for n, t in enumerate(mul):
         if not isinstance(t, list) or len(t) != 4:
             raise SpecError(f"{where}.mul[{n}]", "expected [i, j, k, coeff]")
         i, j, k, c = t
@@ -93,6 +98,8 @@ def parse_spec(doc):
     """Build a left bialgebroid from a parsed JSON document."""
     f = _parse_field(_need(doc, "field", "document"))
     algs = _need(doc, "algebras", "document")
+    if not isinstance(algs, dict):
+        raise SpecError("algebras", "expected a JSON object")
     parsed = {
         name: _parse_algebra(f, adoc, f"algebras.{name}")
         for name, adoc in algs.items()

@@ -112,25 +112,25 @@ class RestrictedLieRinehart:
         w, mul = self.anchors, a_.mul
         lhs = np.moveaxis(f.contract(w, mul, (2, 2)), 1, -1)
         rhs = f.contract(w, mul, (1, 0)) + f.contract(w, mul, (1, 1)).swapaxes(1, 2)
-        rep.add_residual("anchor.derivation", f.mod(lhs - rhs), [gens, a_.labels, a_.labels])
+        rep.add_residual("anchor.derivation", f.sub(lhs, rhs), [gens, a_.labels, a_.labels])
 
         # omega([e_i, e_j]) - [omega_i, omega_j]
         comp = f.contract(w, w, (2, 1)).transpose(0, 2, 1, 3)  # omega_i omega_j
         rep.add_residual(
-            "anchor.morphism", f.mod(self.anchor_of(br) - comp + comp.swapaxes(0, 1)), [gens] * 2
+            "anchor.morphism", f.sub(self.anchor_of(br), comp - comp.swapaxes(0, 1)), [gens] * 2
         )
 
         # omega(e_i^[p]) - omega_i^p
         wp = np.broadcast_to(f.eye(a_.dim), w.shape)
         for _ in range(self.p):
             wp = _diag(f.contract(wp, w, (2, 1)), 2)
-        rep.add_residual("anchor.restricted", f.mod(self.anchor_of(self.pops) - wp), [gens])
+        rep.add_residual("anchor.restricted", f.sub(self.anchor_of(self.pops), wp), [gens])
 
         # [e_i^[p], e_j] - ad(e_i)^p (e_j)
         ad = np.broadcast_to(e, (n,) + e.shape)
         for _ in range(self.p):
             ad = _diag(self.bracket_of(e, ad), 1)
-        rep.add_residual("pop.adjoint", f.mod(self.bracket_of(self.pops, e) - ad), [gens] * 2)
+        rep.add_residual("pop.adjoint", f.sub(self.bracket_of(self.pops, e), ad), [gens] * 2)
         return rep
 
 
@@ -355,7 +355,7 @@ def enveloping_report(b):
     # Delta(e_i) - e_i (x) 1 - 1 (x) e_i in U (x)_A U
     lift = f.contract(e, b.delta, (1, 1)).reshape(n, d, d)
     prim = f.contract(e, u.unit, 0) + np.moveaxis(f.contract(u.unit, e, 0), 1, 0)
-    rep.add_residual("generators.primitive", project_stack(b.T0, f.mod(lift - prim)), [gens])
+    rep.add_residual("generators.primitive", project_stack(b.T0, f.sub(lift, prim)), [gens])
 
     # e_i^p - iota(e_i^[p])
     power = _powers(u, e, p) - f.contract(lr.pops, incl, ([1, 2], [0, 1]))
@@ -373,7 +373,7 @@ def enveloping_report(b):
         acted = _diag(f.contract(deriv, acted, (2, 1)), 2)
     acted = f.contract(acted.reshape(n, da, da), a_.right_mult(a_.unit), (2, 1))
     rhs = rhs + _diag(f.contract(acted, incl, (2, 1)), 2)
-    rep.add_residual("pop.hochschild", f.mod(lhs - rhs), [gens, a_.labels])
+    rep.add_residual("pop.hochschild", f.sub(lhs, rhs), [gens, a_.labels])
     return rep
 
 

@@ -13,7 +13,9 @@ cost more than dense ones, and the basis and the rows not yet inserted go
 to a dense Gauss-Jordan loop on whole numpy rows (``_gauss_jordan``), as in
 the sparse-then-dense rank computations of Dumas and Villard (CASC 2002).
 The basis is written over the rows already read, so the input is held in
-the field once, as the dense loop alone holds it.
+the field once, as the dense loop alone holds it.  Over Q the sparse rows
+are read straight off the input, each entry once (``_rational_rows``), and
+only the rows that reach the dense loop are converted into the field.
 RREF is unique, so the two paths give the same rows.
 
 Products over F_p (``Field.contract``) run in float64 through BLAS, as in
@@ -37,16 +39,25 @@ for at least ``PAIR_FLOOR`` multiply-adds when the pairs number at most
 dense result (``PAIR_WORDS``); every other product runs dense, and both
 give the same reduced int64 array.
 
-Products over Q rest on the same bound.  Each operand is scaled by the lcm
-of its denominators to integer numerators; when ``terms * max|N_a| *
-max|N_b| <= 2^53`` the numerators are multiplied in float64 through BLAS,
-and otherwise as python ints, which is exact for any size.  The result is
-divided once by the product of the two denominators, so no ``Fraction`` is
-multiplied term by term.
+Over Q, arrays are object arrays of ``Fraction``s, and every zero entry
+that ``linalg`` builds is one shared ``Fraction(0)``.  A product, a
+difference (``Field.sub``) or a comparison (``Field.equal``,
+``Field.is_zero``) reads each operand once, on its nonzeros: the shared
+zero is skipped by identity, with no call of ``Fraction.__bool__``, and
+the other entries give integer numerators over one lcm denominator.  The
+numerators are int64 while ``terms * max|N_a| * max|N_b| <= 2^63 - 1`` and
+python ints above it.  int64 numerators are multiplied by the F_p integer
+kernel (``_int_product``: the BLAS and slab paths and ``_pair_product``)
+with no modulus, and python ints by numpy's object product, exact for any
+size.  Where F_p reduces mod p, Q divides once by the product of the two
+denominators, and only the nonzero entries of a result become
+``Fraction``s.
 """
 
 import math
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -135,6 +146,8 @@ ROW_PASS = 128
 PAIR_FLOOR = 2**20
 SPARSE_COST = 32
 PAIR_WORDS = 6
+# the one Fraction(0) that the Q arrays built here hold at every zero entry
+_ZERO = Fraction(0)
 
 
 class Field:
@@ -157,9 +170,7 @@ class Field:
             # products of two reduced scalars run in float64 while one fits
             # in its 53-bit significand; chunk is how many of them a partial
             # sum may take
-            square = max(1, (p - 1) ** 2)
-            self.dtype = np.float64 if square <= FLOAT_EXACT else np.int64
-            self.chunk = (FLOAT_EXACT if square <= FLOAT_EXACT else 2**63 - 1) // square
+            self.dtype, self.chunk = _summation((p - 1) ** 2)
 
     @classmethod
     def prime(cls, p):
@@ -186,7 +197,7 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.kind == "prime" else Fraction(0)
+        return 0 if self.kind == "prime" else _ZERO
 
     @property
     def one(self):
@@ -201,7 +212,20 @@ class Field:
         return (a + b) % self.p if self.kind == "prime" else a + b
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "prime" else a - b
+        """a - b in the field, for scalars or arrays (broadcast as numpy
+        does).  Over F_p it is ``(a - b) % p``.  Over Q an array difference
+        is taken on integer numerators over one common denominator, and
+        only its nonzero entries become ``Fraction``s (see
+        ``_numerators``); two integer arrays give their integer
+        difference."""
+        if self.kind == "prime":
+            return (a - b) % self.p
+        if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+            return a - b
+        num_a, num_b, den = _common(np.asarray(a), np.asarray(b))
+        if den is None:
+            return num_a - num_b
+        return _fractions(num_a - num_b, den)
 
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "prime" else a * b
@@ -228,7 +252,7 @@ class Field:
         except ValueError:
             x = Fraction(s)
         if self.kind == "rationals":
-            return Fraction(x)
+            return Fraction(x) if x else _ZERO
         if isinstance(x, int):
             return x % self.p
         return self.canon(x.numerator * self.inv(x.denominator))
@@ -245,17 +269,14 @@ class Field:
         # only nonzero non-Fraction entries build a Fraction of their own
         a = np.array(data, dtype=object)
         out = np.empty(a.shape, dtype=object)
-        zero = Fraction(0)
-        out.reshape(-1)[:] = [x if type(x) is Fraction else Fraction(x) if x != 0 else zero
+        out.reshape(-1)[:] = [x if type(x) is Fraction else Fraction(x) if x != 0 else _ZERO
                               for x in a.reshape(-1).tolist()]
         return out
 
     def zeros(self, shape):
         if self.kind == "prime":
             return np.zeros(shape, dtype=np.int64)
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
+        return np.full(shape, _ZERO, dtype=object)
 
     def eye(self, n):
         m = self.zeros((n, n))
@@ -281,7 +302,8 @@ class Field:
         of them, and fewer than one per ``PAIR_WORDS`` result entries) pairs
         its nonzeros instead, summing each result entry in float64, which
         is exact while terms * (p - 1) <= 2^53 (``_pair_product``).  Over Q
-        an object operand gives an object array of ``Fraction``s (see
+        an object operand gives an object array of ``Fraction``s, whose
+        integer numerators run through the same products (see
         ``_rational_product``)."""
         a, b = np.asarray(a), np.asarray(b)
         product = self._product if self.kind == "prime" else _rational_product
@@ -306,71 +328,112 @@ class Field:
         return product(a, b).reshape(free_a + free_b)
 
     def _product(self, a, b):
-        """``a @ b`` mod p for a vector or matrix a (m x k) and b (k x n).
-        A product of at least ``PAIR_FLOOR`` multiply-adds may pair its
-        nonzeros (``_pair_product``).  Otherwise, when the operands and the
-        result fit in one slab the product runs
-        in one go; otherwise an int64 result is filled by slabs of rows of
-        the larger operand (of columns of the result when that is b), each
-        summed in chunks of terms."""
-        dtype, chunk, p = self.dtype, self.chunk, self.p
-        shape = a.shape[:-1] + b.shape[1:]
-        if a.size * math.prod(b.shape[1:]) >= PAIR_FLOOR:
-            out = _pair_product(p, a if a.ndim == 2 else a[None], b if b.ndim == 2 else b[:, None])
-            if out is not None:
-                return out.reshape(shape)
-        if a.shape[-1] <= chunk and max(a.size, b.size, math.prod(shape)) <= SLAB:
-            out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-            out = out.astype(np.int64, copy=False)
-            out %= p
-            return out
-        a = a if a.ndim == 2 else a[None]
-        b = b if b.ndim == 2 else b[:, None]
-        out = np.zeros((len(a), b.shape[1]), dtype=np.int64)
-        big, small, dst = (a, b, out) if a.size >= b.size else (b.T, a.T, out.T)
-        terms = len(small)
-        rows = max(1, SLAB // max(1, terms, small.shape[1]))
-        for lo in range(0, terms, chunk):
-            part_small = small[lo:lo + chunk].astype(dtype, copy=False)
-            for r in range(0, len(big), rows):
-                part = big[r:r + rows, lo:lo + chunk].astype(dtype, copy=False) @ part_small
-                acc = dst[r:r + rows]
-                if lo:
-                    acc += np.remainder(part.astype(np.int64, copy=False), p)
-                else:
-                    acc[...] = part
-                np.remainder(acc, p, out=acc)
-        return out.reshape(shape)
+        """``a @ b`` mod p for a vector or matrix a and b (``_int_product``)."""
+        return _int_product(a, b, self.p, self.dtype, self.chunk)
 
     def matmul(self, a, b):
         return self.contract(a, b, 1)
 
     def equal(self, a, b):
-        if self.kind != "prime":
-            return np.array_equal(a, b)
+        """Whether a and b have one shape and equal entries in the field;
+        over Q, compared as integer numerators over one denominator."""
         a, b = np.asarray(a), np.asarray(b)
-        return a.shape == b.shape and self.is_zero(a - b)
+        if a.shape != b.shape:
+            return False
+        if self.kind == "prime":
+            return self.is_zero(a - b)
+        num_a, num_b, _ = _common(a, b)
+        return np.array_equal(num_a, num_b)
 
     def is_zero(self, a):
         """Whether every entry of a is zero in the field.  Over F_p, p
         divides x exactly when fmod(x, p) is 0, whatever the sign of x, so
-        no entry is reduced into [0, p)."""
-        return not (np.fmod(a, self.p).any() if self.kind == "prime" else np.any(a))
+        no entry is reduced into [0, p).  Over Q only the entries that are
+        not the shared zero are tested (see ``_numerators``)."""
+        if self.kind == "prime":
+            return not np.fmod(a, self.p).any()
+        a = np.asarray(a)
+        if a.dtype != object:
+            return not a.any()
+        flat = a.ravel().tolist()
+        return not any(compress(flat, map(is_not, flat, repeat(_ZERO))))
 
 
-def _pair_product(p, a, b):
-    """``a @ b`` mod p for matrices a (m x k) and b (k x n) with entries in
-    (-p, p), by pairing every nonzero a[i, t] with the nonzeros of row t of
-    b; None when the dense product is the cheaper one (see ``PAIR_FLOOR``,
-    which the caller tests).  Each pair is multiplied exactly in int64,
-    where |ab| < 2^62, and the pairs are summed per output entry in
-    float64.  An entry takes at most k terms, so its partial sums are
-    integers of magnitude at most 2^53, which float64 holds exactly, once
-    the products are reduced below p and k (p - 1) <= 2^53; they stay
-    unreduced where k (p - 1)^2 <= 2^53 already."""
+def _summation(top):
+    """(dtype, chunk) for summing products of integers of magnitude at most
+    ``top``: float64 holds every integer up to 2^53, so it sums 2^53 // top
+    of them at a time; past top = 2^53 the products run in int64, (2^63 - 1)
+    // top at a time."""
+    top = max(1, top)
+    if top <= FLOAT_EXACT:
+        return np.float64, FLOAT_EXACT // top
+    return np.int64, (2**63 - 1) // top
+
+
+def _int_product(a, b, p, dtype, chunk, top=None):
+    """``a @ b`` for integer arrays, a vector or matrix a (m x k) and b
+    (k x n): reduced into [0, p) for a prime p, whose entries lie in
+    (-p, p), or the exact product for p None, which Q's numerators take
+    (see ``_rational_product``).  Sums of ``chunk`` products are exact in
+    ``dtype`` (``_summation``), and over F_p each such partial sum is
+    reduced; without p the caller keeps k * top <= 2^63 - 1, so the int64
+    result holds every sum, for ``top`` a bound on |a[i, t] b[t, j]|
+    ((p - 1)^2 by default).  A product of at least ``PAIR_FLOOR``
+    multiply-adds may pair its nonzeros (``_pair_product``).  Otherwise,
+    when the operands and the result fit in one slab the product runs in
+    one go; otherwise an int64 result is filled by slabs of rows of the
+    larger operand (of columns of the result when that is b), each summed
+    in chunks of terms."""
+    shape = a.shape[:-1] + b.shape[1:]
+    if a.size * math.prod(b.shape[1:]) >= PAIR_FLOOR:
+        out = _pair_product(p, a if a.ndim == 2 else a[None], b if b.ndim == 2 else b[:, None], top)
+        if out is not None:
+            return out.reshape(shape)
+    if a.shape[-1] <= chunk and max(a.size, b.size, math.prod(shape)) <= SLAB:
+        out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+        out = out.astype(np.int64, copy=False)
+        if p:
+            out %= p
+        return out
+    a = a if a.ndim == 2 else a[None]
+    b = b if b.ndim == 2 else b[:, None]
+    out = np.zeros((len(a), b.shape[1]), dtype=np.int64)
+    big, small, dst = (a, b, out) if a.size >= b.size else (b.T, a.T, out.T)
+    terms = len(small)
+    rows = max(1, SLAB // max(1, terms, small.shape[1]))
+    for lo in range(0, terms, chunk):
+        part_small = small[lo:lo + chunk].astype(dtype, copy=False)
+        for r in range(0, len(big), rows):
+            part = big[r:r + rows, lo:lo + chunk].astype(dtype, copy=False) @ part_small
+            acc = dst[r:r + rows]
+            if not lo:
+                acc[...] = part
+            elif p:
+                acc += np.remainder(part.astype(np.int64, copy=False), p)
+            else:
+                acc += part.astype(np.int64, copy=False)
+            if p:
+                np.remainder(acc, p, out=acc)
+    return out.reshape(shape)
+
+
+def _pair_product(p, a, b, top=None):
+    """``a @ b`` for integer matrices a (m x k) and b (k x n) with
+    |a[i, t] b[t, j]| <= top, reduced into [0, p) for a prime p (where top
+    defaults to (p - 1)^2, for entries in (-p, p)) or exact for p None,
+    by pairing every nonzero a[i, t] with the nonzeros of row t of b; None
+    when the dense product is the cheaper one (see ``PAIR_FLOOR``, which
+    the caller tests) or when the sums could pass 2^53.  Each pair is
+    multiplied exactly in int64, and the pairs are summed per output entry
+    in float64.  An entry takes at most k terms, so its partial sums are
+    integers of magnitude at most 2^53, which float64 holds exactly, while
+    k top <= 2^53, or over F_p once the products are reduced below p and
+    k (p - 1) <= 2^53."""
     (m, k), n = a.shape, b.shape[1]
     work = m * k * n
-    if k * (p - 1) > FLOAT_EXACT:
+    top = (p - 1) ** 2 if top is None else top
+    reduce = k * top > FLOAT_EXACT
+    if reduce and (p is None or k * (p - 1) > FLOAT_EXACT):
         return None
     na, nb = np.count_nonzero(a), np.count_nonzero(b)
     # (m - nnz a[:, t]) (n - nnz b[t, :]) >= 0 for every t, so there are at
@@ -393,7 +456,7 @@ def _pair_product(p, a, b):
     at += seq
     vals = np.repeat(a[ia, ta].astype(np.int64), reps)
     vals *= b[tb, jb].astype(np.int64)[at]
-    if k * (p - 1) ** 2 > FLOAT_EXACT:
+    if reduce:
         vals %= p
     keys = np.repeat(ia * n, reps)
     keys += jb[at]
@@ -405,46 +468,99 @@ def _pair_product(p, a, b):
     rep = out[keys]
     lead = np.flatnonzero(rep == seq)
     del seq
-    sums = np.bincount(rep, weights=vals)
-    out[keys[lead]] = sums[lead].astype(np.int64) % p
+    sums = np.bincount(rep, weights=vals)[lead].astype(np.int64)
+    out[keys[lead]] = sums % p if p else sums
     return out.reshape(m, n)
 
 
-def _scaled(a):
-    """(numerators, denominator) of a rational array a: the python-int
-    entries of ``den * a``, flattened, for ``den`` the lcm of the entries'
-    denominators."""
-    vals = a.ravel().tolist()
+def _numerators(a):
+    """(at, nums, den) for an array a over Q: the flat indices ``at`` of
+    the entries that may be nonzero, their integer numerators ``nums``
+    over ``den``, the lcm of their denominators (python ints; den is 1
+    with no entry).  An object array is read once, on its nonzeros: an
+    entry that is the shared ``Fraction(0)`` is skipped by identity, which
+    costs no call of ``Fraction.__bool__``, and every other entry is read,
+    a zero built elsewhere as well, whose numerator is 0.  An integer
+    array is its own numerators."""
+    if a.dtype != object:
+        at = np.flatnonzero(a)
+        return at, a.reshape(-1)[at].tolist(), 1
+    flat = a.ravel().tolist()
+    at = list(compress(range(len(flat)), map(is_not, flat, repeat(_ZERO))))
+    vals = [flat[i] for i in at]
     den = math.lcm(*{x.denominator for x in vals})
     if den == 1:
-        return [x.numerator for x in vals], 1
-    return [x.numerator * (den // x.denominator) for x in vals], den
+        return at, [x.numerator for x in vals], 1
+    return at, [x.numerator * (den // x.denominator) for x in vals], den
+
+
+def _dense(at, nums, shape, dtype):
+    """The integer array of ``shape`` holding ``nums`` at the flat indices
+    ``at`` and 0 elsewhere, in ``dtype`` (int64, or object for python ints
+    of any size)."""
+    out = np.zeros(math.prod(shape), dtype=dtype)
+    out[at] = nums
+    return out.reshape(shape)
+
+
+def _fractions(num, den):
+    """The object array num / den for an integer array num (int64 or
+    python ints), with a ``Fraction`` built for each nonzero entry only
+    and the shared ``Fraction(0)`` at every other."""
+    flat = num.reshape(-1)
+    out = np.empty(flat.size, dtype=object)
+    out.fill(_ZERO)
+    at = flat.nonzero()[0]
+    vals = flat[at].tolist()
+    out[at] = [Fraction(x) for x in vals] if den == 1 else [Fraction(x, den) for x in vals]
+    return out.reshape(num.shape)
+
+
+def _common(a, b):
+    """(N_a, N_b, den): the numerators of a and b (broadcast to one shape)
+    over one denominator, as int64 arrays while the sum of their largest
+    magnitudes fits, and as python ints otherwise; for two integer arrays
+    they are a and b themselves, with den None."""
+    if a.dtype != object and b.dtype != object:
+        return a, b, None
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    (at_a, num_a, den_a), (at_b, num_b, den_b) = _numerators(a), _numerators(b)
+    den = math.lcm(den_a, den_b)
+    if den != den_a:
+        num_a = [x * (den // den_a) for x in num_a]
+    if den != den_b:
+        num_b = [x * (den // den_b) for x in num_b]
+    top = max(map(abs, num_a), default=0) + max(map(abs, num_b), default=0)
+    dtype = np.int64 if top <= 2**63 - 1 else object
+    return _dense(at_a, num_a, a.shape, dtype), _dense(at_b, num_b, b.shape, dtype), den
 
 
 def _rational_product(a, b):
     """``a @ b`` over Q for a vector or matrix a (m x k) and b (k x n).  With
     an object operand the result is an object array of ``Fraction``s (a
     ``Fraction`` for two vectors); two non-object operands give ``a @ b``.
-    The numerators of the scaled operands are multiplied in float64 when
-    ``k * max|N_a| * max|N_b| <= 2^53`` and as python ints otherwise; an
-    all-zero or empty operand takes neither, since ``float`` of a numerator
-    above about 1e308 raises."""
+    Each operand is read once, on its nonzeros, as integer numerators over
+    the lcm of its denominators (``_numerators``).  While k max|N_a|
+    max|N_b| <= 2^63 - 1 the numerators are int64 and run through the F_p
+    products (``_int_product``, with no modulus), and otherwise they are
+    python ints; the result is divided once by the product of the two
+    denominators, and only its nonzero entries become ``Fraction``s."""
     if a.dtype != object and b.dtype != object:
         return a @ b
     shape = a.shape[:-1] + b.shape[1:]
-    (num_a, den_a), (num_b, den_b) = _scaled(a), _scaled(b)
+    (at_a, num_a, den_a), (at_b, num_b, den_b) = _numerators(a), _numerators(b)
     top = max(map(abs, num_a), default=0) * max(map(abs, num_b), default=0)
-    if top:
-        dtype = np.float64 if a.shape[-1] * top <= FLOAT_EXACT else object
-        out = np.asarray(np.array(num_a, dtype=dtype).reshape(a.shape)
-                         @ np.array(num_b, dtype=dtype).reshape(b.shape))
-        if dtype is np.float64:
-            out = out.astype(np.int64)
-        den = den_a * den_b
-        vals = [Fraction(x, den) for x in out.ravel().tolist()]
+    if not top:  # an all-zero operand, whose partner may not fit int64
+        out = np.full(shape, _ZERO, dtype=object)
+        return out if shape else out[()]
+    dtype = np.int64 if a.shape[-1] * top <= 2**63 - 1 else object
+    num_a, num_b = _dense(at_a, num_a, a.shape, dtype), _dense(at_b, num_b, b.shape, dtype)
+    if dtype is object:
+        out = num_a @ num_b
     else:
-        vals = [Fraction(0)] * math.prod(shape)
-    out = np.array(vals, dtype=object).reshape(shape)
+        out = _int_product(num_a, num_b, None, *_summation(top), top)
+    out = _fractions(np.asarray(out), den_a * den_b)
     return out if shape else out[()]
 
 
@@ -464,13 +580,13 @@ def rref(field, m):
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError("expected a 2-d array")
-    w = field.array(m)
-    nrows, ncols = w.shape
+    nrows, ncols = m.shape
     p = field.p
+    w = field.array(m) if p else m
     basis = {}  # pivot column -> row, zero at every other pivot column
     seen = set()  # columns that some basis row has held
     fill = 0  # nonzero entries of the basis
-    for i, v in _sparse_rows(w):
+    for i, v in _sparse_rows(w) if p else _rational_rows(m):
         v = _reduced(v, basis, p)
         if not v:
             continue
@@ -491,11 +607,13 @@ def rref(field, m):
             break
         if fill > max(FILL_IN * len(basis) * ncols, DENSE_STEP) and i + 1 < nrows:
             # the rows already read hold at least as many as the basis:
-            # the basis goes over the last of them, in place
+            # the basis goes over the last of them, in place over F_p; over
+            # Q only these rows and the rest are converted
             lo = i + 1 - len(basis)
-            w[lo:i + 1] = field.zero
-            _place(basis, w[lo:i + 1])
-            return _gauss_jordan(field, w[lo:])
+            w = w[lo:] if p else field.array(m[lo:])
+            w[:len(basis)] = field.zero
+            _place(basis, w[:len(basis)])
+            return _gauss_jordan(field, w)
     out = field.zeros((len(basis), ncols))
     _place(basis, out)
     return out, sorted(basis)
@@ -525,6 +643,37 @@ def _sparse_rows(w):
         for a, b in zip([0] + cuts, cuts + [len(cols)] if cols else []):
             yield lo + rows[a], dict(zip(cols[a:b], vals[a:b]))
         lo, cells = hi, min(2 * cells, SLAB)
+
+
+def _rational_rows(m):
+    """(row index, {column: Fraction}) for every nonzero row of a matrix m
+    over Q, reading each entry once: an entry that is the shared
+    ``Fraction(0)`` is skipped by identity, and a ``Fraction`` is built only
+    for a nonzero entry that is not one already, as ``Field.array`` builds
+    it.  An integer m is read by ``_sparse_rows``."""
+    if m.dtype != object:
+        for i, v in _sparse_rows(m):
+            yield i, {j: Fraction(x) for j, x in v.items()}
+        return
+    width = max(1, m.shape[1])
+    flat = m.ravel().tolist()
+    row, v = 0, {}
+    for at in compress(range(len(flat)), map(is_not, flat, repeat(_ZERO))):
+        x = flat[at]
+        if type(x) is not Fraction:
+            if x == 0:
+                continue
+            x = Fraction(x)
+        elif not x:
+            continue
+        i, j = divmod(at, width)
+        if i != row:
+            if v:
+                yield row, v
+            row, v = i, {}
+        v[j] = x
+    if v:
+        yield row, v
 
 
 def _reduced(v, basis, p):
@@ -698,7 +847,7 @@ class Subspace:
             return self.field.mod(v.copy())
         # rows.T @ v[pivots], written so that a vector (where .T is a
         # no-op) takes the cheaper vector-times-matrix product
-        return self.field.mod(v - self.field.contract(v[self.pivots].T, self.rows).T)
+        return self.field.sub(v, self.field.contract(v[self.pivots].T, self.rows).T)
 
     def contains(self, v):
         """Whether v (every column of a matrix v) lies in the subspace."""

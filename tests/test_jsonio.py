@@ -212,12 +212,18 @@ def test_decimal_scalar_in_spec():
     (("algebras", "U", "labels", 0), True, "algebras.U.labels"),
     (("name",), True, "name"),
     (("bialgebroid", "base"), [], "bialgebroid"),
+    (("algebras",), [1], "algebras"),
+    (("algebras", "U", "mul"), 5, "algebras.U.mul"),
+    (("field",), 5, "field"),
+    (("algebras",), {"U": 3}, "algebras.U"),
+    (("bialgebroid",), 7, "bialgebroid"),
 ])
 def test_json_type_mismatch_is_usage_error(path, value, where, tmp_path, capsys):
     # JSON true is a Python bool, an int subclass: e_0 e_true and a base of
     # dimension true used to load as e_0 e_1 and dimension 1; a label or
-    # name true crashed the first report that printed it, and a list as an
-    # algebra name crashed the lookup
+    # name true crashed the first report that printed it, a list as an
+    # algebra name crashed the lookup, and a list or number where an object
+    # or a list belongs escaped as AttributeError or TypeError
     doc = _doc()  # primitive-f2: U.mul[1] is [0, 1, 1, "1"], A.dim is 1
     node = doc
     for key in path[:-1]:

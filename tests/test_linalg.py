@@ -398,8 +398,10 @@ def rational_array(rng, shape, size, dens):
 
 
 def assert_fractions(got, want):
-    """got is today's product: an object array of ``Fraction``s equal to
-    the exact sum ``want``, or a ``Fraction`` where want is one."""
+    """got is the result over Q of a product or a difference: an object
+    array of ``Fraction``s equal to the plain-Fraction result ``want`` (a
+    ``Fraction`` where want is a scalar), whose zero entries are all one
+    shared ``Fraction(0)``."""
     if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray) and got.dtype == object
         assert got.shape == want.shape
@@ -407,30 +409,58 @@ def assert_fractions(got, want):
     else:
         got, want = [got], [want]
     assert all(type(x) is Fraction for x in got) and got == want
+    assert len({id(x) for x in got if x == 0}) <= 1
 
 
-# numerators below 10 take the float64 product; 2^40 passes 2^53 once two
-# of them meet, and 2^200 passes the float64 range
+def q_operand(rng, shape, size, dens, density, zero):
+    """An operand over Q of ``shape``: Fractions n/d with |n| < size and d
+    up to dens at ``density`` of the entries, and ``zero`` elsewhere (the
+    shared zero of ``QQ.array`` for None, or a zero built apart from it)."""
+    a = rational_array(rng, shape, size, dens)
+    a[rng.random(shape) >= density] = 0 if zero is None else zero
+    return QQ.array(a) if zero is None else a
+
+
+# numerators below 10 take the float64 product; 2^20 and 2^40 pass 2^53
+# once two of them meet, and 2^200 passes int64; dens 10^6 draws
+# denominators with a large lcm; pair routes every product that fits 2^53
+# through _pair_product
 @given(
-    st.sampled_from([10, 2**20, 2**40, 2**200]), st.sampled_from([1, 4, 12]),
-    st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
-    st.booleans(), st.integers(0, 2**32 - 1),
+    st.sampled_from([10, 2**20, 2**40, 2**200]), st.sampled_from([1, 4, 12, 10**6]),
+    st.sampled_from([0, 0.1, 0.5, 1]), st.sampled_from([None, Fraction(0), 0]),
+    st.integers(0, 3), st.integers(0, 4), st.integers(1, 4), st.integers(0, 3),
+    st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
-def test_rational_contract_matches_exact_sum(size, dens, n, k1, k2, m, mixed, seed):
+@settings(max_examples=150, deadline=None)
+def test_rational_contract_matches_exact_sum(
+        size, dens, density, zero, n, k1, k2, m, mixed, pair, seed):
     rng = np.random.default_rng(seed)
-    a = rational_array(rng, (n, k1, k2), size, dens)
+    a = q_operand(rng, (n, k1, k2), size, dens, density, zero)
     # an int64 operand beside an object one, as an unreduced int array may be
-    b = (rng.integers(-9, 10, size=(k2, m, k1)) if mixed
-         else rational_array(rng, (k2, m, k1), size, dens))
+    b = (rng.integers(-9, 10, size=(k2, m, k1)) * (rng.random((k2, m, k1)) < density) if mixed
+         else q_operand(rng, (k2, m, k1), size, dens, density, zero))
     exact = b.astype(object)
-    axes = ([1, 2], [2, 0])
-    assert_fractions(QQ.contract(a, b, axes), np.tensordot(a, exact, axes))
-    assert_fractions(QQ.matmul(a[:, 0], b[:, :, 0]), a[:, 0] @ exact[:, :, 0])
-    assert_fractions(QQ.matmul(b[0, 0], a[0]), exact[0, 0] @ a[0])
-    # a vector times a vector is a Fraction; a full contraction a 0-d array
-    assert_fractions(QQ.matmul(a[0, 0], exact[:, 0, 0]), a[0, 0] @ exact[:, 0, 0])
-    assert_fractions(QQ.contract(a[0], b[:, 0].T, 2), np.tensordot(a[0], exact[:, 0].T, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        if pair:
+            for name in ("PAIR_FLOOR", "SPARSE_COST", "PAIR_WORDS"):
+                mp.setattr(linalg, name, 0)
+        for axes in (([1, 2], [2, 0]), ([1], [2]), 1):
+            assert_fractions(QQ.contract(a, b, axes), np.tensordot(a, exact, axes))
+        if k1:
+            assert_fractions(QQ.matmul(a[:, 0], b[:, :, 0]), a[:, 0] @ exact[:, :, 0])
+        if n and m and k1:
+            assert_fractions(QQ.matmul(b[0, 0], a[0]), exact[0, 0] @ a[0])
+            # a vector times a vector is a Fraction; a full contraction a 0-d array
+            assert_fractions(QQ.matmul(a[0, 0], exact[:, 0, 0]), a[0, 0] @ exact[:, 0, 0])
+            assert_fractions(QQ.contract(a[0], b[:, 0].T, 2), np.tensordot(a[0], exact[:, 0].T, 2))
+    # differences: equal shapes, broadcast ones, and an int64 operand
+    ints = rng.integers(-3, 4, size=a.shape) * (rng.random(a.shape) < density)
+    for x, y in ((a, a.copy()), (a[..., :1], a[..., -1:]), (a, a[:1]), (a, ints), (ints, a)):
+        want = x - y
+        assert_fractions(QQ.sub(x, y), want)
+        assert QQ.equal(x, y) == (x.shape == y.shape and not np.any(want))
+        assert QQ.is_zero(QQ.sub(x, y)) == (not np.any(want))
+    assert QQ.is_zero(a) == (not np.any(a))
 
 
 def test_rational_contract_at_the_exact_sum_bound():
@@ -477,6 +507,48 @@ def test_rational_contract_of_int_operands_keeps_int64():
     for got, want in ((QQ.matmul(a, a.T), a @ a.T),
                       (QQ.contract(a, a, ([0], [0])), np.tensordot(a, a, ([0], [0])))):
         assert _same(got, want)
+
+
+# -- Q products by nonzero pairs and Q row reduction -----------------------
+
+
+def test_rational_pair_product_on_sparse_operands():
+    # 256 x 64 by 64 x 256 is 2^22 multiply-adds, past linalg.PAIR_FLOOR,
+    # with about a hundred nonzero pairs: it runs through _pair_product
+    rng = np.random.default_rng(7)
+    runs, pair = [], linalg._pair_product
+
+    def watch(p, a, b, top=None):
+        out = pair(p, a, b, top)
+        runs.append(out is not None)
+        return out
+
+    # k top <= 2^53 pairs; 2^25 numerators sum past 2^53 in int64, and
+    # 2^200 ones take the python-int product
+    for size, dens in ((10, 12), (2**20, 1), (2**25, 1), (2**200, 12)):
+        a = q_operand(rng, (256, 64), size, dens, 0.005, None)
+        b = q_operand(rng, (64, 256), size, dens, 0.005, Fraction(0))
+        want = np.full((256, 256), Fraction(0), dtype=object)
+        for i, t in zip(*np.nonzero(a)):
+            for j in np.flatnonzero(b[t]):
+                want[i, j] += a[i, t] * b[t, j]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_pair_product", watch)
+            assert_fractions(QQ.matmul(a, b), want)
+    assert runs == [True, True, False]
+
+
+def test_rational_rref_reads_every_kind_of_entry():
+    # shared and separately built zeros, ints, floats and Fractions, and an
+    # int64 matrix over Q, give the rows of the dense loop on QQ.array(m)
+    m = np.array([[0, Fraction(0), QQ.zero, 2, 0.5],
+                  [Fraction(1, 3), 0.0, 1, QQ.zero, Fraction(0)],
+                  [QQ.zero] * 5,
+                  [Fraction(2, 3), 0, 1, 2, 0.5]], dtype=object)
+    assert_same_rref(QQ, m)
+    assert_same_rref(QQ, np.array([[0, 2, 4], [1, 0, 3], [1, 2, 7]]))
+    with pytest.raises((TypeError, ValueError)):
+        linalg.rref(QQ, np.array([[None, 1]], dtype=object))
 
 
 def test_field_rejects_primes_from_2_31_at_once():
@@ -667,8 +739,8 @@ def test_pair_path_runs_on_structure_tensors_only(monkeypatch):
     # the shapes of the products that the pair path computes
     runs, pair = [], linalg._pair_product
 
-    def watch(p, a, b):
-        out = pair(p, a, b)
+    def watch(p, a, b, top=None):
+        out = pair(p, a, b, top)
         if out is not None:
             runs.append((a.shape, b.shape))
         return out
