@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import Quotient, invert, kron_vec, rref, unit_vector
+from .linalg import Quotient, invert, rref, unit_vector
 from .report import Report
 
 __all__ = [
@@ -189,7 +189,7 @@ def tensor_product(a, b):
     # outer[i, k, m, j, l, n] = a.mul[i, k, m] * b.mul[j, l, n]
     mul = f.contract(a.mul, b.mul, 0).transpose(0, 3, 1, 4, 2, 5).reshape(d, d, d)
     labels = [f"{x}(x){y}" for x in a.labels for y in b.labels]
-    return AlgebraPresentation(f, mul, kron_vec(f, a.unit, b.unit), labels)
+    return AlgebraPresentation(f, mul, f.contract(a.unit, b.unit, 0).reshape(-1), labels)
 
 
 def balanced_tensor(field, dim_m, mats_m, dim_n, mats_n):
@@ -370,12 +370,13 @@ class LegEmbedding:
         return np.moveaxis(w, [0, 1], [kept, read])
 
 
-def triple_classes(field, v, leg12, leg23):
-    """A stack with one row per column of v (d1 x d2 x d3 x c, a column of
-    lifts to X (x) Y (x) Z) that is zero exactly where the column lies in
-    R12 (x) Z + X (x) R23, the relations of X (x)_A Y (x)_A Z given by the
-    legs ``leg12`` and ``leg23`` (LegEmbedding, both through the right leg
-    or both through the left).
+def triple_classes(field, lhs, rhs, leg12, leg23):
+    """A stack with one row per column of v = lhs - rhs (d1 x d2 x d3 x c,
+    a column of lifts to X (x) Y (x) Z, taken by ``Field.residual``) that
+    is zero exactly where the column lies in R12 (x) Z + X (x) R23, the
+    relations of X (x)_A Y (x)_A Z given by the legs ``leg12`` and
+    ``leg23`` (LegEmbedding, both through the right leg or both through
+    the left).
 
     Through the right legs, E = (J12 (x) 1)(1 (x) J23) is exact when both
     legs are and (iii) the two actions on Y, Q of R12 and P of R23,
@@ -388,7 +389,8 @@ def triple_classes(field, v, leg12, leg23):
     (iii) also makes the push-through of ``TripleQuotient`` descend.  When
     a premise fails, the classes come from a ``TripleQuotient``, which
     raises ``DescentError`` where R23 does not descend."""
-    f, c = field, v.shape[-1]
+    f, v = field, field.residual(lhs, rhs)
+    c = v.shape[-1]
     if (leg12.exact and leg23.exact and leg12.left == leg23.left
             and _commute(f, leg23.P, leg12.Q)):
         order = [(leg12, 0), (leg23, 1)]
@@ -441,12 +443,16 @@ class TripleQuotient:
         return self.q2.project(step.reshape((self.q1.dim * self.d3,) + v.shape[1:]))
 
 
-def project_stack(q, stack, lead=1):
-    """``q.project`` of every vector of ``stack`` (a Quotient or a
-    TripleQuotient q): the first ``lead`` axes index the vectors and the
-    rest flatten to ambient coordinates.  Returns the leading axes followed
+def project_stack(q, lhs, rhs, lead=1):
+    """``q.project`` of lhs - rhs for every vector of the stacks ``lhs``
+    and ``rhs`` (a Quotient or a TripleQuotient q), the two sides of an
+    identity: the first ``lead`` axes of lhs index the vectors and the rest
+    flatten to ambient coordinates; rhs has as many entries, with the same
+    leading axes.  The difference is ``Field.residual``'s, unreduced over
+    F_p, which the projection reduces.  Returns the leading axes followed
     by the quotient coordinates."""
-    stack = np.asarray(stack)
-    shape = stack.shape[:lead]
-    cols = stack.reshape(int(np.prod(shape)), -1).T
+    lhs = np.asarray(lhs)
+    shape = lhs.shape[:lead]
+    n = int(np.prod(shape))
+    cols = q.field.residual(lhs.reshape(n, -1), np.reshape(rhs, (n, -1))).T
     return q.project(cols).T.reshape(shape + (q.dim,))

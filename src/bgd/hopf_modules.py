@@ -9,7 +9,7 @@ relation rows only where no free basis is found or a premise fails."""
 
 import numpy as np
 
-from .algebra import check_action
+from .algebra import check_action, project_stack
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
 from .duals import (
     _s_side_dual_basis,
@@ -70,11 +70,12 @@ def check_hopf_module(mod, name=None):
     act = np.asarray(mod.action)
     g = f.contract(b.delta3, b.U.mul, (0, 0 if mod.kind == "LL" else 1))  # (l, i, y, z)
     h = f.contract(com.coaction.reshape(d, dm, dm), act, (1, 2))  # (y, c, l, n)
-    lhs = f.contract(g, h, ([0, 2], [2, 0])).transpose(0, 1, 3, 2)  # (i, z, n, c)
-    rhs = f.contract(com.coaction, act, (1, 1)).transpose(1, 0, 2)
-    res = f.contract(lhs.reshape(rhs.shape) - rhs, com.quotient.project_mat, (1, 1))
+    # both as [i, c, (z, n)], the U_<| (x) M coordinates last
+    lhs = f.contract(g, h, ([0, 2], [2, 0])).transpose(0, 2, 1, 3)
+    rhs = f.contract(com.coaction, act, (1, 1)).transpose(1, 2, 0)
     rep.add_residual(
-        "hopf-module.compatibility", res, [b.U.labels], lambda i: b.U.labels[i])
+        "hopf-module.compatibility", project_stack(com.quotient, lhs, rhs, 2),
+        [b.U.labels], lambda i: b.U.labels[i])
     return rep
 
 

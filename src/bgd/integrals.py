@@ -132,7 +132,7 @@ def integral_invariance_check(b, l):
     w = translate_right(b, f.mod(np.asarray(l))).reshape(d, d)
     lhs = f.contract(mul, w, (1, 0))  # [i, z, y]: e_i w' (x) w''
     rhs = f.contract(w, mul, (1, 0)).swapaxes(0, 1)  # [i, x, z]: w' (x) w'' e_i
-    bad = np.flatnonzero(project_stack(b.T2, lhs - rhs).any(axis=1))
+    bad = np.flatnonzero(project_stack(b.T2, lhs, rhs).any(axis=1))
     return (True, None) if not bad.size else (False, b.U.labels[bad[0]])
 
 

@@ -354,12 +354,12 @@ def enveloping_report(b):
 
     # Delta(e_i) - e_i (x) 1 - 1 (x) e_i in U (x)_A U
     lift = f.contract(e, b.delta, (1, 1)).reshape(n, d, d)
-    prim = f.contract(e, u.unit, 0) + np.moveaxis(f.contract(u.unit, e, 0), 1, 0)
-    rep.add_residual("generators.primitive", project_stack(b.T0, f.sub(lift, prim)), [gens])
+    prim = f.add(f.contract(e, u.unit, 0), np.moveaxis(f.contract(u.unit, e, 0), 1, 0))
+    rep.add_residual("generators.primitive", project_stack(b.T0, lift, prim), [gens])
 
     # e_i^p - iota(e_i^[p])
-    power = _powers(u, e, p) - f.contract(lr.pops, incl, ([1, 2], [0, 1]))
-    rep.add_residual("pop.power_rule", f.mod(power), [gens])
+    power = f.sub(_powers(u, e, p), f.contract(lr.pops, incl, ([1, 2], [0, 1])))
+    rep.add_residual("pop.power_rule", power, [gens])
 
     # (a e_i)^p - a^p e_i^[p] - (a omega_i)^{p-1}(a) e_i for a = a_r
     da = a_.dim

@@ -41,23 +41,31 @@ give the same reduced int64 array.
 
 Over Q, arrays are object arrays of ``Fraction``s, and every zero entry
 that ``linalg`` builds is one shared ``Fraction(0)``.  A product, a
-difference (``Field.sub``) or a comparison (``Field.equal``,
-``Field.is_zero``) reads each operand once, on its nonzeros: the shared
-zero is skipped by identity, with no call of ``Fraction.__bool__``, and
-the other entries give integer numerators over one lcm denominator.  The
-numerators are int64 while ``terms * max|N_a| * max|N_b| <= 2^63 - 1`` and
-python ints above it.  int64 numerators are multiplied by the F_p integer
-kernel (``_int_product``: the BLAS and slab paths and ``_pair_product``)
-with no modulus, and python ints by numpy's object product, exact for any
-size.  Where F_p reduces mod p, Q divides once by the product of the two
+difference (``Field.sub``) or a zero test (``Field.is_zero``) reads each
+operand once, on its nonzeros: the shared zero is skipped by identity, with
+no call of ``Fraction.__bool__``, and the other entries give integer
+numerators over one lcm denominator.  The numerators are int64 while
+``terms * max|N_a| * max|N_b| <= 2^63 - 1`` and python ints above it.
+int64 numerators are multiplied by the F_p integer kernel
+(``_int_product``: the BLAS and slab paths and ``_pair_product``) with no
+modulus, and python ints by numpy's object product, exact for any size.
+Where F_p reduces mod p, Q divides once by the product of the two
 denominators, and only the nonzero entries of a result become
-``Fraction``s.
+``Fraction``s.  ``Field.equal`` compares two object arrays as lists, entry
+by entry and by identity first, so shared zeros cost nothing.
+
+The two sides of an identity become its residual in one place,
+``Field.residual``.  Over F_p it is their integer difference, unreduced:
+its entries lie in (-p, p), which the product that reads it accepts and
+reduces.  Over Q it is ``Field.sub``, whose zeros are the shared one, and
+which returns the zero array at once when the two sides are equal, as
+they are wherever the identity holds.
 """
 
 import math
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import is_not
+from operator import is_, is_not
 
 import numpy as np
 
@@ -81,7 +89,6 @@ __all__ = [
     "is_invertible",
     "invert",
     "unit_vector",
-    "kron_vec",
 ]
 
 
@@ -216,16 +223,31 @@ class Field:
         does).  Over F_p it is ``(a - b) % p``.  Over Q an array difference
         is taken on integer numerators over one common denominator, and
         only its nonzero entries become ``Fraction``s (see
-        ``_numerators``); two integer arrays give their integer
+        ``_numerators``); two equal object arrays give the zero array with
+        no numerators read, and two integer arrays their integer
         difference."""
         if self.kind == "prime":
             return (a - b) % self.p
         if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
             return a - b
-        num_a, num_b, den = _common(np.asarray(a), np.asarray(b))
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype == b.dtype == object and self.equal(a, b):
+            return self.zeros(a.shape)
+        num_a, num_b, den = _common(a, b)
         if den is None:
             return num_a - num_b
         return _fractions(num_a - num_b, den)
+
+    def residual(self, lhs, rhs):
+        """lhs - rhs of an identity, as the next product reads it: over
+        F_p the integer difference, unreduced, whose entries lie in (-p, p)
+        for lhs and rhs in [0, p), as ``contract`` and ``Quotient.project``
+        accept them; over Q ``sub``, on integer numerators, with the
+        shared zero at every zero entry.  F_p adds no reduction here, as a
+        residual is reduced by the product that reads it."""
+        if self.kind == "prime":
+            return np.subtract(lhs, rhs)
+        return self.sub(lhs, rhs)
 
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "prime" else a * b
@@ -335,15 +357,18 @@ class Field:
         return self.contract(a, b, 1)
 
     def equal(self, a, b):
-        """Whether a and b have one shape and equal entries in the field;
-        over Q, compared as integer numerators over one denominator."""
+        """Whether a and b have one shape and equal entries in the field.
+        Over Q an object operand is compared as a list, which compares
+        entries by identity first: two shared zeros cost no call of
+        ``Fraction.__eq__``."""
         a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape:
             return False
         if self.kind == "prime":
             return self.is_zero(a - b)
-        num_a, num_b, _ = _common(a, b)
-        return np.array_equal(num_a, num_b)
+        if a.dtype != object and b.dtype != object:
+            return np.array_equal(a, b)
+        return a.ravel().tolist() == b.ravel().tolist()
 
     def is_zero(self, a):
         """Whether every entry of a is zero in the field.  Over F_p, p
@@ -480,12 +505,16 @@ def _numerators(a):
     with no entry).  An object array is read once, on its nonzeros: an
     entry that is the shared ``Fraction(0)`` is skipped by identity, which
     costs no call of ``Fraction.__bool__``, and every other entry is read,
-    a zero built elsewhere as well, whose numerator is 0.  An integer
-    array is its own numerators."""
+    a zero built elsewhere as well, whose numerator is 0.  An array of
+    shared zeros only, as the residual of an identity that holds is, takes
+    one identity pass that builds no index.  An integer array is its own
+    numerators."""
     if a.dtype != object:
         at = np.flatnonzero(a)
         return at, a.reshape(-1)[at].tolist(), 1
     flat = a.ravel().tolist()
+    if all(map(is_, flat, repeat(_ZERO))):
+        return [], [], 1
     at = list(compress(range(len(flat)), map(is_not, flat, repeat(_ZERO))))
     vals = [flat[i] for i in at]
     den = math.lcm(*{x.denominator for x in vals})
@@ -980,7 +1009,3 @@ def unit_vector(field, n, i):
     v = field.zeros(n)
     v[i] = field.one
     return v
-
-
-def kron_vec(field, v, w):
-    return field.mod(np.outer(np.asarray(v), np.asarray(w)).reshape(-1))

@@ -30,12 +30,14 @@ class Report:
         return ok
 
     def add_residual(self, check_id, residual, labels=(), witness=None):
-        """Add an item that passes when the reduced ``residual`` (lhs - rhs
-        of an identity) is zero.  Its leading axes run over basis elements
-        named by ``labels``, one list per axis, in the order the identity
-        is read.  On a failure the first nonzero entry in that order gives
-        ``where``, and ``witness``, if given, is called with its leading
-        indices to give the witness text."""
+        """Add an item that passes when ``residual``, lhs - rhs of an
+        identity, is zero in the field; its entries are read as a product
+        or ``Field.sub`` returns them, reduced into [0, p) over F_p.  Its
+        leading axes run over basis elements named by ``labels``, one list
+        per axis, in the order the identity is read.  On a failure the
+        first nonzero entry in that order gives ``where``, and ``witness``,
+        if given, is called with its leading indices to give the witness
+        text."""
         nonzero = np.flatnonzero(residual)
         if not nonzero.size:
             return self.add(check_id, True)

@@ -16,7 +16,6 @@ from bgd.linalg import (
     Subspace,
     invert,
     kernel_basis,
-    kron_vec,
     rank,
     solve_affine,
     solve_matrix_equation,
@@ -262,11 +261,11 @@ def test_quotient_induced_op_descent():
 def test_tensor_leg_ops():
     v = F3.array([1, 2])
     w = F3.array([0, 1, 2])
-    t = kron_vec(F3, v, w)
+    t = F3.contract(v, w, 0).reshape(-1)
     assert t.tolist() == [0, 1, 2, 0, 2, 1]
     m = F3.array([[1, 1], [0, 2]])
     assert np.array_equal(
-        F3.matmul(m, t.reshape(2, 3)).reshape(-1), kron_vec(F3, F3.matmul(m, v), w)
+        F3.matmul(m, t.reshape(2, 3)).reshape(-1), F3.contract(F3.matmul(m, v), w, 0).reshape(-1)
     )
 
 
@@ -461,6 +460,44 @@ def test_rational_contract_matches_exact_sum(
         assert QQ.equal(x, y) == (x.shape == y.shape and not np.any(want))
         assert QQ.is_zero(QQ.sub(x, y)) == (not np.any(want))
     assert QQ.is_zero(a) == (not np.any(a))
+
+
+# -- residuals: the two sides of an identity -------------------------------
+
+
+@given(st.sampled_from([2, 5, 2**31 - 1]), st.integers(0, 4), st.integers(0, 4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_prime_residual_is_the_unreduced_difference(p, m, n, broadcast, seed):
+    # no reduction: a - b itself, in (-p, p), which contract reads as it is
+    f = Field.prime(p)
+    rng = np.random.default_rng(seed)
+    a = f.array(rng.integers(0, p, size=(m, n)))
+    b = f.array(rng.integers(0, p, size=(min(m, 1), n) if broadcast else (m, n)))
+    got = f.residual(a, b)
+    assert _same(got, a - b)
+    assert (np.abs(got) < p).all()
+    c = f.array(rng.integers(0, p, size=(n, 3)))
+    assert_reduced(f.contract(got, c), exact_contract(a - b, c, 1, p), p)
+    assert_reduced(f.contract(c.T, got.T), exact_contract(c.T, (a - b).T, 1, p), p)
+
+
+@given(
+    st.sampled_from([10, 2**20, 2**200]), st.sampled_from([1, 12, 10**6]),
+    st.sampled_from([0, 0.5, 1]), st.sampled_from([None, Fraction(0), 0]),
+    st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_rational_residual_matches_fractions(size, dens, density, zero, m, n, seed):
+    rng = np.random.default_rng(seed)
+    a = q_operand(rng, (m, n), size, dens, density, zero)
+    b = q_operand(rng, (m, n), size, dens, density, zero)
+    ints = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < density)
+    # equal shapes, equal sides, broadcast shapes, and an int64 operand
+    for x, y in ((a, b), (a, a.copy()), (a, b[:1]), (a[:, :1], b), (a, ints), (ints, a)):
+        got = QQ.residual(x, y)
+        assert_fractions(got, x - y)
+        assert all(z is linalg._ZERO for z in got.ravel().tolist() if z == 0)
 
 
 def test_rational_contract_at_the_exact_sum_bound():
