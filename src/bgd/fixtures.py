@@ -21,8 +21,8 @@ __all__ = [
     "rank_n_truncated",
     "abelian_n",
     "crossed_rank2",
-    "pair_q2",
-    "env_q2",
+    "pair",
+    "env",
     "group_q3",
     "FIXTURES",
     "LR_FIXTURES",
@@ -103,40 +103,39 @@ def monoid_non_hopf():
     return LeftBialgebroid(a, u, s, s, delta, counit, name="monoid-non-hopf")
 
 
-def pair_q2():
-    """The pair groupoid M_2(Q) over Q^2: s = t send p_i to e_ii,
-    Delta(e_ij) = e_ij (x) e_ij, eps(e_ij) = p_i; e_ij has index 2i + j."""
-    q = Field.rationals()
-    r = range(2)
+def pair(field, n):
+    """The pair groupoid M_n(k) over k^n: s = t send p_i to e_ii,
+    Delta(e_ij) = e_ij (x) e_ij, eps(e_ij) = p_i; e_ij has index n i + j."""
+    f, d, r = field, n * n, range(n)
     u = AlgebraPresentation.from_triples(
-        q, 4, [(2 * i + j, 2 * j + k, 2 * i + k, 1) for i in r for j in r for k in r],
-        [1, 0, 0, 1])
-    a = AlgebraPresentation.from_triples(q, 2, [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
-    s, counit, delta = q.zeros((4, 2)), q.zeros((2, 4)), q.zeros((16, 4))
+        f, d, [(n * i + j, n * j + k, n * i + k, 1) for i in r for j in r for k in r],
+        [int(i == j) for i in r for j in r])
+    a = AlgebraPresentation.from_triples(f, n, [(i, i, i, 1) for i in r], [1] * n)
+    s, counit, delta = f.zeros((d, n)), f.zeros((n, d)), f.zeros((d * d, d))
     for i in r:
-        s[3 * i, i] = q.one
-        for g in (2 * i, 2 * i + 1):
-            counit[i, g] = delta[5 * g, g] = q.one
-    return LeftBialgebroid(a, u, s, s, delta, counit, name="pair-Q-2")
+        s[(n + 1) * i, i] = f.one
+        for g in range(n * i, n * i + n):
+            counit[i, g] = delta[(d + 1) * g, g] = f.one
+    return LeftBialgebroid(a, u, s, s, delta, counit, name=f"pair-{f}-{n}")
 
 
-def env_q2():
-    """A (x) A^op over A = Q[x]/(x^2): s(a) = a (x) 1, t(b) = 1 (x) b,
+def env(field, m):
+    """A (x) A^op over A = k[x]/(x^m): s(a) = a (x) 1, t(b) = 1 (x) b,
     Delta(a (x) b) = (a (x) 1) (x) (1 (x) b), eps(a (x) b) = ab;
-    x^i (x) x^j has index 2i + j."""
-    q = Field.rationals()
+    x^i (x) x^j has index m i + j."""
+    f, d, r = field, m * m, range(m)
     a = AlgebraPresentation.from_triples(
-        q, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)], [1, 0])
-    s, t = q.zeros((4, 2)), q.zeros((4, 2))
-    counit, delta = q.zeros((2, 4)), q.zeros((16, 4))
-    for i in range(2):
-        s[2 * i, i] = t[i, i] = q.one
-        for j in range(2):
-            if i + j < 2:
-                counit[i + j, 2 * i + j] = q.one
-            delta[8 * i + j, 2 * i + j] = q.one
+        f, m, [(i, j, i + j, 1) for i in r for j in r if i + j < m], [1] + [0] * (m - 1))
+    s, t = f.zeros((d, m)), f.zeros((d, m))
+    counit, delta = f.zeros((m, d)), f.zeros((d * d, d))
+    for i in r:
+        s[m * i, i] = t[i, i] = f.one
+        for j in r:
+            if i + j < m:
+                counit[i + j, m * i + j] = f.one
+            delta[d * m * i + j, m * i + j] = f.one
     return LeftBialgebroid(
-        a, tensor_product(a, a.opposite()), s, t, delta, counit, name="env-Q-2")
+        a, tensor_product(a, a.opposite()), s, t, delta, counit, name=f"env-{f}-{m}")
 
 
 def group_q3():
@@ -270,7 +269,7 @@ LR_FIXTURES = {
 
 # Fixtures over Q, kept out of the CLI presets.
 Q_FIXTURES = {
-    "pair-Q-2": pair_q2,
-    "env-Q-2": env_q2,
+    "pair-Q-2": lambda: pair(Field.rationals(), 2),
+    "env-Q-2": lambda: env(Field.rationals(), 2),
     "group-Q-3": group_q3,
 }

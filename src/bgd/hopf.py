@@ -113,7 +113,8 @@ def translate_left_mat(b):
         if not is_left_hopf(b):
             raise ValueError(f"alpha_l of {b.name} is not bijective")
         f, d = b.field, b.U.dim
-        emb = np.kron(f.eye(d), b.U.unit.reshape(d, 1))  # u |-> u (x) 1
+        # u |-> u (x) 1
+        emb = f.contract(f.eye(d), b.U.unit, 0).transpose(0, 2, 1).reshape(d * d, d)
         b._cache["tl_mat"] = _inverse_lift(f, b._cache["alpha_l inverse"], b.T1, b.T0, emb)
         del b._cache["alpha_l inverse"]
     return b._cache["tl_mat"]
@@ -170,7 +171,7 @@ def _sch_suite(b, rep, tag, hopf, reason):
     t0, t1 = b.T0, b.T1
     leg0, leg1 = b.leg("Lt", over="Ls", u_first=False), b.leg("Rt", over="Lt", u_first=False)
     ul, au = [U.labels], [U.labels, b.A.labels]
-    u1 = np.kron(f.eye(d), U.unit)  # row i: e_i (x) 1
+    u1 = f.contract(f.eye(d), U.unit, 0).reshape(d, d * d)  # row i: e_i (x) 1
 
     # t(a) u_+ (x) u_- = u_+ (x) u_- t(a), as [i, a]
     v1 = f.contract(np.asarray(b.Lt), tl3, (2, 0)).transpose(3, 0, 1, 2)
@@ -283,7 +284,8 @@ def comodule_translate_mat(com):
         if not comodule_is_bijective(com):
             raise ValueError("comodule Hopf-Galois map is not bijective")
         f, du = com.field, com.b.U.dim
-        emb = np.kron(com.b.U.unit.reshape(du, 1), f.eye(com.dim))  # n -> 1 (x) n
+        # n -> 1 (x) n
+        emb = f.contract(com.b.U.unit, f.eye(com.dim), 0).reshape(du * com.dim, com.dim)
         com._cache["ctrans"] = _inverse_lift(
             f, com._cache["calpha inverse"], com.dom_leg.quotient, com.quotient, emb
         )
@@ -325,12 +327,14 @@ def _left_comodule_suite(com, rep, tag):
     # n^[+](-1) n^[-] (x) n^[+](0) = 1 (x) n
     g = f.contract(tm, co, (0, 2))  # (k, i, x, n2)
     out = f.contract(g, mul, ([2, 0], [0, 1])).transpose(0, 2, 1).reshape(dn, du * dn)
-    rep.add_residual(f"{tag}2", project_stack(q, out, np.kron(b.U.unit, f.eye(dn))), nl)
+    one_n = f.contract(b.U.unit, f.eye(dn), 0).transpose(1, 0, 2).reshape(dn, du * dn)
+    rep.add_residual(f"{tag}2", project_stack(q, out, one_n), nl)
 
     # n(0)^[+] (x) n(0)^[-] n(-1) = n (x) 1
     g = f.contract(co, tm, (1, 2))  # (x, i, n3, k)
     out = f.contract(g, mul, ([3, 0], [0, 1])).reshape(dn, dn * du)
-    rep.add_residual(f"{tag}3", project_stack(dom, out, np.kron(f.eye(dn), b.U.unit)), nl)
+    n_one = f.contract(f.eye(dn), b.U.unit, 0).reshape(dn, dn * du)
+    rep.add_residual(f"{tag}3", project_stack(dom, out, n_one), nl)
 
     # n^[+][+] (x) n^[+][-] (x) n^[-] = n^[+] (x) n^[-](1) (x) n^[-](2)
     lhs = f.contract(tm, tm, (0, 2)).transpose(2, 3, 0, 1).reshape(dn, du, du, dn)

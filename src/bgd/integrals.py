@@ -80,7 +80,8 @@ class IntegralSpace:
             raise ValueError("vector escapes the integral span")
         act = np.split(sol[0], da, axis=1)
         ev = np.stack(act, axis=2).reshape(m, m * da)
-        rr = [np.kron(f.eye(m), rm) for rm in self.base.basis_right_mults]
+        rr = [f.contract(f.eye(m), rm, 0).transpose(0, 2, 1, 3).reshape(m * da, m * da)
+              for rm in self.base.basis_right_mults]
         # unknown sigma^T, sigma: span -> A^m with ev sigma = 1 and
         # sigma act[a] = rr[a] sigma
         eye_m, eye_n = f.eye(m), f.eye(m * da)

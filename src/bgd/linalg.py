@@ -24,7 +24,8 @@ FFLAS (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): with entries in
 an integer of magnitude at most 2^53, which float64 represents exactly
 whatever the summation order, so casting the result back to int64 and
 reducing once is exact.  For p above about 9.49e7 a single product can
-pass 2^53 and the product runs in int64 instead.
+pass 2^53 and the product runs in int64 instead.  A longer sum runs as one
+product of the whole operands per chunk of that many terms.
 
 The structure tensors of a monomial presentation are nearly empty, and so
 are most products of them: 625 x 625 by 625 x 625 with 125 nonzero pairs
@@ -33,8 +34,9 @@ a[i, t] b[t, j].  Over F_p such a product pairs the nonzeros instead
 through numpy ``repeat``/``bincount`` index arithmetic, each pair is
 multiplied exactly in int64 (|ab| < 2^62) and reduced where k such
 products could pass 2^53, and the pairs are summed per output entry in
-float64, exact while k (p - 1) <= 2^53 for k terms.  Only the output entries some pair reaches are written.  It runs
-for at least ``PAIR_FLOOR`` multiply-adds when the pairs number at most
+float64, exact while k (p - 1) <= 2^53 for k terms.  Only the output
+entries some pair reaches are written.  It runs for at least
+``PAIR_FLOOR`` multiply-adds when the pairs number at most
 1 / ``SPARSE_COST`` of them and its arrays of one word per pair fit the
 dense result (``PAIR_WORDS``); every other product runs dense, and both
 give the same reduced int64 array.
@@ -47,7 +49,7 @@ no call of ``Fraction.__bool__``, and the other entries give integer
 numerators over one lcm denominator.  The numerators are int64 while
 ``terms * max|N_a| * max|N_b| <= 2^63 - 1`` and python ints above it.
 int64 numerators are multiplied by the F_p integer kernel
-(``_int_product``: the BLAS and slab paths and ``_pair_product``) with no
+(``_int_product``: chunks of terms, or ``_pair_product``) with no
 modulus, and python ints by numpy's object product, exact for any size.
 Where F_p reduces mod p, Q divides once by the product of the two
 denominators, and only the nonzero entries of a result become
@@ -120,7 +122,7 @@ def _is_prime(n):
 MAX_PRIME = 2**31
 # float64 holds every integer of magnitude up to 2^53 exactly
 FLOAT_EXACT = 2**53
-# entries of the larger operand that Field.contract casts at a time
+# entries of the row blocks that rref reads off its input at a time
 SLAB = 2**16
 # rref hands over to the dense loop once its sparse basis holds more than
 # FILL_IN of rank x columns nonzero entries, and more than DENSE_STEP.
@@ -316,16 +318,16 @@ class Field:
         ``terms * (p - 1)^2 <= 2^53``: every partial sum is then an integer
         of magnitude at most 2^53, which float64 holds exactly in any
         summation order.  Longer sums are split into chunks of that many
-        terms; for p above about 9.49e7, where one product can pass 2^53,
-        the product runs in ``int64`` in chunks of (2^63 - 1) // (p - 1)^2
-        terms.  At most ``SLAB`` entries of the larger operand are cast at
-        a time.  A product of at least ``PAIR_FLOOR`` multiply-adds with
-        few nonzero pairs a[..., t] b[t, ...] (at most 1 / ``SPARSE_COST``
-        of them, and fewer than one per ``PAIR_WORDS`` result entries) pairs
-        its nonzeros instead, summing each result entry in float64, which
-        is exact while terms * (p - 1) <= 2^53 (``_pair_product``).  Over Q
-        an object operand gives an object array of ``Fraction``s, whose
-        integer numerators run through the same products (see
+        terms, each one product of the whole operands; for p above about
+        9.49e7, where one product can pass 2^53, the chunks run in
+        ``int64``, (2^63 - 1) // (p - 1)^2 terms each.  A product of at
+        least ``PAIR_FLOOR`` multiply-adds with few nonzero pairs
+        a[..., t] b[t, ...] (at most 1 / ``SPARSE_COST`` of them, and fewer
+        than one per ``PAIR_WORDS`` result entries) pairs its nonzeros
+        instead, summing each result entry in float64, which is exact while
+        terms * (p - 1) <= 2^53 (``_pair_product``).  Over Q an object
+        operand gives an object array of ``Fraction``s, whose integer
+        numerators run through the same products (see
         ``_rational_product``)."""
         a, b = np.asarray(a), np.asarray(b)
         product = self._product if self.kind == "prime" else _rational_product
@@ -399,47 +401,37 @@ def _int_product(a, b, p, dtype, chunk, top=None):
     """``a @ b`` for integer arrays, a vector or matrix a (m x k) and b
     (k x n): reduced into [0, p) for a prime p, whose entries lie in
     (-p, p), or the exact product for p None, which Q's numerators take
-    (see ``_rational_product``).  Sums of ``chunk`` products are exact in
-    ``dtype`` (``_summation``), and over F_p each such partial sum is
-    reduced; without p the caller keeps k * top <= 2^63 - 1, so the int64
-    result holds every sum, for ``top`` a bound on |a[i, t] b[t, j]|
-    ((p - 1)^2 by default).  A product of at least ``PAIR_FLOOR``
-    multiply-adds may pair its nonzeros (``_pair_product``).  Otherwise,
-    when the operands and the result fit in one slab the product runs in
-    one go; otherwise an int64 result is filled by slabs of rows of the
-    larger operand (of columns of the result when that is b), each summed
-    in chunks of terms."""
-    shape = a.shape[:-1] + b.shape[1:]
+    (see ``_rational_product``).  A product of at least ``PAIR_FLOOR``
+    multiply-adds may pair its nonzeros (``_pair_product``).  Otherwise the
+    k terms are summed in chunks of at most ``chunk``, which ``dtype`` sums
+    exactly (``_summation``), each chunk one product of the whole operands,
+    cast to int64.  Over F_p each chunk is reduced below p < 2^31, so the
+    int64 sum of fewer than 2^32 chunks holds them, and is reduced once;
+    without p the caller keeps k * top <= 2^63 - 1, so the int64 sum holds
+    every partial sum, for ``top`` a bound on |a[i, t] b[t, j]|
+    ((p - 1)^2 by default)."""
     if a.size * math.prod(b.shape[1:]) >= PAIR_FLOOR:
         out = _pair_product(p, a if a.ndim == 2 else a[None], b if b.ndim == 2 else b[:, None], top)
         if out is not None:
-            return out.reshape(shape)
-    if a.shape[-1] <= chunk and max(a.size, b.size, math.prod(shape)) <= SLAB:
-        out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-        out = out.astype(np.int64, copy=False)
-        if p:
-            out %= p
-        return out
-    a = a if a.ndim == 2 else a[None]
-    b = b if b.ndim == 2 else b[:, None]
-    out = np.zeros((len(a), b.shape[1]), dtype=np.int64)
-    big, small, dst = (a, b, out) if a.size >= b.size else (b.T, a.T, out.T)
-    terms = len(small)
-    rows = max(1, SLAB // max(1, terms, small.shape[1]))
-    for lo in range(0, terms, chunk):
-        part_small = small[lo:lo + chunk].astype(dtype, copy=False)
-        for r in range(0, len(big), rows):
-            part = big[r:r + rows, lo:lo + chunk].astype(dtype, copy=False) @ part_small
-            acc = dst[r:r + rows]
-            if not lo:
-                acc[...] = part
-            elif p:
-                acc += np.remainder(part.astype(np.int64, copy=False), p)
-            else:
-                acc += part.astype(np.int64, copy=False)
-            if p:
-                np.remainder(acc, p, out=acc)
-    return out.reshape(shape)
+            return out.reshape(a.shape[:-1] + b.shape[1:])
+    k = a.shape[-1]
+    if k <= chunk:
+        return _chunk_product(a, b, p, dtype)
+    out = _chunk_product(a[..., :chunk], b[:chunk], p, dtype)
+    for lo in range(chunk, k, chunk):
+        out += _chunk_product(a[..., lo:lo + chunk], b[lo:lo + chunk], p, dtype)
+    if p:
+        out %= p
+    return out
+
+
+def _chunk_product(a, b, p, dtype):
+    """``a @ b`` in ``dtype``, cast to int64 and reduced into [0, p) for a
+    prime p: exact when ``dtype`` sums the terms exactly."""
+    out = (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.int64, copy=False)
+    if p:
+        out %= p
+    return out
 
 
 def _pair_product(p, a, b, top=None):
@@ -650,28 +642,26 @@ def rref(field, m):
 
 def _sparse_rows(w):
     """(row index, {column: scalar}) for every nonzero row of w.  Rows are
-    read in blocks that grow from 2^12 entries to ``SLAB``, so a dense w
-    that goes to the dense loop after a few rows is not turned into python
-    scalars whole, and a long sparse one takes few blocks.  A w of at most
-    ``ROW_PASS`` entries is read by one python pass over its rows instead,
-    which costs less than the numpy calls of one block."""
+    read in blocks of ``SLAB`` entries, so a dense w that goes to the dense
+    loop after a few rows is not turned into python scalars whole, and a
+    long sparse one takes few blocks.  A w of at most ``ROW_PASS`` entries
+    is read by one python pass over its rows instead, which costs less than
+    the numpy calls of one block."""
     if w.size <= ROW_PASS:
         for i, row in enumerate(w.tolist()):
             if v := {j: x for j, x in enumerate(row) if x}:
                 yield i, v
         return
     width = max(1, w.shape[1])
-    lo, cells = 0, 2**12
-    while lo < len(w):
-        hi = lo + max(1, cells // width)
-        flat = w[lo:hi].reshape(-1)
+    step = max(1, SLAB // width)
+    for lo in range(0, len(w), step):
+        flat = w[lo:lo + step].reshape(-1)
         at = flat.nonzero()[0]
         rows, cols = divmod(at, width)
         cuts = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
         rows, cols, vals = rows.tolist(), cols.tolist(), flat[at].tolist()
         for a, b in zip([0] + cuts, cuts + [len(cols)] if cols else []):
             yield lo + rows[a], dict(zip(cols[a:b], vals[a:b]))
-        lo, cells = hi, min(2 * cells, SLAB)
 
 
 def _rational_rows(m):

@@ -326,38 +326,66 @@ def test_contract_at_the_exact_sum_bound(p):
 
 
 @pytest.mark.parametrize("p", [2, 94906249, 2**31 - 1])
-def test_contract_with_zero_size_axes(p, monkeypatch):
+def test_contract_with_zero_size_axes(p):
     f = Field.prime(p)
     cases = [
         ((0, 3), (3, 4), 1), ((3, 0), (0, 4), 1), ((3, 4), (4, 0), 1),
         ((0,), (0, 2), 1), ((2, 0, 3), (3, 0), ([1, 2], [1, 0])),
         ((2, 3, 0), (0, 3), (2, 0)), ((2, 0), (0, 5, 2), 1),
     ]
-    for slab in (linalg.SLAB, 1):
-        monkeypatch.setattr(linalg, "SLAB", slab)
+    for chunk in (f.chunk, 1):
+        f.chunk = chunk
         for sa, sb, axes in cases:
             a, b = np.ones(sa, dtype=np.int64), np.ones(sb, dtype=np.int64)
             assert_reduced(f.contract(a, b, axes), exact_contract(a, b, axes, p), p)
 
 
 @pytest.mark.parametrize("p", [5, 94906249, 2**31 - 1])
-def test_contract_by_slabs_matches_one_slab(p, monkeypatch):
+def test_contract_by_chunks_matches_exact_sum(p):
+    # a chunk longer than the field's own could pass the exact bound, so
+    # the forced chunks stop there (1 term over 94906249, 2 over 2^31 - 1)
     f = Field.prime(p)
     rng = np.random.default_rng(p)
     cases = [
-        ((40, 6), (6, 7), 1),  # slabs of rows of a
-        ((6, 5), (5, 40), 1),  # b is larger: slabs of columns of the result
+        ((40, 6), (6, 7), 1),
+        ((6, 5), (5, 40), 1),
         ((9,), (9, 30), 1),
         ((5, 4, 3, 6), (6, 3, 8), ([2, 3], [1, 0])),
     ]
-    for sa, sb, axes in cases:
-        a, b = rng.integers(1 - p, p, size=sa), rng.integers(1 - p, p, size=sb)
-        whole = f.contract(a, b, axes)
-        for slab in (1, 7, 50):
-            monkeypatch.setattr(linalg, "SLAB", slab)
-            assert_reduced(f.contract(a, b, axes), whole, p)
-        monkeypatch.undo()
-        assert_reduced(whole, exact_contract(a, b, axes, p), p)
+    for chunk in sorted({min(c, f.chunk) for c in (1, 2, 7)}):
+        f.chunk = chunk
+        for sa, sb, axes in cases:
+            a, b = rng.integers(1 - p, p, size=sa), rng.integers(1 - p, p, size=sb)
+            assert_reduced(f.contract(a, b, axes), exact_contract(a, b, axes, p), p)
+
+
+# columns of the 300 x 300 products below that are checked against python
+# ints, whose own product would take seconds whole
+EXACT_COLUMNS = [0, 1, 77, 150, 298, 299]
+
+
+@pytest.mark.parametrize("p", [5, 94906249, 2**31 - 1])
+def test_dense_product_past_one_block(p):
+    # a dense product of 90,000-entry operands, one chunk over F_5 and 300
+    # and 150 chunks over the two large primes
+    f = Field.prime(p)
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(1 - p, p, size=(2, 300, 300))
+    got = f.matmul(a, b)
+    assert_reduced(got[:, EXACT_COLUMNS], exact_contract(a, b[:, EXACT_COLUMNS], 1, p), p)
+
+
+def test_dense_rational_product_past_one_block():
+    # numerators below 2^24: k max|N_a| max|N_b| passes 2^53 for k = 300,
+    # so the int64 numerators are summed in float64 chunks of 2^53 // top
+    rng = np.random.default_rng(0)
+    na, nb = (rng.integers(-2**24 + 1, 2**24, size=(300, 300)) for _ in range(2))
+    na[0, 0] = nb[0, 0] = 2**24 - 1
+    top = (2**24 - 1) ** 2
+    assert 300 * top > 2**53 and linalg._summation(top)[1] < 300
+    got = QQ.matmul(QQ.array(na), QQ.array(nb))
+    want = na.astype(object) @ nb[:, EXACT_COLUMNS].astype(object)
+    assert_fractions(got[:, EXACT_COLUMNS], QQ.array(want))
 
 
 def test_contract_small_prime_is_fast():

@@ -56,6 +56,28 @@ def test_no_fraction_subtraction_outside_linalg(monkeypatch):
     assert not outside
 
 
+def test_no_fraction_products_in_numpy_kron(monkeypatch):
+    # u (x) 1 and its kin are contractions over the empty axis, read on
+    # numerators, not np.kron over Fraction object arrays
+    callers = Counter()
+    for name in ("__mul__", "__rmul__"):
+        def spy(self, other, op=getattr(Fraction, name)):
+            frame, site = sys._getframe(1), "elsewhere"
+            while frame is not None:
+                if frame.f_code.co_name == "kron" and "numpy" in frame.f_code.co_filename:
+                    site = "np.kron"
+                frame = frame.f_back
+            callers[site] += 1
+            return op(self, other)
+        monkeypatch.setattr(Fraction, name, spy)
+    args = argparse.Namespace(side=None, element=None)
+    for build in Q_FIXTURES.values():
+        for command in ("check", "translate", "integrals", "frobenius"):
+            HANDLERS[command](build(), args)
+    assert callers["elsewhere"], "the spy saw no Fraction product at all"
+    assert not callers["np.kron"]
+
+
 def _corrupted(name, key, seed):
     """The spec of the Q fixture ``name`` with one entry of the structure
     map ``key`` moved by a nonzero rational, chosen by ``seed``.  A row of
