@@ -73,14 +73,16 @@ class AlgebraPresentation:
 
     @property
     def basis_left_mults(self):
+        """The stack of ``left_mult(e_i)``: a transposed copy of ``mul``."""
         if self._lmults is None:
-            self._lmults = [self.left_mult(self.basis(i)) for i in range(self.dim)]
+            self._lmults = self.mul.transpose(0, 2, 1).copy()
         return self._lmults
 
     @property
     def basis_right_mults(self):
+        """The stack of ``right_mult(e_i)``: a transposed copy of ``mul``."""
         if self._rmults is None:
-            self._rmults = [self.right_mult(self.basis(i)) for i in range(self.dim)]
+            self._rmults = self.mul.transpose(1, 2, 0).copy()
         return self._rmults
 
     def power(self, x, n):
@@ -249,8 +251,9 @@ def free_basis(field, mats):
         f.array(rng.integers(lo, hi, size=dy)) for _ in range(_FREE_BASIS_TRIES * r)))
     # the span so far, reduced: rows[:, pivots] is the identity
     rows, pivots, gens = f.zeros((0, dy)), [], []
-    for g in cands:
-        block = f.contract(mats, g, (2, 0))  # row a: mats_a g
+    for j, g in enumerate(cands):
+        # row a: mats_a g, a column of mats for the basis vector g = e_j
+        block = mats[:, :, j] if j < dy else f.contract(mats, g, (2, 0))
         if pivots:
             block = f.sub(block, f.matmul(block[:, pivots], rows))
         new, piv = rref(f, block)

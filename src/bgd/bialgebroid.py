@@ -123,26 +123,27 @@ class LeftBialgebroid:
                 twin._cache[_COOP_TWIN[key]] = self._cache[key]
         return self._cache[key]
 
-    def _mults(self, key, mat, mk):
+    def _mults(self, key, mat, axis):
+        """The left (``axis`` 0) or right (``axis`` 1) multiplications by
+        the columns of ``mat``, stacked: one contraction with ``mul``."""
         return self._cached(
-            key, lambda: [mk(self.field.mod(mat[:, i])) for i in range(self.A.dim)]
-        )
+            key, lambda: self.field.contract(mat, self.U.mul, (0, axis)).transpose(0, 2, 1))
 
     @property
     def Ls(self):
-        return self._mults("Ls", self.s_map, self.U.left_mult)
+        return self._mults("Ls", self.s_map, 0)
 
     @property
     def Lt(self):
-        return self._mults("Lt", self.t_map, self.U.left_mult)
+        return self._mults("Lt", self.t_map, 0)
 
     @property
     def Rs(self):
-        return self._mults("Rs", self.s_map, self.U.right_mult)
+        return self._mults("Rs", self.s_map, 1)
 
     @property
     def Rt(self):
-        return self._mults("Rt", self.t_map, self.U.right_mult)
+        return self._mults("Rt", self.t_map, 1)
 
     # -- balanced tensors of U ----------------------------------------------
 

@@ -72,10 +72,8 @@ def frobenius_system(b, extension="via_s"):
     eye_a, eye_u, zero = f.eye(da), f.eye(d), f.zeros((da, d))
     eqs = [([(eye_a, b.U.right_mult(t0))], b.counit)]
     for a in range(da):
-        av = b.A.basis(a)
-        for mult, amult in ((b.U.left_mult, b.A.left_mult),
-                            (b.U.right_mult, b.A.right_mult)):
-            eqs.append(([(eye_a, mult(b.s_of(av))), (-amult(av), eye_u)], zero))
+        for us, am in ((b.Ls, b.A.basis_left_mults), (b.Rs, b.A.basis_right_mults)):
+            eqs.append(([(eye_a, us[a]), (-am[a], eye_u)], zero))
     sol = solve_matrix_equation(f, (da, d), eqs)
     if sol is None:
         return None

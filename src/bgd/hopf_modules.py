@@ -12,6 +12,7 @@ import numpy as np
 from .algebra import check_action, project_stack
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
 from .duals import (
+    _cached,
     _s_side_dual_basis,
     dual_action,
     left_dual,
@@ -155,7 +156,11 @@ def comparison_map(b, action_u):
 
 def build_u_star_hopf_module(b):
     """The t-side dual as a left-left Hopf module: action through the left
-    translation, coaction phi -> sum_i e_i (x) phi e_i^*."""
+    translation, coaction phi -> sum_i e_i (x) phi e_i^*.  Built once per b."""
+    return _cached(b, "u star hopf module", _build_u_star_hopf_module)
+
+
+def _build_u_star_hopf_module(b):
     f, d = b.field, b.U.dim
     up = right_dual(b)
     ds = up.dim
@@ -166,7 +171,8 @@ def build_u_star_hopf_module(b):
     # column m: sum_i e_i (x) phi_m e_i^*
     prods = f.contract(np.stack(estars), up.U.mul, (1, 1))  # (i, m, y)
     coact = prods.swapaxes(1, 2).reshape(d * ds, ds)
-    a_act = [up.U.right_mult(up.t_map[:, a]) for a in range(b.A.dim)]
+    # the right multiplications by t(a) on U^*
+    a_act = f.contract(up.t_map, up.U.mul, (0, 1)).transpose(0, 2, 1)
     com = ComodulePresentation(b, "left", a_act, coact, name="U^*")
     return HopfModulePresentation(b, "LL", act, com, name="U^*")
 
@@ -201,7 +207,7 @@ def _cov_data(mod, twist):
     if c == 0:
         return f.zeros((mod.dim, 0)), [f.zeros((0, 0))] * mod.b.A.dim
     covmat = np.stack(cov, axis=1)
-    moved = [f.matmul(mod.act(twist[:, a]), covmat) for a in range(mod.b.A.dim)]
+    moved = f.contract(mod.act(twist), covmat, (2, 0))  # [a, m, j]: map(a_a) cov_j
     sol = solve_affine(f, covmat, np.concatenate(moved, axis=1))
     if sol is None:
         raise ValueError("coinvariants not closed under the A-action")
@@ -212,7 +218,7 @@ def _evaluation(mod, covmat, dom):
     """The map u (x) m -> u.m from ``dom``, a balanced tensor of U with the
     coinvariants ``covmat``, into M; None if it does not descend."""
     f = mod.field
-    amb = np.concatenate([f.matmul(a, covmat) for a in mod.action], axis=1)
+    amb = np.concatenate(f.contract(mod.action, covmat, (2, 0)), axis=1)
     try:
         return Quotient(f, mod.dim).induced_op(amb, dom)
     except DescentError:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from .algebra import project_stack
+from .duals import _cached
 from .hopf import is_right_hopf, translate_right
 from .linalg import kernel_basis, rank, solve_affine, solve_matrix_equation
 from .report import Report
@@ -44,7 +45,7 @@ class IntegralSpace:
         return solve_affine(self.field, self.span_matrix(), v) is not None
 
     def _orbit(self, g):
-        return np.stack([self.field.matmul(m, g) for m in self.action], axis=1)
+        return self.field.contract(self.action, g, (2, 0)).T
 
     def _find_generator(self):
         f, da = self.field, self.base.dim
@@ -74,14 +75,14 @@ class IntegralSpace:
             return True
         # span-coordinate action matrices and the evaluation map
         span = self.span_matrix()
-        sol = solve_affine(f, span, np.concatenate(
-            [f.matmul(a, span) for a in self.action], axis=1))
+        sol = solve_affine(f, span, np.concatenate(f.contract(self.action, span, (2, 0)), axis=1))
         if sol is None:
             raise ValueError("vector escapes the integral span")
         act = np.split(sol[0], da, axis=1)
         ev = np.stack(act, axis=2).reshape(m, m * da)
-        rr = [f.contract(f.eye(m), rm, 0).transpose(0, 2, 1, 3).reshape(m * da, m * da)
-              for rm in self.base.basis_right_mults]
+        # rr[a] = kron(1_m, right_mult(e_a)) on A^m
+        rr = f.contract(f.eye(m), self.base.basis_right_mults, 0).transpose(
+            2, 0, 3, 1, 4).reshape(da, m * da, m * da)
         # unknown sigma^T, sigma: span -> A^m with ev sigma = 1 and
         # sigma act[a] = rr[a] sigma
         eye_m, eye_n = f.eye(m), f.eye(m * da)
@@ -92,35 +93,34 @@ class IntegralSpace:
         return solve_matrix_equation(f, (m, m * da), eqs) is not None
 
 
-def _integral_basis(b, mult):
-    """Basis of {l : mult(u) l = mult(s(eps(u))) l for all basis u}, for
-    ``mult`` the left or the right multiplication matrix of U."""
-    f, d = b.field, b.U.dim
-    rows = []
-    for i in range(d):
-        e = b.U.basis(i)
-        rows.append(f.sub(mult(e), mult(b.s_of(b.eps(e)))))
-    return kernel_basis(f, np.concatenate(rows, axis=0))
+def _integral_basis(b, left):
+    """Basis of {l : u l = s(eps(u)) l for all basis u} (``left``) or of
+    {l : l u = l s(eps(u))}: one residual of stacked multiplications."""
+    f, u = b.field, b.U
+    mults = u.basis_left_mults if left else u.basis_right_mults
+    se = f.contract(f.matmul(b.s_map, b.counit), u.mul, (0, 0 if left else 1))
+    return kernel_basis(f, f.residual(mults, se.swapaxes(1, 2)).reshape(u.dim**2, u.dim))
 
 
 def left_integrals(b):
-    """The space of l with u l = s(eps(u)) l for all u."""
-    return IntegralSpace("left", b.A, _integral_basis(b, b.U.left_mult), b.Rt)
+    """The space of l with u l = s(eps(u)) l for all u, built once per b."""
+    return _cached(b, "left integrals", lambda b: IntegralSpace(
+        "left", b.A, _integral_basis(b, True), b.Rt))
 
 
 def right_integrals(w):
     """The space of right integrals of a right bialgebroid, computed as
     left integrals of its standard left-bialgebroid reduction."""
-    spc = left_integrals(w.op_coop())
-    spc.side = "right"
-    return spc
+    b = w.op_coop()
+    return IntegralSpace("right", b.A, _integral_basis(b, True), b.Rt)
 
 
 def right_integrals_of_left(b):
     """The mirror space {l : l u = l s(eps(u)) for all u} of a left
-    bialgebroid, closed under the left multiplications by s(a).  The
-    co-opposite would swap s for t, so it is not derived from there."""
-    return IntegralSpace("right", b.A, _integral_basis(b, b.U.right_mult), b.Ls)
+    bialgebroid, closed under the left multiplications by s(a), built once
+    per b.  The co-opposite would swap s for t, so it is not derived there."""
+    return _cached(b, "right integrals", lambda b: IntegralSpace(
+        "right", b.A, _integral_basis(b, False), b.Ls))
 
 
 def integral_invariance_check(b, l):
@@ -153,21 +153,21 @@ def separability_check(b):
     """A splitting tensor e1 (x) e2 in U_<# (x)_A |>U with e1 e2 = 1 and
     u e1 (x) e2 = e1 (x) e2 u for all u, found by a direct linear solve.
     Returned as an ambient U (x) U lift, or None."""
-    f, d = b.field, b.U.dim
+    f, d, mul = b.field, b.U.dim, b.U.mul
     q = b.T2
     sec = q.section_mat
-    mult_amb = f.zeros((d, d * d))
+    legs = sec.reshape(d, d, q.dim)  # [x, y, c]: the lift of class c
+    # rows: e' e'' = 1, then pm (u (x) 1 - 1 (x) u) e = 0 for each basis u;
+    # the zero rows of the blocks are dropped, which keeps the row space
+    rows = [f.contract(mul.reshape(d * d, d), sec, (0, 0))]
     for i in range(d):
-        mult_amb[:, i * d : (i + 1) * d] = b.U.mul[i].T
-    rows = [f.matmul(mult_amb, sec)]
-    rhs = [b.U.unit]
-    pm = q.project_mat
-    for i in range(d):
-        lu = np.kron(b.U.basis_left_mults[i], f.eye(d))
-        ru = np.kron(f.eye(d), b.U.basis_right_mults[i])
-        rows.append(f.matmul(f.matmul(pm, f.sub(lu, ru)), sec))
-        rhs.append(f.zeros(q.dim))
-    sol = solve_affine(f, np.concatenate(rows, 0), np.concatenate(rhs))
+        left = f.contract(mul[i], legs, (0, 0))  # [z, y, c]: u x (x) y
+        right = f.contract(legs, mul[:, i], (1, 0)).swapaxes(1, 2)  # x (x) y u
+        block = f.matmul(q.project_mat, f.residual(left, right).reshape(d * d, q.dim))
+        rows.append(block[block.any(axis=1)])
+    system = np.concatenate(rows)
+    del rows  # only the system is alive during the solve
+    sol = solve_affine(f, system, np.concatenate([b.U.unit, f.zeros(len(system) - d)]))
     if sol is None:
         return None
     return f.matmul(sec, sol[0])

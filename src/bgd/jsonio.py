@@ -47,25 +47,30 @@ def _parse_scalar(f, s, where):
         raise SpecError(where, f"bad scalar {s!r}")
 
 
+def _parse_row(f, data, where, seen):
+    """The scalars of the list data, each distinct string parsed once and
+    kept in ``seen``; the first bad entry raises at its path."""
+    for j, s in enumerate(data):
+        if str(s) not in seen:
+            seen[str(s)] = _parse_scalar(f, s, f"{where}[{j}]")
+    return [seen[str(s)] for s in data]
+
+
 def _parse_matrix(f, data, shape, where):
     if not isinstance(data, list) or len(data) != shape[0]:
         raise SpecError(where, f"expected {shape[0]} rows")
-    m = f.zeros(shape)
+    rows, seen = [], {}
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise SpecError(f"{where}[{i}]", f"expected {shape[1]} entries")
-        for j, s in enumerate(row):
-            m[i, j] = _parse_scalar(f, s, f"{where}[{i}][{j}]")
-    return f.mod(m)
+        rows.append(_parse_row(f, row, f"{where}[{i}]", seen))
+    return f.array(rows).reshape(shape)
 
 
 def _parse_vector(f, data, n, where):
     if not isinstance(data, list) or len(data) != n:
         raise SpecError(where, f"expected {n} entries")
-    v = f.zeros(n)
-    for j, s in enumerate(data):
-        v[j] = _parse_scalar(f, s, f"{where}[{j}]")
-    return f.mod(v)
+    return f.array(_parse_row(f, data, where, {})).reshape(n)
 
 
 def _parse_algebra(f, doc, where):

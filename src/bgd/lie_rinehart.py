@@ -5,11 +5,16 @@ A restricted Lie-Rinehart algebra here is a free A-module L = A^n with a
 bracket given by structure constants f_{ij}^k in A, an anchor sending each
 generator to a derivation of A, and a p-operation on the generators.
 The restricted enveloping algebra has k-basis {a_r e^alpha} with
-alpha in [0, p-1]^n (PBW), products computed by straightening:
+alpha in [0, p-1]^n (PBW; Rinehart, Trans. AMS 108, 1963).  Straightening
 
     e_i (a Y)        = a (e_i Y) + anchor_i(a) Y
     e_i e_j Y (j<i)  = e_j (e_i Y) + [e_i, e_j] Y
     e_i^p Y          = iota(e_i^[p]) Y
+
+gives e_i e^alpha for each generator and exponent; every other product is
+a composite of the matrices of left multiplication by the e_i built from
+these, and the coproduct a product of right multiplications
+(``restricted_enveloping``).
 """
 
 import numpy as np
@@ -177,9 +182,9 @@ class _Envelope:
     def amul(self, avec, elem):
         """Multiply an element on the left by a in A (PBW coefficients)."""
         out = {}
-        a_ = self.lr.A
+        left = self.lr.A.left_mult(avec)
         for (r, alpha), c in elem.items():
-            prod = a_.mult(avec, a_.basis(r))
+            prod = left[:, r]
             for t in np.nonzero(prod)[0]:
                 key = (int(t), alpha)
                 out[key] = self.f.add(out.get(key, 0), self.f.mul(c, prod[t]))
@@ -225,20 +230,12 @@ class _Envelope:
         a_ = self.lr.A
         for (r, alpha), c in elem.items():
             main = self.amul(a_.basis(r), self.gen_pow(i, alpha))
-            out = _acc(self.f, out, _scale(self.f, main, c))
+            out = _acc(self.f, out, {k: self.f.mul(v, c) for k, v in main.items()})
             dvec = self.f.mod(self.lr.anchors[i][:, r])
             for t in np.nonzero(dvec)[0]:
                 key = (int(t), alpha)
                 out[key] = self.f.add(out.get(key, 0), self.f.mul(c, dvec[t]))
         return {k: v for k, v in out.items() if v != 0}
-
-    def product(self, r, alpha, s, beta):
-        """(a_r e^alpha)(a_s e^beta) as a straightened element."""
-        y = {(s, beta): 1}
-        for i in reversed(range(self.n)):
-            for _ in range(alpha[i]):
-                y = self.gen_mult(i, y)
-        return self.amul(self.lr.A.basis(r), y)
 
     def to_vec(self, elem):
         v = self.f.zeros(self.dim)
@@ -269,60 +266,65 @@ def _acc(f, dst, src):
     return dst
 
 
-def _scale(f, elem, c):
-    return {k: f.mul(v, c) for k, v in elem.items()}
-
-
 def restricted_enveloping(lr):
     """The restricted enveloping algebra of lr as a left bialgebroid.
 
     k-basis a_r e^alpha; s = t = the inclusion of A; the generators are
     primitive; eps(a e^alpha) = a if alpha = 0 and 0 otherwise.
+
+    G_i, the matrix of ``_Envelope.gen_mult(i, .)``, has column (r, alpha)
+    a_r (e_i e^alpha) + omega_i(a_r) e^alpha.  Left multiplication by
+    e^alpha is op(alpha) = G_k op(alpha - e_k), k the first nonzero index
+    of alpha, and row (r, alpha) of ``mul`` is (L_{a_r} op(alpha))^T, all
+    in one contraction.  Delta(a_r e^alpha) is Delta(a_r e^(alpha - e_k)),
+    k the last nonzero index, times e_k (x) 1 + 1 (x) e_k.
     """
     eng = _Envelope(lr)
-    f = lr.field
-    d = eng.dim
-    da = lr.A.dim
-    mul = f.zeros((d, d, d))
-    for i in range(d):
-        r, alpha = eng.decode(i)
-        for j in range(d):
-            s, beta = eng.decode(j)
-            mul[i, j] = eng.to_vec(eng.product(r, alpha, s, beta))
-    labels = []
-    for i in range(d):
-        r, alpha = eng.decode(i)
-        mono = "".join(
-            f"e{k + 1}^{a}" if a > 1 else (f"e{k + 1}" if a else "")
-            for k, a in enumerate(alpha)
-        )
-        labels.append(f"{lr.A.labels[r]}{('*' + mono) if mono else ''}")
-    unit = eng.to_vec(eng.unit_elem((0,) * lr.n))
-    total = AlgebraPresentation(f, mul, unit, labels)
+    f, a_, n = lr.field, lr.A, lr.n
+    da, d = a_.dim, eng.dim
+    size = d // da  # p^n exponents alpha, in the order of their codes
+    alphas = [eng.decode(c)[1] for c in range(size)]
+    step = [size // lr.p ** (k + 1) for k in range(n)]  # code of e_k
+    straight = np.stack([[eng.to_vec(eng.gen_pow(i, al)) for al in alphas] for i in range(n)])
+    # [i, alpha, beta, r, t]: the a_t e^beta coefficient of a_r (e_i e^alpha)
+    moved = f.contract(straight.reshape(n, size, da, size), a_.mul, (2, 1))
+    # [i, t, r, beta, alpha]: omega_i(a_r) e^alpha
+    anchor = f.contract(lr.anchors, f.eye(size), 0)
+    gmats = f.mod(moved.transpose(0, 4, 2, 3, 1) + anchor.transpose(0, 1, 3, 2, 4))
+    gmats = gmats.reshape(n, d, d)
+    ops = f.zeros((size, d, d))
+    ops[0] = f.eye(d)
+    for c in range(1, size):
+        k = next(i for i, x in enumerate(alphas[c]) if x)
+        ops[c] = f.matmul(gmats[k], ops[c - step[k]])
+    # [r, t, alpha, beta, j]: the a_t e^beta coefficient of a_r e^alpha e_j
+    mul = f.contract(a_.mul, ops.reshape(size, da, size, d), (1, 1))
+    del ops  # each d^3 array is freed once read, which keeps the peak low at large d
+    monos = ["".join(f"e{k + 1}" + (f"^{a}" if a > 1 else "") for k, a in enumerate(al) if a)
+             for al in alphas]
+    labels = [f"{x}*{mono}" if mono else x for x in a_.labels for mono in monos]
+    unit = eng.to_vec(eng.unit_elem((0,) * n))
+    total = AlgebraPresentation(f, mul.transpose(0, 2, 4, 1, 3).reshape(d, d, d), unit, labels)
+    del mul
 
     s_map = f.zeros((d, da))
-    for r in range(da):
-        s_map[eng.index(r, (0,) * lr.n), r] = f.one
+    s_map[::size] = f.eye(da)
+    counit = s_map.T.copy()
 
-    counit = f.zeros((da, d))
-    for r in range(da):
-        counit[r, eng.index(r, (0,) * lr.n)] = f.one
-
-    gens = [eng.to_vec(eng.unit_elem(_bump((0,) * lr.n, i))) for i in range(lr.n)]
+    gens = [eng.to_vec(eng.unit_elem(_bump((0,) * n, i))) for i in range(n)]
     rgens = [total.right_mult(g) for g in gens]
-    delta = f.zeros((d * d, d))
-    for idx in range(d):
-        r, alpha = eng.decode(idx)
-        base = eng.to_vec(eng.amul(lr.A.basis(r), eng.unit_elem((0,) * lr.n)))
-        # Delta(a e^alpha) = (a (x) 1) prod_i (e_i (x) 1 + 1 (x) e_i)^alpha_i,
-        # each factor a right multiplication on both legs of the d x d lift
-        t = f.mod(np.outer(base, unit))
-        for i in range(lr.n):
-            for _ in range(alpha[i]):
-                t = f.mod(f.matmul(rgens[i], t) + f.matmul(t, rgens[i].T))
-        delta[:, idx] = t.reshape(-1)
+    # [x, y, (r, alpha)]: the lift of Delta(a_r e^alpha) to U (x) U, whose
+    # columns for one alpha are delta[:, :, code::size]; Delta(a_r) = a_r (x) 1
+    delta = f.zeros((d, d, d))
+    delta[::size, :, ::size] = f.contract(a_.right_mult(a_.unit), unit, 0).swapaxes(1, 2)
+    for c in range(1, size):
+        k = max(i for i, x in enumerate(alphas[c]) if x)
+        lift, rk = delta[:, :, c - step[k]::size], rgens[k]
+        delta[:, :, c::size] = f.mod(
+            f.contract(rk, lift, (1, 0)) + f.contract(lift, rk, (1, 1)).swapaxes(1, 2))
 
-    b = LeftBialgebroid(lr.A, total, s_map, s_map, delta, counit, name=f"U({lr.name})")
+    b = LeftBialgebroid(lr.A, total, s_map, s_map, delta.reshape(d * d, d), counit,
+                        name=f"U({lr.name})")
     b._cache["lr"] = lr
     b._cache["lr_engine"] = eng
     b._cache["lr_gens"] = gens

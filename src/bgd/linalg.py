@@ -288,7 +288,7 @@ class Field:
 
     def array(self, data):
         if self.kind == "prime":
-            return np.array(data, dtype=np.int64) % self.p
+            return np.remainder(np.asarray(data, dtype=np.int64), self.p)
         # Fractions are kept as they are and zeros share one Fraction(0), so
         # only nonzero non-Fraction entries build a Fraction of their own
         a = np.array(data, dtype=object)

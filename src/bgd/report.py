@@ -1,8 +1,12 @@
 """Structured pass/fail reports shared by all checkers."""
 
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import is_not
 
 import numpy as np
+
+from .linalg import _ZERO
 
 
 @dataclass
@@ -38,8 +42,13 @@ class Report:
         first nonzero entry in that order gives ``where``, and ``witness``,
         if given, is called with its leading indices to give the witness
         text."""
-        nonzero = np.flatnonzero(residual)
-        if not nonzero.size:
+        flat = np.ravel(residual)
+        if flat.dtype == object:  # over Q the shared zeros are skipped by identity
+            vals = flat.tolist()
+            nonzero = [i for i in compress(count(), map(is_not, vals, repeat(_ZERO))) if vals[i]]
+        else:
+            nonzero = np.flatnonzero(flat)
+        if not len(nonzero):
             return self.add(check_id, True)
         idx = np.unravel_index(nonzero[0], np.shape(residual))[:len(labels)]
         idx = [int(i) for i in idx]

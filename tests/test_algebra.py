@@ -18,7 +18,7 @@ from bgd.algebra import (
     tensor_product,
     triple_classes,
 )
-from bgd.fixtures import FIXTURES, regular_comodule, truncated_polynomials
+from bgd.fixtures import FIXTURES, env, group_q3, pair, regular_comodule, truncated_polynomials
 from bgd.bialgebroid import LeftBialgebroid, check_left_bialgebroid
 from bgd.linalg import DescentError, Field
 
@@ -384,3 +384,25 @@ def test_triple_embedding_needs_commuting_middle():
     d = b.U.dim
     with pytest.raises(DescentError):
         triple_classes(F2, F2.zeros((d, d, d, 1)), F2.zeros((d, d, d, 1)), leg12, leg23)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: env(F5, 2), lambda: pair(F5, 2), lambda: env(QQ, 2), lambda: pair(QQ, 2),
+    group_q3, FIXTURES["crossed"],
+])
+def test_batched_mults_match_products(build):
+    # the stacks are read off mul in one step; each matrix is still the
+    # product by one element
+    b = build()
+    f, u = b.field, b.U
+    for stack, mult, elems in (
+            (u.basis_left_mults, u.left_mult, f.eye(u.dim)),
+            (u.basis_right_mults, u.right_mult, f.eye(u.dim)),
+            (b.Ls, u.left_mult, b.s_map.T), (b.Lt, u.left_mult, b.t_map.T),
+            (b.Rs, u.right_mult, b.s_map.T), (b.Rt, u.right_mult, b.t_map.T)):
+        assert len(stack) == len(elems)
+        for m, x in zip(stack, elems):
+            assert f.equal(m, mult(x))
+    # the basis stacks are copies, not views of mul
+    assert not np.shares_memory(u.basis_left_mults, u.mul)
+    assert not np.shares_memory(u.basis_right_mults, u.mul)

@@ -104,3 +104,22 @@ def test_coinvariants_of_s_side_dual_are_dual_right_integrals(name):
         sm = sp.span_matrix()
         r = rank(f, cv)
         assert r == rank(f, sm) == rank(f, np.hstack([cv, sm]))
+
+
+@pytest.mark.parametrize("name", ["group-f3", "rank1-dual-numbers", "abelian-n"])
+def test_fundamental_builds_u_star_once(name, monkeypatch):
+    # the s-side module is transported from the t-side one, which the
+    # t-dual item has built already
+    import argparse
+
+    from bgd import hopf_modules
+    from bgd.cli import HANDLERS
+
+    calls = []
+    build = hopf_modules._build_u_star_hopf_module
+    monkeypatch.setattr(hopf_modules, "_build_u_star_hopf_module",
+                        lambda b: calls.append(b) or build(b))
+    b = FIXTURES[name]()
+    rep, _ = HANDLERS["fundamental"](b, argparse.Namespace(side=None, element=None))
+    assert any(i.check_id == "fundamental.s-dual-iso" for i in rep.items)
+    assert calls == [b]

@@ -178,3 +178,24 @@ def test_enveloping_integrals_free_rank_one(name):
     assert sp.dim == b.A.dim
     assert sp.free_rank_one
     assert sp.contains(sp.generator)
+
+
+@pytest.mark.parametrize("command", ["maschke", "frobenius", "quasi-frobenius"])
+@pytest.mark.parametrize("name", ["group-f3", "rank1-dual-numbers", "monoid-non-hopf"])
+def test_integral_space_built_once(command, name, monkeypatch):
+    # each command reads b's left integral space from b's cache
+    import argparse
+
+    from bgd import integrals
+    from bgd.cli import HANDLERS
+
+    built = []
+    init = integrals.IntegralSpace.__init__
+
+    def spy(self, side, base, basis, action):
+        built.append((side, base))
+        init(self, side, base, basis, action)
+    monkeypatch.setattr(integrals.IntegralSpace, "__init__", spy)
+    b = FIXTURES[name]()
+    HANDLERS[command](b, argparse.Namespace(side=None, element=None))
+    assert [side for side, base in built if base is b.A] == ["left"]

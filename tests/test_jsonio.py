@@ -96,6 +96,17 @@ def test_bad_scalar_in_unit():
     _expect_error(doc, "algebras.U.unit[0]")
 
 
+def test_first_bad_scalar_in_row_major_order():
+    # a string already parsed is not parsed again, and a bad one raises at
+    # its first place in row-major order, before later rows are checked
+    doc = _doc()
+    rows = doc["bialgebroid"]["delta"]
+    rows[1][0] = rows[2][0] = "1/x"
+    rows[1][1] = "2/x"
+    rows[3] = rows[3][:-1]
+    _expect_error(doc, "bialgebroid.delta[1][0]")
+
+
 def test_mul_index_out_of_range():
     doc = _doc()
     doc["algebras"]["U"]["mul"][0][0] = 99

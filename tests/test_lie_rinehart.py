@@ -7,16 +7,20 @@ from bgd.bialgebroid import check_left_bialgebroid, check_right_bialgebroid
 from bgd.fixtures import (
     FIXTURES,
     LR_FIXTURES,
+    abelian_lr,
     rank1_dual_numbers,
     rank1_dual_numbers_lr,
+    rank_n_truncated_lr,
 )
 from bgd.hopf import is_left_hopf, is_right_hopf, translate_left
 from bgd.jsonio import export_spec, parse_spec
 from bgd.lie_rinehart import (
     RestrictedLieRinehart,
+    _Envelope,
     enveloping_report,
     jet_algebroid,
     jet_lambda_coords,
+    restricted_enveloping,
 )
 
 ENV = ["rank1-dual-numbers", "rank1-dual-numbers-p3", "abelian-n", "crossed"]
@@ -177,3 +181,64 @@ def test_jet_lambda_powers_vanish():
         p = b.field.p
         for lam in jet_lambda_coords(b, jet):
             assert b.field.is_zero(jet.U.power(lam, p))
+
+
+def _straightened(lr):
+    """``mul`` and ``delta`` of the envelope of lr, each product
+    straightened term by term with ``_Envelope.gen_mult`` and each
+    coproduct lift multiplied out factor by factor."""
+    eng, f, a_, n = _Envelope(lr), lr.field, lr.A, lr.n
+    d = eng.dim
+    mul = f.zeros((d, d, d))
+    for i in range(d):
+        r, alpha = eng.decode(i)
+        for j in range(d):
+            y = {eng.decode(j): 1}
+            for k in reversed(range(n)):
+                for _ in range(alpha[k]):
+                    y = eng.gen_mult(k, y)
+            mul[i, j] = eng.to_vec(eng.amul(a_.basis(r), y))
+    unit = eng.to_vec(eng.unit_elem((0,) * n))
+    rgens = []
+    for k in range(n):
+        g = eng.to_vec(eng.unit_elem(tuple(int(i == k) for i in range(n))))
+        rgens.append(f.contract(g, mul, (0, 1)).T)
+    delta = f.zeros((d * d, d))
+    for idx in range(d):
+        r, alpha = eng.decode(idx)
+        t = f.mod(np.outer(eng.to_vec(eng.amul(a_.basis(r), eng.unit_elem((0,) * n))), unit))
+        for k in range(n):
+            for _ in range(alpha[k]):
+                t = f.mod(f.matmul(rgens[k], t) + f.matmul(t, rgens[k].T))
+        delta[:, idx] = t.reshape(-1)
+    return mul, delta
+
+
+def _corrupted(lr, key, seed):
+    """lr with one entry of its bracket, of one anchor or of its
+    p-operation moved by a nonzero scalar chosen by ``seed``."""
+    f, rng = lr.field, np.random.default_rng(seed)
+    data = {"bracket": lr.bracket.copy(), "anchors": lr.anchors.copy(), "pops": lr.pops.copy()}
+    m = data[key]
+    idx = tuple(int(rng.integers(k)) for k in m.shape)
+    m[idx] = f.canon(m[idx] + int(rng.integers(1, f.p)))
+    return RestrictedLieRinehart(lr.A, lr.n, data["bracket"], data["anchors"], data["pops"])
+
+
+_ENVELOPE_CASES = dict(LR_FIXTURES)
+_ENVELOPE_CASES["trunc-2-3"] = lambda: rank_n_truncated_lr(2, 3)
+_ENVELOPE_CASES["trunc-3-2"] = lambda: rank_n_truncated_lr(3, 2)
+_ENVELOPE_CASES["abelian-3-2"] = lambda: abelian_lr(3, 2)
+for _name in ("crossed", "trunc-3-2", "rank1-dual-numbers-p3"):
+    for _seed, _key in enumerate(("bracket", "anchors", "pops") * 2):
+        _ENVELOPE_CASES[f"{_name}-bad-{_key}-{_seed}"] = (
+            lambda c=_name, k=_key, sd=_seed: _corrupted(_ENVELOPE_CASES[c](), k, sd))
+
+
+@pytest.mark.parametrize("case", list(_ENVELOPE_CASES))
+def test_envelope_products_match_straightening(case):
+    lr = _ENVELOPE_CASES[case]()
+    b = restricted_enveloping(lr)
+    mul, delta = _straightened(lr)
+    for got, want in ((b.U.mul, mul), (b.delta, delta)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -17,7 +17,9 @@ from bgd.cli import HANDLERS
 from bgd.fixtures import Q_FIXTURES, regular_comodule
 from bgd.hopf import comodule_translation_report, translation_report
 from bgd.jsonio import export_spec, parse_spec
+from bgd.report import Report
 
+QQ = linalg.Field.rationals()
 STRUCTURE = ("s_map", "t_map", "delta", "counit")
 
 
@@ -76,6 +78,26 @@ def test_no_fraction_products_in_numpy_kron(monkeypatch):
             HANDLERS[command](build(), args)
     assert callers["elsewhere"], "the spy saw no Fraction product at all"
     assert not callers["np.kron"]
+
+
+def test_add_residual_skips_shared_zeros(monkeypatch):
+    # the first nonzero is found by identity against the shared zero, so a
+    # zero residual costs no Fraction.__bool__; a nonzero one still reports
+    # the first nonzero entry, even after a zero that is not the shared one
+    calls = Counter()
+
+    def spy(self, op=Fraction.__bool__):
+        calls["bool"] += 1
+        return op(self)
+    monkeypatch.setattr(Fraction, "__bool__", spy)
+    rep = Report("spy")
+    labels = [["a", "b"], ["x", "y", "z"]]
+    assert rep.add_residual("zero", QQ.zeros((2, 3)), labels)
+    assert not calls
+    res = QQ.zeros((2, 3))
+    res[0, 2], res[1, 1] = Fraction(0), Fraction(1, 2)
+    assert not rep.add_residual("one", res, labels)
+    assert rep.items[-1].where == "b, y"
 
 
 def _corrupted(name, key, seed):
