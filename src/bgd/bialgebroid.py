@@ -27,6 +27,8 @@ free basis, or a leg's premises fail, the quotient is built from the
 relation rows of ``algebra.balanced_tensor``.
 """
 
+import weakref
+
 import numpy as np
 
 from .algebra import (
@@ -118,14 +120,17 @@ class LeftBialgebroid:
         co-opposite under its twin key (see ``coop``)."""
         if key not in self._cache:
             self._cache[key] = build()
-            twin = self._cache.get("coop")
+            twin = self._twin()
             if key in _COOP_TWIN and twin is not None:
                 twin._cache[_COOP_TWIN[key]] = self._cache[key]
         return self._cache[key]
 
+    def _twin(self):  # the co-opposite, if built and alive (see ``coop``)
+        twin = self._cache.get("coop")
+        return twin() if isinstance(twin, weakref.ref) else twin
+
     def _mults(self, key, mat, axis):
-        """The left (``axis`` 0) or right (``axis`` 1) multiplications by
-        the columns of ``mat``, stacked: one contraction with ``mul``."""
+        """The left (axis 0) or right (axis 1) multiplications by mat's columns."""
         return self._cached(
             key, lambda: self.field.contract(mat, self.U.mul, (0, axis)).transpose(0, 2, 1))
 
@@ -183,25 +188,28 @@ class LeftBialgebroid:
     def coop(self):
         """The co-opposite left bialgebroid (U, A^op, t, s, flip o delta, eps).
 
-        It is built once: ``b.coop().coop() is b``.  Source and target swap
-        roles, so it shares ``b``'s action lists and their free bases
-        (Ls <-> Lt, Rs <-> Rt) and balanced squares (T1 <-> T2); only its T0
-        is new.  The right-hand translation maps, their identity suite and
-        the right-comodule suites of ``bgd.hopf`` are the left-hand ones
-        computed on it.
+        It is built once: ``b.coop().coop() is b``.  It holds ``b`` weakly,
+        so the two are freed with ``b``, not by the cycle collector.  Source
+        and target swap roles, so it shares ``b``'s action lists and their
+        free bases (Ls <-> Lt, Rs <-> Rt) and balanced squares (T1 <-> T2);
+        only its T0 is new.  The right-hand translation maps, their identity
+        suite and the right-comodule suites of ``bgd.hopf`` are the
+        left-hand ones computed on it.
         """
-        if "coop" not in self._cache:
+        twin = self._twin()
+        if twin is None:
+            delta = self._delta  # a thunk needs self; a lift does not
             twin = LeftBialgebroid(
                 self.A.opposite(), self.U, self.t_map, self.s_map,
-                lambda: flip_legs(self.delta),
+                (lambda: flip_legs(self.delta)) if callable(delta) else lambda: flip_legs(delta),
                 self.counit, name=self.name + "_coop",
             )
             for key, val in self._cache.items():
                 if key in _COOP_TWIN:
                     twin._cache[_COOP_TWIN[key]] = val
-            twin._cache["coop"] = self
+            twin._cache["coop"] = weakref.ref(self)
             self._cache["coop"] = twin
-        return self._cache["coop"]
+        return twin
 
 
 def flip_legs(lift):

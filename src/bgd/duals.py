@@ -70,7 +70,6 @@ class DualBialgebroid(RightBialgebroid):
             b.A, algebra, s_map, t_map, delta, counit,
             name=f"{b.name}{'_*' if which == 'left' else '^*'}",
         )
-        self.b = b
         self.which = which  # 'left' for U_*, 'right' for U^*
         self.tensor = tensor
         self.funcs = list(tensor)
@@ -130,27 +129,26 @@ def _build_dual(b):
     t_funcs = b.coop().base_action.transpose(2, 1, 0)
     counit = f.contract(funcs, b.U.unit, (2, 0)).T
 
-    def delta_thunk():
-        return _solve_dual_coproduct(b, funcs)
-
+    # the thunk keeps U and s, not b, whose cache keeps the dual
+    u, s_map = b.U, b.s_map
     return DualBialgebroid(
         b, "left", funcs, solver, alg, solver.coords(_columns(s_funcs)),
-        solver.coords(_columns(t_funcs)), delta_thunk, counit,
+        solver.coords(_columns(t_funcs)), lambda: _solve_dual_coproduct(u, s_map, funcs), counit,
     )
 
 
-def _solve_dual_coproduct(b, funcs):
-    """Solve the defining linear system for the U_* coproduct lift."""
-    f = b.field
-    da, du = b.A.dim, b.U.dim
+def _solve_dual_coproduct(u, s_map, funcs):
+    """Solve the defining linear system for the U_* coproduct lift of (u, s_map)."""
+    f = u.field
+    da, du = s_map.shape[1], u.dim
     d = len(funcs)
     # column (i, j): the functional (p, q) -> psi_i( e_p s(psi_j(e_q)) )
-    s_vals = f.contract(funcs, b.s_map, (1, 1))  # (j, q, x)
-    s_mult = f.contract(s_vals, b.U.mul, (2, 1))  # (j, q, p, y)
+    s_vals = f.contract(funcs, s_map, (1, 1))  # (j, q, x)
+    s_mult = f.contract(s_vals, u.mul, (2, 1))  # (j, q, p, y)
     cols = f.contract(funcs, s_mult, (2, 3))  # (i, a, j, q, p)
     cols = cols.transpose(4, 3, 1, 0, 2).reshape(du * du * da, d * d)
     # column m: the functional (p, q) -> psi_m(e_p e_q)
-    rhs = f.contract(b.U.mul, funcs, (2, 2))  # (p, q, m, a)
+    rhs = f.contract(u.mul, funcs, (2, 2))  # (p, q, m, a)
     rhs = rhs.swapaxes(2, 3).reshape(du * du * da, d)
     sol = solve_affine(f, cols, rhs)
     if sol is None:

@@ -156,11 +156,14 @@ def comparison_map(b, action_u):
 
 def build_u_star_hopf_module(b):
     """The t-side dual as a left-left Hopf module: action through the left
-    translation, coaction phi -> sum_i e_i (x) phi e_i^*.  Built once per b."""
-    return _cached(b, "u star hopf module", _build_u_star_hopf_module)
+    translation, coaction phi -> sum_i e_i (x) phi e_i^*.  Its maps, not the
+    module (which refers to b), are built once per b."""
+    act, a_act, coact = _cached(b, "u star", _u_star_maps)
+    com = ComodulePresentation(b, "left", a_act, coact, name="U^*")
+    return HopfModulePresentation(b, "LL", act, com, name="U^*")
 
 
-def _build_u_star_hopf_module(b):
+def _u_star_maps(b):
     f, d = b.field, b.U.dim
     up = right_dual(b)
     ds = up.dim
@@ -173,8 +176,7 @@ def _build_u_star_hopf_module(b):
     coact = prods.swapaxes(1, 2).reshape(d * ds, ds)
     # the right multiplications by t(a) on U^*
     a_act = f.contract(up.t_map, up.U.mul, (0, 1)).transpose(0, 2, 1)
-    com = ComodulePresentation(b, "left", a_act, coact, name="U^*")
-    return HopfModulePresentation(b, "LL", act, com, name="U^*")
+    return act, a_act, coact
 
 
 def build_u_lower_star_hopf_module(b):

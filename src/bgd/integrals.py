@@ -157,8 +157,7 @@ def separability_check(b):
     q = b.T2
     sec = q.section_mat
     legs = sec.reshape(d, d, q.dim)  # [x, y, c]: the lift of class c
-    # rows: e' e'' = 1, then pm (u (x) 1 - 1 (x) u) e = 0 for each basis u;
-    # the zero rows of the blocks are dropped, which keeps the row space
+    # e' e'' = 1, then the nonzero rows of pm (u (x) 1 - 1 (x) u) e = 0 per basis u
     rows = [f.contract(mul.reshape(d * d, d), sec, (0, 0))]
     for i in range(d):
         left = f.contract(mul[i], legs, (0, 0))  # [z, y, c]: u x (x) y

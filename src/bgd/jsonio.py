@@ -48,8 +48,7 @@ def _parse_scalar(f, s, where):
 
 
 def _parse_row(f, data, where, seen):
-    """The scalars of the list data, each distinct string parsed once and
-    kept in ``seen``; the first bad entry raises at its path."""
+    """The scalars of data, each distinct string parsed once (``seen``)."""
     for j, s in enumerate(data):
         if str(s) not in seen:
             seen[str(s)] = _parse_scalar(f, s, f"{where}[{j}]")

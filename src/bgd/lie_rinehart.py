@@ -11,10 +11,8 @@ alpha in [0, p-1]^n (PBW; Rinehart, Trans. AMS 108, 1963).  Straightening
     e_i e_j Y (j<i)  = e_j (e_i Y) + [e_i, e_j] Y
     e_i^p Y          = iota(e_i^[p]) Y
 
-gives e_i e^alpha for each generator and exponent; every other product is
-a composite of the matrices of left multiplication by the e_i built from
-these, and the coproduct a product of right multiplications
-(``restricted_enveloping``).
+gives e_i e^alpha for each generator and exponent; the other products and
+the coproduct compose multiplication matrices (``restricted_enveloping``).
 """
 
 import numpy as np
@@ -273,11 +271,10 @@ def restricted_enveloping(lr):
     primitive; eps(a e^alpha) = a if alpha = 0 and 0 otherwise.
 
     G_i, the matrix of ``_Envelope.gen_mult(i, .)``, has column (r, alpha)
-    a_r (e_i e^alpha) + omega_i(a_r) e^alpha.  Left multiplication by
-    e^alpha is op(alpha) = G_k op(alpha - e_k), k the first nonzero index
-    of alpha, and row (r, alpha) of ``mul`` is (L_{a_r} op(alpha))^T, all
-    in one contraction.  Delta(a_r e^alpha) is Delta(a_r e^(alpha - e_k)),
-    k the last nonzero index, times e_k (x) 1 + 1 (x) e_k.
+    a_r (e_i e^alpha) + omega_i(a_r) e^alpha; e^alpha acts as op(alpha) =
+    G_k op(alpha - e_k), k its first nonzero index, row (r, alpha) of ``mul``
+    is (L_{a_r} op(alpha))^T, and Delta(a_r e^alpha) is Delta(a_r e^(alpha -
+    e_k)) times e_k (x) 1 + 1 (x) e_k, k the last nonzero index.
     """
     eng = _Envelope(lr)
     f, a_, n = lr.field, lr.A, lr.n

@@ -1,12 +1,10 @@
 """Structured pass/fail reports shared by all checkers."""
 
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import is_not
 
 import numpy as np
 
-from .linalg import _ZERO
+from .linalg import _numerators
 
 
 @dataclass
@@ -42,15 +40,11 @@ class Report:
         first nonzero entry in that order gives ``where``, and ``witness``,
         if given, is called with its leading indices to give the witness
         text."""
-        flat = np.ravel(residual)
-        if flat.dtype == object:  # over Q the shared zeros are skipped by identity
-            vals = flat.tolist()
-            nonzero = [i for i in compress(count(), map(is_not, vals, repeat(_ZERO))) if vals[i]]
-        else:
-            nonzero = np.flatnonzero(flat)
-        if not len(nonzero):
+        at, nums, _ = _numerators(np.asarray(residual))  # Q's shared zeros skipped
+        first = next((i for i, x in zip(at, nums) if x), None)
+        if first is None:
             return self.add(check_id, True)
-        idx = np.unravel_index(nonzero[0], np.shape(residual))[:len(labels)]
+        idx = np.unravel_index(first, np.shape(residual))[:len(labels)]
         idx = [int(i) for i in idx]
         self.add(check_id, False, witness and witness(*idx))
         self.items[-1].where = ", ".join(lab[i] for lab, i in zip(labels, idx)) or None

@@ -101,3 +101,28 @@ def test_failing_action_names_the_basis_pair():
     rep = check_comodule(regular_comodule(bad, "left"))
     assert ("FAIL comodule.action.composition: composition fails at basis pair"
             " (1, 1) (at t^1, t^1)") in rep.to_text()
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "integrals", "maschke", "frobenius",
+                                     "quasi-frobenius", "dual", "fundamental"])
+@pytest.mark.parametrize("name", ["group-f3", "rank1-dual-numbers"])
+def test_commands_leave_no_reference_cycle(command, name):
+    # b, its co-opposite and its duals are freed by reference counting
+    # once the caller drops b, not only by the cycle collector: a command
+    # builds its caches in b, and they refer back to b at most weakly
+    import argparse
+    import gc
+    import weakref
+
+    from bgd.cli import HANDLERS
+
+    b = FIXTURES[name]()
+    gc.collect()
+    gc.disable()
+    try:
+        HANDLERS[command](b, argparse.Namespace(side=None, element=None))
+        refs = [weakref.ref(x) for x in (b, b.coop())]
+        del b
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -116,9 +116,8 @@ def test_fundamental_builds_u_star_once(name, monkeypatch):
     from bgd.cli import HANDLERS
 
     calls = []
-    build = hopf_modules._build_u_star_hopf_module
-    monkeypatch.setattr(hopf_modules, "_build_u_star_hopf_module",
-                        lambda b: calls.append(b) or build(b))
+    build = hopf_modules._u_star_maps
+    monkeypatch.setattr(hopf_modules, "_u_star_maps", lambda b: calls.append(b) or build(b))
     b = FIXTURES[name]()
     rep, _ = HANDLERS["fundamental"](b, argparse.Namespace(side=None, element=None))
     assert any(i.check_id == "fundamental.s-dual-iso" for i in rep.items)
