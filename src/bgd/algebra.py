@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import Quotient, invert, rref, unit_vector
+from .linalg import DescentError, Quotient, invert, rref, unit_vector
 from .report import Report
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "free_basis",
     "LegEmbedding",
     "triple_classes",
+    "add_triple",
     "TripleQuotient",
     "project_stack",
     "lift_products",
@@ -403,6 +404,16 @@ def triple_classes(field, lhs, rhs, leg12, leg23):
     trip = TripleQuotient(
         f, v.shape[:3], list(zip(leg12.P, leg12.Q)), list(zip(leg23.P, leg23.Q)))
     return trip.project(v.reshape(-1, c)).T
+
+
+def add_triple(rep, check_id, f, lhs, rhs, leg12, leg23, labels):
+    """Add the residual of ``triple_classes`` to ``rep``, or a skip where the
+    triple quotient does not exist: the two actions on the middle leg do
+    not commute, which a noncommutative base allows."""
+    try:
+        rep.add_residual(check_id, triple_classes(f, lhs, rhs, leg12, leg23), labels)
+    except DescentError:
+        rep.skip(check_id, "middle-leg actions do not commute")
 
 
 def _commute(field, p, q):

@@ -32,8 +32,8 @@ import weakref
 import numpy as np
 
 from .algebra import (
-    LegEmbedding, check_action, free_basis, lift_products, pair_and_act,
-    project_stack, triple_classes,
+    LegEmbedding, add_triple, check_action, free_basis, lift_products, pair_and_act,
+    project_stack,
 )
 from .linalg import kernel_basis
 from .report import Report
@@ -255,8 +255,8 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
     lives in a balanced tensor), with one leading axis per basis element
     it quantifies over.  Coassociativity is decided in U (x)_A U (x)_A U
     through the T0 leg embeddings (``algebra.triple_classes``), or through a
-    ``TripleQuotient`` where their premises fail; ``with_triples=False``
-    skips it.
+    ``TripleQuotient`` where their premises fail, and skipped where that
+    does not exist or ``with_triples=False``.
     """
     rep = Report(name or b.name)
     f = b.field
@@ -334,8 +334,7 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
         lhs = f.contract(b.delta, D, (1, 0)).reshape(d, d, d, d)
         rhs = f.contract(D, b.delta, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
         leg = b.leg("Lt", over="Ls", u_first=False)
-        rep.add_residual(
-            "coproduct.coassociative", triple_classes(f, lhs, rhs, leg, leg), [U.labels])
+        add_triple(rep, "coproduct.coassociative", f, lhs, rhs, leg, leg, [U.labels])
     else:
         rep.skip("coproduct.coassociative", "triple quotient skipped")
     return rep
@@ -483,8 +482,7 @@ def check_comodule(com, name=None):
     lhs = f.contract(b.delta, co, (1, 0)).reshape(du, du, d, d)
     rhs = f.contract(co, com.coaction, (1, 1)).transpose(0, 2, 1).reshape(lhs.shape)
     leg12 = b.leg("Ls", over="Lt", u_first=True)
-    rep.add_residual(
-        "comodule.coassociative", triple_classes(f, lhs, rhs, leg12, com.leg), labels[1:])
+    add_triple(rep, "comodule.coassociative", f, lhs, rhs, leg12, com.leg, labels[1:])
 
     ind = com.induced_action
     rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 
 from .bialgebroid import check_left_bialgebroid, check_right_bialgebroid
-from .duals import left_dual, right_dual, s_lower_star, s_upper_star
+from .duals import left_dual, right_dual, s_dual_basis, s_lower_star, s_upper_star
 from .fixtures import FIXTURES
 from .frobenius import frobenius_conditions_report, frobenius_system, quasi_frobenius_check
 from .hopf import (
@@ -154,6 +154,10 @@ def _cmd_translate(b, args):
 
 def _cmd_dual(b, args):
     side = args.side or "left"
+    if s_dual_basis(b if side == "left" else b.coop()) is None:
+        rep, over = Report(f"{b.name} dual"), "s" if side == "left" else "t"
+        rep.skip("dual.coproduct", f"U is not finitely generated projective over {over}(A)")
+        return rep, {"side": side}
     dual = left_dual(b) if side == "left" else right_dual(b)
     rep = check_right_bialgebroid(dual, with_triples=b.U.dim <= 9)
     data = {"side": side, "dimension": dual.dim}

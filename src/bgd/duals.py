@@ -8,18 +8,25 @@ used again.  Structure maps:
 
     U_*:  (psi psi')(u) = psi'( t(psi(u_2)) u_1 )
           s(a) = eps(.)a,   t(a) = eps(. t(a)),   eta(psi) = psi(1)
-          coproduct solved from  psi(u u') = psi_1( u s(psi_2(u')) )
+          psi_1 (x) psi_2 = sum_k psi(. e_k) (x) xi_k
 
     U^*:  (phi phi')(u) = phi'( s(phi(u_1)) u_2 )
           s(a) = eps(. s(a)),  t(a) = a eps(.),   eta(phi) = phi(1)
-          coproduct solved from  phi(u u') = phi_1( u t(phi_2(u')) )
+          phi_1 (x) phi_2 = sum_k phi(. e_k) (x) zeta_k
+
+for the dual bases u = sum_k s(xi_k(u)) e_k = sum_k t(zeta_k(u)) e_k
+(Kadison and Szlachanyi, Adv. Math. 179 (2003)).  They exist exactly where
+U is finitely generated projective over s(A) and t(A), the paper's
+hypothesis; elsewhere the coproduct raises ValueError.
 
 Only U_* is built.  U^* of U is U_* of the co-opposite ``b.coop()`` read
 back over A: the same functionals and algebra, with s and t swapped and
 the coproduct legs flipped.  In the same way S_* is S^* of ``b.coop()``
-and the t-side dual basis is the s-side one of ``b.coop()``.  Each is
-cached in ``b._cache``, as is the dual basis xi of U_* (``s_dual_basis``).
+and zeta is xi of ``b.coop()``.  Each is cached in ``b._cache``, as is
+xi (``s_dual_basis``), solved once for it and for U_*'s coproduct.
 """
+
+import functools
 
 import numpy as np
 
@@ -129,51 +136,36 @@ def _build_dual(b):
     t_funcs = b.coop().base_action.transpose(2, 1, 0)
     counit = f.contract(funcs, b.U.unit, (2, 0)).T
 
-    # the thunk keeps U and s, not b, whose cache keeps the dual
-    u, s_map = b.U, b.s_map
+    # the thunk keeps arrays, not b, whose cache keeps the dual
+    umul, xi = b.U.mul, _dual_basis(b)
     return DualBialgebroid(
         b, "left", funcs, solver, alg, solver.coords(_columns(s_funcs)),
-        solver.coords(_columns(t_funcs)), lambda: _solve_dual_coproduct(u, s_map, funcs), counit,
+        solver.coords(_columns(t_funcs)),
+        lambda: _dual_coproduct(f, umul, funcs, solver, xi()[0]), counit,
     )
 
 
-def _solve_dual_coproduct(u, s_map, funcs):
-    """Solve the defining linear system for the U_* coproduct lift of (u, s_map)."""
-    f = u.field
-    da, du = s_map.shape[1], u.dim
+def _dual_coproduct(f, mul, funcs, solver, coeffs):
+    """The U_* coproduct lift sum_k psi(. e_k) (x) xi_k, since
+    psi(u u') = sum_k psi(u s(xi_k(u')) e_k), for ``coeffs`` the coordinates
+    of xi; stored with xi_k as the first leg."""
+    if coeffs is None:
+        raise ValueError("U is not finitely generated projective over s(A)")
     d = len(funcs)
-    # column (i, j): the functional (p, q) -> psi_i( e_p s(psi_j(e_q)) )
-    s_vals = f.contract(funcs, s_map, (1, 1))  # (j, q, x)
-    s_mult = f.contract(s_vals, u.mul, (2, 1))  # (j, q, p, y)
-    cols = f.contract(funcs, s_mult, (2, 3))  # (i, a, j, q, p)
-    cols = cols.transpose(4, 3, 1, 0, 2).reshape(du * du * da, d * d)
-    # column m: the functional (p, q) -> psi_m(e_p e_q)
-    rhs = f.contract(u.mul, funcs, (2, 2))  # (p, q, m, a)
-    rhs = rhs.swapaxes(2, 3).reshape(du * du * da, d)
-    sol = solve_affine(f, cols, rhs)
-    if sol is None:
-        raise ValueError("dual coproduct system is inconsistent")
-    # the solved legs are balanced the mirrored way round; flip them so
-    # the stored lift matches the right-bialgebroid storage convention
-    return flip_legs(sol[0])
-
-
-def _cached(b, key, build):
-    """``b._cache[key]``, built on first use."""
-    if key not in b._cache:
-        b._cache[key] = build(b)
-    return b._cache[key]
+    prods = f.contract(funcs, mul, (2, 2))  # (m, a, p, k): psi_m(e_p e_k)
+    moved = solver.coords(_columns(prods.transpose(0, 3, 1, 2))).reshape(d, d, -1)  # (i, m, k)
+    return f.contract(coeffs, moved, (0, 2)).reshape(d * d, d)  # (j, i, m)
 
 
 def left_dual(b):
-    return _cached(b, "dual_left", _build_dual)
+    return b._cached("dual_left", lambda: _build_dual(b))
 
 
 def right_dual(b):
     """U^*, read back over A from U_* of the co-opposite: the same
     functionals, algebra and counit, s and t swapped, coproduct legs
     flipped."""
-    return _cached(b, "dual_right", _build_right_dual)
+    return b._cached("dual_right", lambda: _build_right_dual(b))
 
 
 def _build_right_dual(b):
@@ -187,7 +179,7 @@ def _build_right_dual(b):
 def functionals(b):
     """A basis of U_*, the k-linear psi: U -> A with psi(s(a)u) = a psi(u),
     as a list of dA x dU matrices (empty when there is none)."""
-    return _cached(b, "functionals", _functional_basis)
+    return b._cached("functionals", lambda: _functional_basis(b))
 
 
 def _functional_basis(b):
@@ -209,19 +201,25 @@ def s_dual_basis(b):
     or no nonzero functional), that is when U is not finitely generated
     projective over s(A).  It needs no coproduct.  The t-side basis zeta,
     with sum_i t(zeta_i(u)) e_i = u, is this one of ``b.coop()``."""
-    return _cached(b, "xi", _solve_dual_basis)[1]
+    return _dual_basis(b)()[1]
 
 
-def _solve_dual_basis(b):
-    """Coefficients c (d x n) on the n functionals psi_k of U_* with
-    xi_i = sum_k c[i, k] psi_k and sum_i s(xi_i(u)) e_i = u, and xi; or
-    (None, None)."""
-    if not functionals(b):
+def _dual_basis(b):
+    """``_solve_dual_basis`` of b as a thunk that solves once, cached in b;
+    it holds b's arrays, not b, so that U_*'s coproduct thunk can keep it."""
+    return b._cached("xi", lambda: functools.cache(
+        functools.partial(_solve_dual_basis, b.field, functionals(b), b.Ls)))
+
+
+def _solve_dual_basis(f, funcs, ls):
+    """Coefficients c (d x n) on the functionals ``funcs`` psi_k of U_* with
+    xi_i = sum_k c[i, k] psi_k and sum_i s(xi_i(u)) e_i = u, for ``ls`` the
+    left multiplications by s(A), and xi; or (None, None)."""
+    if not len(funcs):
         return None, None
-    f, d = b.field, b.U.dim
-    funcs = np.stack(functionals(b))
+    funcs, d = np.stack(funcs), ls.shape[1]
     # row (j, r), column (i, k): entry r of s(<psi_k, e_j>) e_i
-    vals = f.contract(funcs, np.asarray(b.Ls), (1, 0))
+    vals = f.contract(funcs, ls, (1, 0))
     cols = vals.transpose(1, 2, 3, 0).reshape(d * d, d * len(funcs))  # from (k, j, r, i)
     sol = solve_affine(f, cols, f.eye(d).reshape(d * d))
     if sol is None:
@@ -231,13 +229,11 @@ def _solve_dual_basis(b):
 
 
 def _s_side_dual_basis(b):
-    """Coordinates in U_* of the functionals e_i^* with
-    sum_i s(<e_i^*, u>) e_i = u (``s_dual_basis``), or None when there are
-    none, that is when U is not finitely generated projective over s(A);
-    raises where U_* cannot be built.  The t-side basis in U^*, with
-    sum_i t(<e_i^*, u>) e_i = u, is this one of ``b.coop()``."""
+    """Coordinates in U_* of ``s_dual_basis``, or None where there is none;
+    raises where U_* cannot be built.  Those of the t-side basis in U^* are
+    this of ``b.coop()``."""
     left_dual(b)
-    coeffs = _cached(b, "xi", _solve_dual_basis)[0]
+    coeffs = _dual_basis(b)()[0]
     return None if coeffs is None else list(coeffs)
 
 

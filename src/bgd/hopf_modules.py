@@ -12,7 +12,6 @@ import numpy as np
 from .algebra import check_action, project_stack
 from .bialgebroid import ComodulePresentation, check_comodule, coinvariants
 from .duals import (
-    _cached,
     _s_side_dual_basis,
     dual_action,
     left_dual,
@@ -158,7 +157,7 @@ def build_u_star_hopf_module(b):
     """The t-side dual as a left-left Hopf module: action through the left
     translation, coaction phi -> sum_i e_i (x) phi e_i^*.  Its maps, not the
     module (which refers to b), are built once per b."""
-    act, a_act, coact = _cached(b, "u star", _u_star_maps)
+    act, a_act, coact = b._cached("u star", lambda: _u_star_maps(b))
     com = ComodulePresentation(b, "left", a_act, coact, name="U^*")
     return HopfModulePresentation(b, "LL", act, com, name="U^*")
 

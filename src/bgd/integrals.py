@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 
 from .algebra import project_stack
-from .duals import _cached
 from .hopf import is_right_hopf, translate_right
 from .linalg import kernel_basis, rank, solve_affine, solve_matrix_equation
 from .report import Report
@@ -104,7 +103,7 @@ def _integral_basis(b, left):
 
 def left_integrals(b):
     """The space of l with u l = s(eps(u)) l for all u, built once per b."""
-    return _cached(b, "left integrals", lambda b: IntegralSpace(
+    return b._cached("left integrals", lambda: IntegralSpace(
         "left", b.A, _integral_basis(b, True), b.Rt))
 
 
@@ -119,7 +118,7 @@ def right_integrals_of_left(b):
     """The mirror space {l : l u = l s(eps(u)) for all u} of a left
     bialgebroid, closed under the left multiplications by s(a), built once
     per b.  The co-opposite would swap s for t, so it is not derived there."""
-    return _cached(b, "right integrals", lambda b: IntegralSpace(
+    return b._cached("right integrals", lambda: IntegralSpace(
         "right", b.A, _integral_basis(b, False), b.Ls))
 
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 from test_algebra import triangular_envelope
+from test_lib_golden import _corrupt
 
 from bgd.cli import main
 from bgd.fixtures import FIXTURES
@@ -173,6 +174,31 @@ def test_translate_skips_noncommuting_middle_leg(tmp_path, capsys):
     assert code in (0, 1)
     items = _statuses(out)
     assert items["sch5"] == items["tch5"] == "skipped"
+
+
+def test_check_skips_missing_triple_quotient(tmp_path, capsys):
+    # with t corrupted, the two actions on the middle leg of U (x)_A U (x)_A U
+    # do not commute: coassociativity is a skip, not an escaped DescentError
+    p = tmp_path / "crossed-bad-t.json"
+    p.write_text(dumps_canonical(export_spec(_corrupt("crossed", "t", 6))))
+    code, out, _ = run(capsys, "check", str(p), "--format", "json")
+    assert code == 1
+    assert _statuses(out)["coproduct.coassociative"] == "skipped"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_dual_without_dual_basis_is_a_skip(tmp_path, capsys, side):
+    # with s corrupted, U is not finitely generated projective over s(A); the
+    # co-opposite's U^* is the same dual, over t(A)
+    b = _corrupt("trunc-2-2", "s", 9)
+    p = tmp_path / "bad-s.json"
+    p.write_text(dumps_canonical(export_spec(b if side == "left" else b.coop())))
+    code, out, _ = run(capsys, "dual", str(p), "--side", side, "--format", "json")
+    assert code == 0
+    over = "s(A)" if side == "left" else "t(A)"
+    assert json.loads(out)["items"] == [{
+        "check_id": "dual.coproduct", "status": "skipped",
+        "witness": f"U is not finitely generated projective over {over}"}]
 
 
 def _flipped_spec():

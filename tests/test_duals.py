@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from test_leg_quotients import F2, F5, QQ, groupoid
+from test_lib_golden import CASES, GOLDEN
 
 from bgd.bialgebroid import check_right_bialgebroid
 from bgd.duals import (
@@ -8,6 +12,7 @@ from bgd.duals import (
     dual_action,
     left_dual,
     right_dual,
+    s_dual_basis,
     s_lower_star,
     s_upper_star,
 )
@@ -171,3 +176,40 @@ def test_comodule_becomes_dual_module(name, side):
                     prod = prod + c * mats[k]
             # written on the left, a right module composes contravariantly
             assert np.array_equal(f.mod(prod), f.mod(f.matmul(mats[j], mats[i])))
+
+
+def _defining_identity(b, dual):
+    """Both sides of g(u u') = g_1( u x(g_2(u')) ), x = s on U_* and t on
+    U^*, for every basis functional g of ``dual`` and basis elements u, u'
+    of U, as [g, a, u, u']: the linear system whose solution was once taken
+    as the coproduct lift, written as contractions with no solve."""
+    f, g, n = b.field, dual.tensor, dual.dim
+    x = b.s_map if dual.which == "left" else b.t_map
+    lift = dual.delta.reshape(n, n, n)
+    if dual.which == "left":  # U_* stores g_2 as its first leg
+        lift = lift.swapaxes(0, 1)
+    inner = f.contract(f.contract(g, x, (1, 1)), b.U.mul, (2, 1))  # (j, q, p, y)
+    outer = f.contract(g, inner, (2, 3))  # (i, a, j, q, p): g_i(e_p x(g_j(e_q)))
+    rhs = f.contract(outer, lift, ([0, 2], [0, 1]))  # (a, q, p, m)
+    return f.contract(g, b.U.mul, (2, 2)), rhs.transpose(3, 0, 2, 1)
+
+
+_GOLDEN = json.loads(GOLDEN.read_text())
+SUBJECTS = dict(CASES, **{f"groupoid-{name}": (lambda f=f: groupoid(f))
+                          for name, f in (("F2", F2), ("F5", F5), ("Q", QQ))})
+# every subject whose dual has an algebra (the pinned product of U_* or U^*)
+ORACLE = [(case, side) for case in sorted(SUBJECTS)
+          for side, tag in (("left", "u_lower_star"), ("right", "u_upper_star"))
+          if not isinstance(_GOLDEN.get(case, {}).get(f"{tag}.mul"), dict)]
+
+
+@pytest.mark.parametrize("case, side", ORACLE)
+def test_coproduct_solves_the_defining_system(case, side):
+    b = SUBJECTS[case]()
+    dual = left_dual(b) if side == "left" else right_dual(b)
+    if s_dual_basis(b if side == "left" else b.coop()) is None:
+        with pytest.raises(ValueError, match="not finitely generated projective"):
+            dual.delta
+        return
+    lhs, rhs = _defining_identity(b, dual)
+    assert b.field.equal(lhs, rhs)
