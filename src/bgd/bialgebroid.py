@@ -25,6 +25,14 @@ columns reversed gives the relation-built quotient's coordinates and
 projection (``linalg.Quotient.from_kernel``).  Where the search finds no
 free basis, or a leg's premises fail, the quotient is built from the
 relation rows of ``algebra.balanced_tensor``.
+
+A bialgebroid and its co-opposite share one store of free bases, keyed by
+the content of the U-side stack (``Field.key``), and of leg embeddings,
+keyed by that of (U-side stack, action, u_first).  So a balanced tensor
+asked for again gets the leg already built: under the co-opposite's
+mirrored names, where s = t, as the domain of a comodule's Hopf-Galois
+map, or for another module with the same action.  The store holds arrays
+and legs only, nothing that refers back to either bialgebroid.
 """
 
 import weakref
@@ -51,9 +59,7 @@ __all__ = [
 
 # Cache entries a bialgebroid shares with its co-opposite, keyed by the
 # name each one has there.
-_COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1",
-              "free Ls": "free Lt", "free Lt": "free Ls", "free Rs": "free Rt",
-              "free Rt": "free Rs"}
+_COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1"}
 
 
 class LeftBialgebroid:
@@ -74,6 +80,7 @@ class LeftBialgebroid:
         self.counit = self.field.mod(np.asarray(counit))
         self.name = name
         self._cache = {}
+        self._legs = {}  # the store ``leg`` reads, shared with ``coop()``
 
     # -- structure maps ----------------------------------------------------
 
@@ -166,22 +173,26 @@ class LeftBialgebroid:
 
     def leg(self, action, *, over, u_first):
         """The embedding of the balanced tensor of U with N, for the action
-        on N given by ``action`` (one matrix per A-basis index) and the action
-        of A on U it balances, named by ``over`` (``"Ls"``, ``"Lt"`` or
-        ``"Rt"``): U (x) N with relations over_a(u) (x) n - u (x) action_a n
-        when ``u_first``, N (x) U with relations action_a n (x) u -
-        n (x) over_a(u) otherwise.  Its U leg is read through
-        ``algebra.free_basis`` of U for ``over``, searched once and shared with
-        the co-opposite; not exact where the search finds none.  ``action``
-        may also name one of U's own actions: that square is built once, as
-        T0 = ``leg("Lt", over="Ls", u_first=False)``."""
+        on N given by ``action`` (one matrix per A-basis index, or the name
+        of one of U's own actions) and the action of A on U it balances,
+        named by ``over`` (``"Ls"``, ``"Lt"`` or ``"Rt"``): U (x) N with
+        relations over_a(u) (x) n - u (x) action_a n when ``u_first``,
+        N (x) U with relations action_a n (x) u - n (x) over_a(u) otherwise.
+        Its U leg is read through ``algebra.free_basis`` of U for ``over``;
+        not exact where the search finds none.  The search and the leg are
+        each made once per content, in the store shared with the
+        co-opposite: T0 = ``leg("Lt", over="Ls", u_first=False)``."""
+        f, mats = self.field, getattr(self, over)
         if isinstance(action, str):
-            return self._cached(("leg", action, over, u_first), lambda: self.leg(
-                getattr(self, action), over=over, u_first=u_first))
-        mats = getattr(self, over)
-        basis = self._cached("free " + over, lambda: free_basis(self.field, mats))
-        legs = (mats, action) if u_first else (action, mats)
-        return LegEmbedding(self.field, *legs, basis, left=u_first)
+            action = getattr(self, action)
+        over_key = f.key(mats)
+        key = (over_key, f.key(action), u_first)
+        if key not in self._legs:
+            if over_key not in self._legs:
+                self._legs[over_key] = free_basis(f, mats)
+            legs = (mats, action) if u_first else (action, mats)
+            self._legs[key] = LegEmbedding(f, *legs, self._legs[over_key], left=u_first)
+        return self._legs[key]
 
     # -- derived presentations ----------------------------------------------
 
@@ -190,11 +201,11 @@ class LeftBialgebroid:
 
         It is built once: ``b.coop().coop() is b``.  It holds ``b`` weakly,
         so the two are freed with ``b``, not by the cycle collector.  Source
-        and target swap roles, so it shares ``b``'s action lists and their
-        free bases (Ls <-> Lt, Rs <-> Rt) and balanced squares (T1 <-> T2);
-        only its T0 is new.  The right-hand translation maps, their identity
-        suite and the right-comodule suites of ``bgd.hopf`` are the
-        left-hand ones computed on it.
+        and target swap roles, so it shares ``b``'s action lists (Ls <-> Lt,
+        Rs <-> Rt), balanced squares (T1 <-> T2) and store of free bases
+        and legs (see ``leg``); only its T0 is new.  The right-hand
+        translation maps, their identity suite and the right-comodule
+        suites of ``bgd.hopf`` are the left-hand ones computed on it.
         """
         twin = self._twin()
         if twin is None:
@@ -207,6 +218,7 @@ class LeftBialgebroid:
             for key, val in self._cache.items():
                 if key in _COOP_TWIN:
                     twin._cache[_COOP_TWIN[key]] = val
+            twin._legs = self._legs
             twin._cache["coop"] = weakref.ref(self)
             self._cache["coop"] = twin
         return twin
@@ -403,25 +415,21 @@ class ComodulePresentation:
     @property
     def leg(self):
         """The embedding (``b.leg``, over t(A)) of the balanced tensor
-        U_<| (x)_A M the coaction of a left comodule lands in, built once.
-        A right comodule has none of its own: every caller goes through
-        ``as_left()``."""
+        U_<| (x)_A M the coaction of a left comodule lands in, built once
+        in b's store.  A right comodule has none of its own: every caller
+        goes through ``as_left()``."""
         if self.side != "left":
             raise ValueError("quotient is defined for left comodules; use as_left()")
-        if "leg" not in self._cache:
-            self._cache["leg"] = self.b.leg(self.action, over="Lt", u_first=True)
-        return self._cache["leg"]
+        return self.b.leg(self.action, over="Lt", u_first=True)
 
     @property
     def dom_leg(self):
         """The embedding (``b.leg``, over s(A)) of the domain N (x)^A |>U of
         the comodule Hopf-Galois map of a left comodule, for the induced
-        right action on N, built once."""
+        right action on N, built once in b's store."""
         if self.side != "left":
             raise ValueError("dom_leg is defined for left comodules; use as_left()")
-        if "dom leg" not in self._cache:
-            self._cache["dom leg"] = self.b.leg(self.induced_action, over="Ls", u_first=False)
-        return self._cache["dom leg"]
+        return self.b.leg(self.induced_action, over="Ls", u_first=False)
 
     @property
     def quotient(self):

@@ -262,7 +262,7 @@ def _emit(command, subject, rep, data, fmt):
     return 1 if any(i.status == "fail" for i in rep.items) else 0
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="bgd",
         description="exact checks for finite-dimensional left bialgebroids",
@@ -273,7 +273,15 @@ def main(argv=None):
     parser.add_argument("--element", help="comma-separated coordinates")
     parser.add_argument("--preset", help="named built-in presentation")
     parser.add_argument("--format", choices=["json", "text"], default="text")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: building it takes about ten times as long as a parse
+_PARSER = _parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "example":
             name = args.preset or "rank1-dual-numbers"

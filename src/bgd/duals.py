@@ -169,11 +169,16 @@ def right_dual(b):
 
 
 def _build_right_dual(b):
-    lo = left_dual(b.coop())
+    lo, zeta = left_dual(b.coop()), _dual_basis(b.coop())
+
+    def delta():
+        # zeta is xi of the co-opposite, whose own error would name s(A)
+        if zeta()[0] is None:
+            raise ValueError("U is not finitely generated projective over t(A)")
+        return flip_legs(lo.delta)
+
     return DualBialgebroid(
-        b, "right", lo.tensor, lo.solver, lo.U, lo.t_map, lo.s_map,
-        lambda: flip_legs(lo.delta), lo.counit,
-    )
+        b, "right", lo.tensor, lo.solver, lo.U, lo.t_map, lo.s_map, delta, lo.counit)
 
 
 def functionals(b):

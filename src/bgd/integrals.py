@@ -43,27 +43,31 @@ class IntegralSpace:
             return self.field.is_zero(v)
         return solve_affine(self.field, self.span_matrix(), v) is not None
 
-    def _orbit(self, g):
-        return self.field.contract(self.action, g, (2, 0)).T
-
     def _find_generator(self):
         f, da = self.field, self.base.dim
         if self.dim != da:
             return False
-        for g in self._candidates():
-            if rank(f, self._orbit(g)) == da:
+        for g, orbit in self._candidates():
+            if rank(f, orbit) == da:
                 self.generator = f.mod(np.asarray(g))
                 return True
         return False
 
     def _candidates(self):
+        """(g, the orbit of g under ``action`` as a dU x dA matrix) for each
+        candidate generator g in turn: the basis, and then, over a small
+        F_p, its other combinations with coefficients in 0..p-1 (those with
+        coefficient sum above 1, so neither 0 nor a basis vector).  The
+        orbits of the basis are one contraction, and those of the
+        combinations one more, formed from them."""
         f, m = self.field, self.dim
-        for g in self.basis:
-            yield g
+        span = self.span_matrix()
+        orbits = f.contract(self.action, span, (2, 0)).transpose(2, 1, 0)  # [i, u, a]
+        yield from zip(self.basis, orbits)
         if f.kind == "prime" and f.p**m <= 2048:
-            for cs in itertools.product(range(f.p), repeat=m):
-                if sum(cs) > 1 or (any(cs) and max(cs) > 1):
-                    yield f.mod(sum(c * g for c, g in zip(cs, self.basis)))
+            coeffs = f.array([cs for cs in itertools.product(range(f.p), repeat=m)
+                              if sum(cs) > 1])
+            yield from zip(f.contract(coeffs, span, (1, 1)), f.contract(coeffs, orbits, (1, 0)))
 
     def _split_test(self):
         """Whether the span is a direct summand of a free A-module: the

@@ -55,21 +55,32 @@ def _parse_row(f, data, where, seen):
     return [seen[str(s)] for s in data]
 
 
+def _array(f, scalars, shape):
+    """The array of ``shape`` holding the parsed ``scalars`` in C order, as
+    ``Field.array`` would build it, but read once: over F_p they are
+    reduced already, and over Q they are ``Fraction``s and the shared zero."""
+    if f.kind == "prime":
+        return np.array(scalars, dtype=np.int64).reshape(shape)
+    out = np.empty(len(scalars), dtype=object)
+    out[:] = scalars
+    return out.reshape(shape)
+
+
 def _parse_matrix(f, data, shape, where):
     if not isinstance(data, list) or len(data) != shape[0]:
         raise SpecError(where, f"expected {shape[0]} rows")
-    rows, seen = [], {}
+    scalars, seen = [], {}
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != shape[1]:
             raise SpecError(f"{where}[{i}]", f"expected {shape[1]} entries")
-        rows.append(_parse_row(f, row, f"{where}[{i}]", seen))
-    return f.array(rows).reshape(shape)
+        scalars += _parse_row(f, row, f"{where}[{i}]", seen)
+    return _array(f, scalars, shape)
 
 
 def _parse_vector(f, data, n, where):
     if not isinstance(data, list) or len(data) != n:
         raise SpecError(where, f"expected {n} entries")
-    return f.array(_parse_row(f, data, where, {})).reshape(n)
+    return _array(f, _parse_row(f, data, where, {}), (n,))
 
 
 def _parse_algebra(f, doc, where):

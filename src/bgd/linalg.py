@@ -385,6 +385,17 @@ class Field:
         flat = a.ravel().tolist()
         return not any(compress(flat, map(is_not, flat, repeat(_ZERO))))
 
+    def key(self, a):
+        """A hashable key of the array a, equal for arrays of one dtype and
+        shape with equal entries: over F_p its bytes, over Q its nonzero
+        integer numerators over their common denominator (``_numerators``),
+        so that no ``Fraction`` is hashed."""
+        a = np.asarray(a)
+        if self.kind == "prime":
+            return a.dtype.str, a.shape, a.tobytes()
+        at, nums, den = _numerators(a)
+        return a.dtype.str, a.shape, tuple((i, n) for i, n in zip(at, nums) if n), den
+
 
 def _summation(top):
     """(dtype, chunk) for summing products of integers of magnitude at most

@@ -213,3 +213,14 @@ def test_coproduct_solves_the_defining_system(case, side):
         return
     lhs, rhs = _defining_identity(b, dual)
     assert b.field.equal(lhs, rhs)
+
+
+def test_right_dual_coproduct_error_names_the_target():
+    # with t corrupted, U is not finitely generated projective over t(A):
+    # U^*'s coproduct says so, though it is U_*'s of the co-opposite, whose
+    # own error names that one's source
+    b = CASES["crossed-bad-t"]()
+    with pytest.raises(ValueError, match=r"projective over t\(A\)"):
+        right_dual(b).delta
+    with pytest.raises(ValueError, match=r"projective over s\(A\)"):
+        left_dual(b.coop()).delta

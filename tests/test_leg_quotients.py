@@ -306,6 +306,42 @@ def test_search_miss_takes_relation_rows(build, monkeypatch):
     assert _verdicts(b) == want
 
 
+@pytest.mark.parametrize("name", ["group-f3", "crossed"])
+def test_pair_shares_free_bases_and_legs(name, monkeypatch):
+    # fundamental, translate and dual search each U-side stack once, and
+    # build each leg once, per bialgebroid and co-opposite: a balanced tensor
+    # asked for again, under either one's names, gets the leg already built
+    # (group-f3 has s = t, so Ls = Lt there; crossed has s != t)
+    b = FIXTURES[name]()
+    f, searched, built, store = b.field, [], [], []
+    search, init, leg = bialgebroid.free_basis, LegEmbedding.__init__, LeftBialgebroid.leg
+
+    def spy_leg(self, action, **kw):
+        # the pair whose store the leg goes to, kept alive so that no id is reused
+        store.append(self._legs)
+        return leg(self, action, **kw)
+
+    def spy_search(field, mats):
+        searched.append((id(store[-1]), f.key(mats)))
+        return search(field, mats)
+
+    def spy_init(self, field, mats_x, mats_y, basis, left=False):
+        u_side, action = (mats_x, mats_y) if left else (mats_y, mats_x)
+        built.append((id(store[-1]), f.key(u_side), f.key(action), left))
+        init(self, field, mats_x, mats_y, basis, left=left)
+
+    monkeypatch.setattr(LeftBialgebroid, "leg", spy_leg)
+    monkeypatch.setattr(bialgebroid, "free_basis", spy_search)
+    monkeypatch.setattr(LegEmbedding, "__init__", spy_init)
+    for command in ("fundamental", "translate", "dual"):
+        HANDLERS[command](b, argparse.Namespace(side=None, element=None))
+    assert searched and len(set(searched)) == len(searched)
+    assert built and len(set(built)) == len(built)
+    assert b.leg("Ls", over="Lt", u_first=True) is b.coop().leg("Lt", over="Ls", u_first=True)
+    if name == "group-f3":
+        assert b.leg("Ls", over="Lt", u_first=True) is b.leg("Lt", over="Ls", u_first=True)
+
+
 def test_free_basis_picks_the_same_generators():
     for build in (lambda: families.pair(F5, 3), lambda: families.env(QQ, 2)):
         one, two = build(), build()
