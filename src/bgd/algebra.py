@@ -255,6 +255,8 @@ def free_basis(field, mats):
     for j, g in enumerate(cands):
         # row a: mats_a g, a column of mats for the basis vector g = e_j
         block = mats[:, :, j] if j < dy else f.contract(mats, g, (2, 0))
+        if np.count_nonzero(block.any(axis=1)) < da:
+            continue  # rank below dA, which no reduction raises (each e_j on pair)
         if pivots:
             block = f.sub(block, f.matmul(block[:, pivots], rows))
         new, piv = rref(f, block)
@@ -439,13 +441,13 @@ class TripleQuotient:
         self.q1 = balanced_tensor(
             field, self.d1, [m for m, _ in rel12], self.d2, [m for _, m in rel12]
         )
-        eye1 = field.eye(self.d1)
-        pushed = []
-        for m2, m3 in rel23:
-            amb = field.mod(np.kron(eye1, m2))
-            pushed.append((self.q1.induced_op(amb), m3))
+        # 1 (x) m2 on X (x) Y, for each m2 of the (2,3) relations
+        m2s = np.asarray([m for m, _ in rel23])
+        amb = field.contract(field.eye(self.d1), m2s, 0).transpose(2, 0, 3, 1, 4)
+        n = self.d1 * self.d2
+        pushed = self.q1.induced_op(amb.reshape(len(m2s), n, n))
         self.q2 = balanced_tensor(
-            field, self.q1.dim, [m for m, _ in pushed], self.d3, [m for _, m in pushed]
+            field, self.q1.dim, list(pushed), self.d3, [m for _, m in rel23]
         )
         self.dim = self.q2.dim
 

@@ -62,33 +62,42 @@ __all__ = [
 _COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1"}
 
 
-class LeftBialgebroid:
-    """A left bialgebroid on explicit k-bases of the base A and total U.
+class _Presentation:
+    """The structure maps of a bialgebroid on explicit k-bases of the base
+    A and total U.
 
     ``s_map``/``t_map`` are dU x dA matrices, ``counit`` is dA x dU, and
     ``delta`` is the dU^2 x dU coproduct lift (or a thunk producing it,
     so that coproducts can stay unevaluated when not needed).
     """
 
-    def __init__(self, base, total, s_map, t_map, delta, counit, name="U"):
+    def __init__(self, base, total, s_map, t_map, delta, counit, name):
         self.A = base
         self.U = total
-        self.field = base.field
-        self.s_map = self.field.mod(np.asarray(s_map))
-        self.t_map = self.field.mod(np.asarray(t_map))
+        self.field = f = base.field
+        self.s_map = f.mod(np.asarray(s_map))
+        self.t_map = f.mod(np.asarray(t_map))
         self._delta = delta
-        self.counit = self.field.mod(np.asarray(counit))
+        self.counit = f.mod(np.asarray(counit))
         self.name = name
-        self._cache = {}
-        self._legs = {}  # the store ``leg`` reads, shared with ``coop()``
-
-    # -- structure maps ----------------------------------------------------
 
     @property
     def delta(self):
         if callable(self._delta):
             self._delta = self.field.mod(np.asarray(self._delta()))
         return self._delta
+
+
+class LeftBialgebroid(_Presentation):
+    """A left bialgebroid on explicit k-bases of the base A and total U,
+    with the structure maps of ``_Presentation``."""
+
+    def __init__(self, base, total, s_map, t_map, delta, counit, name="U"):
+        super().__init__(base, total, s_map, t_map, delta, counit, name)
+        self._cache = {}
+        self._legs = {}  # the store ``leg`` reads, shared with ``coop()``
+
+    # -- structure maps ----------------------------------------------------
 
     def s_of(self, a):
         return self.field.matmul(self.s_map, a)
@@ -230,27 +239,14 @@ def flip_legs(lift):
     return lift.reshape(d, d, d).swapaxes(0, 1).reshape(d * d, d)
 
 
-class RightBialgebroid:
+class RightBialgebroid(_Presentation):
     """A right bialgebroid, stored as raw data plus the standard reduction
     to a left bialgebroid over the opposite algebras (op of the total,
     op of the base), through which all checks are routed.
     """
 
     def __init__(self, base, total, s_map, t_map, delta, counit, name="W"):
-        self.A = base
-        self.U = total
-        self.field = base.field
-        self.s_map = base.field.mod(np.asarray(s_map))
-        self.t_map = base.field.mod(np.asarray(t_map))
-        self._delta = delta
-        self.counit = base.field.mod(np.asarray(counit))
-        self.name = name
-
-    @property
-    def delta(self):
-        if callable(self._delta):
-            self._delta = self.field.mod(np.asarray(self._delta()))
-        return self._delta
+        super().__init__(base, total, s_map, t_map, delta, counit, name)
 
     def op_coop(self):
         """The associated left bialgebroid (U^op, A^op, s, t, flip o delta)."""
@@ -509,7 +505,6 @@ def coinvariants(com):
     (for a right comodule, m (x) unit, computed through ``as_left()``)."""
     com = com.as_left()
     b, f, d = com.b, com.field, com.dim
-    du = b.U.dim
-    triv = np.kron(b.U.unit.reshape(du, 1), f.eye(d))
+    triv = f.contract(b.U.unit, f.eye(d), 0).reshape(b.U.dim * d, d)  # m -> 1 (x) m
     diff = f.sub(com.coaction, triv)
     return kernel_basis(f, f.matmul(com.quotient.project_mat, diff))

@@ -1,7 +1,5 @@
 """Small worked examples used by the test suite and the CLI presets."""
 
-import numpy as np
-
 from .algebra import AlgebraPresentation, tensor_product
 from .bialgebroid import ComodulePresentation, LeftBialgebroid
 from .lie_rinehart import RestrictedLieRinehart, crossed_product, restricted_enveloping
@@ -10,6 +8,7 @@ from .linalg import Field
 __all__ = [
     "base_trivial",
     "primitive_f2",
+    "cyclic_group",
     "group_f3",
     "monoid_non_hopf",
     "truncated_polynomials",
@@ -40,16 +39,8 @@ def base_trivial(p=2):
     Every structure map is induced by the base algebra itself; the two
     tensor-quotient legs collapse to A.
     """
-    f = Field.prime(p)
-    triples = []
-    for i in range(p):
-        for j in range(p):
-            if i + j < p:
-                triples.append((i, j, i + j, 1))
-    a = AlgebraPresentation.from_triples(
-        f, p, triples, [1] + [0] * (p - 1), [f"t^{i}" if i else "1" for i in range(p)]
-    )
-    d = p
+    a, _ = truncated_polynomials(p)
+    f, d = a.field, p
     delta = f.zeros((d * d, d))
     for i in range(d):
         delta[i * d + 0, i] = f.one
@@ -72,35 +63,39 @@ def primitive_f2():
     return LeftBialgebroid(a, u, s, s, delta, counit, name="primitive-f2")
 
 
+def _monoid_algebra(field, table, labels, name):
+    """The monoid algebra k[M] over A = k, every element grouplike:
+    e_i e_j = e_table[i][j], e_0 the unit, delta(e_i) = e_i (x) e_i and
+    eps(e_i) = 1."""
+    f, d = field, len(table)
+    u = AlgebraPresentation.from_triples(
+        f, d, [(i, j, k, 1) for i, row in enumerate(table) for j, k in enumerate(row)],
+        [1] + [0] * (d - 1), labels)
+    delta = f.zeros((d * d, d))
+    for i in range(d):
+        delta[(d + 1) * i, i] = f.one
+    s = f.array([[1]] + [[0]] * (d - 1))
+    return LeftBialgebroid(_scalar_field_algebra(f), u, s, s, delta,
+                           f.array([[1] * d]), name=name)
+
+
+def cyclic_group(field, n, name):
+    """The group algebra k[Z/n], g grouplike; semisimple exactly when n is
+    invertible in k."""
+    labels = ["1", "g"] + [f"g^{i}" for i in range(2, n)]
+    return _monoid_algebra(field, [[(i + j) % n for j in range(n)] for i in range(n)],
+                           labels, name)
+
+
 def group_f3():
     """Group algebra F_3[Z/2], g grouplike."""
-    f = Field.prime(3)
-    a = _scalar_field_algebra(f)
-    u = AlgebraPresentation.from_triples(
-        f, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)], [1, 0], ["1", "g"]
-    )
-    s = f.array([[1], [0]])
-    delta = f.zeros((4, 2))
-    delta[0, 0] = 1
-    delta[3, 1] = 1  # delta(g) = g (x) g
-    counit = f.array([[1, 1]])
-    return LeftBialgebroid(a, u, s, s, delta, counit, name="group-f3")
+    return cyclic_group(Field.prime(3), 2, "group-f3")
 
 
 def monoid_non_hopf():
     """Monoid algebra F_2[{1, e}] with e^2 = e, e grouplike-like but not
     invertible; a bialgebra whose Hopf-Galois maps are not bijective."""
-    f = Field.prime(2)
-    a = _scalar_field_algebra(f)
-    u = AlgebraPresentation.from_triples(
-        f, 2, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 1, 1)], [1, 0], ["1", "e"]
-    )
-    s = f.array([[1], [0]])
-    delta = f.zeros((4, 2))
-    delta[0, 0] = 1
-    delta[3, 1] = 1
-    counit = f.array([[1, 1]])
-    return LeftBialgebroid(a, u, s, s, delta, counit, name="monoid-non-hopf")
+    return _monoid_algebra(Field.prime(2), [[0, 1], [1, 1]], ["1", "e"], "monoid-non-hopf")
 
 
 def pair(field, n):
@@ -140,17 +135,7 @@ def env(field, m):
 
 def group_q3():
     """Group algebra Q[Z/3], g grouplike; semisimple, since 3 is invertible."""
-    q = Field.rationals()
-    a = _scalar_field_algebra(q)
-    u = AlgebraPresentation.from_triples(
-        q, 3, [(i, j, (i + j) % 3, 1) for i in range(3) for j in range(3)], [1, 0, 0],
-        ["1", "g", "g^2"])
-    s = q.array([[1], [0], [0]])
-    delta = q.zeros((9, 3))
-    for i in range(3):
-        delta[4 * i, i] = q.one  # delta(g^i) = g^i (x) g^i
-    counit = q.array([[1, 1, 1]])
-    return LeftBialgebroid(a, u, s, s, delta, counit, name="group-Q-3")
+    return cyclic_group(Field.rationals(), 3, "group-Q-3")
 
 
 def regular_comodule(b, side):
@@ -164,16 +149,14 @@ def regular_comodule(b, side):
 
 def trivial_comodule(b, side):
     """The base A with coaction a -> 1 (x) a (resp. a (x) 1)."""
-    f = b.field
-    d = b.A.dim
-    du = b.U.dim
+    f, d = b.field, b.A.dim
     if side == "left":
         action = b.A.basis_left_mults
-        co = np.kron(b.U.unit.reshape(du, 1), f.eye(d))
+        co = f.contract(b.U.unit, f.eye(d), 0)  # [x, m, n]
     else:
         action = b.A.basis_right_mults
-        co = np.kron(f.eye(d), b.U.unit.reshape(du, 1))
-    return ComodulePresentation(b, side, action, f.mod(co), name=f"{b.name}-base")
+        co = f.contract(f.eye(d), b.U.unit, 0).swapaxes(1, 2)  # [m, x, n]
+    return ComodulePresentation(b, side, action, co.reshape(b.U.dim * d, d), name=f"{b.name}-base")
 
 
 def truncated_polynomials(p):

@@ -10,11 +10,17 @@ inverses applied to u (x) 1 and 1 (x) u give the translation maps
 u_+ (x) u_-  and  u_[+] (x) u_[-].  Everything is computed on k-linear
 lifts and compared inside the explicit balanced quotients.
 
+Each Hopf-Galois map is one ``HopfGaloisMap``: its matrix, bijectivity
+and inverse lift, each computed once.  alpha_l is kept in
+``b._cache["alpha_l"]``, a comodule's map in the cache of ``com.as_left()``.
+
 Only the left-hand side is written out.  alpha_r of U is alpha_l of the
 co-opposite ``b.coop()`` up to the flip of T0, so u_[+] (x) u_[-] is u_+ (x) u_-
 there and tch1..tch9 are its sch1..sch9; a right comodule is handled as the
 left comodule ``as_left()`` over ``b.coop()``.
 """
+
+import functools
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from .linalg import DescentError, SingularMatrixError, invert
 from .report import Report
 
 __all__ = [
+    "HopfGaloisMap",
     "alpha_left",
     "alpha_right",
     "is_left_hopf",
@@ -39,28 +46,39 @@ __all__ = [
 ]
 
 
-def alpha_left(b):
-    """Matrix of alpha_l between quotient coordinates (T1 -> T0)."""
-    return _alpha(b, f"alpha_l of {b.name}")
+class HopfGaloisMap:
+    """The map ``name``: dom -> cod that the ambient matrix ``amb`` induces
+    between two quotients (a ValueError says ``undefined`` where amb does
+    not descend).  ``bijective`` reduces ``matrix`` once, for the verdict
+    and the inverse.  ``lift`` is section . inverse . project . emb() for
+    the thunk ``emb``; it drops the inverse, which is as large as the map
+    (32 MB for alpha_l on rank_n_truncated(2, 5))."""
 
+    def __init__(self, dom, cod, amb, emb, name, undefined):
+        self.dom, self.cod, self.name = dom, cod, name
+        self._emb = emb
+        self.matrix = _induced_map(cod, amb, dom, undefined)
 
-def _alpha(b, name):
-    """alpha_l of b, built once; where it does not descend, a ValueError
-    names it ``name``."""
-    if "alpha_l" not in b._cache:
-        f = b.field
-        d = b.U.dim
-        # amb[(k, z), (i, j)] = sum_l delta3[k, l, i] mul[l, j, z]
-        amb = f.contract(b.delta3, b.U.mul, (1, 0)).transpose(0, 3, 1, 2)
-        b._cache["alpha_l"] = _induced_map(
-            b.T0, amb.reshape(d * d, d * d), b.T1,
-            f"{name} is not well defined on the quotient",
-        )
-    return b._cache["alpha_l"]
+    @functools.cached_property
+    def bijective(self):
+        try:
+            self._inverse = invert(self.cod.field, self.matrix)
+        except SingularMatrixError:
+            return False
+        return True
+
+    @functools.cached_property
+    def lift(self):
+        if not self.bijective:
+            raise ValueError(f"{self.name} is not bijective")
+        f = self.cod.field
+        back = f.matmul(self._inverse, f.matmul(self.cod.project_mat, self._emb()))
+        del self._inverse
+        return f.matmul(self.dom.section_mat, back)
 
 
 def _induced_map(cod, op, dom, message):
-    """``cod.induced_op(op, dom)``, with a ValueError that names the map
+    """``cod.induced_op(op, dom)``, with a ValueError that says ``message``
     when op does not descend."""
     try:
         return cod.induced_op(op, dom)
@@ -68,38 +86,37 @@ def _induced_map(cod, op, dom, message):
         raise ValueError(message) from None
 
 
-def _inverse(f, alpha):
-    """alpha^-1, or None where the Hopf-Galois map alpha is not bijective:
-    one reduction gives both the verdict and the inverse."""
-    try:
-        return invert(f, alpha)
-    except SingularMatrixError:
-        return None
+def alpha_left(b):
+    """Matrix of alpha_l between quotient coordinates (T1 -> T0)."""
+    return _alpha(b, f"alpha_l of {b.name}").matrix
 
 
-def _inverse_lift(f, inverse, dom, cod, emb):
-    """Lift matrix section . alpha^-1 . project . emb of the inverse of a
-    bijective Hopf-Galois map alpha: dom -> cod, given ``inverse`` =
-    alpha^-1."""
-    back = f.matmul(inverse, f.matmul(cod.project_mat, emb))
-    return f.matmul(dom.section_mat, back)
+def _alpha(b, name):
+    """alpha_l of b as a ``HopfGaloisMap``, built once and kept in
+    ``b._cache``; where it does not descend, the error names it ``name``."""
+    if "alpha_l" not in b._cache:
+        f, U, d = b.field, b.U, b.U.dim
+        # amb[(k, z), (i, j)] = sum_l delta3[k, l, i] mul[l, j, z]
+        amb = f.contract(b.delta3, U.mul, (1, 0)).transpose(0, 3, 1, 2)
+        # u |-> u (x) 1; it holds U, not b, which holds the map
+        emb = lambda: f.contract(f.eye(d), U.unit, 0).transpose(0, 2, 1).reshape(d * d, d)
+        b._cache["alpha_l"] = HopfGaloisMap(
+            b.T1, b.T0, amb.reshape(d * d, d * d), emb, f"alpha_l of {b.name}",
+            f"{name} is not well defined on the quotient",
+        )
+    return b._cache["alpha_l"]
 
 
 def alpha_right(b):
     """Matrix of alpha_r, computed as alpha_l of the co-opposite: from
     T2 = T1(b.coop()) to T0(b.coop()), the flip of T0.  Its error names
     alpha_r of b, not alpha_l of the co-opposite."""
-    return _alpha(b.coop(), f"alpha_r of {b.name}")
+    return _alpha(b.coop(), f"alpha_r of {b.name}").matrix
 
 
 def is_left_hopf(b):
-    if "left_hopf" not in b._cache:
-        inverse = _inverse(b.field, alpha_left(b))
-        b._cache["left_hopf"] = inverse is not None
-        # kept for translate_left_mat, which drops it: it is as large as
-        # alpha_l, 32 MB on rank_n_truncated(2, 5)
-        b._cache["alpha_l inverse"] = inverse
-    return b._cache["left_hopf"]
+    alpha_left(b)
+    return b._cache["alpha_l"].bijective
 
 
 def is_right_hopf(b):
@@ -109,15 +126,8 @@ def is_right_hopf(b):
 
 def translate_left_mat(b):
     """Lift matrix U -> U (x) U of u |-> u_+ (x) u_- (canonical lift)."""
-    if "tl_mat" not in b._cache:
-        if not is_left_hopf(b):
-            raise ValueError(f"alpha_l of {b.name} is not bijective")
-        f, d = b.field, b.U.dim
-        # u |-> u (x) 1
-        emb = f.contract(f.eye(d), b.U.unit, 0).transpose(0, 2, 1).reshape(d * d, d)
-        b._cache["tl_mat"] = _inverse_lift(f, b._cache["alpha_l inverse"], b.T1, b.T0, emb)
-        del b._cache["alpha_l inverse"]
-    return b._cache["tl_mat"]
+    alpha_left(b)
+    return b._cache["alpha_l"].lift
 
 
 def _require_right_hopf(b):
@@ -237,28 +247,26 @@ def comodule_alpha(com):
     """
     com = com.as_left()
     if "calpha" not in com._cache:
-        b, f = com.b, com.field
-        dn, du = com.dim, b.U.dim
+        f, U = com.field, com.b.U
+        dn, du = com.dim, U.dim
         # amb[(z, m), (i, j)] = sum_k co[k, m, i] mul[k, j, z], co the
         # coaction as du x dn x dn
         co = com.coaction.reshape(du, dn, dn)
-        amb = f.contract(co, b.U.mul, (0, 0)).transpose(3, 0, 1, 2)
-        com._cache["calpha"] = _induced_map(
-            com.quotient, amb.reshape(dn * du, dn * du), com.dom_leg.quotient,
-            "comodule Hopf-Galois map not well defined",
+        amb = f.contract(co, U.mul, (0, 0)).transpose(3, 0, 1, 2)
+        # n |-> 1 (x) n; it holds U, not the comodule, which holds the map
+        emb = lambda: f.contract(U.unit, f.eye(dn), 0).reshape(du * dn, dn)
+        com._cache["calpha"] = HopfGaloisMap(
+            com.dom_leg.quotient, com.quotient, amb.reshape(dn * du, dn * du), emb,
+            "comodule Hopf-Galois map", "comodule Hopf-Galois map not well defined",
         )
-    return com._cache["calpha"]
+    return com._cache["calpha"].matrix
 
 
 def comodule_is_bijective(com):
     """Whether the comodule Hopf-Galois map is bijective, decided once per
     comodule (on ``com.as_left()``)."""
-    com = com.as_left()
-    if "calpha bijective" not in com._cache:
-        inverse = _inverse(com.field, comodule_alpha(com))
-        com._cache["calpha bijective"] = inverse is not None
-        com._cache["calpha inverse"] = inverse  # dropped by comodule_translate_mat
-    return com._cache["calpha bijective"]
+    comodule_alpha(com)
+    return com.as_left()._cache["calpha"].bijective
 
 
 def comodule_translate_mat(com):
@@ -268,18 +276,8 @@ def comodule_translate_mat(com):
     Right comodule: m |-> m^+ (x) m^-      in M (x) U  (from m (x) 1),
     the same matrix as for ``com.as_left()``.
     """
-    com = com.as_left()
-    if "ctrans" not in com._cache:
-        if not comodule_is_bijective(com):
-            raise ValueError("comodule Hopf-Galois map is not bijective")
-        f, du = com.field, com.b.U.dim
-        # n -> 1 (x) n
-        emb = f.contract(com.b.U.unit, f.eye(com.dim), 0).reshape(du * com.dim, com.dim)
-        com._cache["ctrans"] = _inverse_lift(
-            f, com._cache["calpha inverse"], com.dom_leg.quotient, com.quotient, emb
-        )
-        del com._cache["calpha inverse"]
-    return com._cache["ctrans"]
+    comodule_alpha(com)
+    return com.as_left()._cache["calpha"].lift
 
 
 def comodule_translation_report(com):

@@ -82,13 +82,20 @@ def check_hopf_module(mod, name=None):
 # -- standard examples ------------------------------------------------------
 
 
+def _on_u_leg(f, mats, dn):
+    """The stack of the matrices m (x) 1 on U (x) N, dim N = dn, for the
+    stack ``mats`` of matrices on U."""
+    k, d = mats.shape[:2]
+    return f.contract(mats, f.eye(dn), 0).transpose(0, 1, 3, 2, 4).reshape(k, d * dn, d * dn)
+
+
 def _coaction_on_quotient(b, q, dn):
     """Coaction matrix for quotients of U (x) N, v (x) n -> v_(1) (x) (v_(2) (x) n)."""
     f, d = b.field, b.U.dim
-    amb = np.kron(b.delta, f.eye(dn))
-    return f.matmul(
-        np.kron(f.eye(d), q.project_mat), f.matmul(amb, q.section_mat)
-    )
+    # [x, (y, n), c]: v_(1) (x) v_(2) (x) n for the lift of class c
+    co = f.contract(b.delta3, q.section_mat.reshape(d, dn, q.dim), (2, 0))
+    out = f.contract(co.reshape(d, d * dn, q.dim), q.project_mat, (1, 1))
+    return out.transpose(0, 2, 1).reshape(d * q.dim, q.dim)
 
 
 def _hopf_module_on(b, q, dn, kind, amb, name):
@@ -97,7 +104,7 @@ def _hopf_module_on(b, q, dn, kind, amb, name):
     a through s(a) on the U leg, and the coaction is v_(1) (x) v_(2) (x) n."""
     f = b.field
     act = list(q.induced_op(amb))
-    a_act = list(q.induced_op(np.kron(np.asarray(b.Ls), f.eye(dn))))
+    a_act = list(q.induced_op(_on_u_leg(f, np.asarray(b.Ls), dn)))
     com = ComodulePresentation(
         b, "left", a_act, _coaction_on_quotient(b, q, dn), name=name
     )
@@ -110,7 +117,7 @@ def rl_hopf_module_from_base_module(b, action_a, name="U(x)N"):
     f = b.field
     dn = action_a[0].shape[0]
     q = b.leg(action_a, over="Lt", u_first=True).quotient
-    amb = np.kron(np.asarray(b.U.basis_right_mults), f.eye(dn))
+    amb = _on_u_leg(f, np.asarray(b.U.basis_right_mults), dn)
     return _hopf_module_on(b, q, dn, "RL", amb, name)
 
 
@@ -120,7 +127,7 @@ def ll_hopf_module_from_base_module(b, action_a, name="U(x)P"):
     f = b.field
     dn = action_a[0].shape[0]
     q = b.leg(action_a, over="Rt", u_first=True).quotient
-    amb = np.kron(np.asarray(b.U.basis_left_mults), f.eye(dn))
+    amb = _on_u_leg(f, np.asarray(b.U.basis_left_mults), dn)
     return _hopf_module_on(b, q, dn, "LL", amb, name)
 
 
@@ -187,9 +194,10 @@ def build_u_lower_star_hopf_module(b):
     sinv = s_lower_star(b)
     lo = left_dual(b)
     act = dual_action(b, lo, "harpoon")
-    coact = f.matmul(
-        np.kron(f.eye(d), smat), f.matmul(star.comodule.coaction, sinv)
-    )
+    # smat on the dual leg of the coaction, as [e_i, (smat m), n]
+    (n, ds), dn = smat.shape, sinv.shape[1]
+    co = f.matmul(star.comodule.coaction, sinv).reshape(d, ds, dn)
+    coact = f.contract(smat, co, (1, 1)).swapaxes(0, 1).reshape(d * n, dn)
     a_act = [
         f.matmul(smat, f.matmul(m, sinv)) for m in star.comodule.action
     ]
@@ -248,9 +256,9 @@ def fundamental_rl(b, mod):
     gamma = _evaluation(mod, covmat, dom)
     if gamma is None:
         return None, None, False
-    eta = f.matmul(
-        dom.project_mat, f.matmul(np.kron(f.eye(d), kc), com.coaction)
-    )
+    # kc on the M leg of the coaction, as [e_i, (kc m), m']
+    co = f.contract(kc, com.coaction.reshape(d, dm, dm), (1, 1)).swapaxes(0, 1)
+    eta = f.matmul(dom.project_mat, co.reshape(d * len(kc), dm))
     verified = f.equal(f.matmul(gamma, eta), f.eye(dm)) and f.equal(
         f.matmul(eta, gamma), f.eye(dom.dim)
     )

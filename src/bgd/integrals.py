@@ -1,5 +1,6 @@
 """Integral spaces, invariance characterization, and Maschke separability."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -16,7 +17,8 @@ class IntegralSpace:
     ``basis`` is a list of total-algebra vectors.  ``action`` holds the
     right multiplications by t(a) per A-basis index; the span is closed
     under them, and ``free_rank_one``/``generator``/``projective_summand``
-    describe the span as an A-module through that action.
+    describe the span as an A-module through that action, each computed
+    where it is first read.
     """
 
     def __init__(self, side, base, basis, action):
@@ -25,9 +27,6 @@ class IntegralSpace:
         self.field = base.field
         self.basis = [base.field.mod(np.asarray(v)) for v in basis]
         self.action = action
-        self.generator = None
-        self.free_rank_one = self._find_generator()
-        self.projective_summand = self._split_test()
 
     @property
     def dim(self):
@@ -43,15 +42,23 @@ class IntegralSpace:
             return self.field.is_zero(v)
         return solve_affine(self.field, self.span_matrix(), v) is not None
 
-    def _find_generator(self):
+    @functools.cached_property
+    def generator(self):
+        """A generator of the span as a free A-module of rank one, or None."""
         f, da = self.field, self.base.dim
-        if self.dim != da:
-            return False
-        for g, orbit in self._candidates():
-            if rank(f, orbit) == da:
-                self.generator = f.mod(np.asarray(g))
-                return True
-        return False
+        if self.dim == da:
+            for g, orbit in self._candidates():
+                if rank(f, orbit) == da:
+                    return f.mod(np.asarray(g))
+        return None
+
+    @property
+    def free_rank_one(self):
+        return self.generator is not None
+
+    @functools.cached_property
+    def projective_summand(self):
+        return self._split_test()
 
     def _candidates(self):
         """(g, the orbit of g under ``action`` as a dU x dA matrix) for each

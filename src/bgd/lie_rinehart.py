@@ -378,9 +378,9 @@ def enveloping_report(b):
 
 def jet_algebroid(b):
     """The jet algebroid of a restricted enveloping algebra: its left dual
-    read as a (commutative) left bialgebroid."""
-    dual = left_dual(b)
-    return dual
+    U_*, a right bialgebroid (a ``DualBialgebroid``), which
+    ``as_left_bialgebroid()`` reads as a (commutative) left one."""
+    return left_dual(b)
 
 
 def jet_lambda_coords(b, dual=None):

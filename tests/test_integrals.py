@@ -199,3 +199,40 @@ def test_integral_space_built_once(command, name, monkeypatch):
     b = FIXTURES[name]()
     HANDLERS[command](b, argparse.Namespace(side=None, element=None))
     assert [side for side, base in built if base is b.A] == ["left"]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_split_test_runs_only_where_read(name, monkeypatch):
+    # maschke and frobenius never read projective_summand, so they run no
+    # split test; integrals and quasi-frobenius read it on one space each
+    import argparse
+
+    from bgd import integrals
+    from bgd.cli import HANDLERS
+
+    runs = []
+    split = integrals.IntegralSpace._split_test
+    monkeypatch.setattr(integrals.IntegralSpace, "_split_test",
+                        lambda self: runs.append(self.side) or split(self))
+    want = {"maschke": [], "frobenius": [], "integrals": ["left"], "quasi-frobenius": ["left"]}
+    for command, sides in want.items():
+        runs.clear()
+        HANDLERS[command](FIXTURES[name](), argparse.Namespace(side=None, element=None))
+        assert runs == sides, command
+    runs.clear()
+    HANDLERS["integrals"](FIXTURES[name](), argparse.Namespace(side="right", element=None))
+    assert runs == ["right"]
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 4), (0, 3)])
+def test_cyclic_group_is_separable_exactly_when_n_is_invertible(p, n):
+    # k[Z/n] has the normalized integral (1/n) sum g^i exactly when p does not divide n
+    from bgd.fixtures import cyclic_group
+    from bgd.linalg import Field
+
+    field = Field.prime(p) if p else Field.rationals()
+    rep = maschke_report(cyclic_group(field, n, f"Z{n}"))
+    status = {i.check_id: i.status for i in rep.items}
+    ok = p == 0 or n % p != 0
+    assert status["maschke.normalized-integral"] == ("pass" if ok else "fail")
+    assert status["maschke.equivalence"] == "pass"

@@ -14,6 +14,7 @@ must agree with the relation-row descent test, ``DescentError`` included.
 """
 
 import argparse
+import itertools
 import pathlib
 import sys
 
@@ -27,10 +28,10 @@ from bgd import algebra, bialgebroid, duals, hopf_modules
 from bgd.algebra import AlgebraPresentation, LegEmbedding, balanced_tensor, free_basis
 from bgd.bialgebroid import LeftBialgebroid, check_comodule, check_left_bialgebroid
 from bgd.cli import HANDLERS
-from bgd.fixtures import FIXTURES, rank_n_truncated, regular_comodule, trivial_comodule
+from bgd.fixtures import FIXTURES, pair, rank_n_truncated, regular_comodule, trivial_comodule
 from bgd.hopf import comodule_translation_report, side_switch, translation_report
 from bgd.hopf_modules import build_u_star_hopf_module, check_hopf_module
-from bgd.linalg import DescentError, Field, Quotient, invert, kernel_basis
+from bgd.linalg import DescentError, Field, Quotient, invert, kernel_basis, rank
 
 # the benchmark's known-answer families, imported from its own directory
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
@@ -349,6 +350,46 @@ def test_free_basis_picks_the_same_generators():
             got, want = (z.leg("Lt", over="Ls", u_first=False) for z in (x, y))
             assert _entries(got.dual) == _entries(want.dual)
             assert _entries(got.gens) == _entries(want.gens)
+
+
+def _greedy_free_basis(f, mats):
+    """The search of ``free_basis`` as it was written before it skipped
+    candidates: each candidate in turn, kept when its orbit adds dA to the
+    rank of the orbits kept.  Also returns, for each candidate tried, the
+    number of nonzero rows of its block (row a: mats_a g)."""
+    da, dy = mats.shape[:2]
+    r = dy // da
+    rng = np.random.default_rng(0)
+    lo, hi = (0, f.p) if f.kind == "prime" else (-1, 2)
+    cands = itertools.chain(f.eye(dy), (
+        f.array(rng.integers(lo, hi, size=dy)) for _ in range(algebra._FREE_BASIS_TRIES * r)))
+    kept, rows = [], []
+    for g in cands:
+        orbits = f.contract(mats, np.stack(kept + [g], axis=1), (2, 0))  # [a, y, i]
+        rows.append(np.count_nonzero(orbits[:, :, -1].any(axis=1)))
+        if rank(f, orbits.transpose(0, 2, 1).reshape(-1, dy)) == da * (len(kept) + 1):
+            kept.append(g)
+            if len(kept) == r:
+                break
+    gens = np.stack(kept, axis=1)
+    m = f.contract(mats, gens, (2, 0)).transpose(1, 2, 0).reshape(dy, dy)
+    return invert(f, m).reshape(r, da, dy), gens, rows
+
+
+@pytest.mark.parametrize("field, n", [(F5, 3), (QQ, 2)], ids=["F5-3", "Q-2"])
+def test_free_basis_skips_blocks_of_low_rank(field, n, monkeypatch):
+    # on pair, s(A) e_ij = k e_ij: the block of a basis vector has one
+    # nonzero row, fewer than dA = n, so it is skipped without a reduction,
+    # and the generators are those of the unskipped search
+    mats = np.asarray(pair(field, n).Ls)
+    calls, rref = [], algebra.rref
+    monkeypatch.setattr(algebra, "rref", lambda f, m: calls.append(m) or rref(f, m))
+    phi, gens = free_basis(field, mats)
+    monkeypatch.undo()
+    want_phi, want_gens, rows = _greedy_free_basis(field, mats)
+    assert _entries(phi) == _entries(want_phi) and _entries(gens) == _entries(want_gens)
+    assert rows[:n * n] == [1] * (n * n)
+    assert len(calls) == sum(k >= n for k in rows)
 
 
 def _split(field, m):
