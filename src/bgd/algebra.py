@@ -3,6 +3,7 @@ balanced-tensor quotient machinery used throughout.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -391,7 +392,9 @@ def triple_classes(field, lhs, rhs, leg12, leg23):
     (1 (x) J23) v in ker(J12 (x) 1) = R12 (x) k^n, and applying 1 (x) K23
     (e_i |-> g_i, the generators of Z), which fixes v modulo X (x) R23 and
     sends R12 (x) k^n into R12 (x) Z, puts v in the relation span.
-    Through the left legs J12 goes first.
+    Through the left legs J12 goes first.  An all-zero v over F_p, the
+    residual of an identity that holds, gives the zero stack of that shape
+    with no product.
     (iii) also makes the push-through of ``TripleQuotient`` descend.  When
     a premise fails, the classes come from a ``TripleQuotient``, which
     raises ``DescentError`` where R23 does not descend."""
@@ -400,6 +403,11 @@ def triple_classes(field, lhs, rhs, leg12, leg23):
     if (leg12.exact and leg23.exact and leg12.left == leg23.left
             and _commute(f, leg23.P, leg12.Q)):
         order = [(leg12, 0), (leg23, 1)]
+        if f.p and not v.any():  # an identity that holds: no class to compute
+            dims = list(v.shape[:3])
+            for leg, axis in order:  # each leg trades its read axis for k^n
+                dims[axis + (not leg.left)] = len(leg.dual)
+            return f.zeros((c, math.prod(dims)))
         for leg, axis in order if leg12.left else order[::-1]:
             v = leg.apply(v, axis)
         return np.moveaxis(v, -1, 0).reshape(c, -1)
@@ -465,10 +473,13 @@ def project_stack(q, lhs, rhs, lead=1):
     identity: the first ``lead`` axes of lhs index the vectors and the rest
     flatten to ambient coordinates; rhs has as many entries, with the same
     leading axes.  The difference is ``Field.residual``'s, unreduced over
-    F_p, which the projection reduces.  Returns the leading axes followed
-    by the quotient coordinates."""
+    F_p, which the projection reduces; an all-zero one over F_p projects to
+    the zero block with no product.  Returns the leading axes followed by
+    the quotient coordinates."""
     lhs = np.asarray(lhs)
     shape = lhs.shape[:lead]
     n = int(np.prod(shape))
     cols = q.field.residual(lhs.reshape(n, -1), np.reshape(rhs, (n, -1))).T
+    if q.field.p and not cols.any():  # an identity that holds
+        return q.field.zeros(shape + (q.dim,))
     return q.project(cols).T.reshape(shape + (q.dim,))

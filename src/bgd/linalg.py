@@ -25,7 +25,12 @@ an integer of magnitude at most 2^53, which float64 represents exactly
 whatever the summation order, so casting the result back to int64 and
 reducing once is exact.  For p above about 9.49e7 a single product can
 pass 2^53 and the product runs in int64 instead.  A longer sum runs as one
-product of the whole operands per chunk of that many terms.
+product of the whole operands per chunk of that many terms.  Most
+products are small, where a call costs more than its arithmetic: so each
+shape of a contraction is planned once (``_plan``), a product of at most
+``INT_WORK`` multiply-adds within one chunk skips the float64 casts, and
+results from ``DIVIDE_FLOOR`` entries are reduced as x - (x // p) p,
+faster than numpy's int64 ``%`` (``_reduce``).
 
 The structure tensors of a monomial presentation are nearly empty, and so
 are most products of them: 625 x 625 by 625 x 625 with 125 nonzero pairs
@@ -66,6 +71,7 @@ they are wherever the identity holds.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, repeat
 from operator import is_, is_not
 
@@ -155,6 +161,18 @@ ROW_PASS = 128
 PAIR_FLOOR = 2**20
 SPARSE_COST = 32
 PAIR_WORDS = 6
+# numpy's int64 product has no BLAS: reduced over F_5 it beats the float64
+# round trip below 4096 multiply-adds (4^3: 1.9 against 2.9 us), is even at
+# 4096 (16^3: 5.0 against 4.3) and loses above (32x16x32: 14 against 8.6);
+# a cli-small or elements pass is flat for INT_WORK from 1024 to 8192
+INT_WORK = 4096
+# % against _reduce, int64 entries of both signs: 0.81 against 0.85 us at 64
+# entries, 3.9 against 3.7 at 1024, 490 against 82 at 65536; of 0, 256,
+# 1024, 4096 and never, a cli-small or quotients pass is fastest at 1024
+DIVIDE_FLOOR = 1024
+# entries _reduce and _chunk_product's in-place cast take at a time: their
+# temporaries stay at 128 KiB (2^16 raised the elements peak by 1.1 MB)
+BLOCK = 2**14
 # the one Fraction(0) that the Q arrays built here hold at every zero entry
 _ZERO = Fraction(0)
 
@@ -314,42 +332,24 @@ class Field:
     def contract(self, a, b, axes=1):
         """``np.tensordot(a, b, axes)`` reduced into the field.  Over F_p the
         entries of a and b must lie in (-p, p); the result is ``int64`` in
-        [0, p).  The product runs in float64 through BLAS whenever
-        ``terms * (p - 1)^2 <= 2^53``: every partial sum is then an integer
-        of magnitude at most 2^53, which float64 holds exactly in any
-        summation order.  Longer sums are split into chunks of that many
-        terms, each one product of the whole operands; for p above about
-        9.49e7, where one product can pass 2^53, the chunks run in
-        ``int64``, (2^63 - 1) // (p - 1)^2 terms each.  A product of at
-        least ``PAIR_FLOOR`` multiply-adds with few nonzero pairs
-        a[..., t] b[t, ...] (at most 1 / ``SPARSE_COST`` of them, and fewer
-        than one per ``PAIR_WORDS`` result entries) pairs its nonzeros
-        instead, summing each result entry in float64, which is exact while
-        terms * (p - 1) <= 2^53 (``_pair_product``).  Over Q an object
-        operand gives an object array of ``Fraction``s, whose integer
-        numerators run through the same products (see
+        [0, p).  The operands are transposed and reshaped to one matrix
+        product as ``_plan`` says, which ``_int_product`` runs in int64
+        (at most ``INT_WORK`` multiply-adds), in float64 through BLAS
+        while ``terms * (p - 1)^2 <= 2^53`` (the FFLAS bound, above), in
+        chunks of terms past it, or by nonzero pairs (``_pair_product``).
+        Over Q an object operand gives an object array of ``Fraction``s,
+        whose integer numerators run through the same products (see
         ``_rational_product``)."""
         a, b = np.asarray(a), np.asarray(b)
         product = self._product if self.kind == "prime" else _rational_product
         if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
             # a matrix or vector product, which needs no reshaping
             return product(a, b)
-        if isinstance(axes, int):
-            ax_a, ax_b = list(range(a.ndim - axes, a.ndim)), list(range(axes))
-        else:
-            ax_a, ax_b = (
-                [x % m.ndim] if isinstance(x, int) else [i % m.ndim for i in x]
-                for x, m in zip(axes, (a, b))
-            )
-        # the free axes of a, then its contracted ones; the reverse for b
-        order_a = [i for i in range(a.ndim) if i not in ax_a] + ax_a
-        order_b = ax_b + [i for i in range(b.ndim) if i not in ax_b]
-        free_a = [a.shape[i] for i in order_a[:a.ndim - len(ax_a)]]
-        free_b = [b.shape[i] for i in order_b[len(ax_b):]]
-        terms = math.prod(a.shape[i] for i in ax_a)
-        a = a.transpose(order_a).reshape(math.prod(free_a), terms)
-        b = b.transpose(order_b).reshape(terms, math.prod(free_b))
-        return product(a, b).reshape(free_a + free_b)
+        if not isinstance(axes, int):
+            axes = tuple(x if isinstance(x, int) else tuple(x) for x in axes)
+        order_a, order_b, (m, k, n), shape = _plan(a.shape, b.shape, axes)
+        a, b = a.transpose(order_a).reshape(m, k), b.transpose(order_b).reshape(k, n)
+        return product(a, b).reshape(shape)
 
     def _product(self, a, b):
         """``a @ b`` mod p for a vector or matrix a and b (``_int_product``)."""
@@ -397,6 +397,27 @@ class Field:
         return a.dtype.str, a.shape, tuple((i, n) for i, n in zip(at, nums) if n), den
 
 
+@lru_cache(maxsize=4096)
+def _plan(shape_a, shape_b, axes):
+    """(order_a, order_b, (m, k, n), out_shape): a transposed to order_a
+    (its free axes, then the contracted ones) reshapes to m x k, b to
+    order_b to k x n, and their product to out_shape, as ``np.tensordot``
+    over ``axes`` (hashable) contracts."""
+    na, nb = len(shape_a), len(shape_b)
+    if isinstance(axes, int):
+        ax_a, ax_b = list(range(na - axes, na)), list(range(axes))
+    else:
+        ax_a, ax_b = (
+            [x % n] if isinstance(x, int) else [i % n for i in x]
+            for x, n in zip(axes, (na, nb))
+        )
+    free_a = [i for i in range(na) if i not in ax_a]
+    free_b = [i for i in range(nb) if i not in ax_b]
+    dims_a, dims_b = [shape_a[i] for i in free_a], [shape_b[i] for i in free_b]
+    mkn = math.prod(dims_a), math.prod(shape_a[i] for i in ax_a), math.prod(dims_b)
+    return free_a + ax_a, ax_b + free_b, mkn, tuple(dims_a + dims_b)
+
+
 def _summation(top):
     """(dtype, chunk) for summing products of integers of magnitude at most
     ``top``: float64 holds every integer up to 2^53, so it sums 2^53 // top
@@ -412,37 +433,56 @@ def _int_product(a, b, p, dtype, chunk, top=None):
     """``a @ b`` for integer arrays, a vector or matrix a (m x k) and b
     (k x n): reduced into [0, p) for a prime p, whose entries lie in
     (-p, p), or the exact product for p None, which Q's numerators take
-    (see ``_rational_product``).  A product of at least ``PAIR_FLOOR``
-    multiply-adds may pair its nonzeros (``_pair_product``).  Otherwise the
-    k terms are summed in chunks of at most ``chunk``, which ``dtype`` sums
-    exactly (``_summation``), each chunk one product of the whole operands,
-    cast to int64.  Over F_p each chunk is reduced below p < 2^31, so the
-    int64 sum of fewer than 2^32 chunks holds them, and is reduced once;
-    without p the caller keeps k * top <= 2^63 - 1, so the int64 sum holds
-    every partial sum, for ``top`` a bound on |a[i, t] b[t, j]|
-    ((p - 1)^2 by default)."""
-    if a.size * math.prod(b.shape[1:]) >= PAIR_FLOOR:
+    (see ``_rational_product``); int64 either way.  A product of at least
+    ``PAIR_FLOOR`` multiply-adds may pair its nonzeros (``_pair_product``).
+    Otherwise the k terms are summed in chunks of at most ``chunk``, which
+    ``dtype`` sums exactly (``_summation``), each chunk one product of the
+    whole operands, cast to int64.  Over F_p each chunk is reduced below
+    p < 2^31, so the int64 sum of fewer than 2^32 chunks holds them, and is
+    reduced once; without p the caller keeps k * top <= 2^63 - 1, so the
+    int64 sum holds every partial sum, for ``top`` a bound on
+    |a[i, t] b[t, j]| ((p - 1)^2 by default).  A single chunk of at most
+    ``INT_WORK`` multiply-adds runs in int64, which sums ``chunk`` terms
+    exactly whatever ``dtype`` is, so it skips the float64 casts."""
+    work, k = a.size * math.prod(b.shape[1:]), a.shape[-1]
+    if work >= PAIR_FLOOR:
         out = _pair_product(p, a if a.ndim == 2 else a[None], b if b.ndim == 2 else b[:, None], top)
         if out is not None:
             return out.reshape(a.shape[:-1] + b.shape[1:])
-    k = a.shape[-1]
     if k <= chunk:
-        return _chunk_product(a, b, p, dtype)
+        return _chunk_product(a, b, p, np.int64 if work <= INT_WORK else dtype)
     out = _chunk_product(a[..., :chunk], b[:chunk], p, dtype)
     for lo in range(chunk, k, chunk):
         out += _chunk_product(a[..., lo:lo + chunk], b[lo:lo + chunk], p, dtype)
-    if p:
-        out %= p
-    return out
+    return _reduce(out, p) if p else out
 
 
 def _chunk_product(a, b, p, dtype):
     """``a @ b`` in ``dtype``, cast to int64 and reduced into [0, p) for a
-    prime p: exact when ``dtype`` sums the terms exactly."""
-    out = (a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)).astype(np.int64, copy=False)
-    if p:
-        out %= p
-    return out
+    prime p: exact when ``dtype`` sums the terms exactly.  A float64 result
+    past ``BLOCK`` entries is cast in place by blocks, so one copy is held."""
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    if dtype is np.float64 and out.size > BLOCK:
+        flat = out.reshape(-1)
+        for lo in range(0, flat.size, BLOCK):
+            flat.view(np.int64)[lo:lo + BLOCK] = flat[lo:lo + BLOCK]
+        out = out.view(np.int64)
+    else:
+        out = out.astype(np.int64, copy=False)
+    return _reduce(out, p) if p else out
+
+
+def _reduce(x, p):
+    """x mod p for an int64 scalar or array x: from ``DIVIDE_FLOOR``
+    entries as x - (x // p) p, by blocks of ``BLOCK`` and in place for a
+    C-contiguous x, as numpy divides int64 by a scalar through libdivide."""
+    if x.size < DIVIDE_FLOOR:
+        return x % p
+    flat = x.reshape(-1)
+    for lo in range(0, flat.size, BLOCK):
+        part = flat[lo:lo + BLOCK]
+        part -= part // p * p
+    return flat.reshape(x.shape)
 
 
 def _pair_product(p, a, b, top=None):
@@ -485,7 +525,7 @@ def _pair_product(p, a, b, top=None):
     vals = np.repeat(a[ia, ta].astype(np.int64), reps)
     vals *= b[tb, jb].astype(np.int64)[at]
     if reduce:
-        vals %= p
+        vals = _reduce(vals, p)
     keys = np.repeat(ia * n, reps)
     keys += jb[at]
     del at
@@ -497,7 +537,7 @@ def _pair_product(p, a, b, top=None):
     lead = np.flatnonzero(rep == seq)
     del seq
     sums = np.bincount(rep, weights=vals)[lead].astype(np.int64)
-    out[keys[lead]] = sums % p if p else sums
+    out[keys[lead]] = _reduce(sums, p) if p else sums
     return out.reshape(m, n)
 
 

@@ -353,6 +353,41 @@ def test_dual_basis_needs_no_coproduct():
         duals._s_side_dual_basis(b)
 
 
+def test_zero_residual_classes_match_the_exact_path(monkeypatch):
+    # an identity that holds over F_p: its classes are the zero stack of
+    # the shape and dtype the leg products give a nonzero residual
+    b = pair(F5, 3)
+    f, rng = b.field, np.random.default_rng(0)
+    sides = set()
+    for name, dims, leg12, leg23 in _triple_shapes(b):
+        assert leg12.exact and leg23.exact and leg12.left == leg23.left, name
+        sides.add(leg12.left)
+        lhs = _draw(f, rng, *dims, 4)
+        want = triple_classes(f, lhs, f.mod(lhs - 1), leg12, leg23)
+        assert want.any(), name
+        monkeypatch.setattr(LegEmbedding, "apply", None)
+        got = triple_classes(f, lhs, lhs.copy(), leg12, leg23)
+        monkeypatch.undo()
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert not got.any(), name
+    assert sides == {False, True}
+
+
+def test_check_applies_no_leg_to_a_zero_residual(monkeypatch):
+    b = pair(F5, 3)
+    zero, apply = [], LegEmbedding.apply
+
+    def watch(leg, v, axis):
+        zero.append(not np.asarray(v).any())
+        return apply(leg, v, axis)
+
+    monkeypatch.setattr(LegEmbedding, "apply", watch)
+    rep = check_left_bialgebroid(b)
+    statuses = {i.check_id: i.status for i in rep.items}
+    assert rep.ok and statuses["coproduct.coassociative"] == "pass"
+    assert True not in zero
+
+
 def _envelope(a):
     """A (x) A^op over A: s(a) = a (x) 1, t(b) = 1 (x) b,
     Delta(a (x) b) = s(a) (x) t(b), eps(a (x) b) = ab."""

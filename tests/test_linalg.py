@@ -845,3 +845,81 @@ def test_pair_path_runs_on_structure_tensors_only(monkeypatch):
     assert np.array_equal(f.matmul(one, one), one) and len(runs) == 1
     monkeypatch.setattr(linalg, "FLOAT_EXACT", 2**10 - 1)
     assert np.array_equal(f.matmul(one, one), one) and len(runs) == 1
+
+
+# -- the fixed cost of a product: int64 products and reduction ------------
+
+
+def test_product_bounds_are_where_the_paths_meet():
+    # the dims of the test below reach both sides of each bound
+    assert linalg.INT_WORK == 64 * 64 and linalg.DIVIDE_FLOOR == 32 * 32
+
+
+# m x n from 1 to 4096 entries, either side of DIVIDE_FLOOR (31 x 33 just
+# below, 32 x 32 at it), and m k n either side of INT_WORK
+@given(
+    st.sampled_from([2, 5, 2**31 - 1, None]), st.sampled_from([1, 3, 31, 32, 33, 64]),
+    st.sampled_from([1, 2, 3, 4, 8]), st.sampled_from([1, 3, 31, 32, 33, 64]),
+    st.sampled_from([np.int32, np.int64]), st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_products_either_side_of_the_bounds_are_exact(p, m, k, n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    top = 2**31 - 1 if p is None else p
+    # entries in (-p, p), as residuals have, in int32 or int64
+    a, b = (rng.integers(1 - top, top, size=s).astype(dtype) for s in ((m, k), (k, n)))
+    if p is None:
+        # Fractions beside an integer operand; the numerators are multiplied
+        # by the same kernel, with no modulus
+        a = QQ.array(np.vectorize(Fraction, otypes=[object])(a, rng.integers(1, 4, size=a.shape)))
+        want = a @ b.astype(object)
+        assert_fractions(QQ.matmul(a, b), want)
+        got = QQ.contract(a.reshape(m, 1, k), b.reshape(k, 1, n), ([1, 2], [1, 0]))
+        assert_fractions(got, want)
+        return
+    f, want = Field.prime(p), exact_contract(a, b, 1, p)
+    assert_reduced(f.matmul(a, b), want, p)
+    assert_reduced(f.contract(a.reshape(m, 1, k), b.reshape(k, 1, n), ([1, 2], [1, 0])), want, p)
+    assert_reduced(f.matmul(a[0], b), want[0], p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_int64_products_stop_at_the_int64_bound(k, monkeypatch):
+    # k (p - 1)^2 fits int64 for k <= 2 only: 2 (p - 1)^2 = 2^63 - 2^34 + 8
+    p = 2**31 - 1
+    f = Field.prime(p)
+    assert f.chunk == 2 and (k * (p - 1) ** 2 <= 2**63 - 1) == (k <= 2)
+    terms, chunk_product = [], linalg._chunk_product
+
+    def watch(a, b, p, dtype):
+        terms.append(a.shape[-1])
+        return chunk_product(a, b, p, dtype)
+
+    monkeypatch.setattr(linalg, "_chunk_product", watch)
+    for sign in (1, -1):
+        a, b = np.full((3, k), p - 1), np.full((k, 3), sign * (p - 1))
+        want = exact_contract(a, b, 1, p)
+        if k > 2:  # a @ b in int64 wraps
+            assert ((a @ b) % p).tolist() != want.tolist()
+        assert_reduced(f.matmul(a, b), want, p)
+    # no int64 product of the kernel sums more than 2 terms
+    assert terms and max(terms) <= 2
+
+
+@given(st.sampled_from([2, 5, 2**31 - 1]),
+       st.sampled_from([(), (0,), (7,), (1023,), (1024,), (40, 99), (2**16 + 5,)]),
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_reduce_matches_remainder(p, shape, wide, strided, seed):
+    rng = np.random.default_rng(seed)
+    # both signs, up to the whole int64 range, whose ends are included
+    hi = 2**63 - 1 if wide else p * p
+    x = rng.integers(-hi, hi, size=shape, dtype=np.int64, endpoint=True)
+    if wide and x.size >= 2:
+        x.reshape(-1)[:2] = -2**63, 2**63 - 1
+    if strided and x.ndim == 2:
+        x = x[:, ::2]
+    want = x % p
+    got = linalg._reduce(x.copy(), p)
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
