@@ -270,10 +270,8 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
     f = b.field
     A, U = b.A, b.U
     d = U.dim
-    for sub, pre in ((A.check(), "base."), (U.check(), "total.")):
-        for item in sub.items:
-            item.check_id = pre + item.check_id
-        rep.items.extend(sub.items)
+    rep.extend(A.check(), "base.")
+    rep.extend(U.check(), "total.")
 
     S, T = b.s_map, b.t_map
     aa, uu = [A.labels] * 2, [U.labels] * 2
@@ -459,9 +457,7 @@ def check_comodule(com, name=None):
     for a comodule presentation (a right comodule through ``as_left()``)."""
     rep = Report(name or f"{com.name} ({com.side} comodule)")
     contra = com.side == "right"
-    rep.extend(check_action(com.b.A, com.action, contravariant=contra, name="a"))
-    for item in rep.items[-2:]:
-        item.check_id = "comodule." + item.check_id
+    rep.extend(check_action(com.b.A, com.action, contravariant=contra, name="a"), "comodule.")
 
     base_a = com.b.A
     com = com.as_left()
@@ -489,9 +485,7 @@ def check_comodule(com, name=None):
     add_triple(rep, "comodule.coassociative", f, lhs, rhs, leg12, com.leg, labels[1:])
 
     ind = com.induced_action
-    rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"))
-    for item in rep.items[-2:]:
-        item.check_id = "comodule.induced_" + item.check_id
+    rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"), "comodule.induced_")
 
     # (t(a) on the U leg) - (.a on the M leg) of coact(m_j), as [a, j]
     v1 = f.contract(np.asarray(b.Rt), co, (2, 0)).transpose(0, 3, 1, 2)

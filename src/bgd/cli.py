@@ -122,33 +122,25 @@ def _cmd_quasi_frobenius(b, args):
 
 
 def _cmd_translate(b, args):
-    rep = Report(f"{b.name} translation")
-    data = {}
-    sides = [args.side] if args.side else ["left", "right"]
-    for side in sides:
-        try:
-            hopf = is_left_hopf(b) if side == "left" else is_right_hopf(b)
-        except ValueError:
-            # the map does not descend to the balanced tensors, so the
-            # input is no bialgebroid and there is nothing to translate
-            rep.skip(
-                f"translate.{side}",
-                f"the {side} Hopf-Galois map is not well defined on the quotient",
-            )
-            continue
-        if not hopf:
-            rep.skip(
-                f"translate.{side}",
-                f"the {side} Hopf-Galois map is not bijective",
-            )
-            continue
-        rep.extend(translation_report(b, side=side))
-        if args.element:
-            u = _parse_element(b, args.element)
-            vec = (
-                translate_left(b, u) if side == "left" else translate_right(b, u)
-            )
-            data[f"{side}_translation"] = _tensor_str(b, vec)
+    rep, data = Report(f"{b.name} translation"), {}
+    for side in [args.side] if args.side else ["left", "right"]:
+        sub, more = _guarded(f"translate.{side}", _translate, b, side, args.element)
+        rep.extend(sub)
+        data.update(more)
+    return rep, data
+
+
+def _translate(b, side, element):
+    """One side's translation report, and its translation of ``element``."""
+    if not (is_left_hopf(b) if side == "left" else is_right_hopf(b)):
+        rep = Report(f"{b.name} translation")
+        rep.skip(f"translate.{side}", f"the {side} Hopf-Galois map is not bijective")
+        return rep, {}
+    rep, data = translation_report(b, side=side), {}
+    if element:
+        u = _parse_element(b, element)
+        vec = translate_left(b, u) if side == "left" else translate_right(b, u)
+        data[f"{side}_translation"] = _tensor_str(b, vec)
     return rep, data
 
 
@@ -213,6 +205,23 @@ HANDLERS = {
     "dual": _cmd_dual,
     "fundamental": _cmd_fundamental,
 }
+
+
+def _guarded(check_id, run, b, *args):
+    """run(b, *args), a command's (report, data), or where it raises a
+    ValueError and b is no left bialgebroid, a report that skips ``check_id``
+    naming the failing axioms.  A ValueError on a left bialgebroid is a bug."""
+    try:
+        return run(b, *args)
+    except SpecError:
+        raise
+    except ValueError:
+        bad = [i.check_id for i in check_left_bialgebroid(b).failures]
+        if not bad:
+            raise
+        rep = Report(b.name)
+        rep.skip(check_id, f"not a left bialgebroid, failing {', '.join(bad)}")
+        return rep, {}
 
 
 def _parse_element(b, text):
@@ -290,12 +299,9 @@ def main(argv=None):
             print(dumps_canonical(export_spec(FIXTURES[name]())), end="")
             return 0
         b = _load(args)
-        rep, data = HANDLERS[args.command](b, args)
+        rep, data = _guarded(args.command, HANDLERS[args.command], b, args)
         return _emit(args.command, b.name, rep, data, args.format)
     except SpecError as exc:
-        print(f"bgd: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"bgd: error: {exc}", file=sys.stderr)
         return 2
 

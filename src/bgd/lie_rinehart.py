@@ -93,10 +93,7 @@ class RestrictedLieRinehart:
     def check(self):
         rep = Report(self.name)
         f, a_, n = self.field, self.A, self.n
-        sub = a_.check()
-        for item in sub.items:
-            item.check_id = "base." + item.check_id
-        rep.items.extend(sub.items)
+        rep.extend(a_.check(), "base.")
         rep.add("base.commutative", a_.is_commutative())
 
         gens = self.labels

@@ -1,10 +1,11 @@
 """Exact linear algebra over F_p and Q.
 
 Scalars over a prime field are python ints in ``[0, p)`` stored in int64
-numpy arrays; rationals are :class:`fractions.Fraction` in object arrays.
-One Gauss-Jordan elimination (``rref``) serves both fields.  It is sparse
-first: rows enter one at a time into a fully reduced basis of sparse rows
-``{column: scalar}``, so a row costs work in its nonzeros only.  The
+numpy arrays, into which ``Field.array`` reduces integer input of any dtype
+and size exactly; rationals are :class:`fractions.Fraction` in object
+arrays.  One Gauss-Jordan elimination (``rref``) serves both fields.  It is
+sparse first: rows enter one at a time into a fully reduced basis of sparse
+rows ``{column: scalar}``, so a row costs work in its nonzeros only.  The
 matrices the batteries reduce come from monomial presentations and are
 nearly empty (a 2064 x 129 relation matrix with 1587 nonzeros), where one
 whole-row numpy operation per pivot would cost more than the row itself.
@@ -15,8 +16,8 @@ the sparse-then-dense rank computations of Dumas and Villard (CASC 2002).
 The basis is written over the rows already read, so the input is held in
 the field once, as the dense loop alone holds it.  Over Q the sparse rows
 are read straight off the input, each entry once (``_rational_rows``), and
-only the rows that reach the dense loop are converted into the field.
-RREF is unique, so the two paths give the same rows.
+only the rows that reach the dense loop are converted into the field.  RREF
+is unique, so the two paths give the same rows.
 
 Products over F_p (``Field.contract``) run in float64 through BLAS, as in
 FFLAS (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): with entries in
@@ -29,8 +30,8 @@ product of the whole operands per chunk of that many terms.  Most
 products are small, where a call costs more than its arithmetic: so each
 shape of a contraction is planned once (``_plan``), a product of at most
 ``INT_WORK`` multiply-adds within one chunk skips the float64 casts, and
-results from ``DIVIDE_FLOOR`` entries are reduced as x - (x // p) p,
-faster than numpy's int64 ``%`` (``_reduce``).
+F_p has one reduction, ``_reduce``: from ``DIVIDE_FLOOR`` entries it takes
+x - (x // p) p, faster than numpy's int64 ``%``.
 
 The structure tensors of a monomial presentation are nearly empty, and so
 are most products of them: 625 x 625 by 625 x 625 with 125 nonzero pairs
@@ -46,20 +47,21 @@ entries some pair reaches are written.  It runs for at least
 dense result (``PAIR_WORDS``); every other product runs dense, and both
 give the same reduced int64 array.
 
-Over Q, arrays are object arrays of ``Fraction``s, and every zero entry
-that ``linalg`` builds is one shared ``Fraction(0)``.  A product, a
-difference (``Field.sub``) or a zero test (``Field.is_zero``) reads each
-operand once, on its nonzeros: the shared zero is skipped by identity, with
-no call of ``Fraction.__bool__``, and the other entries give integer
-numerators over one lcm denominator.  The numerators are int64 while
-``terms * max|N_a| * max|N_b| <= 2^63 - 1`` and python ints above it.
-int64 numerators are multiplied by the F_p integer kernel
-(``_int_product``: chunks of terms, or ``_pair_product``) with no
-modulus, and python ints by numpy's object product, exact for any size.
-Where F_p reduces mod p, Q divides once by the product of the two
+Over Q, arrays are object arrays of ``Fraction``s from the first ``Field``
+call on: ``Field.array`` and ``Field.mod``, through which the structure
+maps enter, and the tops of ``contract``, ``sub`` and ``rref`` make them of
+any other operand.  Every zero entry that ``linalg`` builds is one shared
+``Fraction(0)``.  A product, a difference or a zero test reads each operand
+once, on its nonzeros: the shared zero is skipped by identity, with no call
+of ``Fraction.__bool__``, and the other entries give integer numerators
+over one lcm denominator, int64 while ``terms * max|N_a| * max|N_b|`` fits
+and python ints above it.  int64 numerators are multiplied by the F_p
+integer kernel (``_int_product``: chunks of terms, or ``_pair_product``)
+with no modulus, and python ints by numpy's object product, exact for any
+size.  Where F_p reduces mod p, Q divides once by the product of the two
 denominators, and only the nonzero entries of a result become
-``Fraction``s.  ``Field.equal`` compares two object arrays as lists, entry
-by entry and by identity first, so shared zeros cost nothing.
+``Fraction``s.  ``Field.equal`` compares two arrays as lists, entry by
+entry and by identity first, so shared zeros cost nothing.
 
 The two sides of an identity become its residual in one place,
 ``Field.residual``.  Over F_p it is their integer difference, unreduced:
@@ -240,22 +242,19 @@ class Field:
 
     def sub(self, a, b):
         """a - b in the field, for scalars or arrays (broadcast as numpy
-        does).  Over F_p it is ``(a - b) % p``.  Over Q an array difference
-        is taken on integer numerators over one common denominator, and
-        only its nonzero entries become ``Fraction``s (see
-        ``_numerators``); two equal object arrays give the zero array with
-        no numerators read, and two integer arrays their integer
-        difference."""
+        does).  Over Q an array difference is taken on integer numerators
+        over one common denominator, and only its nonzero entries become
+        ``Fraction``s (see ``_numerators``); two equal arrays give the zero
+        array with no numerators read."""
         if self.kind == "prime":
-            return (a - b) % self.p
+            diff = np.asarray(np.subtract(a, b))
+            return _reduce(diff, self.p) if diff.dtype == np.int64 else self.array(diff)
         if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
             return a - b
-        a, b = np.asarray(a), np.asarray(b)
-        if a.dtype == b.dtype == object and self.equal(a, b):
+        a, b = self.mod(np.asarray(a)), self.mod(np.asarray(b))
+        if self.equal(a, b):
             return self.zeros(a.shape)
         num_a, num_b, den = _common(a, b)
-        if den is None:
-            return num_a - num_b
         return _fractions(num_a - num_b, den)
 
     def residual(self, lhs, rhs):
@@ -305,8 +304,18 @@ class Field:
     # -- arrays ----------------------------------------------------------
 
     def array(self, data):
+        """data as an array of the field, exactly: over F_p int64 in [0, p)
+        (FieldError for an entry that is no integer), over Q ``Fraction``s."""
         if self.kind == "prime":
-            return np.remainder(np.asarray(data, dtype=np.int64), self.p)
+            a = np.asarray(data)
+            if a.dtype.kind in "biu" and a.dtype != np.uint64:
+                # _reduce works in place from DIVIDE_FLOOR entries: on a copy
+                return _reduce(a.astype(np.int64, copy=a.size >= DIVIDE_FLOOR), self.p)
+            flat = a.ravel().tolist()  # python ints of any size, floats, ...
+            ints = [int(x) for x in flat]
+            if ints != flat:
+                raise FieldError("an entry is not an integer")
+            return np.array([x % self.p for x in ints], dtype=np.int64).reshape(a.shape)
         # Fractions are kept as they are and zeros share one Fraction(0), so
         # only nonzero non-Fraction entries build a Fraction of their own
         a = np.array(data, dtype=object)
@@ -327,7 +336,10 @@ class Field:
         return m
 
     def mod(self, a):
-        return a % self.p if self.kind == "prime" else a
+        """a in the field: ``array``, but over Q an object array as it is."""
+        if self.kind == "rationals" and np.asarray(a).dtype == object:
+            return a
+        return self.array(a)
 
     def contract(self, a, b, axes=1):
         """``np.tensordot(a, b, axes)`` reduced into the field.  Over F_p the
@@ -337,11 +349,13 @@ class Field:
         (at most ``INT_WORK`` multiply-adds), in float64 through BLAS
         while ``terms * (p - 1)^2 <= 2^53`` (the FFLAS bound, above), in
         chunks of terms past it, or by nonzero pairs (``_pair_product``).
-        Over Q an object operand gives an object array of ``Fraction``s,
-        whose integer numerators run through the same products (see
-        ``_rational_product``)."""
-        a, b = np.asarray(a), np.asarray(b)
-        product = self._product if self.kind == "prime" else _rational_product
+        Over Q the operands are read as ``Fraction``s (``mod``) and give an
+        object array of them, whose integer numerators run through the same
+        products (see ``_rational_product``)."""
+        if self.kind == "prime":
+            a, b, product = np.asarray(a), np.asarray(b), self._product
+        else:
+            a, b, product = self.mod(np.asarray(a)), self.mod(np.asarray(b)), _rational_product
         if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
             # a matrix or vector product, which needs no reshaping
             return product(a, b)
@@ -360,16 +374,14 @@ class Field:
 
     def equal(self, a, b):
         """Whether a and b have one shape and equal entries in the field.
-        Over Q an object operand is compared as a list, which compares
-        entries by identity first: two shared zeros cost no call of
+        Over Q the operands are compared as lists, which compare entries by
+        identity first: two shared zeros cost no call of
         ``Fraction.__eq__``."""
         a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape:
             return False
         if self.kind == "prime":
             return self.is_zero(a - b)
-        if a.dtype != object and b.dtype != object:
-            return np.array_equal(a, b)
         return a.ravel().tolist() == b.ravel().tolist()
 
     def is_zero(self, a):
@@ -379,10 +391,7 @@ class Field:
         not the shared zero are tested (see ``_numerators``)."""
         if self.kind == "prime":
             return not np.fmod(a, self.p).any()
-        a = np.asarray(a)
-        if a.dtype != object:
-            return not a.any()
-        flat = a.ravel().tolist()
+        flat = np.asarray(a).ravel().tolist()
         return not any(compress(flat, map(is_not, flat, repeat(_ZERO))))
 
     def key(self, a):
@@ -589,12 +598,9 @@ def _fractions(num, den):
 
 
 def _common(a, b):
-    """(N_a, N_b, den): the numerators of a and b (broadcast to one shape)
-    over one denominator, as int64 arrays while the sum of their largest
-    magnitudes fits, and as python ints otherwise; for two integer arrays
-    they are a and b themselves, with den None."""
-    if a.dtype != object and b.dtype != object:
-        return a, b, None
+    """(N_a, N_b, den): the numerators of the object arrays a and b
+    (broadcast to one shape) over one denominator, as int64 arrays while
+    the sum of their largest magnitudes fits, and as python ints otherwise."""
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     (at_a, num_a, den_a), (at_b, num_b, den_b) = _numerators(a), _numerators(b)
@@ -609,17 +615,14 @@ def _common(a, b):
 
 
 def _rational_product(a, b):
-    """``a @ b`` over Q for a vector or matrix a (m x k) and b (k x n).  With
-    an object operand the result is an object array of ``Fraction``s (a
-    ``Fraction`` for two vectors); two non-object operands give ``a @ b``.
-    Each operand is read once, on its nonzeros, as integer numerators over
-    the lcm of its denominators (``_numerators``).  While k max|N_a|
-    max|N_b| <= 2^63 - 1 the numerators are int64 and run through the F_p
-    products (``_int_product``, with no modulus), and otherwise they are
-    python ints; the result is divided once by the product of the two
+    """``a @ b`` over Q for object arrays, a vector or matrix a (m x k) and
+    b (k x n): an object array of ``Fraction``s (a ``Fraction`` for two
+    vectors).  Each operand is read once, on its nonzeros, as integer
+    numerators over the lcm of its denominators (``_numerators``).  While
+    k max|N_a| max|N_b| <= 2^63 - 1 the numerators are int64 and run through
+    the F_p products (``_int_product``, with no modulus), and otherwise they
+    are python ints; the result is divided once by the product of the two
     denominators, and only its nonzero entries become ``Fraction``s."""
-    if a.dtype != object and b.dtype != object:
-        return a @ b
     shape = a.shape[:-1] + b.shape[1:]
     (at_a, num_a, den_a), (at_b, num_b, den_b) = _numerators(a), _numerators(b)
     top = max(map(abs, num_a), default=0) * max(map(abs, num_b), default=0)
@@ -654,11 +657,11 @@ def rref(field, m):
         raise ValueError("expected a 2-d array")
     nrows, ncols = m.shape
     p = field.p
-    w = field.array(m) if p else m
+    w = field.mod(m)  # over Q m itself where it is an object array
     basis = {}  # pivot column -> row, zero at every other pivot column
     seen = set()  # columns that some basis row has held
     fill = 0  # nonzero entries of the basis
-    for i, v in _sparse_rows(w) if p else _rational_rows(m):
+    for i, v in _sparse_rows(w) if p else _rational_rows(w):
         v = _reduced(v, basis, p)
         if not v:
             continue
@@ -682,7 +685,7 @@ def rref(field, m):
             # the basis goes over the last of them, in place over F_p; over
             # Q only these rows and the rest are converted
             lo = i + 1 - len(basis)
-            w = w[lo:] if p else field.array(m[lo:])
+            w = w[lo:] if p else field.array(w[lo:])
             w[:len(basis)] = field.zero
             _place(basis, w[:len(basis)])
             return _gauss_jordan(field, w)
@@ -716,15 +719,11 @@ def _sparse_rows(w):
 
 
 def _rational_rows(m):
-    """(row index, {column: Fraction}) for every nonzero row of a matrix m
-    over Q, reading each entry once: an entry that is the shared
+    """(row index, {column: Fraction}) for every nonzero row of an object
+    matrix m over Q, reading each entry once: an entry that is the shared
     ``Fraction(0)`` is skipped by identity, and a ``Fraction`` is built only
     for a nonzero entry that is not one already, as ``Field.array`` builds
-    it.  An integer m is read by ``_sparse_rows``."""
-    if m.dtype != object:
-        for i, v in _sparse_rows(m):
-            yield i, {j: Fraction(x) for j, x in v.items()}
-        return
+    it."""
     width = max(1, m.shape[1])
     flat = m.ravel().tolist()
     row, v = 0, {}

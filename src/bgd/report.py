@@ -1,6 +1,6 @@
 """Structured pass/fail reports shared by all checkers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,8 +53,11 @@ class Report:
     def skip(self, check_id, reason=None):
         self.items.append(CheckItem(check_id, "skipped", reason))
 
-    def extend(self, other):
-        self.items.extend(other.items)
+    def extend(self, other, prefix=""):
+        """Add the items of ``other``: with a ``prefix``, copies of them
+        whose check ids start with it."""
+        self.items.extend([replace(i, check_id=prefix + i.check_id) for i in other.items]
+                          if prefix else other.items)
 
     @property
     def ok(self):

@@ -5,8 +5,9 @@ import pytest
 from test_algebra import triangular_envelope
 from test_lib_golden import _corrupt
 
+from bgd import cli
 from bgd.cli import main
-from bgd.fixtures import FIXTURES
+from bgd.fixtures import FIXTURES, rank_n_truncated
 from bgd.hopf import alpha_left, alpha_right, is_right_hopf, translate_right_mat
 from bgd.jsonio import dumps_canonical, export_spec, parse_spec
 
@@ -232,10 +233,92 @@ def test_right_hopf_errors_name_alpha_r(tmp_path, capsys):
         alpha_left(b)
     p = tmp_path / "flipped.json"
     p.write_text(dumps_canonical(doc))
-    code, _, err = run(capsys, "maschke", str(p))
-    assert code == 2
-    assert "alpha_r of U(dual-numbers-p2) is not well defined" in err
-    assert "_coop" not in err
+    code, out, err = run(capsys, "maschke", str(p), "--format", "json")
+    assert code in (0, 1)
+    items = {i["check_id"]: i for i in json.loads(out)["items"]}
+    assert items["maschke"]["status"] == "skipped"
+    assert "coproduct.takeuchi" in items["maschke"]["witness"]
+    assert "_coop" not in out + err
+
+
+def test_dual_skips_coassociativity_past_dim_9(tmp_path, capsys):
+    # the CLI checks the coassociativity of U_* only while dim U <= 9
+    p = tmp_path / "trunc-2-3.json"
+    p.write_text(dumps_canonical(export_spec(rank_n_truncated(2, 3))))
+    code, out, _ = run(capsys, "dual", str(p), "--format", "json")
+    assert code == 0
+    assert _statuses(out)["coproduct.coassociative"] == "skipped"
+
+
+# -- corrupted specs: a parseable one never exits 2 ------------------------
+
+VARIANTS = [["check"], ["integrals", "--side", "left"], ["integrals", "--side", "right"],
+            ["maschke"], ["frobenius"], ["quasi-frobenius"], ["translate"],
+            ["dual", "--side", "left"], ["dual", "--side", "right"], ["fundamental"]]
+FUZZ_KEYS = ("delta", "s", "t", "counit", "U.mul", "A.mul")
+
+
+@pytest.mark.parametrize("preset", sorted(FIXTURES))
+def test_corrupted_specs_exit_0_or_1(tmp_path, capsys, preset):
+    # every command variant on seeded single-entry corruptions of each
+    # structure map: a broken axiom is a fail or a skip, never exit 2 or
+    # an escaped exception
+    for key in FUZZ_KEYS:
+        for seed in (0, 1):
+            p = tmp_path / f"{key}-{seed}.json"
+            sd = [seed, sorted(FIXTURES).index(preset), FUZZ_KEYS.index(key)]
+            p.write_text(dumps_canonical(export_spec(_corrupt(preset, key, sd))))
+            for variant in VARIANTS:
+                code, out, err = run(capsys, variant[0], str(p), *variant[1:], "--format", "json")
+                assert code in (0, 1), (key, seed, variant, err)
+                assert json.loads(out)["items"], (key, seed, variant)
+
+
+def test_value_error_on_a_left_bialgebroid_is_raised(monkeypatch, capsys):
+    # no axiom fails, so the error is a bug, not a property of the input
+    def broken(b, args):
+        raise ValueError("broken handler")
+
+    monkeypatch.setitem(cli.HANDLERS, "maschke", broken)
+    with pytest.raises(ValueError, match="broken handler"):
+        main(["maschke", "--preset", "group-f3"])
+
+
+def _spec_doc():
+    return export_spec(FIXTURES["rank1-dual-numbers"]())
+
+
+def _drop_row(doc):
+    del doc["bialgebroid"]["s"][0]
+
+
+def _bad_scalar(doc):
+    doc["bialgebroid"]["delta"][3][1] = "1/0"
+
+
+def _composite_p(doc):
+    doc["field"]["p"] = 4
+
+
+def _mul_out_of_range(doc):
+    doc["algebras"]["U"]["mul"][2][1] = doc["algebras"]["U"]["dim"]
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (_drop_row, "bialgebroid.s:"),
+    (_bad_scalar, "bialgebroid.delta[3][1]:"),
+    (_composite_p, "field.p:"),
+    (_mul_out_of_range, "algebras.U.mul[2]:"),
+])
+def test_unparseable_specs_exit_2_with_a_path(tmp_path, capsys, corrupt, where):
+    doc = _spec_doc()
+    corrupt(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(dumps_canonical(doc))
+    for variant in VARIANTS:
+        code, out, err = run(capsys, variant[0], str(p), *variant[1:])
+        assert code == 2 and not out
+        assert err.startswith(f"bgd: error: {where}"), err
 
 
 def test_frobenius_disagrees_on_non_hopf(capsys):

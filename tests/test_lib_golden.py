@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from bgd import duals, frobenius, hopf, hopf_modules, integrals
+from bgd.algebra import AlgebraPresentation
 from bgd.bialgebroid import LeftBialgebroid, check_comodule, check_left_bialgebroid
 from bgd.report import Report
 from bgd.fixtures import FIXTURES, Q_FIXTURES, rank_n_truncated, regular_comodule
@@ -54,17 +55,22 @@ CLEAN = {}
 
 
 def _corrupt(case, key, seed):
-    """``case`` with one entry of the structure map ``key`` (delta, s, t
-    or counit) moved by a nonzero scalar, both chosen by ``seed``."""
+    """``case`` with one entry of the structure map ``key`` (delta, s, t,
+    counit, or the multiplication ``A.mul`` or ``U.mul``) moved by a nonzero
+    scalar, both chosen by ``seed``."""
     b = CASES[case]()
     f = b.field
     maps = {"delta": b.delta, "s": b.s_map, "t": b.t_map, "counit": b.counit}
     maps = {k: v.copy() for k, v in maps.items()}
+    algs = {"A": b.A, "U": b.U}
     rng = np.random.default_rng(seed)
-    m = maps[key]
+    m = maps[key] if key in maps else algs[key[0]].mul.copy()
     idx = tuple(int(rng.integers(n)) for n in m.shape)
     m[idx] = f.canon(m[idx] + int(rng.integers(1, f.p)))
-    return LeftBialgebroid(b.A, b.U, maps["s"], maps["t"], maps["delta"],
+    if key not in maps:
+        alg = algs[key[0]]
+        algs[key[0]] = AlgebraPresentation(f, m, alg.unit, alg.labels)
+    return LeftBialgebroid(algs["A"], algs["U"], maps["s"], maps["t"], maps["delta"],
                            maps["counit"], name=f"{b.name}-bad-{key}")
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgd import linalg
+from bgd.algebra import AlgebraPresentation
 from bgd.linalg import (
     Field,
     FieldError,
@@ -567,11 +568,81 @@ def test_rational_contract_with_zero_size_axes():
         assert_fractions(QQ.contract(a, b, axes), want)
 
 
-def test_rational_contract_of_int_operands_keeps_int64():
+def test_rational_contract_of_int_operands_is_exact():
+    # non-object operands are read as Fractions, not multiplied in their
+    # own dtype, where 2^33 wraps in int32 and 2^65 in int64
+    i32 = np.array([2**30, 2**30], dtype=np.int32)
+    assert_fractions(QQ.matmul(i32, np.array([4, 4], dtype=np.int32)), Fraction(2**33))
+    assert_fractions(QQ.matmul(np.array([2**62, 2**62]), np.array([4, 4])), Fraction(2**65))
+    assert_fractions(QQ.matmul(np.array([0.5, 1.0]), [2, 2]), Fraction(3))
     a = np.arange(6, dtype=np.int64).reshape(2, 3)
     for got, want in ((QQ.matmul(a, a.T), a @ a.T),
                       (QQ.contract(a, a, ([0], [0])), np.tensordot(a, a, ([0], [0])))):
-        assert _same(got, want)
+        assert_fractions(got, QQ.array(want))
+
+
+# every kind of array the API accepts, with the exact values it holds: over
+# Q as given, over F_p with integer floats and Fractions only
+BOUNDARY = {
+    "int32": lambda q: np.array([2**31 - 1, -2**31, 7], dtype=np.int32),
+    "int64": lambda q: np.array([2**63 - 1, -2**63, -1]),
+    "uint64": lambda q: np.array([2**64 - 1, 2**63, 5], dtype=np.uint64),
+    "bool": lambda q: np.array([True, False, True]),
+    "float": lambda q: np.array([0.5 if q else 2.0, -3.0, 2.0**70]),
+    "object": lambda q: np.array([Fraction(1 if q else 6, 3), 2**70, -4], dtype=object),
+    "python-int": lambda q: [2**70, -2**65, 2**63],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY))
+def test_rational_methods_are_exact_on_every_kind(kind):
+    x = BOUNDARY[kind](True)
+    want = [Fraction(v) for v in np.asarray(x).tolist()]
+    ref, w = QQ.array(want), QQ.array([1, 2, 3])
+    assert_fractions(QQ.array(x), ref)
+    assert np.asarray(QQ.mod(x)).tolist() == want
+    for diff in (QQ.sub(x, w), QQ.residual(x, w)):
+        assert_fractions(diff, ref - w)
+    assert_fractions(QQ.sub(w, x), w - ref)
+    assert_fractions(QQ.matmul(x, w), ref @ w)
+    assert_fractions(QQ.contract(x, x, 0), np.multiply.outer(ref, ref))
+    assert QQ.equal(x, ref) and not QQ.equal(x, ref + 1)
+    assert not QQ.is_zero(x) and QQ.is_zero(np.zeros_like(np.asarray(x)))
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY))
+def test_prime_entry_is_exact_on_every_kind(kind):
+    # the way into F_p; its other methods take field elements, as
+    # Field.contract and Field.residual say
+    x = BOUNDARY[kind](False)
+    want = [int(v) % 5 for v in np.asarray(x).tolist()]
+    for got in (F5.array(x), F5.mod(x), F5.sub(x, 0)):
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_prime_array_boundary_values():
+    with pytest.raises(FieldError):
+        F5.array([2.5])
+    with pytest.raises(FieldError):
+        F5.mod(np.array([[1, 0], [Fraction(1, 2), 3]], dtype=object))
+    assert F5.array(np.array([2**64 - 1], dtype=np.uint64)).tolist() == [0]
+    assert F5.array([2**70]).tolist() == [4]
+    # from linalg.DIVIDE_FLOOR entries the reduction runs in place, on a
+    # copy: never on the caller's array
+    for x in (np.arange(-3000, 3000), np.arange(-3000, 3000, dtype=np.int32)):
+        keep = x.copy()
+        for got in (F5.array(x), F5.mod(x), F5.sub(x, 0)):
+            assert got.dtype == np.int64 and np.array_equal(got, keep % 5)
+        assert np.array_equal(x, keep)
+
+
+def test_rational_structure_maps_of_int64_stay_exact():
+    # mul given as int64 is read as Fractions by the constructor's
+    # Field.mod, so products of it do not wrap
+    a = AlgebraPresentation(QQ, np.array([[[2**40]]]), QQ.array([1]))
+    x = np.array([2**40])
+    assert a.mul.dtype == object
+    assert_fractions(a.mult(a.mult(x, x), x), QQ.array([2**200]))
 
 
 # -- Q products by nonzero pairs and Q row reduction -----------------------
