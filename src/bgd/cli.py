@@ -36,19 +36,6 @@ from .integrals import (
 from .jsonio import SpecError, dumps_canonical, export_spec, load_spec
 from .report import Report
 
-COMMANDS = (
-    "check",
-    "integrals",
-    "maschke",
-    "frobenius",
-    "quasi-frobenius",
-    "translate",
-    "dual",
-    "fundamental",
-    "example",
-)
-
-
 def _tensor_str(b, vec):
     f, d = b.field, b.U.dim
     terms = []
@@ -205,6 +192,7 @@ HANDLERS = {
     "dual": _cmd_dual,
     "fundamental": _cmd_fundamental,
 }
+COMMANDS = (*HANDLERS, "example")
 
 
 def _guarded(check_id, run, b, *args):

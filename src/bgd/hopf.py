@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .algebra import add_triple, lift_products, pair_and_act, project_stack
+from .algebra import add_triple, multiplicativity, pair_and_act, project_stack
 from .linalg import DescentError, SingularMatrixError, invert
 from .report import Report
 
@@ -208,7 +208,7 @@ def _sch_suite(b, rep, tag, hopf, reason):
     rhs = f.contract(tl3, tl3, (0, 2)).transpose(2, 0, 3, 1).reshape(d, d, d, d)
     add_triple(rep, f"{tag}5", f, lhs, rhs, leg1, leg0, ul)
 
-    rep.add_residual(f"{tag}6", _translation_multiplicativity(b, tl), ul * 2)
+    rep.add_residual(f"{tag}6", multiplicativity(t1, U, tl, flip=True), ul * 2)
 
     # u_+ u_- = s(eps(u)) and u_+ t(eps(u_-)) = u
     se = f.matmul(b.s_map, b.counit)
@@ -222,16 +222,6 @@ def _sch_suite(b, rep, tag, hopf, reason):
     lhs = f.contract(U.products(b.s_map, b.t_map), tl, (2, 1))
     rhs = f.contract(b.s_map, b.s_map, 0).transpose(1, 3, 0, 2)
     rep.add_residual(f"{tag}9", project_stack(t1, lhs, rhs, 2), [b.A.labels] * 2)
-
-
-def _translation_multiplicativity(b, tl):
-    """(uv)_+ (x) (uv)_- - u_+ v_+ (x) v_- u_- in T1, as [u, v].  Its own
-    function, so that the d^5 intermediate is freed on return."""
-    d = b.U.dim
-    lhs = b.field.contract(b.U.mul, tl, (2, 1))
-    tl3 = tl.reshape(d, d, d)
-    rhs = lift_products(b.U, tl3, tl3, flip=True).reshape(d, d, d * d)
-    return project_stack(b.T1, lhs, rhs, 2)
 
 
 # -- comodule Hopf-Galois maps ---------------------------------------------
@@ -335,8 +325,9 @@ def _left_comodule_suite(com, rep, tag):
         rhs = f.contract(np.asarray(rmats), tm, (2, 1)).transpose(0, 3, 2, 1)
         rep.add_residual(f"{tag}{i}", project_stack(dom, lhs, rhs, 2), an)
 
+    # [i, n]: the n_n-entry of n_i^[+] . eps(n_i^[-])
     counit = pair_and_act(f, ind, b.counit[None], tmat, u_first=False)[0]
-    rep.add(f"{tag}8", f.equal(counit, f.eye(dn)))
+    rep.add_residual(f"{tag}8", f.sub(counit.T, f.eye(dn)), nl)
 
 
 def side_switch(com):

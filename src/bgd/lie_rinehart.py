@@ -94,7 +94,8 @@ class RestrictedLieRinehart:
         rep = Report(self.name)
         f, a_, n = self.field, self.A, self.n
         rep.extend(a_.check(), "base.")
-        rep.add("base.commutative", a_.is_commutative())
+        rep.add_residual(
+            "base.commutative", f.sub(a_.mul, a_.mul.swapaxes(0, 1)), [a_.labels] * 2)
 
         gens = self.labels
         e = f.contract(f.eye(n), a_.unit, 0)  # the generators, e[i] = e_i

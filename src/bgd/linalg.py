@@ -2,7 +2,9 @@
 
 Scalars over a prime field are python ints in ``[0, p)`` stored in int64
 numpy arrays, into which ``Field.array`` reduces integer input of any dtype
-and size exactly; rationals are :class:`fractions.Fraction` in object
+and size exactly.  The other F_p methods take an int64 operand as field
+elements and read one of any other dtype through ``Field.array``
+(``Field._read``).  Rationals are :class:`fractions.Fraction` in object
 arrays.  One Gauss-Jordan elimination (``rref``) serves both fields.  It is
 sparse first: rows enter one at a time into a fully reduced basis of sparse
 rows ``{column: scalar}``, so a row costs work in its nonzeros only.  The
@@ -247,11 +249,10 @@ class Field:
         ``Fraction``s (see ``_numerators``); two equal arrays give the zero
         array with no numerators read."""
         if self.kind == "prime":
-            diff = np.asarray(np.subtract(a, b))
-            return _reduce(diff, self.p) if diff.dtype == np.int64 else self.array(diff)
+            return _reduce(self.residual(a, b), self.p)
         if not isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
             return a - b
-        a, b = self.mod(np.asarray(a)), self.mod(np.asarray(b))
+        a, b = self._read(a), self._read(b)
         if self.equal(a, b):
             return self.zeros(a.shape)
         num_a, num_b, den = _common(a, b)
@@ -265,14 +266,14 @@ class Field:
         shared zero at every zero entry.  F_p adds no reduction here, as a
         residual is reduced by the product that reads it."""
         if self.kind == "prime":
-            return np.subtract(lhs, rhs)
+            return np.subtract(self._read(lhs), self._read(rhs))
         return self.sub(lhs, rhs)
 
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "prime" else a * b
 
     def neg(self, a):
-        return (-a) % self.p if self.kind == "prime" else -a
+        return -self._read(a) % self.p if self.kind == "prime" else -a
 
     def inv(self, a):
         if self.kind == "prime":
@@ -320,8 +321,11 @@ class Field:
         # only nonzero non-Fraction entries build a Fraction of their own
         a = np.array(data, dtype=object)
         out = np.empty(a.shape, dtype=object)
-        out.reshape(-1)[:] = [x if type(x) is Fraction else Fraction(x) if x != 0 else _ZERO
-                              for x in a.reshape(-1).tolist()]
+        try:
+            out.reshape(-1)[:] = [x if type(x) is Fraction else Fraction(x) if x != 0 else _ZERO
+                                  for x in a.reshape(-1).tolist()]
+        except (OverflowError, ValueError):  # Fraction of an infinity or a nan
+            raise FieldError("an entry is not a finite number") from None
         return out
 
     def zeros(self, shape):
@@ -337,25 +341,28 @@ class Field:
 
     def mod(self, a):
         """a in the field: ``array``, but over Q an object array as it is."""
-        if self.kind == "rationals" and np.asarray(a).dtype == object:
-            return a
-        return self.array(a)
+        return self.array(a) if self.p else self._read(a)
+
+    def _read(self, a):
+        """An operand as the kernels take it: an array of the field's dtype
+        (int64 over F_p, object over Q) as it is, any other through ``array``."""
+        a = np.asarray(a)
+        return a if a.dtype == (np.int64 if self.p else object) else self.array(a)
 
     def contract(self, a, b, axes=1):
         """``np.tensordot(a, b, axes)`` reduced into the field.  Over F_p the
-        entries of a and b must lie in (-p, p); the result is ``int64`` in
+        int64 entries of a and b must lie in (-p, p), and other operands are
+        read through ``array`` (``_read``); the result is ``int64`` in
         [0, p).  The operands are transposed and reshaped to one matrix
         product as ``_plan`` says, which ``_int_product`` runs in int64
         (at most ``INT_WORK`` multiply-adds), in float64 through BLAS
         while ``terms * (p - 1)^2 <= 2^53`` (the FFLAS bound, above), in
         chunks of terms past it, or by nonzero pairs (``_pair_product``).
-        Over Q the operands are read as ``Fraction``s (``mod``) and give an
+        Over Q the operands are read as ``Fraction``s (``_read``) and give an
         object array of them, whose integer numerators run through the same
         products (see ``_rational_product``)."""
-        if self.kind == "prime":
-            a, b, product = np.asarray(a), np.asarray(b), self._product
-        else:
-            a, b, product = self.mod(np.asarray(a)), self.mod(np.asarray(b)), _rational_product
+        a, b = self._read(a), self._read(b)
+        product = self._product if self.p else _rational_product
         if axes == 1 and 1 <= a.ndim <= 2 and 1 <= b.ndim <= 2:
             # a matrix or vector product, which needs no reshaping
             return product(a, b)
@@ -381,7 +388,7 @@ class Field:
         if a.shape != b.shape:
             return False
         if self.kind == "prime":
-            return self.is_zero(a - b)
+            return self.is_zero(self.residual(a, b))
         return a.ravel().tolist() == b.ravel().tolist()
 
     def is_zero(self, a):
@@ -390,7 +397,7 @@ class Field:
         no entry is reduced into [0, p).  Over Q only the entries that are
         not the shared zero are tested (see ``_numerators``)."""
         if self.kind == "prime":
-            return not np.fmod(a, self.p).any()
+            return not np.fmod(self._read(a), self.p).any()
         flat = np.asarray(a).ravel().tolist()
         return not any(compress(flat, map(is_not, flat, repeat(_ZERO))))
 
@@ -560,7 +567,7 @@ def _numerators(a):
     a zero built elsewhere as well, whose numerator is 0.  An array of
     shared zeros only, as the residual of an identity that holds is, takes
     one identity pass that builds no index.  An integer array is its own
-    numerators."""
+    numerators; a float or other number is read exactly as a Fraction."""
     if a.dtype != object:
         at = np.flatnonzero(a)
         return at, a.reshape(-1)[at].tolist(), 1
@@ -569,7 +576,10 @@ def _numerators(a):
         return [], [], 1
     at = list(compress(range(len(flat)), map(is_not, flat, repeat(_ZERO))))
     vals = [flat[i] for i in at]
-    den = math.lcm(*{x.denominator for x in vals})
+    try:
+        den = math.lcm(*{x.denominator for x in vals})
+    except AttributeError:  # a float or another number: read exactly
+        return _numerators(Field.rationals().array(a))
     if den == 1:
         return at, [x.numerator for x in vals], 1
     return at, [x.numerator * (den // x.denominator) for x in vals], den

@@ -59,6 +59,8 @@ def test_unit_failure_witnessed():
     a = dual_numbers(F2)
     rep = AlgebraPresentation(a.field, a.mul, a.field.array([0, 1])).check()
     assert any("unit" in i.check_id for i in rep.failures)
+    # X e0 = X: the first basis element the claimed unit fails on is e0
+    assert {i.check_id: i.where for i in rep.failures} == {"unit.left": "e0", "unit.right": "e0"}
 
 
 def test_truncated_polynomials_derivation():

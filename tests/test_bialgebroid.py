@@ -19,6 +19,20 @@ def test_axiom_battery(name):
     assert rep.ok, [i.check_id for i in rep.failures]
 
 
+def test_unit_items_name_where_they_fail():
+    b = FIXTURES["rank1-dual-numbers"]()
+    f = b.field
+    s_map, counit = b.s_map.copy(), b.counit.copy()
+    s_map[3, 0] = f.canon(s_map[3, 0] + 1)  # s(1) gains a term in e3
+    counit[1, 0] = f.canon(counit[1, 0] + 1)  # eps(1) gains a term in e1
+    for s, eps, check_id, where in ((s_map, b.counit, "source.unit", b.U.labels[3]),
+                                    (b.s_map, counit, "counit.unit", b.A.labels[1])):
+        bad = LeftBialgebroid(b.A, b.U, s, b.t_map, b.delta, eps)
+        item = {i.check_id: i for i in check_left_bialgebroid(bad).items}[check_id]
+        assert item.status == "fail" and item.where == where, item
+        assert f"FAIL {check_id} (at {where})" in check_left_bialgebroid(bad).to_text()
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_coop_battery(name):
     b = FIXTURES[name]().coop()

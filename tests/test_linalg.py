@@ -590,6 +590,7 @@ BOUNDARY = {
     "bool": lambda q: np.array([True, False, True]),
     "float": lambda q: np.array([0.5 if q else 2.0, -3.0, 2.0**70]),
     "object": lambda q: np.array([Fraction(1 if q else 6, 3), 2**70, -4], dtype=object),
+    "object-float": lambda q: np.array([0.5 if q else 2.0, -3.0, 2.0**70], dtype=object),
     "python-int": lambda q: [2**70, -2**65, 2**63],
 }
 
@@ -608,16 +609,35 @@ def test_rational_methods_are_exact_on_every_kind(kind):
     assert_fractions(QQ.contract(x, x, 0), np.multiply.outer(ref, ref))
     assert QQ.equal(x, ref) and not QQ.equal(x, ref + 1)
     assert not QQ.is_zero(x) and QQ.is_zero(np.zeros_like(np.asarray(x)))
+    assert QQ.key(QQ.mod(x)) == QQ.key(ref)
+    if kind == "object-float":
+        floats = np.array([0.5, 1], dtype=object)
+        assert QQ.matmul(floats, np.array([1, 1], dtype=object)) == Fraction(3, 2)
+        assert QQ.key(floats[:1]) == QQ.key(np.array([Fraction(1, 2)], dtype=object))
 
 
 @pytest.mark.parametrize("kind", sorted(BOUNDARY))
 def test_prime_entry_is_exact_on_every_kind(kind):
-    # the way into F_p; its other methods take field elements, as
-    # Field.contract and Field.residual say
+    # the way into F_p; its other methods take int64 as field elements, in
+    # (-p, p), as Field.contract and Field.residual say, and read every
+    # other kind exactly
     x = BOUNDARY[kind](False)
     want = [int(v) % 5 for v in np.asarray(x).tolist()]
     for got in (F5.array(x), F5.mod(x), F5.sub(x, 0)):
         assert got.dtype == np.int64 and got.tolist() == want
+    if kind != "int64":
+        assert F5.matmul(x, [1, 2, 3]) == (want[0] + 2 * want[1] + 3 * want[2]) % 5
+        assert F5.neg(x).tolist() == [-v % 5 for v in want]
+        assert F5.equal(x, want) and not F5.equal(x, np.add(want, 1))
+        assert F5.is_zero(F5.residual(x, want)) and F5.is_zero(x) == (not any(want))
+    if kind == "uint64":  # values that wrap in uint64 arithmetic
+        u64 = lambda *v: np.array(v, dtype=np.uint64)
+        assert F5.matmul(u64(2**64 - 1), [1]) == 0 and F5.neg(u64(1)).tolist() == [4]
+        assert not F5.equal(u64(1), u64(2**64 - 4))
+        assert F5.residual(u64(0), u64(1)).tolist() == [-1]
+        assert F5.sub(u64(0), u64(1)).tolist() == [4] == F5.sub(u64(2**64 - 1), [1]).tolist()
+    if kind == "object":
+        assert not F5.is_zero(np.array([2**70], dtype=object))
 
 
 def test_prime_array_boundary_values():
@@ -882,15 +902,15 @@ def test_pair_path_runs_on_structure_tensors_only(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_pair_product", watch)
-    multiplicativity, seen = bialgebroid._multiplicativity, []
+    multiplicativity, seen = bialgebroid.multiplicativity, []
 
-    def watched(b):
+    def watched(*args):
         before = len(runs)
-        out = multiplicativity(b)
+        out = multiplicativity(*args)
         seen.extend(runs[before:])
         return out
 
-    monkeypatch.setattr(bialgebroid, "_multiplicativity", watched)
+    monkeypatch.setattr(bialgebroid, "multiplicativity", watched)
     b = rank_n_truncated(2, 4)  # d = 32, monomial basis
     rep = bialgebroid.check_left_bialgebroid(b)
     assert rep.ok and seen
