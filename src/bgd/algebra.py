@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 
-from .linalg import DescentError, Quotient, invert, rref, unit_vector
+from .linalg import DescentError, Quotient, invert, rref
 from .report import Report
 
 __all__ = [
     "AlgebraPresentation",
+    "format_vector",
     "check_action",
     "tensor_product",
     "balanced_tensor",
@@ -53,7 +54,9 @@ class AlgebraPresentation:
         return cls(field, mul, field.array(unit), labels)
 
     def basis(self, i):
-        return unit_vector(self.field, self.dim, i)
+        v = self.field.zeros(self.dim)
+        v[i] = self.field.one
+        return v
 
     def mult(self, x, y):
         d, f = self.dim, self.field
@@ -102,9 +105,9 @@ class AlgebraPresentation:
             self.field, np.swapaxes(self.mul, 0, 1), self.unit, self.labels
         )
 
-    def check(self, name="algebra"):
+    def check(self):
         """Verify unit and associativity axioms."""
-        rep = Report(name)
+        rep = Report("algebra")
         f, one, lab = self.field, self.field.eye(self.dim), [self.labels]
         # [j, k]: the e_k-coefficient of 1 e_j, and of e_j 1
         for side, axis in (("left", 0), ("right", 1)):
@@ -119,18 +122,16 @@ class AlgebraPresentation:
         )
         return rep
 
-    def format_elem(self, v):
-        f = self.field
-        terms = []
-        for i, c in enumerate(np.asarray(v)):
-            c = f.canon(c)
-            if c == f.zero:
-                continue
-            if c == f.one:
-                terms.append(self.labels[i])
-            else:
-                terms.append(f"{f.format(c)}*{self.labels[i]}")
-        return " + ".join(terms) if terms else "0"
+
+def format_vector(field, labels, v):
+    """v as the sum of its nonzero terms, ``labels[i]`` naming coordinate i:
+    "e0 + 2*e1", or "0"."""
+    f, terms = field, []
+    for i, c in enumerate(np.asarray(v)):
+        c = f.canon(c)
+        if c != f.zero:
+            terms.append(labels[i] if c == f.one else f"{f.format(c)}*{labels[i]}")
+    return " + ".join(terms) if terms else "0"
 
 
 def check_action(alg, mats, contravariant=False, name="action"):
@@ -162,9 +163,9 @@ def pair_and_act(field, action, funcs, lift, u_first=True):
     U (x) M when ``u_first`` and in M (x) U otherwise.  Returns the
     n x dM x (columns of lift) stack."""
     f = field
-    act = np.asarray(action)
-    dm, du = act.shape[1], np.shape(funcs)[2]
-    legs = np.asarray(lift).reshape((du, dm, -1) if u_first else (dm, du, -1))
+    act, lift = np.asarray(action), np.asarray(lift)
+    dm, du, c = act.shape[1], np.shape(funcs)[2], lift.shape[-1]
+    legs = lift.reshape((du, dm, c) if u_first else (dm, du, c))
     if not u_first:
         legs = legs.swapaxes(0, 1)
     # vals[g, a, i, j]: the e_a-coefficient of <g, U-leg> on the term e_i of column j
@@ -420,10 +421,10 @@ def triple_classes(field, lhs, rhs, leg12, leg23):
             return f.zeros((c, math.prod(dims)))
         for leg, axis in order if leg12.left else order[::-1]:
             v = leg.apply(v, axis)
-        return np.moveaxis(v, -1, 0).reshape(c, -1)
+        return np.moveaxis(v, -1, 0).reshape(c, math.prod(v.shape[:-1]))
     trip = TripleQuotient(
         f, v.shape[:3], list(zip(leg12.P, leg12.Q)), list(zip(leg23.P, leg23.Q)))
-    return trip.project(v.reshape(-1, c)).T
+    return trip.project(v.reshape(math.prod(v.shape[:3]), c)).T
 
 
 def add_triple(rep, check_id, f, lhs, rhs, leg12, leg23, labels):
@@ -488,8 +489,8 @@ def project_stack(q, lhs, rhs, lead=1):
     the quotient coordinates."""
     lhs = np.asarray(lhs)
     shape = lhs.shape[:lead]
-    n = int(np.prod(shape))
-    cols = q.field.residual(lhs.reshape(n, -1), np.reshape(rhs, (n, -1))).T
+    n, amb = math.prod(shape), math.prod(lhs.shape[lead:])
+    cols = q.field.residual(lhs.reshape(n, amb), np.reshape(rhs, (n, amb))).T
     if q.field.p and not cols.any():  # an identity that holds
         return q.field.zeros(shape + (q.dim,))
     return q.project(cols).T.reshape(shape + (q.dim,))

@@ -115,12 +115,10 @@ class LeftBialgebroid(_Presentation):
     def base_action(self):
         """The action of U on its base, a -> eps(u s(a)), as a dU x dA x dA
         stack of matrices, one per basis u."""
-        if "base_action" not in self._cache:
-            f = self.field
-            us = f.contract(self.U.mul, self.s_map, (1, 0))  # (u, w, a)
-            eps = f.contract(self.counit, us, (1, 1))  # (c, u, a)
-            self._cache["base_action"] = eps.swapaxes(0, 1)
-        return self._cache["base_action"]
+        f = self.field
+        # (u, w, a): u s(a), then (c, u, a): its counit
+        return self._cached("base_action", lambda: f.contract(
+            self.counit, f.contract(self.U.mul, self.s_map, (1, 0)), (1, 1)).swapaxes(0, 1))
 
     @property
     def delta3(self):
@@ -370,6 +368,9 @@ class ComodulePresentation:
         self.name = name
         self._cache = {}
 
+    # a bialgebroid's cache; no key of a comodule is handed to its twin
+    _cached, _twin = LeftBialgebroid._cached, LeftBialgebroid._twin
+
     def coop(self):
         """The same comodule over ``b.coop()``, built once (``coop().coop()``
         is this comodule): a right A-action is a left A^op-action and back,
@@ -426,19 +427,15 @@ class ComodulePresentation:
         """
         if self.side == "right":
             return self.as_left().induced_action
-        if "ind" not in self._cache:
-            # one functional per A-basis index a: u -> eps(u s(a))
-            funcs = self.b.base_action.transpose(2, 1, 0)
-            self._cache["ind"] = list(
-                pair_and_act(self.field, self.action, funcs, self.coaction)
-            )
-        return self._cache["ind"]
+        # one functional per A-basis index a: u -> eps(u s(a))
+        return self._cached("ind", lambda: list(pair_and_act(
+            self.field, self.action, self.b.base_action.transpose(2, 1, 0), self.coaction)))
 
 
-def check_comodule(com, name=None):
+def check_comodule(com):
     """Counitality, coassociativity, A-linearity and the image condition
     for a comodule presentation (a right comodule through ``as_left()``)."""
-    rep = Report(name or f"{com.name} ({com.side} comodule)")
+    rep = Report(f"{com.name} ({com.side} comodule)")
     contra = com.side == "right"
     rep.extend(check_action(com.b.A, com.action, contravariant=contra, name="a"), "comodule.")
 

@@ -3,8 +3,7 @@
 import argparse
 import sys
 
-import numpy as np
-
+from .algebra import format_vector
 from .bialgebroid import check_left_bialgebroid, check_right_bialgebroid
 from .duals import left_dual, right_dual, s_dual_basis, s_lower_star, s_upper_star
 from .fixtures import FIXTURES
@@ -33,22 +32,16 @@ from .integrals import (
     normalized_left_integral,
     right_integrals_of_left,
 )
-from .jsonio import SpecError, dumps_canonical, export_spec, load_spec
+from .jsonio import SpecError, dumps_canonical, export_spec, load_spec, parse_vector
 from .report import Report
 
-def _tensor_str(b, vec):
-    f, d = b.field, b.U.dim
-    terms = []
-    for idx in np.nonzero(np.asarray(vec))[0]:
-        c = f.canon(vec[idx])
-        lab = f"{b.U.labels[idx // d]}(x){b.U.labels[idx % d]}"
-        terms.append(lab if c == f.one else f"{f.format(c)}*{lab}")
-    return " + ".join(terms) if terms else "0"
+
+def _elem(b, v):
+    return format_vector(b.field, b.U.labels, v)
 
 
 def _cmd_check(b, args):
-    rep = check_left_bialgebroid(b)
-    return rep, {}
+    return check_left_bialgebroid(b), {}
 
 
 def _cmd_integrals(b, args):
@@ -61,10 +54,8 @@ def _cmd_integrals(b, args):
     data = {
         "side": side,
         "dimension": spc.dim,
-        "basis": [b.U.format_elem(v) for v in spc.basis],
-        "generator": None
-        if spc.generator is None
-        else b.U.format_elem(spc.generator),
+        "basis": [_elem(b, v) for v in spc.basis],
+        "generator": None if spc.generator is None else _elem(b, spc.generator),
     }
     return rep, data
 
@@ -74,7 +65,7 @@ def _cmd_maschke(b, args):
     norm = normalized_left_integral(b)
     data = {
         "separable": norm is not None,
-        "normalized_integral": None if norm is None else b.U.format_elem(norm),
+        "normalized_integral": None if norm is None else _elem(b, norm),
     }
     if norm is None:
         data["reason"] = "counit vanishes on the left integral span"
@@ -90,10 +81,10 @@ def _cmd_frobenius(b, args):
     data = {"frobenius": sysm is not None}
     if sysm is not None:
         f = b.field
-        data["t0"] = b.U.format_elem(sysm.t0)
+        data["t0"] = _elem(b, sysm.t0)
         data["theta"] = [[f.format(x) for x in row] for row in sysm.theta]
         data["tensor"] = " + ".join(
-            f"({b.U.format_elem(x)}) (x) ({b.U.format_elem(y)})"
+            f"({_elem(b, x)}) (x) ({_elem(b, y)})"
             for x, y in sysm.pairs
         )
     return rep, data
@@ -125,9 +116,11 @@ def _translate(b, side, element):
         return rep, {}
     rep, data = translation_report(b, side=side), {}
     if element:
-        u = _parse_element(b, element)
+        coords = [c.strip() for c in element.split(",")]
+        u = parse_vector(b.field, coords, b.U.dim, "--element")
         vec = translate_left(b, u) if side == "left" else translate_right(b, u)
-        data[f"{side}_translation"] = _tensor_str(b, vec)
+        pairs = [f"{x}(x){y}" for x in b.U.labels for y in b.U.labels]
+        data[f"{side}_translation"] = format_vector(b.field, pairs, vec)
     return rep, data
 
 
@@ -196,67 +189,49 @@ COMMANDS = (*HANDLERS, "example")
 
 
 def _guarded(check_id, run, b, *args):
-    """run(b, *args), a command's (report, data), or where it raises a
-    ValueError and b is no left bialgebroid, a report that skips ``check_id``
-    naming the failing axioms.  A ValueError on a left bialgebroid is a bug."""
+    """run(b, *args), a command's (report, data), or a report that skips
+    ``check_id`` where it runs out of memory, or where it raises a
+    ValueError and b is no left bialgebroid, naming the failing axioms.  A
+    ValueError on a left bialgebroid is a bug."""
     try:
         return run(b, *args)
     except SpecError:
         raise
+    except MemoryError:
+        reason = "needs more memory than is available"
     except ValueError:
         bad = [i.check_id for i in check_left_bialgebroid(b).failures]
         if not bad:
             raise
-        rep = Report(b.name)
-        rep.skip(check_id, f"not a left bialgebroid, failing {', '.join(bad)}")
-        return rep, {}
-
-
-def _parse_element(b, text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != b.U.dim:
-        raise SpecError("--element", f"expected {b.U.dim} coordinates")
-    f = b.field
-    v = f.zeros(b.U.dim)
-    for i, p in enumerate(parts):
-        try:
-            v[i] = f.parse(p)
-        except Exception:
-            raise SpecError("--element", f"bad scalar {p!r}")
-    return f.mod(v)
+        reason = f"not a left bialgebroid, failing {', '.join(bad)}"
+    rep = Report(b.name)
+    rep.skip(check_id, reason)
+    return rep, {}
 
 
 def _load(args):
-    if args.preset:
-        if args.preset not in FIXTURES:
+    """The bialgebroid of the spec file or preset (``example`` has a default)."""
+    name = args.preset or ("rank1-dual-numbers" if args.command == "example" else None)
+    if name:
+        if name not in FIXTURES:
             raise SpecError(
-                "--preset",
-                f"unknown preset {args.preset!r}; known: "
-                + ", ".join(sorted(FIXTURES)),
-            )
-        return FIXTURES[args.preset]()
+                "--preset", f"unknown preset {name!r}; known: " + ", ".join(sorted(FIXTURES)))
+        return FIXTURES[name]()
     if not args.spec:
         raise SpecError("usage", "a spec file or --preset is required")
     return load_spec(args.spec)
 
 
 def _emit(command, subject, rep, data, fmt):
-    doc = {
-        "command": command,
-        "subject": subject,
-        "items": [
-            {"check_id": i.check_id, "status": i.status, "witness": i.witness}
-            for i in rep.items
-        ],
-        "data": data,
-    }
     if fmt == "json":
+        # the document names the subject, not the report's own title
+        doc = {**rep.to_dict(), "command": command, "subject": subject, "data": data}
         print(dumps_canonical(doc), end="")
     else:
         print(rep.to_text())
         for key, val in data.items():
             print(f"{key}: {val}")
-    return 1 if any(i.status == "fail" for i in rep.items) else 0
+    return 0 if rep.ok else 1
 
 
 def _parser():
@@ -280,13 +255,10 @@ _PARSER = _parser()
 def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
-        if args.command == "example":
-            name = args.preset or "rank1-dual-numbers"
-            if name not in FIXTURES:
-                raise SpecError("--preset", f"unknown preset {name!r}")
-            print(dumps_canonical(export_spec(FIXTURES[name]())), end="")
-            return 0
         b = _load(args)
+        if args.command == "example":
+            print(dumps_canonical(export_spec(b)), end="")
+            return 0
         rep, data = _guarded(args.command, HANDLERS[args.command], b, args)
         return _emit(args.command, b.name, rep, data, args.format)
     except SpecError as exc:

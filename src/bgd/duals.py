@@ -118,7 +118,10 @@ def _columns(funcs):
 
 def _build_dual(b):
     f, du = b.field, b.U.dim
-    funcs = np.stack(functionals(b))
+    funcs = functionals(b)
+    if not funcs:
+        raise ValueError(f"U_* of {b.name} is zero: no functional is A-linear")
+    funcs = np.stack(funcs)
     d = len(funcs)
     solver = CoordSolver(f, funcs.reshape(d, -1))
 

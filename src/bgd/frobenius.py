@@ -5,7 +5,7 @@ import numpy as np
 from .algebra import pair_and_act
 from .duals import _s_side_dual_basis, left_dual, right_dual
 from .integrals import left_integrals, right_integrals
-from .linalg import invert, is_invertible, solve_matrix_equation
+from .linalg import SingularMatrixError, invert, is_invertible, solve_matrix_equation
 from .report import Report
 
 
@@ -82,10 +82,10 @@ def frobenius_system(b, extension="via_s"):
     if estars is None:
         return None
     for theta in [part] + [f.mod(part + h) for h in hom]:
-        chi = _chi_matrix(b, lo, theta)
-        if not is_invertible(f, chi):
+        try:
+            chinv = invert(f, _chi_matrix(b, lo, theta))
+        except SingularMatrixError:
             continue
-        chinv = invert(f, chi)
         pairs = [
             (f.matmul(chinv, estars[i]), b.U.basis(i)) for i in range(d)
         ]
@@ -108,12 +108,12 @@ def _exists_iso(f, space, build):
     return any(is_invertible(f, build(v)) for v in gen + space.basis)
 
 
-def frobenius_conditions_report(b, name=None):
+def frobenius_conditions_report(b):
     """The directly computable items of the Frobenius equivalence: free
     rank-one integral spaces on both sides of the duality and the four
     explicit map-isomorphism criteria."""
     f = b.field
-    rep = Report(name or f"{b.name} Frobenius conditions")
+    rep = Report(f"{b.name} Frobenius conditions")
     lo = left_dual(b)
     up = right_dual(b)
     ints = left_integrals(b)
@@ -144,9 +144,9 @@ def frobenius_conditions_report(b, name=None):
     return rep
 
 
-def quasi_frobenius_check(b, name=None):
+def quasi_frobenius_check(b):
     """Whether the integral span is a direct summand of a free A-module."""
-    rep = Report(name or f"{b.name} quasi-Frobenius")
+    rep = Report(f"{b.name} quasi-Frobenius")
     spc = left_integrals(b)
     if spc.dim == 0:
         rep.skip("quasi-frobenius.projective-integrals",

@@ -11,8 +11,8 @@ u_+ (x) u_-  and  u_[+] (x) u_[-].  Everything is computed on k-linear
 lifts and compared inside the explicit balanced quotients.
 
 Each Hopf-Galois map is one ``HopfGaloisMap``: its matrix, bijectivity
-and inverse lift, each computed once.  alpha_l is kept in
-``b._cache["alpha_l"]``, a comodule's map in the cache of ``com.as_left()``.
+and inverse lift, each computed once.  alpha_l is cached in b under
+``"alpha_l"``, a comodule's map in ``com.as_left()`` under ``"calpha"``.
 
 Only the left-hand side is written out.  alpha_r of U is alpha_l of the
 co-opposite ``b.coop()`` up to the flip of T0, so u_[+] (x) u_[-] is u_+ (x) u_-
@@ -92,19 +92,18 @@ def alpha_left(b):
 
 
 def _alpha(b, name):
-    """alpha_l of b as a ``HopfGaloisMap``, built once and kept in
-    ``b._cache``; where it does not descend, the error names it ``name``."""
-    if "alpha_l" not in b._cache:
-        f, U, d = b.field, b.U, b.U.dim
+    """alpha_l of b as a ``HopfGaloisMap``, built once and cached in b;
+    where it does not descend, the error names it ``name``."""
+    f, U, d = b.field, b.U, b.U.dim
+
+    def build():
         # amb[(k, z), (i, j)] = sum_l delta3[k, l, i] mul[l, j, z]
         amb = f.contract(b.delta3, U.mul, (1, 0)).transpose(0, 3, 1, 2)
         # u |-> u (x) 1; it holds U, not b, which holds the map
         emb = lambda: f.contract(f.eye(d), U.unit, 0).transpose(0, 2, 1).reshape(d * d, d)
-        b._cache["alpha_l"] = HopfGaloisMap(
-            b.T1, b.T0, amb.reshape(d * d, d * d), emb, f"alpha_l of {b.name}",
-            f"{name} is not well defined on the quotient",
-        )
-    return b._cache["alpha_l"]
+        return HopfGaloisMap(b.T1, b.T0, amb.reshape(d * d, d * d), emb,
+                             f"alpha_l of {b.name}", f"{name} is not well defined on the quotient")
+    return b._cached("alpha_l", build)
 
 
 def alpha_right(b):
@@ -115,8 +114,7 @@ def alpha_right(b):
 
 
 def is_left_hopf(b):
-    alpha_left(b)
-    return b._cache["alpha_l"].bijective
+    return _alpha(b, f"alpha_l of {b.name}").bijective
 
 
 def is_right_hopf(b):
@@ -126,8 +124,7 @@ def is_right_hopf(b):
 
 def translate_left_mat(b):
     """Lift matrix U -> U (x) U of u |-> u_+ (x) u_- (canonical lift)."""
-    alpha_left(b)
-    return b._cache["alpha_l"].lift
+    return _alpha(b, f"alpha_l of {b.name}").lift
 
 
 def _require_right_hopf(b):
@@ -235,28 +232,33 @@ def comodule_alpha(com):
     computed as the map of ``com.as_left()``, so its codomain coordinates
     are those of the swapped legs.
     """
+    return _comodule_alpha(com).matrix
+
+
+def _comodule_alpha(com):
+    """``comodule_alpha`` as a ``HopfGaloisMap``, built once in ``com.as_left()``."""
     com = com.as_left()
-    if "calpha" not in com._cache:
-        f, U = com.field, com.b.U
-        dn, du = com.dim, U.dim
+    f, U = com.field, com.b.U
+    dn, du = com.dim, U.dim
+
+    def build():
         # amb[(z, m), (i, j)] = sum_k co[k, m, i] mul[k, j, z], co the
         # coaction as du x dn x dn
         co = com.coaction.reshape(du, dn, dn)
         amb = f.contract(co, U.mul, (0, 0)).transpose(3, 0, 1, 2)
         # n |-> 1 (x) n; it holds U, not the comodule, which holds the map
         emb = lambda: f.contract(U.unit, f.eye(dn), 0).reshape(du * dn, dn)
-        com._cache["calpha"] = HopfGaloisMap(
+        return HopfGaloisMap(
             com.dom_leg.quotient, com.quotient, amb.reshape(dn * du, dn * du), emb,
             "comodule Hopf-Galois map", "comodule Hopf-Galois map not well defined",
         )
-    return com._cache["calpha"].matrix
+    return com._cached("calpha", build)
 
 
 def comodule_is_bijective(com):
     """Whether the comodule Hopf-Galois map is bijective, decided once per
     comodule (on ``com.as_left()``)."""
-    comodule_alpha(com)
-    return com.as_left()._cache["calpha"].bijective
+    return _comodule_alpha(com).bijective
 
 
 def comodule_translate_mat(com):
@@ -266,8 +268,7 @@ def comodule_translate_mat(com):
     Right comodule: m |-> m^+ (x) m^-      in M (x) U  (from m (x) 1),
     the same matrix as for ``com.as_left()``.
     """
-    comodule_alpha(com)
-    return com.as_left()._cache["calpha"].lift
+    return _comodule_alpha(com).lift
 
 
 def comodule_translation_report(com):

@@ -48,15 +48,15 @@ class HopfModulePresentation:
         return self.field.contract(u, np.asarray(self.action), (0, 0))
 
 
-def check_hopf_module(mod, name=None):
+def check_hopf_module(mod):
     b, f = mod.b, mod.field
-    rep = Report(name or f"{mod.name} ({mod.kind}) Hopf module")
+    rep = Report(f"{mod.name} ({mod.kind}) Hopf module")
     rep.extend(
         check_action(
             b.U, mod.action, contravariant=(mod.kind == "RL"), name="module"
         )
     )
-    rep.extend(check_comodule(mod.comodule, name=mod.comodule.name))
+    rep.extend(check_comodule(mod.comodule))
     com = mod.comodule
     d, dm = b.U.dim, mod.dim
     # the A-action of the comodule (LL), or its induced right action (RL),

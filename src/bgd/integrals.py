@@ -73,7 +73,7 @@ class IntegralSpace:
         yield from zip(self.basis, orbits)
         if f.kind == "prime" and f.p**m <= 2048:
             coeffs = f.array([cs for cs in itertools.product(range(f.p), repeat=m)
-                              if sum(cs) > 1])
+                              if sum(cs) > 1]).reshape(-1, m)  # none for p = 2, m = 1
             yield from zip(f.contract(coeffs, span, (1, 1)), f.contract(coeffs, orbits, (1, 0)))
 
     def _split_test(self):
@@ -147,9 +147,9 @@ def integral_invariance_check(b, l):
     return (True, None) if not bad.size else (False, b.U.labels[bad[0]])
 
 
-def normalized_left_integral(b, space=None):
+def normalized_left_integral(b):
     """Some l in the integral span with eps(l) = 1, or None."""
-    spc = space if space is not None else left_integrals(b)
+    spc = left_integrals(b)
     if spc.dim == 0:
         return None
     f = b.field
@@ -199,10 +199,10 @@ def counit_splitting(b):
     return None if sol is None else sol[0].T
 
 
-def maschke_report(b, name=None):
+def maschke_report(b):
     """The separability equivalences: normalized integral, splitting of
     multiplication, and splitting of the counit all exist together."""
-    rep = Report(name or f"{b.name} separability")
+    rep = Report(f"{b.name} separability")
     f, d, mul = b.field, b.U.dim, b.U.mul
     spc = left_integrals(b)
     # u_i l - s(eps(u_i)) l, as [l, i]
@@ -213,7 +213,7 @@ def maschke_report(b, name=None):
         f.sub(ul, f.contract(ul, se, (1, 0)).swapaxes(1, 2)),
         [[f"l{j}" for j in range(spc.dim)], b.U.labels],
     )
-    norm = normalized_left_integral(b, spc)
+    norm = normalized_left_integral(b)
     split = separability_check(b)
     eta = counit_splitting(b)
     rep.add("maschke.normalized-integral", norm is not None)

@@ -77,7 +77,8 @@ def _parse_matrix(f, data, shape, where):
     return _array(f, scalars, shape)
 
 
-def _parse_vector(f, data, n, where):
+def parse_vector(f, data, n, where):
+    """The vector of the n scalars listed in ``data``, or a SpecError at ``where``."""
     if not isinstance(data, list) or len(data) != n:
         raise SpecError(where, f"expected {n} entries")
     return _array(f, _parse_row(f, data, where, {}), (n,))
@@ -87,7 +88,7 @@ def _parse_algebra(f, doc, where):
     dim = _need(doc, "dim", where)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim <= 0:
         raise SpecError(f"{where}.dim", "expected a positive integer")
-    unit = _parse_vector(f, _need(doc, "unit", where), dim, f"{where}.unit")
+    unit = parse_vector(f, _need(doc, "unit", where), dim, f"{where}.unit")
     mul = _need(doc, "mul", where)
     if not isinstance(mul, list):
         raise SpecError(f"{where}.mul", "expected a list of [i, j, k, coeff]")

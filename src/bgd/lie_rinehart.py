@@ -404,15 +404,8 @@ def crossed_product(base, n, g_bracket, g_pops, sigma, name="AxG"):
     """The crossed-product Lie-Rinehart structure A (x) g for a restricted
     Lie algebra g acting on A by derivations sigma."""
     f = base.field
-    da = base.dim
-    bracket = f.zeros((n, n, n, da))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i, j, k] = f.canon(g_bracket[i][j][k]) * base.unit
-    pops = f.zeros((n, n, da))
-    for i in range(n):
-        for k in range(n):
-            pops[i, k] = f.canon(g_pops[i][k]) * base.unit
+    # the scalar tables of g times the unit of A
+    bracket = f.contract(f.array(g_bracket), base.unit, 0)
+    pops = f.contract(f.array(g_pops), base.unit, 0)
     anchors = [f.mod(np.asarray(m)) for m in sigma]
     return RestrictedLieRinehart(base, n, bracket, anchors, pops, name=name)

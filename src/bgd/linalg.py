@@ -100,7 +100,6 @@ __all__ = [
     "solve_matrix_equation",
     "is_invertible",
     "invert",
-    "unit_vector",
 ]
 
 
@@ -313,7 +312,10 @@ class Field:
                 # _reduce works in place from DIVIDE_FLOOR entries: on a copy
                 return _reduce(a.astype(np.int64, copy=a.size >= DIVIDE_FLOOR), self.p)
             flat = a.ravel().tolist()  # python ints of any size, floats, ...
-            ints = [int(x) for x in flat]
+            try:
+                ints = [int(x) for x in flat]
+            except (OverflowError, ValueError):  # int of an infinity or a nan
+                raise FieldError("an entry is not a finite number") from None
             if ints != flat:
                 raise FieldError("an entry is not an integer")
             return np.array([x % self.p for x in ints], dtype=np.int64).reshape(a.shape)
@@ -1052,10 +1054,3 @@ class Quotient:
         if not ok:
             raise DescentError("operator does not descend to the quotient")
         return np.moveaxis(pop[..., dom.coords], 0, -2)
-
-
-def unit_vector(field, n, i):
-    """The i-th standard basis vector of k^n."""
-    v = field.zeros(n)
-    v[i] = field.one
-    return v

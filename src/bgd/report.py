@@ -68,12 +68,12 @@ class Report:
         return [item for item in self.items if not item.ok]
 
     def to_dict(self):
+        """The items in report order; ``where`` shows in ``to_text`` only."""
         return {
             "subject": self.subject,
-            "ok": self.ok,
             "items": [
                 {"check_id": i.check_id, "status": i.status, "witness": i.witness}
-                for i in sorted(self.items, key=lambda i: i.check_id)
+                for i in self.items
             ],
         }
 

@@ -5,7 +5,7 @@ import pytest
 from test_algebra import triangular_envelope
 from test_lib_golden import _corrupt
 
-from bgd import cli
+from bgd import cli, integrals
 from bgd.cli import main
 from bgd.fixtures import FIXTURES, rank_n_truncated
 from bgd.hopf import alpha_left, alpha_right, is_right_hopf, translate_right_mat
@@ -43,9 +43,10 @@ def test_maschke_success(capsys):
 
 
 def test_unknown_preset_is_usage_error(capsys):
-    code, _, err = run(capsys, "check", "--preset", "no-such-preset")
-    assert code == 2
-    assert "unknown preset" in err
+    for command in ("check", "example"):
+        code, _, err = run(capsys, command, "--preset", "no-such-preset")
+        assert code == 2
+        assert "unknown preset 'no-such-preset'; known: abelian-n" in err
 
 
 def test_missing_spec_is_usage_error(capsys):
@@ -127,6 +128,8 @@ def test_translate_skips_on_non_hopf(capsys):
     assert code == 0  # skipped checks are not failures
     doc = json.loads(out)
     assert all(i["status"] == "skipped" for i in doc["items"])
+    _, out, _ = run(capsys, "translate", "--preset", "monoid-non-hopf", "--format", "text")
+    assert "  SKIP translate.left: the left Hopf-Galois map is not bijective\n" in out
 
 
 def test_dual_command(capsys):
@@ -284,6 +287,20 @@ def test_value_error_on_a_left_bialgebroid_is_raised(monkeypatch, capsys):
         main(["maschke", "--preset", "group-f3"])
 
 
+def test_out_of_memory_is_a_skip(monkeypatch, capsys):
+    # running out of memory decides nothing: the command's id is skipped,
+    # and the exit code is that of the other items
+    def no_memory(b):
+        raise MemoryError
+
+    monkeypatch.setattr(integrals, "separability_check", no_memory)
+    code, out, _ = run(capsys, "maschke", "--preset", "group-f3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["items"] == [{
+        "check_id": "maschke", "status": "skipped",
+        "witness": "needs more memory than is available"}]
+
+
 def _spec_doc():
     return export_spec(FIXTURES["rank1-dual-numbers"]())
 
@@ -304,11 +321,21 @@ def _mul_out_of_range(doc):
     doc["algebras"]["U"]["mul"][2][1] = doc["algebras"]["U"]["dim"]
 
 
+def _short_unit(doc):
+    doc["algebras"]["U"]["unit"].pop()
+
+
+def _mul_not_a_quadruple(doc):
+    doc["algebras"]["U"]["mul"][1].pop()
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (_drop_row, "bialgebroid.s:"),
     (_bad_scalar, "bialgebroid.delta[3][1]:"),
     (_composite_p, "field.p:"),
     (_mul_out_of_range, "algebras.U.mul[2]:"),
+    (_short_unit, "algebras.U.unit: expected 4 entries"),
+    (_mul_not_a_quadruple, "algebras.U.mul[1]: expected [i, j, k, coeff]"),
 ])
 def test_unparseable_specs_exit_2_with_a_path(tmp_path, capsys, corrupt, where):
     doc = _spec_doc()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from test_leg_quotients import F2, F5, QQ, groupoid
-from test_lib_golden import CASES, GOLDEN
+from test_lib_golden import CASES, GOLDEN, _corrupt
 
 from bgd.bialgebroid import check_right_bialgebroid
 from bgd.duals import (
@@ -224,3 +224,11 @@ def test_right_dual_coproduct_error_names_the_target():
         right_dual(b).delta
     with pytest.raises(ValueError, match=r"projective over s\(A\)"):
         left_dual(b.coop()).delta
+
+
+def test_zero_dual_is_an_error_naming_u_lower_star():
+    # with s corrupted, no k-linear map U -> A is A-linear, so U_* is zero:
+    # a ValueError of bgd's own, not numpy's on stacking no functional
+    b = _corrupt("group-f3", "s", 0)
+    with pytest.raises(ValueError, match=r"^U_\* of group-f3-bad-s is zero"):
+        left_dual(b)

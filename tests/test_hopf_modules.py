@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from test_lib_golden import CASES
 
+from bgd.algebra import triple_classes
 from bgd.bialgebroid import coinvariants
 from bgd.duals import left_dual
-from bgd.fixtures import FIXTURES
+from bgd.fixtures import FIXTURES, Q_FIXTURES
 from bgd.hopf_modules import (
     HopfModulePresentation,
     build_u_lower_star_hopf_module,
@@ -122,3 +124,20 @@ def test_fundamental_builds_u_star_once(name, monkeypatch):
     rep, _ = HANDLERS["fundamental"](b, argparse.Namespace(side=None, element=None))
     assert any(i.check_id == "fundamental.s-dual-iso" for i in rep.items)
     assert calls == [b]
+
+
+def test_zero_dimensional_hopf_module_passes():
+    # with s corrupted, U (x)_A U is zero for the regular left action: every
+    # residual of the module and its comodule has an axis of length 0,
+    # which project_stack, pair_and_act and triple_classes reshape by
+    # explicit sizes, and every item holds vacuously
+    b = CASES["rank1-dual-numbers-bad-s"]()
+    mod = ll_hopf_module_from_module(b, b.U.basis_left_mults)
+    assert mod.dim == 0
+    rep = check_hopf_module(mod)
+    assert len(rep.items) == 12 and rep.ok
+    # over Q no all-zero shortcut skips the leg embeddings
+    q = Q_FIXTURES["pair-Q-2"]()
+    d, leg = q.U.dim, q.leg("Lt", over="Ls", u_first=False)
+    none = q.field.zeros((d, d, d, 0))
+    assert leg.exact and triple_classes(q.field, none, none, leg, leg).shape[0] == 0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from bgd.algebra import AlgebraPresentation
 from bgd.fixtures import FIXTURES
 from bgd.integrals import (
+    IntegralSpace,
     counit_splitting,
     integral_invariance_check,
     left_integrals,
@@ -13,6 +15,7 @@ from bgd.integrals import (
     separability_check,
 )
 from bgd.duals import left_dual
+from bgd.linalg import Field
 
 HOPF = [
     "base-trivial", "primitive-f2", "group-f3",
@@ -236,3 +239,12 @@ def test_cyclic_group_is_separable_exactly_when_n_is_invertible(p, n):
     ok = p == 0 or n % p != 0
     assert status["maschke.normalized-integral"] == ("pass" if ok else "fail")
     assert status["maschke.equivalence"] == "pass"
+
+
+def test_generator_search_with_no_combination_to_try():
+    # over F_2 a one-dimensional span has no combination past its basis
+    # vector; where that vector generates nothing, there is no generator
+    f = Field.prime(2)
+    k = AlgebraPresentation(f, [[[1]]], [1])
+    spc = IntegralSpace("left", k, [f.array([1])], f.zeros((1, 1, 1)))
+    assert spc.generator is None and not spc.free_rank_one

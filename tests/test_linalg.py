@@ -641,8 +641,9 @@ def test_prime_entry_is_exact_on_every_kind(kind):
 
 
 def test_prime_array_boundary_values():
-    with pytest.raises(FieldError):
-        F5.array([2.5])
+    for x in (2.5, float("inf"), float("nan")):
+        with pytest.raises(FieldError):
+            F5.array([x])
     with pytest.raises(FieldError):
         F5.mod(np.array([[1, 0], [Fraction(1, 2), 3]], dtype=object))
     assert F5.array(np.array([2**64 - 1], dtype=np.uint64)).tolist() == [0]
