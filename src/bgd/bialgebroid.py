@@ -62,6 +62,13 @@ __all__ = [
 _COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1"}
 
 
+def _build_once(cache, key, build):
+    """``cache[key]``, set to ``build()`` on first use."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 class _Presentation:
     """The structure maps of a bialgebroid on explicit k-bases of the base
     A and total U.
@@ -132,12 +139,11 @@ class LeftBialgebroid(_Presentation):
     def _cached(self, key, build):
         """``self._cache[key]``, built on first use and handed to the
         co-opposite under its twin key (see ``coop``)."""
-        if key not in self._cache:
-            self._cache[key] = build()
-            twin = self._twin()
-            if key in _COOP_TWIN and twin is not None:
-                twin._cache[_COOP_TWIN[key]] = self._cache[key]
-        return self._cache[key]
+        if key in _COOP_TWIN and key not in self._cache:
+            val, twin = _build_once(self._cache, key, build), self._twin()
+            if twin is not None:
+                twin._cache[_COOP_TWIN[key]] = val
+        return _build_once(self._cache, key, build)
 
     def _twin(self):  # the co-opposite, if built and alive (see ``coop``)
         twin = self._cache.get("coop")
@@ -368,8 +374,8 @@ class ComodulePresentation:
         self.name = name
         self._cache = {}
 
-    # a bialgebroid's cache; no key of a comodule is handed to its twin
-    _cached, _twin = LeftBialgebroid._cached, LeftBialgebroid._twin
+    def _cached(self, key, build):
+        return _build_once(self._cache, key, build)
 
     def coop(self):
         """The same comodule over ``b.coop()``, built once (``coop().coop()``

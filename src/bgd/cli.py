@@ -36,10 +36,6 @@ from .jsonio import SpecError, dumps_canonical, export_spec, load_spec, parse_ve
 from .report import Report
 
 
-def _elem(b, v):
-    return format_vector(b.field, b.U.labels, v)
-
-
 def _cmd_check(b, args):
     return check_left_bialgebroid(b), {}
 
@@ -51,11 +47,12 @@ def _cmd_integrals(b, args):
     rep.add("integrals.computed", True)
     rep.add("integrals.free-rank-one", spc.free_rank_one)
     rep.add("integrals.projective-summand", spc.projective_summand)
+    f, labels = b.field, b.U.labels
     data = {
         "side": side,
         "dimension": spc.dim,
-        "basis": [_elem(b, v) for v in spc.basis],
-        "generator": None if spc.generator is None else _elem(b, spc.generator),
+        "basis": [format_vector(f, labels, v) for v in spc.basis],
+        "generator": None if spc.generator is None else format_vector(f, labels, spc.generator),
     }
     return rep, data
 
@@ -65,7 +62,7 @@ def _cmd_maschke(b, args):
     norm = normalized_left_integral(b)
     data = {
         "separable": norm is not None,
-        "normalized_integral": None if norm is None else _elem(b, norm),
+        "normalized_integral": None if norm is None else format_vector(b.field, b.U.labels, norm),
     }
     if norm is None:
         data["reason"] = "counit vanishes on the left integral span"
@@ -80,11 +77,11 @@ def _cmd_frobenius(b, args):
         rep.add("frobenius.system-verified", sysm.verify(b))
     data = {"frobenius": sysm is not None}
     if sysm is not None:
-        f = b.field
-        data["t0"] = _elem(b, sysm.t0)
+        f, labels = b.field, b.U.labels
+        data["t0"] = format_vector(f, labels, sysm.t0)
         data["theta"] = [[f.format(x) for x in row] for row in sysm.theta]
         data["tensor"] = " + ".join(
-            f"({_elem(b, x)}) (x) ({_elem(b, y)})"
+            f"({format_vector(f, labels, x)}) (x) ({format_vector(f, labels, y)})"
             for x, y in sysm.pairs
         )
     return rep, data
@@ -93,10 +90,7 @@ def _cmd_frobenius(b, args):
 def _cmd_quasi_frobenius(b, args):
     rep = quasi_frobenius_check(b)
     spc = left_integrals(b)
-    return rep, {
-        "dimension": spc.dim,
-        "projective": spc.projective_summand,
-    }
+    return rep, {"dimension": spc.dim, "projective": spc.projective_summand}
 
 
 def _cmd_translate(b, args):
