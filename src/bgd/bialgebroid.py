@@ -33,6 +33,11 @@ asked for again gets the leg already built: under the co-opposite's
 mirrored names, where s = t, as the domain of a comodule's Hopf-Galois
 map, or for another module with the same action.  The store holds arrays
 and legs only, nothing that refers back to either bialgebroid.
+
+The co-opposite is a second object unless s = t, A is commutative and
+delta = flip o delta in T0, as for group and groupoid algebras and the
+restricted enveloping algebras u(L): then ``b.coop() is b``, and every
+cached structure of the co-opposite is b's own.
 """
 
 import weakref
@@ -219,22 +224,35 @@ class LeftBialgebroid(_Presentation):
         and legs (see ``leg``); only its T0 is new.  The right-hand
         translation maps, their identity suite and the right-comodule
         suites of ``bgd.hopf`` are the left-hand ones computed on it.
+
+        Where s = t, A is commutative and delta = flip o delta in T0, it is
+        b itself, held weakly: every right-handed structure is then the
+        left-handed one, computed once.
         """
         twin = self._twin()
         if twin is None:
             delta = self._delta  # a thunk needs self; a lift does not
-            twin = LeftBialgebroid(
+            twin = self if self._is_own_coop() else LeftBialgebroid(
                 self.A.opposite(), self.U, self.t_map, self.s_map,
                 (lambda: flip_legs(self.delta)) if callable(delta) else lambda: flip_legs(delta),
                 self.counit, name=self.name + "_coop",
             )
-            for key, val in self._cache.items():
+            for key, val in list(self._cache.items()):
                 if key in _COOP_TWIN:
-                    twin._cache[_COOP_TWIN[key]] = val
+                    twin._cache.setdefault(_COOP_TWIN[key], val)
             twin._legs = self._legs
-            twin._cache["coop"] = weakref.ref(self)
             self._cache["coop"] = twin
+            twin._cache["coop"] = weakref.ref(self)  # last: b holds itself weakly
         return twin
+
+    def _is_own_coop(self):
+        """The test of ``coop``: the lifts are compared first, T0 built only
+        where they differ (for u(L), delta(a) = a (x) 1)."""
+        f = self.field
+        if not (f.equal(self.s_map, self.t_map) and self.A.is_commutative()):
+            return False
+        flip = flip_legs(self.delta)
+        return f.equal(self.delta, flip) or f.is_zero(project_stack(self.T0, self.delta.T, flip.T))
 
 
 def flip_legs(lift):

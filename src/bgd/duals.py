@@ -22,8 +22,10 @@ hypothesis; elsewhere the coproduct raises ValueError.
 Only U_* is built.  U^* of U is U_* of the co-opposite ``b.coop()`` read
 back over A: the same functionals and algebra, with s and t swapped and
 the coproduct legs flipped.  In the same way S_* is S^* of ``b.coop()``
-and zeta is xi of ``b.coop()``.  Each is cached in ``b._cache``, as is
-xi (``s_dual_basis``), solved once for it and for U_*'s coproduct.
+and zeta is xi of ``b.coop()``.  Each is cached in ``b._cache``, as are
+xi (``s_dual_basis``), solved once for it and for U_*'s coproduct, and S^*.
+Where b is its own co-opposite (``b.coop() is b``), U^* has U_*'s
+functionals and solver, zeta is xi, and S_* is the cached S^*.
 """
 
 import functools
@@ -261,11 +263,10 @@ def s_upper_star(b):
     """Matrix of S^*: U^* -> U_*, S^*(phi)(u) = eps(u_+ t(phi(u_-))).
 
     Requires a left Hopf structure.  Columns are indexed by the U^* basis,
-    values in U_* coordinates.
+    values in U_* coordinates.  Built once and cached in b.
     """
-    lo, hi = left_dual(b), right_dual(b)
-    tl = translate_left_mat(b)
-    return lo.coords_of(_translated_pairing(b, hi.tensor, tl, b.coop().base_action))
+    return b._cached("s_upper_star", lambda: left_dual(b).coords_of(_translated_pairing(
+        b, right_dual(b).tensor, translate_left_mat(b), b.coop().base_action)))
 
 
 def s_lower_star(b):

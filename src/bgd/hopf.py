@@ -17,7 +17,10 @@ and inverse lift, each computed once.  alpha_l is cached in b under
 Only the left-hand side is written out.  alpha_r of U is alpha_l of the
 co-opposite ``b.coop()`` up to the flip of T0, so u_[+] (x) u_[-] is u_+ (x) u_-
 there and tch1..tch9 are its sch1..sch9; a right comodule is handled as the
-left comodule ``as_left()`` over ``b.coop()``.
+left comodule ``as_left()`` over ``b.coop()``.  Where b is its own
+co-opposite (``b.coop() is b``, see ``LeftBialgebroid.coop``), alpha_r is
+alpha_l, u_[+] (x) u_[-] is u_+ (x) u_-, and the identity suite, cached per
+bialgebroid under ``"sch"``, is computed once for both sides.
 """
 
 import functools
@@ -152,24 +155,32 @@ def translate_right(b, u):
 def translation_report(b, side=None):
     """Verify the full translation-map identity suite on all basis
     elements (pairs for the multiplicativity items).  The right-hand
-    items tch1..tch9 are sch1..sch9 of the co-opposite."""
+    items tch1..tch9 are sch1..sch9 of the co-opposite, computed once
+    where that is b itself."""
     rep = Report(f"{b.name} translation identities")
     if side in (None, "left"):
-        _sch_suite(b, rep, "sch", is_left_hopf(b), "not left Hopf")
+        _add_suite(rep, "sch", b, is_left_hopf(b), "not left Hopf")
     if side in (None, "right"):
-        _sch_suite(b.coop(), rep, "tch", is_right_hopf(b), "not right Hopf")
+        _add_suite(rep, "tch", b.coop(), is_right_hopf(b), "not right Hopf")
     return rep
 
 
-def _sch_suite(b, rep, tag, hopf, reason):
-    """Items tag1..tag9: the left translation identities of b, or skips
-    with ``reason`` when b is not left Hopf (``hopf`` false).  Each is one
-    residual tensor with a leading axis per basis element it quantifies
-    over."""
+def _add_suite(rep, tag, b, hopf, reason):
+    """Items tag1..tag9: the left translation identities of b, built once
+    and cached in b, or skips with ``reason`` when b is not left Hopf
+    (``hopf`` false)."""
     if not hopf:
         for i in range(1, 10):
             rep.skip(f"{tag}{i}", reason)
         return
+    rep.extend(b._cached("sch", lambda: _sch_suite(b)), tag)
+
+
+def _sch_suite(b):
+    """The left translation identities of a left Hopf b, as items 1..9.
+    Each is one residual tensor with a leading axis per basis element it
+    quantifies over."""
+    rep = Report(b.name)
     f, U = b.field, b.U
     d, mul = U.dim, U.mul
     tl = translate_left_mat(b)
@@ -183,42 +194,43 @@ def _sch_suite(b, rep, tag, hopf, reason):
     # t(a) u_+ (x) u_- = u_+ (x) u_- t(a), as [i, a]
     v1 = f.contract(np.asarray(b.Lt), tl3, (2, 0)).transpose(3, 0, 1, 2)
     v2 = f.contract(np.asarray(b.Rt), tl3, (2, 1)).transpose(3, 0, 2, 1)
-    rep.add_residual(f"{tag}1", project_stack(t1, v1, v2, 2), au)
+    rep.add_residual("1", project_stack(t1, v1, v2, 2), au)
 
     # u_+(1) (x) u_+(2) u_- = u (x) 1
     g = f.contract(tl3, b.delta3, (0, 2))  # (y, i, k, l)
     out = f.contract(g, mul, ([3, 0], [0, 1])).reshape(d, d * d)
-    rep.add_residual(f"{tag}2", project_stack(t0, out, u1), ul)
+    rep.add_residual("2", project_stack(t0, out, u1), ul)
 
     # u_(1)+ (x) u_(1)- u_(2) = u (x) 1
     g = f.contract(b.delta3, tl3, (0, 2))  # (l, i, x, y)
     out = f.contract(g, mul, ([3, 0], [0, 1])).reshape(d, d * d)
-    rep.add_residual(f"{tag}3", project_stack(t1, out, u1), ul)
+    rep.add_residual("3", project_stack(t1, out, u1), ul)
 
     # u_+(1) (x) u_+(2) (x) u_- = u_(1) (x) u_(2)+ (x) u_(2)-, one column per u
     lhs = f.contract(b.delta, tl3, (1, 0)).reshape(d, d, d, d)
     rhs = f.contract(b.delta3, tl, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
-    add_triple(rep, f"{tag}4", f, lhs, rhs, leg0, leg1, ul)
+    add_triple(rep, "4", f, lhs, rhs, leg0, leg1, ul)
 
     # u_+ (x) u_-(1) (x) u_-(2) = u_++ (x) u_- (x) u_+-
     lhs = f.contract(tl3, b.delta, (1, 1)).transpose(0, 2, 1).reshape(d, d, d, d)
     rhs = f.contract(tl3, tl3, (0, 2)).transpose(2, 0, 3, 1).reshape(d, d, d, d)
-    add_triple(rep, f"{tag}5", f, lhs, rhs, leg1, leg0, ul)
+    add_triple(rep, "5", f, lhs, rhs, leg1, leg0, ul)
 
-    rep.add_residual(f"{tag}6", multiplicativity(t1, U, tl, flip=True), ul * 2)
+    rep.add_residual("6", multiplicativity(t1, U, tl, flip=True), ul * 2)
 
     # u_+ u_- = s(eps(u)) and u_+ t(eps(u_-)) = u
     se = f.matmul(b.s_map, b.counit)
     te = f.matmul(b.t_map, b.counit)
     prod = f.contract(tl3, mul, ([0, 1], [0, 1]))
-    rep.add_residual(f"{tag}7", f.sub(prod, se.T), ul)
+    rep.add_residual("7", f.sub(prod, se.T), ul)
     recov = f.contract(tl3, f.contract(te, mul, (0, 1)), ([0, 1], [1, 0]))
-    rep.add_residual(f"{tag}8", f.sub(recov, f.eye(d)), ul)
+    rep.add_residual("8", f.sub(recov, f.eye(d)), ul)
 
     # (s(a) t(b))_+ (x) (s(a) t(b))_- = s(a) (x) s(b), as [a, b]
     lhs = f.contract(U.products(b.s_map, b.t_map), tl, (2, 1))
     rhs = f.contract(b.s_map, b.s_map, 0).transpose(1, 3, 0, 2)
-    rep.add_residual(f"{tag}9", project_stack(t1, lhs, rhs, 2), [b.A.labels] * 2)
+    rep.add_residual("9", project_stack(t1, lhs, rhs, 2), [b.A.labels] * 2)
+    return rep
 
 
 # -- comodule Hopf-Galois maps ---------------------------------------------

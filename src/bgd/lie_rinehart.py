@@ -18,7 +18,7 @@ the coproduct compose multiplication matrices (``restricted_enveloping``).
 import numpy as np
 
 from .algebra import AlgebraPresentation, project_stack
-from .bialgebroid import LeftBialgebroid
+from .bialgebroid import LeftBialgebroid, _build_once
 from .duals import left_dual
 from .report import Report
 
@@ -320,9 +320,8 @@ def restricted_enveloping(lr):
 
     b = LeftBialgebroid(lr.A, total, s_map, s_map, delta.reshape(d * d, d), counit,
                         name=f"U({lr.name})")
-    b._cache["lr"] = lr
-    b._cache["lr_engine"] = eng
-    b._cache["lr_gens"] = gens
+    # the Lie-Rinehart data, its engine and the generators' vectors in U
+    _build_once(b._cache, "lr", lambda: (lr, eng, gens))
     return b
 
 
@@ -341,11 +340,11 @@ def enveloping_report(b):
         for check_id in ("generators.primitive", "pop.power_rule", "pop.hochschild"):
             rep.skip(check_id, NO_LR_DATA)
         return rep
-    lr = b._cache["lr"]
+    lr, _, e = b._cache["lr"]
     f, a_, n, p = lr.field, lr.A, lr.n, lr.p
     u, d = b.U, b.U.dim
     gens = lr.labels
-    e = np.stack(b._cache["lr_gens"])
+    e = np.stack(e)
     # the inclusion of L: incl[k, a] = s(a_a) e_k = (a_a 1) e_k
     incl = u.products(b.s_map, e.T).swapaxes(0, 1)
 
@@ -388,8 +387,7 @@ def jet_lambda_coords(b, dual=None):
     if "lr" not in b._cache:
         raise ValueError(NO_LR_DATA)
     dual = dual or left_dual(b)
-    eng = b._cache["lr_engine"]
-    lr = b._cache["lr"]
+    lr, eng, _ = b._cache["lr"]
     f = b.field
     out = []
     for i in range(lr.n):

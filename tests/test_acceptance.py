@@ -79,7 +79,7 @@ def test_criterion_2_translation_closed_forms():
     for name in ENV:
         b = FIXTURES[name]()
         f = b.field
-        for g in b._cache["lr_gens"]:
+        for g in b._cache["lr"][2]:
             got = b.T1.project(translate_left(b, g))
             expect = f.mod(
                 np.outer(g, b.U.unit).reshape(-1)

@@ -112,7 +112,7 @@ def test_integrals_right_side(capsys):
 
 def test_translate_with_element(capsys):
     b = FIXTURES["rank1-dual-numbers"]()
-    gen = b._cache["lr_gens"][0]
+    gen = b._cache["lr"][2][0]
     coords = ",".join(b.field.format(x) for x in gen)
     code, out, _ = run(capsys, "translate", "--preset", "rank1-dual-numbers",
                        "--element", coords, "--format", "json")

@@ -1,18 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from bgd.fixtures import FIXTURES, regular_comodule, trivial_comodule
+from bgd.algebra import AlgebraPresentation
+from bgd.fixtures import FIXTURES, env, pair, regular_comodule, trivial_comodule
 from bgd.hopf import (
+    alpha_left,
+    alpha_right,
     comodule_is_bijective,
     comodule_translation_report,
     is_left_hopf,
     is_right_hopf,
     side_switch,
     translate_left,
+    translate_left_mat,
     translate_right_mat,
     translation_report,
 )
-from bgd.duals import s_lower_star
+from bgd.duals import left_dual, right_dual, s_lower_star
+from bgd.linalg import Field
 from bgd.bialgebroid import LeftBialgebroid, check_comodule, coinvariants
 
 HOPF = [
@@ -70,11 +77,52 @@ def test_translation_report_ignores_coproduct_lift(name):
 
 
 def test_coop_is_an_involution_sharing_quotients():
-    b = FIXTURES["crossed"]()
+    b = env(Field.prime(5), 2)
     c = b.coop()
     assert c.coop() is b
     assert c.T1 is b.T2 and c.T2 is b.T1
     assert c.Ls is b.Lt and c.Rt is b.Rs
+    crossed = FIXTURES["crossed"]()
+    assert crossed.coop() is crossed
+
+
+def _function_algebra_s3():
+    """k^{S_3} over k = F_3, p_g p_h = [g = h] p_g and delta(p_g) the sum of
+    p_h (x) p_k over hk = g: commutative with s = t, not cocommutative."""
+    f, g = Field.prime(3), list(itertools.permutations(range(3)))
+    d = len(g)
+    u = AlgebraPresentation.from_triples(f, d, [(i, i, i, 1) for i in range(d)], [1] * d)
+    a = AlgebraPresentation.from_triples(f, 1, [(0, 0, 0, 1)], [1])
+    delta = f.zeros((d * d, d))
+    for h, x in enumerate(g):
+        for k, y in enumerate(g):
+            delta[h * d + k, g.index(tuple(x[j] for j in y))] = f.one
+    s, counit = f.array([[1]] * d), f.array([[int(x == g[0]) for x in g]])
+    return LeftBialgebroid(a, u, s, s, delta, counit, name="k^S3")
+
+
+# name: (builder, whether it is its own co-opposite, whether deciding that builds T0)
+COOP_SUBJECTS = {
+    # u(L): the lift of delta is not flip-symmetric, so T0 decides
+    "crossed": (FIXTURES["crossed"], True, True),
+    "rank1-dual-numbers": (FIXTURES["rank1-dual-numbers"], True, True),
+    "pair-F5-3": (lambda: pair(Field.prime(5), 3), True, False),
+    "group-f3": (FIXTURES["group-f3"], True, False),
+    "env-F5-2": (lambda: env(Field.prime(5), 2), False, False),  # s != t
+    "k^S3": (_function_algebra_s3, False, True),
+}
+
+
+@pytest.mark.parametrize("name", COOP_SUBJECTS)
+def test_own_coop_shares_every_right_structure(name):
+    build, own, t0 = COOP_SUBJECTS[name]
+    b = build()
+    assert (b.coop() is b) == own and b.coop().coop() is b
+    assert ("T0" in b._cache) == t0
+    if own:
+        assert alpha_right(b) is alpha_left(b)
+        assert translate_right_mat(b) is translate_left_mat(b)
+        assert right_dual(b).tensor is left_dual(b).tensor
 
 
 def test_primitive_translation_closed_form():

@@ -113,7 +113,7 @@ def test_translation_closed_form_on_generators(name):
     # u_+ (x) u_- = D (x) 1 - 1 (x) D for every primitive generator D
     b = FIXTURES[name]()
     f, d = b.field, b.U.dim
-    for g in b._cache["lr_gens"]:
+    for g in b._cache["lr"][2]:
         got = b.T1.project(translate_left(b, g))
         expect = f.mod(
             np.outer(g, b.U.unit).reshape(-1) - np.outer(b.U.unit, g).reshape(-1)
@@ -157,7 +157,7 @@ def test_jet_reads_as_left_bialgebroid(name):
 def test_jet_lambda_generators_pair_correctly(name):
     b = FIXTURES[name]()
     jet = jet_algebroid(b)
-    lr, eng = b._cache["lr"], b._cache["lr_engine"]
+    lr, eng, _ = b._cache["lr"]
     f = b.field
     lams = jet_lambda_coords(b, jet)
     for i, lam in enumerate(lams):
