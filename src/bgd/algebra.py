@@ -2,6 +2,7 @@
 balanced-tensor quotient machinery used throughout.
 """
 
+import functools
 import itertools
 import math
 
@@ -42,8 +43,6 @@ class AlgebraPresentation:
             raise ValueError("mul table must be dim x dim x dim")
         self.unit = field.mod(np.asarray(unit))
         self.labels = labels or [f"e{i}" for i in range(self.dim)]
-        self._lmults = None
-        self._rmults = None
 
     @classmethod
     def from_triples(cls, field, dim, triples, unit, labels=None):
@@ -77,19 +76,15 @@ class AlgebraPresentation:
         """Matrix of v -> v * x."""
         return self.field.contract(x, self.mul, (0, 1)).T
 
-    @property
+    @functools.cached_property
     def basis_left_mults(self):
         """The stack of ``left_mult(e_i)``: a transposed copy of ``mul``."""
-        if self._lmults is None:
-            self._lmults = self.mul.transpose(0, 2, 1).copy()
-        return self._lmults
+        return self.mul.transpose(0, 2, 1).copy()
 
-    @property
+    @functools.cached_property
     def basis_right_mults(self):
         """The stack of ``right_mult(e_i)``: a transposed copy of ``mul``."""
-        if self._rmults is None:
-            self._rmults = self.mul.transpose(1, 2, 0).copy()
-        return self._rmults
+        return self.mul.transpose(1, 2, 0).copy()
 
     def power(self, x, n):
         out = self.unit.copy()
@@ -134,14 +129,14 @@ def format_vector(field, labels, v):
     return " + ".join(terms) if terms else "0"
 
 
-def check_action(alg, mats, contravariant=False, name="action"):
+def check_action(alg, mats, contravariant=False):
     """Check that basis matrices define a module structure over ``alg``.
 
     ``mats[i]`` represents the action of basis element ``e_i``; with
     ``contravariant=True`` the composition rule is reversed
     (rho(a) rho(b) = rho(b a)), as for right actions written on the left.
     """
-    rep = Report(name)
+    rep = Report("action")
     f = alg.field
     act = np.asarray(mats)
     # [n, m]: the m-entry of 1 . e_n
@@ -322,18 +317,13 @@ class LegEmbedding:
         self.left = left
         self.dual, self.gens = (None, None) if basis is None else basis
         self.exact = basis is not None and self._premises()
-        self._quotient = None
 
-    @property
+    @functools.cached_property
     def quotient(self):
         """X (x)_A Y as a ``Quotient`` of X (x) Y, built once."""
-        if self._quotient is None:
-            f, (dx, dy) = self.field, (self.P.shape[1], self.Q.shape[1])
-            if self.exact:
-                self._quotient = Quotient.from_kernel(f, self._matrix())
-            else:
-                self._quotient = balanced_tensor(f, dx, self.P, dy, self.Q)
-        return self._quotient
+        if self.exact:
+            return Quotient.from_kernel(self.field, self._matrix())
+        return balanced_tensor(self.field, self.P.shape[1], self.P, self.Q.shape[1], self.Q)
 
     def _matrix(self):
         """J as a (dX n) x (dX dY) matrix, the entry at (x', i), (x, y)

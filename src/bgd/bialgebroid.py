@@ -18,21 +18,24 @@ Every balanced tensor of U with a module N (these three, the comodule
 tensors U_<| (x)_A M, and the >U (x)_{Aop} N of ``bgd.hopf_modules``) is
 read off one leg embedding J, ``LeftBialgebroid.leg``: the U leg goes
 through a free basis of U for the action of A that balances it (s(A)
-for T0, t(A) for T1; T2 is T1 of the co-opposite), with r = dU / dA
-slots.  The relation span is ker J, column j is a pivot of the relation
-rref iff J e_j lies in span{J e_k : k > j}, and one rref of J with its
-columns reversed gives the relation-built quotient's coordinates and
-projection (``linalg.Quotient.from_kernel``).  Where the search finds no
-free basis, or a leg's premises fail, the quotient is built from the
-relation rows of ``algebra.balanced_tensor``.
+for T0 and T2, t(A) for T1), with r = dU / dA slots.  The relation span
+is ker J, column j is a pivot of the relation rref iff J e_j lies in
+span{J e_k : k > j}, and one rref of J with its columns reversed gives
+the relation-built quotient's coordinates and projection
+(``linalg.Quotient.from_kernel``).  Where the search finds no free
+basis, or a leg's premises fail, the quotient is built from the relation
+rows of ``algebra.balanced_tensor``.
 
-A bialgebroid and its co-opposite share one store of free bases, keyed by
-the content of the U-side stack (``Field.key``), and of leg embeddings,
-keyed by that of (U-side stack, action, u_first).  So a balanced tensor
-asked for again gets the leg already built: under the co-opposite's
-mirrored names, where s = t, as the domain of a comodule's Hopf-Galois
-map, or for another module with the same action.  The store holds arrays
-and legs only, nothing that refers back to either bialgebroid.
+A bialgebroid and its co-opposite share, by content alone (``Field.key``),
+one store of action stacks (keyed by s or t and the side), free bases
+(by the U-side stack) and leg embeddings (by U-side stack, action and
+u_first).  So the co-opposite's Ls is b's Lt and its T1 b's T2, and
+where s = t, b's Ls is its Lt; a balanced tensor asked for again gets
+the leg already built: under the co-opposite's mirrored names, as the
+domain of a comodule's Hopf-Galois map, or for another module with the
+same action.  The store holds arrays and legs only, nothing that refers
+back to either bialgebroid; a comodule's twin over the co-opposite holds
+it weakly, as the co-opposite holds b.
 
 The co-opposite is a second object unless s = t, A is commutative and
 delta = flip o delta in T0, as for group and groupoid algebras and the
@@ -62,16 +65,18 @@ __all__ = [
 ]
 
 
-# Cache entries a bialgebroid shares with its co-opposite, keyed by the
-# name each one has there.
-_COOP_TWIN = {"Ls": "Lt", "Lt": "Ls", "Rs": "Rt", "Rt": "Rs", "T1": "T2", "T2": "T1"}
-
-
 def _build_once(cache, key, build):
     """``cache[key]``, set to ``build()`` on first use."""
     if key not in cache:
         cache[key] = build()
     return cache[key]
+
+
+def _twin(cache):
+    """The co-opposite under ``cache["coop"]``, if built and alive: of two
+    twins (bialgebroids or comodules), the second holds the first weakly."""
+    twin = cache.get("coop")
+    return twin() if isinstance(twin, weakref.ref) else twin
 
 
 class _Presentation:
@@ -107,7 +112,7 @@ class LeftBialgebroid(_Presentation):
     def __init__(self, base, total, s_map, t_map, delta, counit, name="U"):
         super().__init__(base, total, s_map, t_map, delta, counit, name)
         self._cache = {}
-        self._legs = {}  # the store ``leg`` reads, shared with ``coop()``
+        self._legs = {}  # the store of ``_mults`` and ``leg``, shared with ``coop()``
 
     # -- structure maps ----------------------------------------------------
 
@@ -142,38 +147,31 @@ class LeftBialgebroid(_Presentation):
     # -- action matrices per A-basis index ----------------------------------
 
     def _cached(self, key, build):
-        """``self._cache[key]``, built on first use and handed to the
-        co-opposite under its twin key (see ``coop``)."""
-        if key in _COOP_TWIN and key not in self._cache:
-            val, twin = _build_once(self._cache, key, build), self._twin()
-            if twin is not None:
-                twin._cache[_COOP_TWIN[key]] = val
+        """``self._cache[key]``, built on first use."""
         return _build_once(self._cache, key, build)
 
-    def _twin(self):  # the co-opposite, if built and alive (see ``coop``)
-        twin = self._cache.get("coop")
-        return twin() if isinstance(twin, weakref.ref) else twin
-
-    def _mults(self, key, mat, axis):
-        """The left (axis 0) or right (axis 1) multiplications by mat's columns."""
-        return self._cached(
-            key, lambda: self.field.contract(mat, self.U.mul, (0, axis)).transpose(0, 2, 1))
+    def _mults(self, mat, axis):
+        """The left (axis 0) or right (axis 1) multiplications by mat's
+        columns, built once per content of mat in the shared store (``leg``)."""
+        f = self.field
+        return _build_once(self._legs, (f.key(mat), axis), lambda: f.contract(
+            mat, self.U.mul, (0, axis)).transpose(0, 2, 1))
 
     @property
     def Ls(self):
-        return self._mults("Ls", self.s_map, 0)
+        return self._mults(self.s_map, 0)
 
     @property
     def Lt(self):
-        return self._mults("Lt", self.t_map, 0)
+        return self._mults(self.t_map, 0)
 
     @property
     def Rs(self):
-        return self._mults("Rs", self.s_map, 1)
+        return self._mults(self.s_map, 1)
 
     @property
     def Rt(self):
-        return self._mults("Rt", self.t_map, 1)
+        return self._mults(self.t_map, 1)
 
     # -- balanced tensors of U ----------------------------------------------
 
@@ -187,7 +185,7 @@ class LeftBialgebroid(_Presentation):
 
     @property
     def T2(self):
-        return self._cached("T2", lambda: self.coop().T1)
+        return self._cached("T2", lambda: self.leg("Rs", over="Ls", u_first=False).quotient)
 
     def leg(self, action, *, over, u_first):
         """The embedding of the balanced tensor of U with N, for the action
@@ -219,17 +217,18 @@ class LeftBialgebroid(_Presentation):
 
         It is built once: ``b.coop().coop() is b``.  It holds ``b`` weakly,
         so the two are freed with ``b``, not by the cycle collector.  Source
-        and target swap roles, so it shares ``b``'s action lists (Ls <-> Lt,
-        Rs <-> Rt), balanced squares (T1 <-> T2) and store of free bases
-        and legs (see ``leg``); only its T0 is new.  The right-hand
-        translation maps, their identity suite and the right-comodule
-        suites of ``bgd.hopf`` are the left-hand ones computed on it.
+        and target swap roles, and it shares ``b``'s store, keyed by content
+        alone (see ``leg``): its Ls is b's Lt, its Rt b's Rs and its T1 b's
+        T2 (where s = t, b's Ls is its own Lt), and only its T0 is new.  The
+        right-hand translation maps, their identity suite and the
+        right-comodule suites of ``bgd.hopf`` are the left-hand ones
+        computed on it.
 
         Where s = t, A is commutative and delta = flip o delta in T0, it is
         b itself, held weakly: every right-handed structure is then the
         left-handed one, computed once.
         """
-        twin = self._twin()
+        twin = _twin(self._cache)
         if twin is None:
             delta = self._delta  # a thunk needs self; a lift does not
             twin = self if self._is_own_coop() else LeftBialgebroid(
@@ -237,9 +236,6 @@ class LeftBialgebroid(_Presentation):
                 (lambda: flip_legs(self.delta)) if callable(delta) else lambda: flip_legs(delta),
                 self.counit, name=self.name + "_coop",
             )
-            for key, val in list(self._cache.items()):
-                if key in _COOP_TWIN:
-                    twin._cache.setdefault(_COOP_TWIN[key], val)
             twin._legs = self._legs
             self._cache["coop"] = twin
             twin._cache["coop"] = weakref.ref(self)  # last: b holds itself weakly
@@ -267,9 +263,6 @@ class RightBialgebroid(_Presentation):
     op of the base), through which all checks are routed.
     """
 
-    def __init__(self, base, total, s_map, t_map, delta, counit, name="W"):
-        super().__init__(base, total, s_map, t_map, delta, counit, name)
-
     def op_coop(self):
         """The associated left bialgebroid (U^op, A^op, s, t, flip o delta)."""
         return LeftBialgebroid(
@@ -278,7 +271,7 @@ class RightBialgebroid(_Presentation):
         )
 
 
-def check_left_bialgebroid(b, with_triples=True, name=None):
+def check_left_bialgebroid(b, with_triples=True):
     """Full axiom battery for a left bialgebroid presentation.
 
     Each identity is one residual tensor (lhs - rhs, projected where it
@@ -288,7 +281,7 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
     ``TripleQuotient`` where their premises fail, and skipped where that
     does not exist or ``with_triples=False``.
     """
-    rep = Report(name or b.name)
+    rep = Report(b.name)
     f = b.field
     A, U = b.A, b.U
     d = U.dim
@@ -366,7 +359,9 @@ def check_left_bialgebroid(b, with_triples=True, name=None):
 
 def check_right_bialgebroid(w, with_triples=True):
     """Axiom battery for a right bialgebroid, via its left reduction."""
-    return check_left_bialgebroid(w.op_coop(), with_triples=with_triples, name=w.name)
+    rep = check_left_bialgebroid(w.op_coop(), with_triples=with_triples)
+    rep.subject = w.name
+    return rep
 
 
 class ComodulePresentation:
@@ -399,8 +394,10 @@ class ComodulePresentation:
         """The same comodule over ``b.coop()``, built once (``coop().coop()``
         is this comodule): a right A-action is a left A^op-action and back,
         so a right comodule over b is a left comodule over b.coop() once its
-        coaction legs are swapped, and a left one a right one."""
-        if "coop" not in self._cache:
+        coaction legs are swapped, and a left one a right one.  The twin
+        holds this comodule weakly, as ``b.coop()`` holds b."""
+        twin = _twin(self._cache)
+        if twin is None:
             dm, du = self.dim, self.b.U.dim
             legs = (dm, du) if self.side == "right" else (du, dm)
             swapped = self.coaction.reshape(*legs, dm).swapaxes(0, 1)
@@ -408,9 +405,9 @@ class ComodulePresentation:
                 self.b.coop(), "left" if self.side == "right" else "right",
                 self.action, swapped.reshape(du * dm, dm), name=self.name,
             )
-            twin._cache["coop"] = self
             self._cache["coop"] = twin
-        return self._cache["coop"]
+            twin._cache["coop"] = weakref.ref(self)
+        return twin
 
     def as_left(self):
         """This comodule as a left comodule: itself if it is one, else
@@ -461,7 +458,7 @@ def check_comodule(com):
     for a comodule presentation (a right comodule through ``as_left()``)."""
     rep = Report(f"{com.name} ({com.side} comodule)")
     contra = com.side == "right"
-    rep.extend(check_action(com.b.A, com.action, contravariant=contra, name="a"), "comodule.")
+    rep.extend(check_action(com.b.A, com.action, contravariant=contra), "comodule.")
 
     base_a = com.b.A
     com = com.as_left()
@@ -490,7 +487,7 @@ def check_comodule(com):
     add_triple(rep, "comodule.coassociative", f, lhs, rhs, leg12, com.leg, labels[1:])
 
     ind = com.induced_action
-    rep.extend(check_action(base_a, ind, contravariant=not contra, name="a"), "comodule.induced_")
+    rep.extend(check_action(base_a, ind, contravariant=not contra), "comodule.induced_")
 
     # (t(a) on the U leg) - (.a on the M leg) of coact(m_j), as [a, j]
     v1 = f.contract(np.asarray(b.Rt), co, (2, 0)).transpose(0, 3, 1, 2)

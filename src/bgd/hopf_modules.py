@@ -51,11 +51,7 @@ class HopfModulePresentation:
 def check_hopf_module(mod):
     b, f = mod.b, mod.field
     rep = Report(f"{mod.name} ({mod.kind}) Hopf module")
-    rep.extend(
-        check_action(
-            b.U, mod.action, contravariant=(mod.kind == "RL"), name="module"
-        )
-    )
+    rep.extend(check_action(b.U, mod.action, contravariant=(mod.kind == "RL")))
     rep.extend(check_comodule(mod.comodule))
     com = mod.comodule
     d, dm = b.U.dim, mod.dim
@@ -111,27 +107,27 @@ def _hopf_module_on(b, q, dn, kind, amb, name):
     return HopfModulePresentation(b, kind, act, com, name=name)
 
 
-def rl_hopf_module_from_base_module(b, action_a, name="U(x)N"):
+def rl_hopf_module_from_base_module(b, action_a):
     """U_<| (x)_A N for a left A-module N: right action (v (x) n).u = vu (x) n,
     coaction v_(1) (x) v_(2) (x) n."""
     f = b.field
     dn = action_a[0].shape[0]
     q = b.leg(action_a, over="Lt", u_first=True).quotient
     amb = _on_u_leg(f, np.asarray(b.U.basis_right_mults), dn)
-    return _hopf_module_on(b, q, dn, "RL", amb, name)
+    return _hopf_module_on(b, q, dn, "RL", amb, "U(x)N")
 
 
-def ll_hopf_module_from_base_module(b, action_a, name="U(x)P"):
+def ll_hopf_module_from_base_module(b, action_a):
     """|>U (x)_{Aop} P for a right A-module P (written on the left):
     left action u.(v (x) x) = uv (x) x, coaction v_(1) (x) v_(2) (x) x."""
     f = b.field
     dn = action_a[0].shape[0]
     q = b.leg(action_a, over="Rt", u_first=True).quotient
     amb = _on_u_leg(f, np.asarray(b.U.basis_left_mults), dn)
-    return _hopf_module_on(b, q, dn, "LL", amb, name)
+    return _hopf_module_on(b, q, dn, "LL", amb, "U(x)P")
 
 
-def ll_hopf_module_from_module(b, action_u, name="U(x)N2"):
+def ll_hopf_module_from_module(b, action_u):
     """U_<| (x)_A N for a left U-module N: diagonal action
     u.(v (x) n) = u_(1)v (x) u_(2)n, coaction v_(1) (x) v_(2) (x) n."""
     f, d = b.field, b.U.dim
@@ -141,7 +137,7 @@ def ll_hopf_module_from_module(b, action_u, name="U(x)N2"):
     # amb[i, (z, n), (y, m)] = sum_{k,l} delta3[k, l, i] mul[k, y, z] action_u[l][n, m]
     g = f.contract(b.delta3, b.U.mul, (0, 0))  # (l, i, y, z)
     amb = f.contract(g, act_u, (0, 0)).transpose(0, 2, 3, 1, 4)
-    return _hopf_module_on(b, q, dn, "LL", amb.reshape(d, d * dn, d * dn), name)
+    return _hopf_module_on(b, q, dn, "LL", amb.reshape(d, d * dn, d * dn), "U(x)N2")
 
 
 def comparison_map(b, action_u):

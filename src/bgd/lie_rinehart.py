@@ -380,13 +380,14 @@ def jet_algebroid(b):
     return left_dual(b)
 
 
-def jet_lambda_coords(b, dual=None):
+def jet_lambda_coords(b):
     """Coordinates of the jet generators lambda_i (dual to the e_i) in the
-    dual basis: <lambda_i, a e^alpha> = a if alpha = 1_i else 0.  Raises
-    ValueError on a bialgebroid without Lie-Rinehart data."""
+    dual basis of ``jet_algebroid(b)``: <lambda_i, a e^alpha> = a if
+    alpha = 1_i else 0.  Raises ValueError on a bialgebroid without
+    Lie-Rinehart data."""
     if "lr" not in b._cache:
         raise ValueError(NO_LR_DATA)
-    dual = dual or left_dual(b)
+    dual = left_dual(b)
     lr, eng, _ = b._cache["lr"]
     f = b.field
     out = []

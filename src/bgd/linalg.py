@@ -75,7 +75,7 @@ they are wherever the identity holds.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import is_, is_not
 
@@ -954,12 +954,10 @@ class Quotient:
     def __init__(self, field, ambient_dim, relation_gens=()):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._rel = Subspace(field, ambient_dim, relation_gens)
-        pivot_set = set(self._rel.pivots)
+        self.rel = Subspace(field, ambient_dim, relation_gens)
+        pivot_set = set(self.rel.pivots)
         self.coords = [j for j in range(ambient_dim) if j not in pivot_set]
         self.dim = len(self.coords)
-        self._pmat = None
-        self._smat = None
 
     @classmethod
     def from_kernel(cls, field, emb):
@@ -978,26 +976,25 @@ class Quotient:
         rows, pivots = rref(field, emb[:, ::-1])
         q.coords = [n - 1 - j for j in reversed(pivots)]
         q.dim = len(q.coords)
-        q._pmat = np.ascontiguousarray(rows[::-1, ::-1])
-        q._rel = None
+        q.project_mat = np.ascontiguousarray(rows[::-1, ::-1])
+        del q.rel  # read back off project_mat on demand
         return q
 
-    @property
+    @cached_property
     def rel(self):
         """The relation span R in reduced row echelon form.  Its pivots are
         the columns outside ``coords``, and the row with pivot p is e_p
         minus the class of e_p in the quotient basis; RREF is unique, so a
         quotient built ``from_kernel`` gets the same rows on demand."""
-        if self._rel is None:
-            f, n = self.field, self.ambient_dim
-            keep = set(self.coords)
-            pivots = [j for j in range(n) if j not in keep]
-            rows = f.zeros((len(pivots), n))
-            rows[range(len(pivots)), pivots] = f.one
-            rows[:, self.coords] = f.neg(self.project_mat[:, pivots].T)
-            self._rel = Subspace(f, n)
-            self._rel.rows, self._rel.pivots = rows, pivots
-        return self._rel
+        f, n = self.field, self.ambient_dim
+        keep = set(self.coords)
+        pivots = [j for j in range(n) if j not in keep]
+        rows = f.zeros((len(pivots), n))
+        rows[range(len(pivots)), pivots] = f.one
+        rows[:, self.coords] = f.neg(self.project_mat[:, pivots].T)
+        rel = Subspace(f, n)
+        rel.rows, rel.pivots = rows, pivots
+        return rel
 
     def project(self, v):
         """Quotient coordinates of v, or of every column of a matrix v (its
@@ -1009,23 +1006,19 @@ class Quotient:
         v[self.coords] = q
         return v
 
-    @property
+    @cached_property
     def project_mat(self):
-        if self._pmat is None:
-            f, rel = self.field, self._rel
-            p = f.zeros((self.dim, self.ambient_dim))
-            p[range(self.dim), self.coords] = f.one
-            p[:, rel.pivots] = f.neg(rel.rows[:, self.coords].T)
-            self._pmat = p
-        return self._pmat
+        f, rel = self.field, self.rel
+        p = f.zeros((self.dim, self.ambient_dim))
+        p[range(self.dim), self.coords] = f.one
+        p[:, rel.pivots] = f.neg(rel.rows[:, self.coords].T)
+        return p
 
-    @property
+    @cached_property
     def section_mat(self):
-        if self._smat is None:
-            s = self.field.zeros((self.ambient_dim, self.dim))
-            s[self.coords, range(self.dim)] = self.field.one
-            self._smat = s
-        return self._smat
+        s = self.field.zeros((self.ambient_dim, self.dim))
+        s[self.coords, range(self.dim)] = self.field.one
+        return s
 
     def _pushed(self, op, dom):
         """(P op, whether op descends) for the ambient matrix op (or stack)

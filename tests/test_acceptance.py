@@ -66,7 +66,7 @@ def test_criterion_1_jet_integrals():
             sp = left_integrals(jet)
             ok &= sp.free_rank_one and sp.dim == b.A.dim
             expected = jet.U.unit
-            for lam in jet_lambda_coords(b, dual):
+            for lam in jet_lambda_coords(b):
                 expected = jet.U.mult(expected, jet.U.power(lam, p - 1))
             ok &= sp.contains(expected)
             ok &= _orbit_spans(jet, expected, sp)

@@ -78,6 +78,11 @@ def test_truncated_polynomials_derivation():
                 assert f.equal(lhs, f.mod(rhs))
 
 
+def test_algebra_rejects_a_table_that_is_not_cubic():
+    with pytest.raises(ValueError, match="dim x dim x dim"):
+        AlgebraPresentation(F2, np.zeros((2, 2, 3), dtype=np.int64), [1, 0])
+
+
 def test_opposite_involution():
     a = dual_numbers(F3)
     assert np.array_equal(a.opposite().opposite().mul, a.mul)
@@ -149,7 +154,7 @@ def test_balanced_relations_match_kron(f, count, m, n, seed):
 def test_check_action_rejects_wrong_composition():
     a = dual_numbers(F2)
     mats = [a.field.eye(2), a.field.eye(2)]  # trivial "action" is not one
-    rep = check_action(a, mats, name="bogus")
+    rep = check_action(a, mats)
     assert not rep.ok
 
 

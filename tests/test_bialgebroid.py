@@ -117,6 +117,13 @@ def test_failing_action_names_the_basis_pair():
             " (1, 1) (at t^1, t^1)") in rep.to_text()
 
 
+def test_right_comodule_reads_its_legs_through_as_left():
+    com = regular_comodule(FIXTURES["group-f3"](), "right")
+    for attr in ("leg", "dom_leg"):
+        with pytest.raises(ValueError, match="as_left"):
+            getattr(com, attr)
+
+
 @pytest.mark.parametrize("command", ["check", "translate", "integrals", "maschke", "frobenius",
                                      "quasi-frobenius", "dual", "fundamental"])
 @pytest.mark.parametrize("name", ["group-f3", "rank1-dual-numbers"])

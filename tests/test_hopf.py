@@ -117,12 +117,36 @@ COOP_SUBJECTS = {
 def test_own_coop_shares_every_right_structure(name):
     build, own, t0 = COOP_SUBJECTS[name]
     b = build()
+    assert (b.Ls is b.Lt) == (b.Rs is b.Rt) == b.field.equal(b.s_map, b.t_map)
     assert (b.coop() is b) == own and b.coop().coop() is b
     assert ("T0" in b._cache) == t0
     if own:
         assert alpha_right(b) is alpha_left(b)
         assert translate_right_mat(b) is translate_left_mat(b)
         assert right_dual(b).tensor is left_dual(b).tensor
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ["group-f3", "rank1-dual-numbers"])
+def test_comodule_reports_leave_no_reference_cycle(name, side):
+    # a comodule holds its twin over b.coop() weakly, as b holds b.coop(),
+    # so reference counting frees b, the comodule and the twin
+    import gc
+    import weakref
+
+    b = FIXTURES[name]()
+    gc.collect()
+    gc.disable()
+    try:
+        com = regular_comodule(b, side)
+        comodule_translation_report(com)
+        if side == "left":
+            side_switch(com)
+        refs = [weakref.ref(x) for x in (b, com, com.coop())]
+        del b, com
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_primitive_translation_closed_form():

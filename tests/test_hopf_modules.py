@@ -76,6 +76,8 @@ def test_fundamental_theorem_right_left(name):
     rl = rl_hopf_module_from_base_module(b, b.A.basis_left_mults)
     gamma, eta, verified = fundamental_rl(b, rl)
     assert verified
+    with pytest.raises(ValueError, match="expected an LL"):
+        fundamental_ll(b, rl)
 
 
 @pytest.mark.parametrize("name", HOPF)
@@ -84,6 +86,8 @@ def test_fundamental_theorem_left_left(name):
     ll = ll_hopf_module_from_base_module(b, b.A.basis_right_mults)
     gamma, iso = fundamental_ll(b, ll)
     assert iso
+    with pytest.raises(ValueError, match="expected an RL"):
+        fundamental_rl(b, ll)
 
 
 @pytest.mark.parametrize("name", SMALL)

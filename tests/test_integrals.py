@@ -241,6 +241,13 @@ def test_cyclic_group_is_separable_exactly_when_n_is_invertible(p, n):
     assert status["maschke.equivalence"] == "pass"
 
 
+def test_zero_integral_span_contains_only_zero():
+    f = Field.prime(2)
+    k = AlgebraPresentation(f, [[[1]]], [1])
+    spc = IntegralSpace("left", k, [], f.zeros((1, 1, 1)))
+    assert spc.contains(f.zeros(1)) and not spc.contains(f.array([1]))
+
+
 def test_generator_search_with_no_combination_to_try():
     # over F_2 a one-dimensional span has no combination past its basis
     # vector; where that vector generates nothing, there is no generator

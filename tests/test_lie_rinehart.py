@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgd.algebra import AlgebraPresentation
 from bgd.bialgebroid import check_left_bialgebroid, check_right_bialgebroid
 from bgd.fixtures import (
     FIXTURES,
@@ -22,6 +23,7 @@ from bgd.lie_rinehart import (
     jet_lambda_coords,
     restricted_enveloping,
 )
+from bgd.linalg import Field
 
 ENV = ["rank1-dual-numbers", "rank1-dual-numbers-p3", "abelian-n", "crossed"]
 
@@ -96,6 +98,12 @@ def test_enveloping_report(name):
     assert by_id["pop.hochschild"] == "pass"
 
 
+def test_restricted_structures_need_a_prime_field():
+    q = Field.rationals()
+    with pytest.raises(ValueError, match="prime field"):
+        RestrictedLieRinehart(AlgebraPresentation(q, [[[1]]], [1]), 1, None, None, None)
+
+
 def test_envelope_read_from_a_spec_has_no_lie_rinehart_data():
     # a spec keeps the bialgebroid but not the Lie-Rinehart algebra behind it
     b = parse_spec(export_spec(rank1_dual_numbers()))
@@ -159,7 +167,7 @@ def test_jet_lambda_generators_pair_correctly(name):
     jet = jet_algebroid(b)
     lr, eng, _ = b._cache["lr"]
     f = b.field
-    lams = jet_lambda_coords(b, jet)
+    lams = jet_lambda_coords(b)
     for i, lam in enumerate(lams):
         func = jet.functional(lam)
         for idx in range(b.U.dim):
@@ -179,7 +187,7 @@ def test_jet_lambda_powers_vanish():
         b = FIXTURES[name]()
         jet = jet_algebroid(b)
         p = b.field.p
-        for lam in jet_lambda_coords(b, jet):
+        for lam in jet_lambda_coords(b):
             assert b.field.is_zero(jet.U.power(lam, p))
 
 

@@ -706,6 +706,8 @@ def test_rational_rref_reads_every_kind_of_entry():
     assert_same_rref(QQ, np.array([[0, 2, 4], [1, 0, 3], [1, 2, 7]]))
     with pytest.raises((TypeError, ValueError)):
         linalg.rref(QQ, np.array([[None, 1]], dtype=object))
+    with pytest.raises(ValueError, match="2-d"):
+        linalg.rref(QQ, QQ.array([1, 2]))
 
 
 def test_field_rejects_primes_from_2_31_at_once():
@@ -715,6 +717,15 @@ def test_field_rejects_primes_from_2_31_at_once():
             Field.prime(p)
     assert time.perf_counter() - start < 1.0
     assert Field.prime(2**31 - 1).p == 2**31 - 1
+
+
+def test_field_rejects_what_is_not_a_field_and_inverts_no_zero():
+    with pytest.raises(FieldError, match="not a prime"):
+        Field.prime(1)
+    with pytest.raises(FieldError, match="unknown field kind"):
+        Field("integers")
+    with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+        QQ.inv(0)
 
 
 # -- the sparse-first rref against the dense loop ---------------------------
